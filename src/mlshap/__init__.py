@@ -53,8 +53,6 @@ from .multilabel import (
     model_from_json,
     model_to_json,
     predict_labels,
-    predict_proba_cc,
-    predict_proba_mlknn,
     save_model,
 )
 from .shapley import (

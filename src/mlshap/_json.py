@@ -2,7 +2,8 @@
 
 All documents written by mlshap go through :func:`dumps` so that identical
 inputs always produce identical bytes (sorted keys, fixed separators, floats
-rendered at full round-trip precision).
+rendered at full round-trip precision). NaN and infinities are refused, since
+JSON has no spelling for them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def loads(text: str):

@@ -4,12 +4,14 @@ A :class:`Dataset` holds a dense real-valued feature matrix next to a binary
 label matrix. Loaders exist for a small ARFF subset (``@relation``,
 ``@attribute <name> numeric|{0,1}``, ``@data`` CSV rows, ``%`` comments) and
 for headered CSV files. Missing feature cells are imputed with the column
-mean; missing or non-binary label cells are an error.
+mean; non-finite feature cells and missing or non-binary label cells are an
+error.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,8 +57,8 @@ class Dataset:
         all_names = self.feature_names + self.label_names
         if len(set(all_names)) != len(all_names):
             raise ValueError("feature and label names must be unique")
-        if np.isnan(self.features).any():
-            raise ValueError("features contain NaN after loading")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features contain NaN or infinite values")
         if not np.isin(self.labels, (0, 1)).all():
             raise ValueError("label not binary")
         self.features.flags.writeable = False
@@ -146,11 +148,13 @@ def _finish(path, name, cells, missing, names, label_cols):
                     _fail(path, line_no, f"missing value in label column {names[c]!r}")
                 continue
             try:
-                values[r, c] = float(text)
+                value = values[r, c] = float(text)
             except ValueError:
                 _fail(path, line_no, f"non-numeric value {text!r} in column {names[c]!r}")
-            if c in label_set and values[r, c] not in (0.0, 1.0):
+            if c in label_set and value not in (0.0, 1.0):
                 _fail(path, line_no, f"label not binary: {names[c]!r} = {text!r}")
+            if not math.isfinite(value):
+                _fail(path, line_no, f"non-finite value {text!r} in column {names[c]!r}")
     missing_arr = np.array(missing, dtype=bool).reshape(len(cells), n_cols)
     features = _impute_column_means(
         path, values[:, feature_cols], missing_arr[:, feature_cols],

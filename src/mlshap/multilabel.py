@@ -40,10 +40,24 @@ class MultiLabelModel:
         ]
         self.feature_names = list(feature_names) if feature_names else None
 
-    def _proba_matrix(self, X: np.ndarray) -> np.ndarray:
+    def _proba_matrix(self, X: np.ndarray, labels: list[int]) -> np.ndarray:
+        """(n, len(labels)) probabilities of the requested labels, in that order."""
         raise NotImplementedError
 
-    def predict_proba(self, X):
+    def _label_ids(self, labels) -> list[int]:
+        ids = list(range(self.n_labels)) if labels is None else [int(l) for l in labels]
+        if not ids or not all(0 <= l < self.n_labels for l in ids):
+            raise ValueError(f"label ids must be a non-empty list of indices in "
+                             f"[0, {self.n_labels}), got {ids}")
+        return ids
+
+    def predict_proba(self, X, labels=None):
+        """Probabilities of ``labels`` (default: all, in label order) per row.
+
+        BR and CC run only the forests the requested labels need; ML-kNN makes
+        one neighbor query for all of them. Each column is bit-identical to
+        the same column of the all-label matrix.
+        """
         X = np.asarray(X, dtype=np.float64)
         single = X.ndim == 1
         if single:
@@ -52,21 +66,16 @@ class MultiLabelModel:
             raise ValueError(
                 f"input width {X.shape[1]} does not match training width {self.n_features}"
             )
-        out = self._proba_matrix(X)
+        out = self._proba_matrix(X, self._label_ids(labels))
         return out[0] if single else out
 
     def predict(self, X, threshold: float = 0.5):
         return predict_labels(self.predict_proba(X), threshold)
 
-    def label_proba_fn(self, label: int):
-        """Batched scalar target for one label, used by the explainers."""
-        if not 0 <= label < self.n_labels:
-            raise ValueError(f"label index {label} out of range")
-
-        def f(X):
-            return self.predict_proba(np.asarray(X, dtype=np.float64))[..., label]
-
-        return f
+    def label_proba_fn(self, labels):
+        """Batched explainer target: an (n, M) matrix to (n, len(labels))."""
+        labels = self._label_ids(labels)
+        return lambda X: self.predict_proba(X, labels)
 
     def _payload(self) -> dict:
         raise NotImplementedError
@@ -93,18 +102,8 @@ class BRModel(MultiLabelModel):
         super().__init__(forests[0].n_features, len(forests), label_names, feature_names)
         self.per_label_models = list(forests)
 
-    def _proba_matrix(self, X):
-        return np.column_stack([f.predict_proba(X) for f in self.per_label_models])
-
-    def label_proba_fn(self, label):
-        if not 0 <= label < self.n_labels:
-            raise ValueError(f"label index {label} out of range")
-        forest = self.per_label_models[label]
-
-        def f(X):
-            return forest.predict_proba(np.asarray(X, dtype=np.float64))
-
-        return f
+    def _proba_matrix(self, X, labels):
+        return np.column_stack([self.per_label_models[l].predict_proba(X) for l in labels])
 
     def _payload(self):
         return {"forests": [forest_to_doc(f) for f in self.per_label_models]}
@@ -127,33 +126,18 @@ class CCModel(MultiLabelModel):
                 raise ValueError(f"chain link {j} has width {forest.n_features}, "
                                  f"expected {n_features + j}")
 
-    def _chain_through(self, X, last_position):
-        """Probabilities of chain links 0..last_position, feeding hard decisions on."""
+    def _proba_matrix(self, X, labels):
+        """Runs links 0..p only, p the deepest chain position requested."""
+        positions = [self.chain_order.index(l) for l in labels]
+        last = max(positions)
         aug = X
         probas = []
-        for j in range(last_position + 1):
+        for j in range(last + 1):
             p = self.chained_models[j].predict_proba(aug)
             probas.append(p)
-            if j < last_position:
+            if j < last:
                 aug = np.column_stack([aug, (p >= 0.5).astype(np.float64)])
-        return probas
-
-    def _proba_matrix(self, X):
-        out = np.empty((X.shape[0], self.n_labels), dtype=np.float64)
-        for j, p in enumerate(self._chain_through(X, self.n_labels - 1)):
-            out[:, self.chain_order[j]] = p
-        return out
-
-    def label_proba_fn(self, label):
-        if not 0 <= label < self.n_labels:
-            raise ValueError(f"label index {label} out of range")
-        position = self.chain_order.index(label)
-
-        def f(X):
-            X = np.asarray(X, dtype=np.float64)
-            return self._chain_through(X, position)[position]
-
-        return f
+        return np.column_stack([probas[j] for j in positions])
 
     def _payload(self):
         return {
@@ -199,7 +183,7 @@ class MLKNNModel(MultiLabelModel):
             c_neg[l] = np.bincount(counts[~has, l], minlength=self.k + 1)
         return c_pos, c_neg
 
-    def _proba_matrix(self, X):
+    def _proba_matrix(self, X, labels):
         d2 = cdist(X, self.train_features, "sqeuclidean")
         nn = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         counts = self.train_labels[nn].sum(axis=1)  # (n, L)
@@ -212,7 +196,7 @@ class MLKNNModel(MultiLabelModel):
         cond_neg = (s + self.cond_counts_neg[cols, counts]) / (s * (k + 1) + m_neg)
         p1 = self.priors * cond_pos
         p0 = (1.0 - self.priors) * cond_neg
-        return p1 / (p1 + p0)
+        return (p1 / (p1 + p0))[:, labels]
 
     def _payload(self):
         return {
@@ -264,16 +248,6 @@ def fit_mlknn(train: Dataset, k: int, s: float = 1.0) -> MLKNNModel:
         raise ValueError("smoothing s must be positive")
     return MLKNNModel(k, s, train.features, train.labels, train.label_names,
                       train.feature_names)
-
-
-def predict_proba_cc(model: CCModel, x):
-    """Chain evaluation of a CC model; indexed by original label order."""
-    return model.predict_proba(x)
-
-
-def predict_proba_mlknn(model: MLKNNModel, x):
-    """MAP posterior scores of an ML-kNN model for one instance or a batch."""
-    return model.predict_proba(x)
 
 
 def knn_indices(train_features, x, k: int):

@@ -37,10 +37,12 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExplainTarget:
-    """A deterministic scalar prediction function over width-M vectors.
+    """A deterministic prediction function over width-M vectors.
 
     ``f`` is evaluated in batches: it takes an (n, M) matrix and returns an
-    (n,) vector.
+    (n,) vector for one output, or an (n, L) matrix for L outputs (such as L
+    labels of one multi-label model). The estimators explain all L outputs
+    from one pass over the coalitions.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -92,21 +94,37 @@ def _check_inputs(target: ExplainTarget, x, background):
     return x, background
 
 
+def _at_instance(target, x):
+    """f(x) as L values, and whether f is 1-D (one output)."""
+    out = np.asarray(target.f(x[None, :]), dtype=np.float64)
+    return out.reshape(-1), out.ndim == 1
+
+
 def _coalition_values(target, x, masks, background):
-    """Mean model output over background-completed rows, one value per mask.
+    """Mean model output over background-completed rows: (n_masks, L).
 
     Chunked so the synthesized (masks x background) row block stays small.
+    Each mean runs along a contiguous axis of length B, so it sums in the
+    same order whatever L is.
     """
     B, M = background.shape
-    n = masks.shape[0]
-    values = np.empty(n, dtype=np.float64)
     chunk = max(1, 65536 // B)
-    for start in range(0, n, chunk):
+    parts = []
+    for start in range(0, masks.shape[0], chunk):
         block = masks[start:start + chunk]
         synth = np.where(block[:, None, :], x[None, None, :], background[None, :, :])
         out = np.asarray(target.f(synth.reshape(-1, M)), dtype=np.float64)
-        values[start:start + block.shape[0]] = out.reshape(block.shape[0], B).mean(axis=1)
-    return values
+        out = out.reshape(block.shape[0], B, -1)
+        parts.append(np.ascontiguousarray(out.transpose(0, 2, 1)).mean(axis=-1))
+    return np.concatenate(parts)
+
+
+def _explanations(base, phi, fx, x, single, instance, label):
+    """One Explanation per output row of ``phi``; the only one for a 1-D target."""
+    expls = [Explanation(base_value=float(base[j]), phi=phi[j], fx=float(fx[j]),
+                         feature_values=x.copy(), instance=instance, label=label)
+             for j in range(len(fx))]
+    return expls[0] if single else expls
 
 
 def eval_coalition(target: ExplainTarget, x, mask, background) -> float:
@@ -120,17 +138,18 @@ def eval_coalition(target: ExplainTarget, x, mask, background) -> float:
     if mask.shape != (target.n_features,):
         raise ValueError("mask width does not match target width")
     if mask.all():
-        return float(np.asarray(target.f(x[None, :]))[0])
-    return float(_coalition_values(target, x, mask[None, :], background)[0])
+        return _at_instance(target, x)[0].item()
+    return _coalition_values(target, x, mask[None, :], background).item()
 
 
 def exact_shapley(target: ExplainTarget, x, background,
-                  instance=None, label=None) -> Explanation:
+                  instance=None, label=None):
     """Attributions by full subset enumeration (the combinatorial definition).
 
     phi_i sums, over every coalition S not containing i, the weight
     |S|! (M-|S|-1)! / M! times the value gained by adding i to S. Capped at
-    M <= 16 features.
+    M <= 16 features. Returns one Explanation for a 1-D target, else a list
+    with one per output column.
     """
     x, background = _check_inputs(target, x, background)
     M = target.n_features
@@ -140,23 +159,23 @@ def exact_shapley(target: ExplainTarget, x, background,
     n_masks = 1 << M
     ints = np.arange(n_masks, dtype=np.int64)
     bits = ((ints[:, None] >> np.arange(M)) & 1).astype(bool)
-    values = _coalition_values(target, x, bits, background)
-    fx = float(np.asarray(target.f(x[None, :]))[0])
-    values[-1] = fx  # full coalition is exactly f(x)
-    base = float(values[0])
+    values = np.ascontiguousarray(_coalition_values(target, x, bits, background).T)
+    fx, single = _at_instance(target, x)
+    values[:, -1] = fx  # full coalition is exactly f(x)
+    base = values[:, 0].copy()
 
     size_weight = np.array(
         [math.factorial(s) * math.factorial(M - 1 - s) / math.factorial(M)
          for s in range(M)]
     )
     popcount = bits.sum(axis=1)
-    phi = np.empty(M, dtype=np.float64)
+    phi = np.empty((values.shape[0], M), dtype=np.float64)
     for i in range(M):
         without = ints[(ints >> i) & 1 == 0]
-        gains = values[without | (1 << i)] - values[without]
-        phi[i] = float(np.sum(size_weight[popcount[without]] * gains))
-    return Explanation(base_value=base, phi=phi, fx=fx, feature_values=x.copy(),
-                       instance=instance, label=label)
+        # take() keeps rows contiguous, so each row sums as a 1-D target's would
+        gains = values.take(without | (1 << i), axis=1) - values.take(without, axis=1)
+        phi[:, i] = np.sum(size_weight[popcount[without]] * gains, axis=1)
+    return _explanations(base, phi, fx, x, single, instance, label)
 
 
 def kernel_weight(M: int, z: int) -> float:
@@ -228,6 +247,8 @@ def solve_weighted_ls(design: np.ndarray, weights: np.ndarray,
 
     The Gram matrix is factorized with a symmetric positive-definite
     (Cholesky) factorization; a failed factorization signals rank deficiency.
+    ``responses`` is (n,) or (n, L); an (n, L) matrix is solved column by
+    column against the one factorization, giving (k, L) coefficients.
     """
     A = np.asarray(design, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -249,24 +270,24 @@ def solve_weighted_ls(design: np.ndarray, weights: np.ndarray,
 
 
 def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0,
-                instance=None, label=None) -> Explanation:
+                instance=None, label=None):
     """Attributions from the kernel-weighted surrogate regression.
 
     ``budget`` counts proper-coalition evaluations: an integer >= 2, or
     ``"full"`` for all 2^M - 2 of them (M <= 16), or None for the default
     2*M + 2048. The constraints g(empty) = phi_0 and g(full) = f(x) are
     eliminated by substitution, so local accuracy holds by construction.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. Returns one Explanation for a 1-D target,
+    else a list with one per output column; all outputs share the coalitions
+    and one weighted least-squares factorization.
     """
     x, background = _check_inputs(target, x, background)
     M = target.n_features
-    fx = float(np.asarray(target.f(x[None, :]))[0])
-    base = float(_coalition_values(target, x, np.zeros((1, M), dtype=bool),
-                                   background)[0])
+    fx, single = _at_instance(target, x)
+    base = _coalition_values(target, x, np.zeros((1, M), dtype=bool), background)[0]
     if M == 1:
         # Both constraints pin the single attribution; nothing to regress.
-        return Explanation(base_value=base, phi=np.array([fx - base]), fx=fx,
-                           feature_values=x.copy(), instance=instance, label=label)
+        return _explanations(base, (fx - base)[:, None], fx, x, single, instance, label)
 
     total_proper = (1 << M) - 2
     if budget == "full":
@@ -290,13 +311,10 @@ def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0
     Z = masks.astype(np.float64)
     z_e = Z[:, M - 1]
     design = Z[:, : M - 1] - z_e[:, None]
-    responses = values - base - z_e * (fx - base)
-    coef = solve_weighted_ls(design, weights, responses)
-    phi = np.empty(M, dtype=np.float64)
-    phi[: M - 1] = coef
-    phi[M - 1] = (fx - base) - float(coef.sum())
-    return Explanation(base_value=base, phi=phi, fx=fx, feature_values=x.copy(),
-                       instance=instance, label=label)
+    responses = values - base - z_e[:, None] * (fx - base)
+    coef = solve_weighted_ls(design, weights, responses).T  # (L, M - 1)
+    phi = np.column_stack([coef, (fx - base) - coef.sum(axis=1)])
+    return _explanations(base, phi, fx, x, single, instance, label)
 
 
 def sample_background(features, size: int = 100, seed: int = 0) -> np.ndarray:
@@ -313,23 +331,25 @@ def explain_instance(model, x, background, labels, estimator: str = "kernel",
                      budget=None, seed: int = 0, instance=None) -> list[Explanation]:
     """One Explanation per requested label of a fitted multi-label model.
 
-    ``model`` must expose ``label_proba_fn(label)`` returning a batched scalar
-    prediction function (all mlshap models do).
+    ``model`` must expose ``label_proba_fn(labels)`` returning a batched
+    target that maps an (n, M) matrix to (n, len(labels)) probabilities (all
+    mlshap models do). Every label is explained from one pass over the
+    coalitions: the same masks, background rows and regression serve all of
+    them, so each label's phi matches a one-label run to within 1e-12 and its
+    base value and f(x) match exactly.
     """
-    x = np.asarray(x, dtype=np.float64)
-    explanations = []
-    for l in labels:
-        target = ExplainTarget(f=model.label_proba_fn(int(l)),
-                               n_features=model.n_features)
-        if estimator == "exact":
-            expl = exact_shapley(target, x, background, instance=instance, label=int(l))
-        elif estimator == "kernel":
-            expl = kernel_shap(target, x, background, budget=budget, seed=seed,
-                               instance=instance, label=int(l))
-        else:
-            raise ValueError(f'estimator must be "exact" or "kernel", got {estimator!r}')
+    if estimator not in ("exact", "kernel"):
+        raise ValueError(f'estimator must be "exact" or "kernel", got {estimator!r}')
+    labels = [int(l) for l in labels]
+    target = ExplainTarget(f=model.label_proba_fn(labels), n_features=model.n_features)
+    if estimator == "exact":
+        explanations = exact_shapley(target, x, background, instance=instance)
+    else:
+        explanations = kernel_shap(target, x, background, budget=budget, seed=seed,
+                                   instance=instance)
+    for expl, l in zip(explanations, labels):
+        expl.label = l
         expl.feature_names = getattr(model, "feature_names", None)
-        explanations.append(expl)
     return explanations
 
 

@@ -47,6 +47,17 @@ class TestTrain:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_feature_exits_2(self, tmp_path, capsys, cell):
+        data = tmp_path / "bad.arff"
+        data.write_text("@relation r\n@attribute a numeric\n@attribute b {0,1}\n"
+                        f"@data\n1.0,1\n{cell},0\n2.0,1\n")
+        code = run("train", "--data", data, "--labels", "1", "--algo", "br",
+                   "--n-trees", "1", "--seed", "1", "--out", tmp_path / "out")
+        assert code == 2
+        assert "bad.arff:6: non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.json").exists()
+
     def test_missing_seed_exits_2(self, small_arff, tmp_path, capsys):
         code = run("train", "--data", small_arff, "--labels", "3", "--algo", "br",
                    "--out", tmp_path)

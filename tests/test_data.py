@@ -31,6 +31,27 @@ def test_dataset_invariants_reject_duplicate_names():
         Dataset("x", [[1.0, 2.0]], ["a", "a"], [[1]], ["y"])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_dataset_invariants_reject_non_finite_features(value):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        Dataset("x", [[1.0], [value]], ["a"], [[1], [0]], ["y"])
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "Infinity"])
+def test_non_finite_feature_cell_is_a_parse_error(tmp_path, cell):
+    arff = tmp_path / "bad.arff"
+    arff.write_text("@relation r\n@attribute a numeric\n@attribute b {0,1}\n"
+                    f"@data\n1.0,1\n{cell},0\n")
+    with pytest.raises(ParseError,
+                       match=rf"bad\.arff:6: non-finite value '{cell}' in column 'a'"):
+        load_arff(arff, 1)
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text(f"a,y\n1.0,1\n{cell},0\n")
+    with pytest.raises(ParseError,
+                       match=rf"bad\.csv:3: non-finite value '{cell}' in column 'a'"):
+        load_csv(csv_path, ["y"])
+
+
 def test_dataset_rejects_row_mismatch():
     with pytest.raises(ValueError, match="row count"):
         Dataset("x", [[1.0], [2.0]], ["a"], [[1]], ["y"])

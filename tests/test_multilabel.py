@@ -15,11 +15,11 @@ from mlshap import (
     model_from_json,
     model_to_json,
     predict_labels,
-    predict_proba_cc,
-    predict_proba_mlknn,
     save_model,
 )
 from mlshap.multilabel import derive_seed
+
+from _synth import planted_dataset
 
 
 # rng-free forest configuration: no bootstrap, full feature scan, so outputs
@@ -144,7 +144,7 @@ class TestClassifierChain:
             fit_cc(small_dataset, DET_PARAMS, order=[0, 0, 1])
 
     def test_manual_chain_evaluation(self, small_dataset):
-        """predict_proba_cc equals hand-run chaining with hard thresholds,
+        """predict_proba equals hand-run chaining with hard thresholds,
         re-indexed to the original label order."""
         model = fit_cc(small_dataset, ForestParams(n_trees=3, max_depth=4, seed=7),
                        order="random", seed=2)
@@ -156,7 +156,23 @@ class TestClassifierChain:
             by_label[l] = p
             aug = np.column_stack([aug, (p >= 0.5).astype(float)])
         expected = np.column_stack([by_label[l] for l in range(model.n_labels)])
-        np.testing.assert_array_equal(predict_proba_cc(model, X), expected)
+        np.testing.assert_array_equal(model.predict_proba(X), expected)
+
+    def test_request_runs_links_up_to_the_deepest_position(self, monkeypatch):
+        ds = planted_dataset("chain", 80, 6, 5, seed=11)
+        model = fit_cc(ds, ForestParams(n_trees=2, max_depth=3, seed=1), seed=3)
+        L = model.n_labels
+        calls = [0] * L
+        for j, link in enumerate(model.chained_models):
+            def counted(X, j=j, predict=link.predict_proba):
+                calls[j] += 1
+                return predict(X)
+            monkeypatch.setattr(link, "predict_proba", counted)
+        for p in range(L):
+            calls[:] = [0] * L
+            labels = [model.chain_order[p], model.chain_order[0]]
+            model.label_proba_fn(labels)(ds.features[:4])
+            assert calls == [1] * (p + 1) + [0] * (L - p - 1)
 
     def test_constant_link_ignores_earlier_links(self, small_dataset):
         """A pure-leaf link's output cannot depend on what came before it."""
@@ -222,7 +238,7 @@ class TestMLKNN:
         model = fit_mlknn(ds, k=5, s=1.0)
         for q in rng.uniform(size=(8, 4)):
             expected = mlknn_oracle_scores(X, Y, q, k=5, s=1.0)
-            np.testing.assert_array_equal(predict_proba_mlknn(model, q), expected)
+            np.testing.assert_array_equal(model.predict_proba(q), expected)
 
     def test_training_order_invariance(self):
         rng = np.random.default_rng(7)
@@ -273,12 +289,15 @@ class TestPredictLabels:
         np.testing.assert_array_equal(predict_labels(np.array([0.5])), [1])
 
 
+MODEL_MAKERS = [
+    lambda ds: fit_br(ds, ForestParams(n_trees=2, max_depth=3, seed=1)),
+    lambda ds: fit_cc(ds, ForestParams(n_trees=2, max_depth=3, seed=1), seed=1),
+    lambda ds: fit_mlknn(ds, k=4),
+]
+
+
 class TestModelContract:
-    @pytest.mark.parametrize("maker", [
-        lambda ds: fit_br(ds, ForestParams(n_trees=2, max_depth=3, seed=1)),
-        lambda ds: fit_cc(ds, ForestParams(n_trees=2, max_depth=3, seed=1), seed=1),
-        lambda ds: fit_mlknn(ds, k=4),
-    ])
+    @pytest.mark.parametrize("maker", MODEL_MAKERS)
     def test_output_shape_and_range(self, small_dataset, maker, rng):
         model = maker(small_dataset)
         Q = rng.normal(size=(12, small_dataset.n_features))
@@ -289,11 +308,7 @@ class TestModelContract:
         assert one.shape == (small_dataset.n_labels,)
         np.testing.assert_array_equal(one, proba[0])
 
-    @pytest.mark.parametrize("maker", [
-        lambda ds: fit_br(ds, ForestParams(n_trees=2, max_depth=3, seed=1)),
-        lambda ds: fit_cc(ds, ForestParams(n_trees=2, max_depth=3, seed=1), seed=1),
-        lambda ds: fit_mlknn(ds, k=4),
-    ])
+    @pytest.mark.parametrize("maker", MODEL_MAKERS)
     def test_json_roundtrip(self, small_dataset, maker, tmp_path, rng):
         model = maker(small_dataset)
         text = model_to_json(model)
@@ -306,3 +321,17 @@ class TestModelContract:
         save_model(model, path)
         np.testing.assert_array_equal(load_model(path).predict_proba(Q),
                                       model.predict_proba(Q))
+
+    @pytest.mark.parametrize("maker", MODEL_MAKERS)
+    def test_label_subset_is_the_same_columns_bit_for_bit(self, maker, rng):
+        ds = planted_dataset("subset", 80, 6, 5, seed=11)
+        model = maker(ds)
+        Q = rng.normal(size=(12, ds.n_features))
+        labels = [3, 0, 2, 3]
+        full = model.predict_proba(Q)
+        np.testing.assert_array_equal(model.predict_proba(Q, labels), full[:, labels])
+        np.testing.assert_array_equal(model.predict_proba(Q[0], labels), full[0, labels])
+        np.testing.assert_array_equal(model.label_proba_fn(labels)(Q), full[:, labels])
+        for bad in ([5], [-1], []):
+            with pytest.raises(ValueError, match="label"):
+                model.label_proba_fn(bad)

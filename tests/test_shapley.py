@@ -11,7 +11,9 @@ from mlshap import (
     explanation_from_doc,
     explanation_to_doc,
     fit_br,
+    fit_cc,
     fit_forest,
+    fit_mlknn,
     ForestParams,
     kernel_shap,
     kernel_weight,
@@ -213,6 +215,16 @@ class TestSolveWeightedLs:
             solve_weighted_ls(A_dup, np.ones(7), y_dup), atol=1e-10,
         )
 
+    def test_matrix_rhs_equals_column_by_column_solves(self, rng):
+        A = rng.normal(size=(40, 6)) + np.eye(40, 6)
+        w = rng.uniform(0.5, 2.0, size=40)
+        Y = rng.normal(size=(40, 3))
+        ours = solve_weighted_ls(A, w, Y)
+        assert ours.shape == (6, 3)
+        for j in range(3):
+            np.testing.assert_allclose(ours[:, j], solve_weighted_ls(A, w, Y[:, j]),
+                                       rtol=0, atol=1e-12)
+
     def test_matches_iterative_solver(self, rng):
         A = rng.normal(size=(40, 6)) + np.eye(40, 6)
         w = rng.uniform(0.5, 2.0, size=40)
@@ -246,8 +258,8 @@ class TestExplainInstance:
             n_labels = ds.n_labels
             feature_names = ds.feature_names
 
-            def label_proba_fn(self, label):
-                return lambda X: np.full(np.asarray(X).shape[0], 0.37)
+            def label_proba_fn(self, labels):
+                return lambda X: np.full((np.asarray(X).shape[0], len(labels)), 0.37)
 
         expls = explain_instance(Constant(), ds.features[0], ds.features[:10],
                                  labels=[0, 1], estimator="exact")
@@ -273,6 +285,31 @@ class TestExplainInstance:
                                 budget="full")
         for a, b in zip(exact, kern):
             np.testing.assert_allclose(a.phi, b.phi, atol=1e-6)
+
+    @pytest.mark.parametrize("estimator", ["exact", "kernel"])
+    @pytest.mark.parametrize("fit", [
+        lambda ds: fit_br(ds, ForestParams(n_trees=3, max_depth=4, seed=1)),
+        lambda ds: fit_cc(ds, ForestParams(n_trees=3, max_depth=3, seed=1), seed=2),
+        lambda ds: fit_mlknn(ds, k=5),
+    ], ids=["br", "cc", "mlknn"])
+    def test_label_subset_matches_per_label_reference(self, fit, estimator):
+        """One coalition pass for all labels gives each label's one-label answer."""
+        ds = planted_dataset("subset", 80, 6, 5, seed=11)
+        model = fit(ds)
+        bg = sample_background(ds.features, size=8, seed=0)
+        x = ds.features[9]
+        labels = [3, 0, 2]
+        expls = explain_instance(model, x, bg, labels, estimator=estimator,
+                                 budget=40, seed=2, instance=9)
+        assert [e.label for e in expls] == labels
+        for expl, l in zip(expls, labels):
+            target = ExplainTarget(f=lambda X: model.predict_proba(X)[:, l],
+                                   n_features=ds.n_features)
+            ref = (exact_shapley(target, x, bg) if estimator == "exact"
+                   else kernel_shap(target, x, bg, budget=40, seed=2))
+            np.testing.assert_allclose(expl.phi, ref.phi, rtol=0, atol=1e-12)
+            assert expl.base_value == ref.base_value
+            assert expl.fx == ref.fx == model.predict_proba(x)[l]
 
     def test_unknown_estimator(self, small_dataset):
         model = fit_br(small_dataset, ForestParams(n_trees=1, max_depth=2, seed=0))
@@ -368,6 +405,13 @@ class TestExplanationJson:
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="missing keys"):
             explanation_from_doc({"phi": []})
+
+    def test_non_finite_value_is_refused_not_written(self, tmp_path):
+        expl = Explanation(base_value=0.25, phi=[np.nan, 1.0], fx=np.inf,
+                           feature_values=[0.0, 1.0])
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_explanation(expl, tmp_path / "e.json")
+        assert not (tmp_path / "e.json").exists()
 
 
 class TestSampleBackground:
