@@ -251,10 +251,16 @@ def cmd_tune(cfg) -> int:
         if algo != "mlknn":
             raise UsageError(f"--grid is required for algo {algo!r}")
         axes = DEFAULT_MLKNN_GRID
+    if not isinstance(axes, dict):
+        raise UsageError(f"--grid must be a JSON object of axis -> value list, "
+                         f"got {axes!r}")
     points_need_seed = algo in ("br", "cc")
     if points_need_seed and "seed" not in axes:
         axes = dict(axes, seed=[seed])
-    grid = ParamGrid(algorithm=algo, axes=axes)
+    try:
+        grid = ParamGrid(algorithm=algo, axes=axes)
+    except ValueError as err:
+        raise UsageError(f"--grid: {err}")
     foldplan = make_folds(dataset.n_instances, cfg.get("reps") or 2,
                           cfg.get("folds") or 5, seed)
     report = grid_search(dataset, grid, foldplan,

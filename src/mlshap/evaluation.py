@@ -16,7 +16,7 @@ import numpy as np
 from . import _json
 from .data import Dataset, FoldPlan, split
 from .forest import ForestParams
-from .multilabel import fit_br, fit_cc, fit_mlknn
+from .multilabel import check_mlknn_params, fit_br, fit_cc, fit_mlknn, predict_mlknn_grid
 
 CV_REPORT_FORMAT = "mlshap-cv-report"
 CV_REPORT_VERSION = 1
@@ -78,13 +78,22 @@ PRESETS = {
 _FOREST_KEYS = ("n_trees", "max_depth", "min_samples_leaf", "max_features", "seed",
                 "bootstrap")
 
+# algorithm -> (grid axes it takes, axes a grid must give)
+_GRID_AXES = {
+    "br": (_FOREST_KEYS + ("order",), ()),
+    "cc": (_FOREST_KEYS + ("order",), ()),
+    "mlknn": (("k", "s"), ("k",)),
+}
+
+
+def _forest_params(params: dict) -> ForestParams:
+    return ForestParams(**{k: params[k] for k in _FOREST_KEYS if k in params})
+
 
 def fit_point(algorithm: str, train: Dataset, params: dict):
     """Fit one model from a flat hyperparameter dict."""
     if algorithm in ("br", "cc"):
-        forest_params = ForestParams(
-            **{k: params[k] for k in _FOREST_KEYS if k in params}
-        )
+        forest_params = _forest_params(params)
         if algorithm == "br":
             return fit_br(train, forest_params)
         return fit_cc(train, forest_params, order=params.get("order", "random"),
@@ -92,6 +101,15 @@ def fit_point(algorithm: str, train: Dataset, params: dict):
     if algorithm == "mlknn":
         return fit_mlknn(train, k=params["k"], s=params.get("s", 1.0))
     raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
+def _check_point(algorithm: str, params: dict, n_train: int) -> None:
+    """Raise the ValueError ``fit_point`` would raise for these values on
+    ``n_train`` rows, without fitting. A CC ``order`` is checked at the fit."""
+    if algorithm == "mlknn":
+        check_mlknn_params(params["k"], params.get("s", 1.0), n_train)
+    else:
+        _forest_params(params)
 
 
 @dataclass
@@ -102,8 +120,20 @@ class ParamGrid:
     axes: dict[str, list]
 
     def __post_init__(self):
-        if not self.axes or any(len(v) == 0 for v in self.axes.values()):
-            raise ValueError("grid must have at least one value on every axis")
+        if self.algorithm not in _GRID_AXES:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if not self.axes:
+            raise ValueError("grid must have at least one axis")
+        allowed, required = _GRID_AXES[self.algorithm]
+        for name, values in self.axes.items():
+            if name not in allowed:
+                raise ValueError(f"grid axis {name!r} is not a {self.algorithm} "
+                                 f"hyperparameter; expected one of {list(allowed)}")
+            if not isinstance(values, (list, tuple, range)) or len(values) == 0:
+                raise ValueError(f"grid axis {name!r} must be a non-empty list of values")
+        for name in required:
+            if name not in self.axes:
+                raise ValueError(f"grid axis {name!r} is required for {self.algorithm}")
 
     @property
     def points(self) -> list[dict]:
@@ -170,25 +200,36 @@ def grid_search(dataset: Dataset, grid: ParamGrid, foldplan: FoldPlan,
                 scoring: str = "hamming_loss") -> CVReport:
     """Evaluate every grid point on every (train, test) pair of the fold plan.
 
-    Best is the highest mean score, or the lowest for loss metrics; ties go to
-    the first point in grid order.
+    Every point is checked before the first fit. Each pair's train split is
+    built once; ML-kNN points share one neighbor order per pair (see
+    ``predict_mlknn_grid``), and forest points are fitted one by one. Best is
+    the highest mean score, or the lowest for loss metrics; ties go to the
+    first point in grid order.
     """
     if scoring not in METRICS:
         raise ValueError(f"unknown metric {scoring!r}, expected one of {sorted(METRICS)}")
     metric, higher = METRICS[scoring]
-    covered = np.sort(np.concatenate([test for _, test in foldplan.assignments[0]]))
-    if not np.array_equal(covered, np.arange(dataset.n_instances)):
-        raise ValueError("fold plan does not match the dataset size")
+    for rep_pairs in foldplan.assignments:
+        covered = np.sort(np.concatenate([test for _, test in rep_pairs]))
+        if not np.array_equal(covered, np.arange(dataset.n_instances)):
+            raise ValueError("fold plan does not match the dataset size")
     points = grid.points
-    all_scores = []
+    n_train = min(len(train_idx) for rep_pairs in foldplan.assignments
+                  for train_idx, _ in rep_pairs)
     for params in points:
-        point_scores = []
-        for rep_pairs in foldplan.assignments:
-            for train_idx, test_idx in rep_pairs:
-                model = fit_point(grid.algorithm, split(dataset, train_idx), params)
-                predicted = model.predict(dataset.features[test_idx])
+        _check_point(grid.algorithm, params, n_train)
+    all_scores = [[] for _ in points]
+    for rep_pairs in foldplan.assignments:
+        for train_idx, test_idx in rep_pairs:
+            train = split(dataset, train_idx)
+            X_test = dataset.features[test_idx]
+            if grid.algorithm == "mlknn":
+                predictions = predict_mlknn_grid(train, X_test, points)
+            else:
+                predictions = [fit_point(grid.algorithm, train, params).predict(X_test)
+                               for params in points]
+            for point_scores, predicted in zip(all_scores, predictions):
                 point_scores.append(metric(dataset.labels[test_idx], predicted))
-        all_scores.append(point_scores)
     means = [np.mean(s) for s in all_scores]
     best = int(np.argmax(means)) if higher else int(np.argmin(means))
     return CVReport(

@@ -152,7 +152,7 @@ class MLKNNModel(MultiLabelModel):
     algorithm = "mlknn"
 
     def __init__(self, k, s, train_features, train_labels, label_names=None,
-                 feature_names=None):
+                 feature_names=None, *, _loo=None):
         train_features = np.asarray(train_features, dtype=np.float64)
         train_labels = np.asarray(train_labels, dtype=np.int64)
         super().__init__(train_features.shape[1], train_labels.shape[1],
@@ -164,17 +164,17 @@ class MLKNNModel(MultiLabelModel):
         self.priors = (self.s + train_labels.sum(axis=0)) / (
             2.0 * self.s + train_labels.shape[0]
         )
-        self.cond_counts_pos, self.cond_counts_neg = self._neighbor_statistics()
+        # ``_loo`` is a leave-one-out order at some k' >= k over these rows;
+        # its first k columns are the order computed here.
+        loo = _loo_order(train_features, self.k) if _loo is None else _loo[:, : self.k]
+        self.cond_counts_pos, self.cond_counts_neg = self._neighbor_statistics(loo)
 
-    def _neighbor_statistics(self):
+    def _neighbor_statistics(self, loo):
         """Count, per label and per neighbor-positive count j in 0..k, how many
         training instances with(out) the label saw exactly j positive neighbors
-        (self excluded)."""
-        n, L = self.train_labels.shape
-        d2 = cdist(self.train_features, self.train_features, "sqeuclidean")
-        np.fill_diagonal(d2, np.inf)
-        nn = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        counts = self.train_labels[nn].sum(axis=1)  # (n, L)
+        among their ``loo`` rows (self excluded)."""
+        L = self.n_labels
+        counts = self.train_labels[loo].sum(axis=1)  # (n, L)
         c_pos = np.zeros((L, self.k + 1), dtype=np.int64)
         c_neg = np.zeros((L, self.k + 1), dtype=np.int64)
         for l in range(L):
@@ -183,9 +183,8 @@ class MLKNNModel(MultiLabelModel):
             c_neg[l] = np.bincount(counts[~has, l], minlength=self.k + 1)
         return c_pos, c_neg
 
-    def _proba_matrix(self, X, labels):
-        d2 = cdist(X, self.train_features, "sqeuclidean")
-        nn = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+    def _posterior(self, nn):
+        """(n, L) label probabilities of rows whose k nearest training rows are ``nn``."""
         counts = self.train_labels[nn].sum(axis=1)  # (n, L)
         L = self.n_labels
         cols = np.arange(L)[None, :]
@@ -196,7 +195,11 @@ class MLKNNModel(MultiLabelModel):
         cond_neg = (s + self.cond_counts_neg[cols, counts]) / (s * (k + 1) + m_neg)
         p1 = self.priors * cond_pos
         p0 = (1.0 - self.priors) * cond_neg
-        return (p1 / (p1 + p0))[:, labels]
+        return p1 / (p1 + p0)
+
+    def _proba_matrix(self, X, labels):
+        nn = _nearest(cdist(X, self.train_features, "sqeuclidean"), self.k)
+        return self._posterior(nn)[:, labels]
 
     def _payload(self):
         return {
@@ -205,6 +208,23 @@ class MLKNNModel(MultiLabelModel):
             "train_features": self.train_features.tolist(),
             "train_labels": self.train_labels.tolist(),
         }
+
+
+def _nearest(d2, k: int):
+    """Per row of ``d2``, the column indices of the k smallest entries in order,
+    ties to the lower index.
+
+    The order is a stable sort, so the first k columns of ``_nearest(d2, k')``
+    for any k' >= k are exactly ``_nearest(d2, k)``.
+    """
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def _loo_order(features, k: int):
+    """Each row's k nearest other rows of ``features`` (self excluded)."""
+    d2 = cdist(features, features, "sqeuclidean")
+    np.fill_diagonal(d2, np.inf)
+    return _nearest(d2, k)
 
 
 def fit_br(train: Dataset, forest_params: ForestParams) -> BRModel:
@@ -238,16 +258,45 @@ def fit_cc(train: Dataset, forest_params: ForestParams, order="random",
                    train.feature_names)
 
 
-def fit_mlknn(train: Dataset, k: int, s: float = 1.0) -> MLKNNModel:
-    """Fit ML-kNN: smoothed label priors plus neighbor-count statistics."""
+def check_mlknn_params(k, s, n_instances: int) -> None:
+    """Raise ValueError unless ML-kNN can fit (k, s) on ``n_instances`` rows."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if isinstance(s, bool) or not isinstance(s, (int, float, np.integer, np.floating)):
+        raise ValueError(f"smoothing s must be a number, got {s!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k >= train.n_instances:
-        raise ValueError(f"k={k} must be smaller than n_instances={train.n_instances}")
+    if k >= n_instances:
+        raise ValueError(f"k={k} must be smaller than n_instances={n_instances}")
     if s <= 0:
         raise ValueError("smoothing s must be positive")
+
+
+def fit_mlknn(train: Dataset, k: int, s: float = 1.0) -> MLKNNModel:
+    """Fit ML-kNN: smoothed label priors plus neighbor-count statistics."""
+    check_mlknn_params(k, s, train.n_instances)
     return MLKNNModel(k, s, train.features, train.labels, train.label_names,
                       train.feature_names)
+
+
+def predict_mlknn_grid(train: Dataset, X, points) -> list[np.ndarray]:
+    """Hard 0/1 labels of ``X`` under ML-kNN at each ``{"k", "s"}`` point, in order.
+
+    Each equals ``fit_mlknn(train, k, s).predict(X)`` bit for bit, but the
+    leave-one-out order of the train rows and the neighbor order of ``X`` are
+    computed once, at the widest k, and every point takes their first k
+    columns (see ``_nearest``). The points must already pass
+    ``check_mlknn_params``.
+    """
+    k_max = max(p["k"] for p in points)
+    loo = _loo_order(train.features, k_max)
+    nn = _nearest(cdist(X, train.features, "sqeuclidean"), k_max)
+    predictions = []
+    for p in points:
+        model = MLKNNModel(p["k"], p.get("s", 1.0), train.features, train.labels,
+                           _loo=loo)
+        predictions.append(predict_labels(model._posterior(nn[:, : model.k])))
+    return predictions
 
 
 def knn_indices(train_features, x, k: int):
@@ -256,8 +305,7 @@ def knn_indices(train_features, x, k: int):
     x = np.asarray(x, dtype=np.float64)
     if k > train_features.shape[0]:
         raise ValueError(f"k={k} exceeds the {train_features.shape[0]} available rows")
-    d2 = cdist(x[None, :], train_features, "sqeuclidean")[0]
-    return np.argsort(d2, kind="stable")[:k]
+    return _nearest(cdist(x[None, :], train_features, "sqeuclidean"), k)[0]
 
 
 def predict_labels(probas, threshold: float = 0.5):

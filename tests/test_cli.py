@@ -127,6 +127,26 @@ class TestTune:
                    "--seed", "3", "--out", tmp_path) == 2
         assert "--grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, message", [
+        ("[1]", "must be a JSON object"),
+        ('{"k": [3], "bogus": [1]}', "'bogus'"),
+        ('{"kk": [3]}', "'kk'"),
+        ('{"s": [1.0]}', "'k' is required"),
+        ('{"k": 3}', "non-empty list"),
+    ])
+    def test_bad_grid_exits_2(self, small_arff, tmp_path, capsys, grid, message):
+        assert run("tune", "--data", small_arff, "--labels", "3", "--algo", "mlknn",
+                   "--grid", grid, "--seed", "3", "--out", tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cv_report.json").exists()
+
+    @pytest.mark.parametrize("grid", ['{"k": [2.5]}', '{"k": [true]}'])
+    def test_non_integer_k_exits_1(self, small_arff, tmp_path, capsys, grid):
+        assert run("tune", "--data", small_arff, "--labels", "3", "--algo", "mlknn",
+                   "--grid", grid, "--seed", "3", "--out", tmp_path) == 1
+        assert "k must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "cv_report.json").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(small_arff, tmp_path_factory):

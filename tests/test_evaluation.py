@@ -5,11 +5,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mlshap import (
+    METRICS,
+    CVReport,
     ParamGrid,
+    fit_point,
     grid_search,
     hamming_loss,
     make_folds,
     micro_f1,
+    split,
     subset_accuracy,
 )
 
@@ -95,6 +99,25 @@ class TestParamGrid:
             ParamGrid("mlknn", {})
 
 
+def reference_grid_search(dataset, grid, foldplan, scoring="hamming_loss"):
+    """One fit and one prediction per (point, rep, fold), points outermost."""
+    metric, higher = METRICS[scoring]
+    points = grid.points
+    all_scores = []
+    for params in points:
+        point_scores = []
+        for rep_pairs in foldplan.assignments:
+            for train_idx, test_idx in rep_pairs:
+                model = fit_point(grid.algorithm, split(dataset, train_idx), params)
+                predicted = model.predict(dataset.features[test_idx])
+                point_scores.append(metric(dataset.labels[test_idx], predicted))
+        all_scores.append(point_scores)
+    means = [np.mean(s) for s in all_scores]
+    best = int(np.argmax(means)) if higher else int(np.argmin(means))
+    return CVReport(grid.algorithm, scoring, higher, points, all_scores,
+                    foldplan.repetitions, foldplan.folds_per_rep, best)
+
+
 class TestGridSearch:
     def test_single_point_is_best(self, small_dataset):
         plan = make_folds(small_dataset.n_instances, 1, 3, seed=0)
@@ -150,3 +173,65 @@ class TestGridSearch:
         grid = ParamGrid("mlknn", {"k": [5, 5]})
         report = grid_search(ds, grid, plan)
         assert report.best_index == 0
+
+    @pytest.mark.parametrize("algorithm, axes, scoring", [
+        ("mlknn", {"k": [7, 2, 5]}, "hamming_loss"),
+        ("mlknn", {"k": [5, 5]}, "hamming_loss"),
+        ("mlknn", {"k": [1, 4, 9], "s": [0.25, 1.0, 2]}, "micro_f1"),
+        ("mlknn", {"s": [0.5], "k": list(range(1, 21))}, "subset_accuracy"),
+        ("br", {"max_depth": [2, 6], "n_trees": [3], "seed": [4]}, "hamming_loss"),
+        ("cc", {"max_depth": [3], "n_trees": [2], "seed": [1, 2]}, "micro_f1"),
+    ])
+    def test_equals_per_point_reference(self, algorithm, axes, scoring):
+        ds = planted_dataset("ref", 90, 5, 3, seed=12)
+        ds = type(ds)("ref", np.round(ds.features, 1), ds.feature_names, ds.labels,
+                      ds.label_names)  # coarse features, so neighbor distances tie
+        plan = make_folds(ds.n_instances, 2, 5, seed=6)
+        grid = ParamGrid(algorithm, axes)
+        assert grid_search(ds, grid, plan, scoring).to_json() == \
+            reference_grid_search(ds, grid, plan, scoring).to_json()
+
+    def test_every_repetition_must_cover_the_dataset(self, small_dataset):
+        n = small_dataset.n_instances
+        plan = make_folds(n, 2, 4, seed=0)
+        train, test = plan.assignments[1][0]
+        plan.assignments[1][0] = (train, test[1:])  # row test[0] is never tested
+        with pytest.raises(ValueError, match="fold plan"):
+            grid_search(small_dataset, ParamGrid("mlknn", {"k": [3]}), plan)
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("algorithm, axes, match", [
+        ("mlknn", {"k": [3], "bogus": [1]}, "'bogus'"),
+        ("mlknn", {"k": [3], "max_depth": [2]}, "'max_depth'"),
+        ("mlknn", {"kk": [3]}, "'kk'"),
+        ("mlknn", {"s": [1.0]}, "'k' is required"),
+        ("br", {"k": [3]}, "'k'"),
+        ("cc", {"max_depth": 3}, "non-empty list"),
+    ])
+    def test_bad_axes_rejected(self, algorithm, axes, match):
+        with pytest.raises(ValueError, match=match):
+            ParamGrid(algorithm, axes)
+
+    def test_forest_axes_accepted(self):
+        axes = {name: [None] for name in ("n_trees", "max_depth", "min_samples_leaf",
+                                          "max_features", "seed", "bootstrap", "order")}
+        assert len(ParamGrid("cc", axes).points) == 1
+
+    @pytest.mark.parametrize("algorithm, axes, match", [
+        ("mlknn", {"k": [3, 2.5]}, "k must be an integer"),
+        ("mlknn", {"k": [3, True]}, "k must be an integer"),
+        ("mlknn", {"k": [3, 60]}, "k=60 must be smaller than n_instances=60"),
+        ("mlknn", {"k": [3], "s": [1.0, 0.0]}, "smoothing s must be positive"),
+        ("br", {"max_depth": [3, 0]}, "max_depth must be at least 1"),
+    ])
+    def test_every_point_checked_before_the_first_fit(self, monkeypatch, algorithm,
+                                                      axes, match):
+        ds = planted_dataset("v", 80, 4, 2, seed=1)
+        plan = make_folds(80, 1, 4, seed=0)  # 60 train rows per fold
+
+        def no_split(*_):
+            raise AssertionError("a fold was fitted before the grid was checked")
+        monkeypatch.setattr("mlshap.evaluation.split", no_split)
+        with pytest.raises(ValueError, match=match):
+            grid_search(ds, ParamGrid(algorithm, axes), plan)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from mlshap import (
     Dataset,
@@ -12,12 +13,20 @@ from mlshap import (
     fit_mlknn,
     knn_indices,
     load_model,
+    make_folds,
     model_from_json,
     model_to_json,
     predict_labels,
     save_model,
+    split,
 )
-from mlshap.multilabel import derive_seed
+from mlshap.multilabel import (
+    MLKNNModel,
+    _loo_order,
+    _nearest,
+    derive_seed,
+    predict_mlknn_grid,
+)
 
 from _synth import planted_dataset
 
@@ -254,6 +263,50 @@ class TestMLKNN:
     def test_k_bounds(self, small_dataset):
         with pytest.raises(ValueError):
             fit_mlknn(small_dataset, k=small_dataset.n_instances)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])
+    def test_non_integer_k_rejected(self, small_dataset, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            fit_mlknn(small_dataset, k=k)
+
+    def test_numpy_integer_k_accepted(self, small_dataset):
+        assert fit_mlknn(small_dataset, k=np.int64(3)).k == 3
+
+
+def _fold(dataset, rounding=None):
+    """Train split and test rows of the first fold of a 1 x 5 plan; ``rounding``
+    coarsens the features so that many neighbor distances tie."""
+    if rounding is not None:
+        dataset = Dataset(dataset.name, np.round(dataset.features, rounding),
+                          dataset.feature_names, dataset.labels, dataset.label_names)
+    train_idx, test_idx = make_folds(dataset.n_instances, 1, 5, seed=2).assignments[0][0]
+    return split(dataset, train_idx), dataset.features[test_idx]
+
+
+class TestSharedNeighborOrder:
+    """Every k takes the first k columns of one order computed at the widest k."""
+
+    @pytest.mark.parametrize("rounding", [None, 0])
+    def test_prefix_statistics_equal_refit_for_every_k(self, foodtruck_dataset, rounding):
+        train, X_test = _fold(foodtruck_dataset, rounding)
+        loo = _loo_order(train.features, 20)
+        nn = _nearest(cdist(X_test, train.features, "sqeuclidean"), 20)
+        for k in range(1, 21):
+            fitted = fit_mlknn(train, k)
+            shared = MLKNNModel(k, 1.0, train.features, train.labels, _loo=loo)
+            np.testing.assert_array_equal(shared.cond_counts_pos, fitted.cond_counts_pos)
+            np.testing.assert_array_equal(shared.cond_counts_neg, fitted.cond_counts_neg)
+            np.testing.assert_array_equal(shared.priors, fitted.priors)
+            assert np.array_equal(shared._posterior(nn[:, :k]),
+                                  fitted.predict_proba(X_test))
+
+    def test_grid_predictions_equal_per_point_fits(self, foodtruck_dataset):
+        train, X_test = _fold(foodtruck_dataset, rounding=0)
+        points = [{"k": k, "s": s} for k in (7, 2, 5, 5, 20) for s in (0.5, 1.0)]
+        points.append({"k": 3})
+        for point, predicted in zip(points, predict_mlknn_grid(train, X_test, points)):
+            expected = fit_mlknn(train, point["k"], point.get("s", 1.0)).predict(X_test)
+            np.testing.assert_array_equal(predicted, expected)
 
 
 class TestKnnIndices:
