@@ -20,6 +20,13 @@ FOREST_FORMAT = "mlshap-forest"
 FOREST_VERSION = 1
 
 
+def _as_int(name: str, value, expected: str = "an integer") -> int:
+    """``value`` as an int; a bool or a non-integer raises naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ForestParams:
     n_trees: int = 100
@@ -30,15 +37,22 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
+        # Values arrive from JSON grids, config files and model.json, so check
+        # types before the range checks compare them; numpy integers become int.
+        for name in ("n_trees", "max_depth", "min_samples_leaf", "seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        if self.max_features != "sqrt":
+            object.__setattr__(self, "max_features", _as_int(
+                "max_features", self.max_features, '"sqrt" or an integer'))
+        if not isinstance(self.bootstrap, bool):
+            raise ValueError(f"bootstrap must be true or false, got {self.bootstrap!r}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be at least 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be at least 1")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be at least 1")
-        if self.max_features != "sqrt" and (
-            not isinstance(self.max_features, int) or self.max_features < 1
-        ):
+        if self.max_features != "sqrt" and self.max_features < 1:
             raise ValueError('max_features must be "sqrt" or a positive count')
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
@@ -132,53 +146,50 @@ def entropy(class_counts) -> float:
 def _entropy_from_positive(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     """Vectorized two-class entropy from positive counts; total > 0."""
     p = pos / total
-    out = np.zeros_like(p)
+    out = np.zeros(p.shape)
     for q in (p, 1.0 - p):
-        inner = (q > 0.0) & (q < 1.0)
-        out[inner] -= q[inner] * np.log2(q[inner])
+        # q * log2(q) where 0 < q < 1, and exactly 0.0 elsewhere.
+        out -= q * np.log2(q, out=np.zeros(q.shape), where=(q > 0.0) & (q < 1.0))
     return out
 
 
 def _best_split(X, y, rows, feats, min_leaf):
     """Highest-entropy-gain (feature, threshold) over the candidate features.
 
-    Ties resolve to the lowest feature index, then the lowest threshold.
+    All candidates are scored in one pass over the (rows, feats) block: each
+    column is sorted once, and a split after sorted position i is valid where
+    the value changes and both sides keep at least ``min_leaf`` rows. Ties
+    resolve to the lowest feature index, then the lowest threshold.
     Returns None when no candidate split is valid or no split gains.
     """
     n = rows.size
-    pos_total = int(y[rows].sum())
+    if n < 2 * min_leaf:
+        return None
+    ys = y[rows]
+    pos_total = int(ys.sum())
     parent = _entropy_from_positive(np.array([pos_total]), np.array([n]))[0]
-    best_gain = 0.0
-    best = None
-    for f in feats:
-        v = X[rows, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ys = y[rows][order]
-        boundary = np.nonzero(vs[1:] != vs[:-1])[0]  # split after sorted position i
-        if boundary.size == 0:
-            continue
-        n_left = boundary + 1
-        n_right = n - n_left
-        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not valid.any():
-            continue
-        boundary = boundary[valid]
-        n_left = n_left[valid]
-        n_right = n_right[valid]
-        pos_left = np.cumsum(ys)[boundary]
-        pos_right = pos_total - pos_left
-        child = (
-            n_left * _entropy_from_positive(pos_left, n_left)
-            + n_right * _entropy_from_positive(pos_right, n_right)
-        ) / n
-        gains = parent - child
-        at = int(np.argmax(gains))  # first max -> lowest threshold on ties
-        if gains[at] > best_gain:
-            best_gain = float(gains[at])
-            thr = (vs[boundary[at]] + vs[boundary[at] + 1]) / 2.0
-            best = (int(f), float(thr))
-    return best
+    block = X[rows[:, None], feats]
+    order = np.argsort(block, axis=0, kind="stable")
+    vs = np.take_along_axis(block, order, axis=0)
+    # Candidate r splits after sorted position lo + r; the range [lo, hi)
+    # leaves at least min_leaf rows on each side.
+    lo, hi = min_leaf - 1, n - min_leaf
+    pos_left = np.cumsum(ys[order], axis=0)[lo:hi]
+    n_left = np.arange(lo + 1, hi + 1)[:, None]
+    n_right = n - n_left
+    k = hi - lo
+    h = _entropy_from_positive(  # left children in rows [0, k), right in [k, 2k)
+        np.concatenate([pos_left, pos_total - pos_left]), np.concatenate([n_left, n_right])
+    )
+    gains = parent - (n_left * h[:k] + n_right * h[k:]) / n
+    gains[vs[lo:hi] == vs[lo + 1 : hi + 1]] = -np.inf
+    at = np.argmax(gains, axis=0)  # first max -> lowest threshold on ties
+    col_gain = gains[at, np.arange(gains.shape[1])]
+    j = int(np.argmax(col_gain))  # first max -> lowest feature on ties
+    if not col_gain[j] > 0.0:
+        return None
+    i = lo + at[j]
+    return int(feats[j]), float((vs[i, j] + vs[i + 1, j]) / 2.0)
 
 
 def fit_tree(X, y, params: ForestParams, rng: np.random.Generator) -> DecisionTree:

@@ -86,6 +86,15 @@ class TestTrain:
         model = load_model(tmp_path / "cfgout" / "model.json")
         assert model.k == 4  # CLI flag overrode the config value
 
+    def test_config_bootstrap_must_be_bool(self, small_arff, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(small_arff), "labels": 3,
+                                   "algo": "br", "seed": 5, "bootstrap": "no",
+                                   "out": str(tmp_path)}))
+        assert run("train", "--config", cfg) == 1
+        assert "bootstrap must be true or false" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_unknown_config_key_rejected(self, small_arff, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"data": str(small_arff), "labels": 3,
@@ -145,6 +154,20 @@ class TestTune:
         assert run("tune", "--data", small_arff, "--labels", "3", "--algo", "mlknn",
                    "--grid", grid, "--seed", "3", "--out", tmp_path) == 1
         assert "k must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "cv_report.json").exists()
+
+    @pytest.mark.parametrize("grid, field", [
+        ('{"max_depth": ["a"]}', "max_depth"),
+        ('{"n_trees": [1.5]}', "n_trees"),
+        ('{"max_features": [true]}', "max_features"),
+        ('{"seed": [1.5]}', "seed"),
+        ('{"bootstrap": ["no"]}', "bootstrap"),
+        ('{"min_samples_leaf": [2, null]}', "min_samples_leaf"),
+    ])
+    def test_bad_forest_value_exits_1(self, small_arff, tmp_path, capsys, grid, field):
+        assert run("tune", "--data", small_arff, "--labels", "3", "--algo", "br",
+                   "--grid", grid, "--seed", "3", "--out", tmp_path) == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
         assert not (tmp_path / "cv_report.json").exists()
 
 

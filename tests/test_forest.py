@@ -2,16 +2,24 @@ import numpy as np
 import pytest
 
 from mlshap import (
+    PRESETS,
+    Dataset,
     DecisionTree,
     ForestParams,
     RandomForest,
     entropy,
     fit_forest,
+    fit_point,
     fit_tree,
     forest_from_json,
     forest_to_json,
+    model_to_json,
     tree_rng,
 )
+from mlshap import forest
+from mlshap.forest import _best_split, _entropy_from_positive, forest_from_doc, forest_to_doc
+
+from _synth import foodtruck_like
 
 
 def leaf_tree(p):
@@ -41,15 +49,64 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy((-1, 2))
 
+    def test_vectorized_matches_scalar(self):
+        # uniform, pure both ways, 3:1 and 1:3, then impure and pure mixed
+        neg = np.array([1, 5, 0, 3, 1, 7, 0, 2, 4, 0])
+        pos = np.array([1, 0, 5, 1, 3, 0, 9, 2, 1, 1])
+        want = np.array([entropy((a, b)) for a, b in zip(neg, pos)])
+        got = _entropy_from_positive(pos, neg + pos)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        assert got[0] == 1.0 and got[1] == got[2] == 0.0
+        np.testing.assert_array_equal(
+            _entropy_from_positive(pos.reshape(2, 5), (neg + pos).reshape(2, 5)),
+            got.reshape(2, 5))
+
+    def test_vectorized_bit_equal_to_masked_reference(self):
+        rng = np.random.default_rng(31)
+        total = rng.integers(1, 400, size=(300, 3))
+        pos = rng.integers(0, total + 1)
+        pos[rng.random(pos.shape) < 0.2] = 0
+        full = rng.random(pos.shape) < 0.2
+        pos[full] = total[full]
+        np.testing.assert_array_equal(_entropy_from_positive(pos, total),
+                                      _entropy_masked(pos, total))
+
 
 class TestForestParams:
     @pytest.mark.parametrize("kwargs", [
         {"n_trees": 0}, {"max_depth": 0}, {"min_samples_leaf": 0},
         {"max_features": 0}, {"max_features": "log2"}, {"seed": -1},
+        {"max_depth": "a"}, {"n_trees": 1.5}, {"max_features": True},
+        {"seed": 1.5}, {"bootstrap": "no"}, {"min_samples_leaf": None},
+        {"n_trees": True}, {"max_features": 2.0}, {"seed": np.float64(3.0)},
+        {"bootstrap": 1},
     ])
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             ForestParams(**kwargs)
+
+    def test_numpy_integers_become_int(self):
+        params = ForestParams(n_trees=np.int64(2), max_depth=np.int32(3),
+                              min_samples_leaf=np.uint8(1), max_features=np.int64(2),
+                              seed=np.int16(4))
+        for name in ("n_trees", "max_depth", "min_samples_leaf", "max_features", "seed"):
+            assert type(getattr(params, name)) is int
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(20, 3))
+        forest_to_json(fit_forest(X, (X[:, 0] > 0).astype(int), params))
+
+    @pytest.mark.parametrize("field, value", [
+        ("bootstrap", "no"), ("max_depth", 2.5), ("n_trees", True),
+        ("max_features", "all"),
+    ])
+    def test_model_document_rejects_bad_type(self, field, value):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(20, 3))
+        doc = forest_to_doc(fit_forest(X, (X[:, 1] > 0).astype(int),
+                                       ForestParams(n_trees=1, seed=2)))
+        doc["params"][field] = value
+        with pytest.raises(ValueError, match=field):
+            forest_from_doc(doc)
 
     def test_sqrt_resolution(self):
         assert ForestParams().resolve_max_features(103) == 10
@@ -230,3 +287,120 @@ class TestForestJson:
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError, match="not a forest"):
             forest_from_json('{"format": "other"}\n')
+
+
+def _entropy_masked(pos, total):
+    """Two-class entropy through boolean-masked copies (the reference)."""
+    p = pos / total
+    out = np.zeros_like(p)
+    for q in (p, 1.0 - p):
+        inner = (q > 0.0) & (q < 1.0)
+        out[inner] -= q[inner] * np.log2(q[inner])
+    return out
+
+
+def _best_split_per_feature(X, y, rows, feats, min_leaf):
+    """Reference split search: one sort and one scan per candidate feature.
+
+    A later feature replaces the best only with a strictly higher gain, and
+    each feature keeps its first maximal threshold.
+    """
+    n = rows.size
+    pos_total = int(y[rows].sum())
+    parent = _entropy_masked(np.array([pos_total]), np.array([n]))[0]
+    best_gain = 0.0
+    best = None
+    for f in feats:
+        v = X[rows, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        ys = y[rows][order]
+        boundary = np.nonzero(vs[1:] != vs[:-1])[0]  # split after sorted position i
+        if boundary.size == 0:
+            continue
+        n_left = boundary + 1
+        n_right = n - n_left
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not valid.any():
+            continue
+        boundary = boundary[valid]
+        n_left = n_left[valid]
+        n_right = n_right[valid]
+        pos_left = np.cumsum(ys)[boundary]
+        pos_right = pos_total - pos_left
+        child = (
+            n_left * _entropy_masked(pos_left, n_left)
+            + n_right * _entropy_masked(pos_right, n_right)
+        ) / n
+        gains = parent - child
+        at = int(np.argmax(gains))
+        if gains[at] > best_gain:
+            best_gain = float(gains[at])
+            thr = (vs[boundary[at]] + vs[boundary[at] + 1]) / 2.0
+            best = (int(f), float(thr))
+    return best
+
+
+class TestSplitSearchOracle:
+    def test_random_nodes_match_per_feature_search(self):
+        rng = np.random.default_rng(2024)
+        seen = {"none": 0, "split": 0, "tied": 0, "constant": 0, "single": 0}
+        for _ in range(800):
+            n_pool = int(rng.integers(2, 50))
+            d = int(rng.integers(1, 7))
+            X = rng.normal(size=(n_pool, d))
+            decimals = int(rng.integers(0, 4))
+            if decimals < 3:  # coarse grid: many tied values per column
+                X = np.round(X, decimals)
+                seen["tied"] += 1
+            if rng.random() < 0.25:
+                X[:, rng.integers(d)] = 0.5
+                seen["constant"] += 1
+            y = (rng.random(n_pool) < rng.random()).astype(np.int64)
+            rows = rng.choice(n_pool, size=int(rng.integers(1, 2 * n_pool)))
+            m = int(rng.integers(1, d + 1))
+            seen["single"] += m == 1
+            feats = np.sort(rng.choice(d, size=m, replace=False))
+            min_leaf = int(rng.integers(1, 5))
+            want = _best_split_per_feature(X, y, rows, feats, min_leaf)
+            assert _best_split(X, y, rows, feats, min_leaf) == want
+            seen["none" if want is None else "split"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("X, y, min_leaf", [
+        (np.full((6, 2), 3.0), np.array([0, 1, 0, 1, 0, 1]), 1),  # all constant
+        (np.arange(5.0)[:, None], np.array([0, 1, 0, 1, 1]), 3),  # 5 < 2 * 3
+        (np.arange(4.0)[:, None], np.array([1, 1, 1, 1]), 1),  # pure: no gain
+        (np.array([[0.0], [0.0], [0.0], [1.0]]), np.array([0, 0, 1, 1]), 2),
+    ])
+    def test_no_valid_split(self, X, y, min_leaf):
+        rows = np.arange(X.shape[0])
+        feats = np.arange(X.shape[1])
+        assert _best_split_per_feature(X, y, rows, feats, min_leaf) is None
+        assert _best_split(X, y, rows, feats, min_leaf) is None
+
+    def test_ties_go_to_lowest_feature_then_lowest_threshold(self):
+        # Columns 1 and 2 are identical perfect separators at two thresholds.
+        X = np.array([[5.0, 0.0, 0.0], [4.0, 1.0, 1.0], [3.0, 2.0, 2.0],
+                      [2.0, 3.0, 3.0]])
+        y = np.array([0, 1, 1, 0])
+        rows, feats = np.arange(4), np.array([1, 2])
+        want = _best_split_per_feature(X, y, rows, feats, 1)
+        assert want == (1, 0.5)
+        assert _best_split(X, y, rows, feats, 1) == want
+
+
+class TestForestBytesMatchOracle:
+    @pytest.mark.parametrize("preset", ["paper-br", "paper-cc"])
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_model_json_identical(self, monkeypatch, preset, decimals):
+        ds = foodtruck_like()
+        if decimals is not None:
+            ds = Dataset(ds.name, np.round(ds.features, decimals), ds.feature_names,
+                         ds.labels, ds.label_names)
+        params = dict(PRESETS[preset], n_trees=3, seed=7)
+        algo = params.pop("algo")
+        got = model_to_json(fit_point(algo, ds, params))
+        monkeypatch.setattr(forest, "_best_split", _best_split_per_feature)
+        want = model_to_json(fit_point(algo, ds, params))
+        assert got == want
