@@ -154,7 +154,16 @@ class MLKNNModel(MultiLabelModel):
     def __init__(self, k, s, train_features, train_labels, label_names=None,
                  feature_names=None, *, _loo=None):
         train_features = np.asarray(train_features, dtype=np.float64)
-        train_labels = np.asarray(train_labels, dtype=np.int64)
+        if train_features.ndim != 2 or not np.isfinite(train_features).all():
+            raise ValueError("train_features must be a 2-D matrix of finite numbers")
+        raw_labels = np.asarray(train_labels)
+        if raw_labels.ndim != 2 or raw_labels.shape[0] != train_features.shape[0]:
+            raise ValueError(f"train_labels must have one row per train_features row "
+                             f"({train_features.shape[0]}), got shape {raw_labels.shape}")
+        if not np.isin(raw_labels, (0, 1)).all():
+            raise ValueError("train_labels must hold only 0 and 1")
+        check_mlknn_params(k, s, train_features.shape[0])
+        train_labels = raw_labels.astype(np.int64)
         super().__init__(train_features.shape[1], train_labels.shape[1],
                          label_names, feature_names)
         self.k = int(k)
@@ -198,8 +207,7 @@ class MLKNNModel(MultiLabelModel):
         return p1 / (p1 + p0)
 
     def _proba_matrix(self, X, labels):
-        nn = _nearest(cdist(X, self.train_features, "sqeuclidean"), self.k)
-        return self._posterior(nn)[:, labels]
+        return self._posterior(_neighbors(X, self.train_features, self.k))[:, labels]
 
     def _payload(self):
         return {
@@ -210,21 +218,58 @@ class MLKNNModel(MultiLabelModel):
         }
 
 
+# One (rows, n_train) float64 distance block of a neighbor query stays within
+# this many bytes (a block holds at least one row).
+_BLOCK_BYTES = 32 * 2**20
+
+
 def _nearest(d2, k: int):
     """Per row of ``d2``, the column indices of the k smallest entries in order,
     ties to the lower index.
 
-    The order is a stable sort, so the first k columns of ``_nearest(d2, k')``
-    for any k' >= k are exactly ``_nearest(d2, k)``.
+    The order is that of a stable sort, so the first k columns of
+    ``_nearest(d2, k')`` for any k' >= k are exactly ``_nearest(d2, k)``.
+    ``argpartition`` picks k candidates per row, sorted by index and then
+    stably by distance. That is the stable sort's prefix unless a tie
+    straddles position k (more than k entries are <= the k-th distance; a NaN
+    leaves fewer), so only those rows, and k >= n, go through the full sort.
     """
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    if k >= d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    nn = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    nn.sort(axis=1)
+    dist = np.take_along_axis(d2, nn, axis=1)
+    by_dist = np.argsort(dist, axis=1, kind="stable")
+    nn = np.take_along_axis(nn, by_dist, axis=1)
+    tied = np.count_nonzero(d2 <= dist.max(axis=1, keepdims=True), axis=1) != k
+    if tied.any():
+        nn[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return nn
+
+
+def _neighbors(X, train_features, k: int, *, exclude_self: bool = False):
+    """``_nearest`` of each row of ``X`` among ``train_features`` (squared
+    Euclidean), in blocks of rows whose distance matrix fits ``_BLOCK_BYTES``.
+
+    ``cdist`` computes every row on its own, so the blocks change no distance
+    and no index. With ``exclude_self``, ``X`` is ``train_features`` and each
+    row's own entry is set to inf.
+    """
+    n_train = train_features.shape[0]
+    rows = max(1, _BLOCK_BYTES // (8 * n_train))
+    nn = np.empty((X.shape[0], min(k, n_train)), dtype=np.intp)
+    for start in range(0, X.shape[0], rows):
+        d2 = cdist(X[start:start + rows], train_features, "sqeuclidean")
+        if exclude_self:
+            own = np.arange(d2.shape[0])
+            d2[own, start + own] = np.inf
+        nn[start:start + rows] = _nearest(d2, k)
+    return nn
 
 
 def _loo_order(features, k: int):
     """Each row's k nearest other rows of ``features`` (self excluded)."""
-    d2 = cdist(features, features, "sqeuclidean")
-    np.fill_diagonal(d2, np.inf)
-    return _nearest(d2, k)
+    return _neighbors(features, features, k, exclude_self=True)
 
 
 def fit_br(train: Dataset, forest_params: ForestParams) -> BRModel:
@@ -258,14 +303,18 @@ def fit_cc(train: Dataset, forest_params: ForestParams, order="random",
                    train.feature_names)
 
 
-def check_mlknn_params(k, s, n_instances: int) -> None:
-    """Raise ValueError unless ML-kNN can fit (k, s) on ``n_instances`` rows."""
+def _check_k(k) -> None:
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
+def check_mlknn_params(k, s, n_instances: int) -> None:
+    """Raise ValueError unless ML-kNN can fit (k, s) on ``n_instances`` rows."""
+    _check_k(k)
     if isinstance(s, bool) or not isinstance(s, (int, float, np.integer, np.floating)):
         raise ValueError(f"smoothing s must be a number, got {s!r}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     if k >= n_instances:
         raise ValueError(f"k={k} must be smaller than n_instances={n_instances}")
     if s <= 0:
@@ -274,7 +323,6 @@ def check_mlknn_params(k, s, n_instances: int) -> None:
 
 def fit_mlknn(train: Dataset, k: int, s: float = 1.0) -> MLKNNModel:
     """Fit ML-kNN: smoothed label priors plus neighbor-count statistics."""
-    check_mlknn_params(k, s, train.n_instances)
     return MLKNNModel(k, s, train.features, train.labels, train.label_names,
                       train.feature_names)
 
@@ -285,12 +333,11 @@ def predict_mlknn_grid(train: Dataset, X, points) -> list[np.ndarray]:
     Each equals ``fit_mlknn(train, k, s).predict(X)`` bit for bit, but the
     leave-one-out order of the train rows and the neighbor order of ``X`` are
     computed once, at the widest k, and every point takes their first k
-    columns (see ``_nearest``). The points must already pass
-    ``check_mlknn_params``.
+    columns (see ``_nearest``).
     """
     k_max = max(p["k"] for p in points)
     loo = _loo_order(train.features, k_max)
-    nn = _nearest(cdist(X, train.features, "sqeuclidean"), k_max)
+    nn = _neighbors(X, train.features, k_max)
     predictions = []
     for p in points:
         model = MLKNNModel(p["k"], p.get("s", 1.0), train.features, train.labels,
@@ -301,11 +348,12 @@ def predict_mlknn_grid(train: Dataset, X, points) -> list[np.ndarray]:
 
 def knn_indices(train_features, x, k: int):
     """Indices of the k nearest rows by Euclidean distance, ties to lower index."""
+    _check_k(k)
     train_features = np.asarray(train_features, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if k > train_features.shape[0]:
         raise ValueError(f"k={k} exceeds the {train_features.shape[0]} available rows")
-    return _nearest(cdist(x[None, :], train_features, "sqeuclidean"), k)[0]
+    return _neighbors(x[None, :], train_features, k)[0]
 
 
 def predict_labels(probas, threshold: float = 0.5):

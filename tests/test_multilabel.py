@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -20,15 +21,19 @@ from mlshap import (
     save_model,
     split,
 )
+from mlshap import multilabel
+from mlshap.cli import main
 from mlshap.multilabel import (
     MLKNNModel,
     _loo_order,
     _nearest,
+    _neighbors,
     derive_seed,
+    model_from_doc,
     predict_mlknn_grid,
 )
 
-from _synth import planted_dataset
+from _synth import foodtruck_like, planted_dataset, write_arff
 
 
 # rng-free forest configuration: no bootstrap, full feature scan, so outputs
@@ -272,6 +277,47 @@ class TestMLKNN:
     def test_numpy_integer_k_accepted(self, small_dataset):
         assert fit_mlknn(small_dataset, k=np.int64(3)).k == 3
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("k", 0, "k must be at least 1"), ("k", 2.5, "k must be an integer"),
+        ("k", 30, "k=30 must be smaller"), ("k", 100, "k=100 must be smaller"),
+        ("k", True, "k must be an integer"), ("s", -1, "smoothing s must be positive"),
+        ("s", 0, "smoothing s must be positive"), ("s", "1", "smoothing s must be a number"),
+    ])
+    def test_model_document_rejects_bad_params(self, field, value, message):
+        doc = fit_mlknn(planted_dataset("doc", 30, 4, 3, seed=1), k=5).to_doc()
+        doc["payload"][field] = value
+        with pytest.raises(ValueError, match=message):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize("field, edit", [
+        ("train_features", lambda p: p["train_features"][3].__setitem__(1, math.nan)),
+        ("train_features", lambda p: p["train_features"][3].__setitem__(1, math.inf)),
+        ("train_features", lambda p: p.__setitem__("train_features", [1.0] * 30)),
+        ("train_labels", lambda p: p["train_labels"][4].__setitem__(0, 2)),
+        ("train_labels", lambda p: p["train_labels"][4].__setitem__(0, 0.5)),
+        ("train_labels", lambda p: p["train_labels"].pop()),
+        ("train_labels", lambda p: p.__setitem__("train_labels", [1] * 30)),
+    ])
+    def test_model_document_rejects_bad_training_rows(self, field, edit):
+        doc = fit_mlknn(planted_dataset("doc", 30, 4, 3, seed=1), k=5).to_doc()
+        edit(doc["payload"])
+        with pytest.raises(ValueError, match=field):
+            model_from_doc(doc)
+
+    def test_explain_exits_1_on_a_bad_model_document(self, tmp_path, capsys):
+        ds = planted_dataset("doc", 30, 4, 3, seed=1)
+        data = tmp_path / "doc.arff"
+        write_arff(ds, data)
+        doc = fit_mlknn(ds, k=5).to_doc()
+        doc["payload"]["train_features"][0][0] = math.nan
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        code = main([str(a) for a in ["explain", "--data", data, "--labels", "3",
+                                      "--model", tmp_path / "model.json",
+                                      "--instance", "0", "--seed", "1",
+                                      "--out", tmp_path]])
+        assert code == 1
+        assert "error: train_features must be" in capsys.readouterr().err
+
 
 def _fold(dataset, rounding=None):
     """Train split and test rows of the first fold of a 1 x 5 plan; ``rounding``
@@ -309,6 +355,167 @@ class TestSharedNeighborOrder:
             np.testing.assert_array_equal(predicted, expected)
 
 
+def stable_nearest(d2, k):
+    """Reference selection: the first k columns of a stable full-row sort."""
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+class TestNearest:
+    """``_nearest`` (argpartition, then the stable sort only where a tie
+    straddles position k) equals the stable full-row sort."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_heavy_integer_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            n = int(rng.integers(1, 30))
+            d2 = rng.integers(0, int(rng.integers(1, 5)),
+                              size=(int(rng.integers(1, 15)), n)).astype(np.float64)
+            for k in range(1, n + 2):
+                np.testing.assert_array_equal(_nearest(d2, k), stable_nearest(d2, k))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_inf_and_nan_entries(self, seed):
+        rng = np.random.default_rng(seed)
+        d2 = rng.integers(0, 3, size=(40, 12)).astype(np.float64)
+        d2[rng.uniform(size=d2.shape) < 0.4] = np.inf
+        d2[0] = np.inf
+        d2[1:4][rng.uniform(size=(3, 12)) < 0.5] = np.nan
+        for k in range(1, 14):
+            np.testing.assert_array_equal(_nearest(d2, k), stable_nearest(d2, k))
+
+    def test_leave_one_out_diagonal(self):
+        rng = np.random.default_rng(3)
+        X = rng.integers(0, 2, size=(25, 3)).astype(np.float64)
+        d2 = cdist(X, X, "sqeuclidean")
+        np.fill_diagonal(d2, np.inf)
+        for k in range(1, 26):
+            np.testing.assert_array_equal(_nearest(d2, k), stable_nearest(d2, k))
+            np.testing.assert_array_equal(_loo_order(X, k), stable_nearest(d2, k))
+
+    def test_tie_straddling_position_k(self):
+        d2 = np.array([[3.0, 1.0, 2.0, 2.0, 2.0, 0.0, 2.0],
+                       [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0],
+                       [5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 1.0]])
+        assert _nearest(d2, 3).tolist() == [[5, 1, 2], [0, 1, 2], [5, 4, 6]]
+        assert _nearest(d2, 2).tolist() == [[5, 1], [0, 1], [5, 4]]
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 9], ids=["1", "2", "n-1", "n"])
+    def test_k_extremes(self, k, rng):
+        d2 = np.round(rng.uniform(size=(30, 9)), 1)
+        np.testing.assert_array_equal(_nearest(d2, k), stable_nearest(d2, k))
+
+    def test_rows_without_ties_skip_the_full_sort(self, monkeypatch, rng):
+        d2 = rng.uniform(size=(50, 40))
+        widths = []
+
+        def spy(a, *args, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return argsort(a, *args, **kwargs)
+
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", spy)
+        nn = _nearest(d2, 4)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(nn, stable_nearest(d2, 4))
+        assert widths == [4]
+
+
+class TestNeighborBlocks:
+    """Queries split into row blocks within ``_BLOCK_BYTES`` equal the
+    unblocked query bit for bit."""
+
+    @pytest.fixture()
+    def blocks(self, monkeypatch):
+        """Records the (rows, n_train) shape of every distance block."""
+        shapes = []
+
+        def spy(XA, XB, metric):
+            out = cdist(XA, XB, metric)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(multilabel, "cdist", spy)
+        return shapes
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 64])
+    def test_blocked_query_equals_unblocked(self, foodtruck_dataset, monkeypatch,
+                                            blocks, rows_per_block):
+        train, X_test = _fold(foodtruck_dataset, rounding=0)
+        n_train = train.n_instances
+        budget = 8 * n_train * (rows_per_block + 1) - 1
+        model = fit_mlknn(train, 5)
+        X = np.vstack([X_test, X_test[:3] + 0.5])  # 85 rows: a last block not full
+        d2 = cdist(X, train.features, "sqeuclidean")
+        loo_d2 = cdist(train.features, train.features, "sqeuclidean")
+        np.fill_diagonal(loo_d2, np.inf)
+        points = [{"k": k, "s": 0.5} for k in (1, 5, 20)]
+        expected_grid = predict_mlknn_grid(train, X, points)
+
+        monkeypatch.setattr(multilabel, "_BLOCK_BYTES", budget)
+        blocks.clear()
+        proba = model.predict_proba(X)
+        assert [r for r, _ in blocks] == (
+            [rows_per_block] * (len(X) // rows_per_block)
+            + [len(X) % rows_per_block] * (len(X) % rows_per_block > 0))
+        assert np.array_equal(proba, model._posterior(stable_nearest(d2, 5)))
+        np.testing.assert_array_equal(_loo_order(train.features, 20),
+                                      stable_nearest(loo_d2, 20))
+        for got, want in zip(predict_mlknn_grid(train, X, points), expected_grid):
+            np.testing.assert_array_equal(got, want)
+        assert len(blocks) > 3
+        assert all(rows * cols * 8 <= budget for rows, cols in blocks)
+
+    def test_a_block_holds_at_least_one_row(self, monkeypatch, blocks, rng):
+        train = rng.normal(size=(20, 3))
+        X = rng.normal(size=(4, 3))
+        monkeypatch.setattr(multilabel, "_BLOCK_BYTES", 8)
+        nn = _neighbors(X, train, 3)
+        assert blocks == [(1, 20)] * 4
+        np.testing.assert_array_equal(
+            nn, stable_nearest(cdist(X, train, "sqeuclidean"), 3))
+
+    def test_default_budget_bounds_every_block(self, blocks, rng):
+        train = rng.normal(size=(3000, 2))
+        _neighbors(rng.normal(size=(3000, 2)), train, 5)
+        assert len(blocks) == 3
+        assert all(r * c * 8 <= multilabel._BLOCK_BYTES for r, c in blocks)
+
+    def test_empty_query(self, rng):
+        assert _neighbors(np.empty((0, 3)), rng.normal(size=(5, 3)), 2).shape == (0, 2)
+
+
+@pytest.mark.parametrize("rounding", [None, 1])
+def test_mlknn_outputs_byte_equal_to_stable_sort_selection(tmp_path, monkeypatch,
+                                                           rounding):
+    """Whole-model gate: explain JSON and cv_report.json of ML-kNN are the same
+    bytes with the stable full sort as the selection."""
+    ds = foodtruck_like()
+    if rounding is not None:
+        ds = Dataset(ds.name, np.round(ds.features, rounding), ds.feature_names,
+                     ds.labels, ds.label_names)
+    data = tmp_path / "data.arff"
+    write_arff(ds, data)
+
+    def outputs(out):
+        common = ["--data", data, "--labels", "12", "--seed", "3"]
+        assert main([str(a) for a in ["train", *common, "--preset", "paper-mlknn",
+                                      "--out", out]]) == 0
+        assert main([str(a) for a in ["explain", *common, "--model", out / "model.json",
+                                      "--instance", "17", "--background", "20",
+                                      "--budget", "600", "--out", out]]) == 0
+        assert main([str(a) for a in ["tune", *common, "--algo", "mlknn",
+                                      "--out", out]]) == 0
+        files = sorted(out.glob("explanation_*.json")) + [out / "model.json",
+                                                          out / "cv_report.json"]
+        assert len(files) == 14
+        return {f.name: f.read_bytes() for f in files}
+
+    fast = outputs(tmp_path / "fast")
+    monkeypatch.setattr(multilabel, "_nearest", stable_nearest)
+    assert outputs(tmp_path / "oracle") == fast
+
+
 class TestKnnIndices:
     def test_self_match(self, small_dataset):
         assert knn_indices(small_dataset.features, small_dataset.features[7],
@@ -329,6 +536,18 @@ class TestKnnIndices:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             knn_indices(np.zeros((3, 1)), np.zeros(1), 4)
+
+    @pytest.mark.parametrize("k, message", [
+        (0, "at least 1"), (-1, "at least 1"), (2.5, "integer"), (2.0, "integer"),
+        (True, "integer"), ("2", "integer"), (None, "integer"),
+    ])
+    def test_bad_k_rejected(self, k, message):
+        with pytest.raises(ValueError, match=f"k must be .*{message}"):
+            knn_indices(np.zeros((3, 1)), np.zeros(1), k)
+
+    def test_k_equal_to_rows_is_the_full_order(self):
+        train = np.array([[2.0], [0.0], [1.0], [0.0]])
+        assert knn_indices(train, np.array([0.0]), 4).tolist() == [1, 3, 2, 0]
 
 
 class TestPredictLabels:
