@@ -218,8 +218,9 @@ class MLKNNModel(MultiLabelModel):
         }
 
 
-# One (rows, n_train) float64 distance block of a neighbor query stays within
-# this many bytes (a block holds at least one row).
+# A neighbor query block, its (rows, n_train) float64 distances plus the
+# selection's float64 partition of them, stays within this many bytes (a
+# block holds at least one row).
 _BLOCK_BYTES = 32 * 2**20
 
 
@@ -229,34 +230,44 @@ def _nearest(d2, k: int):
 
     The order is that of a stable sort, so the first k columns of
     ``_nearest(d2, k')`` for any k' >= k are exactly ``_nearest(d2, k)``.
-    ``argpartition`` picks k candidates per row, sorted by index and then
-    stably by distance. That is the stable sort's prefix unless a tie
-    straddles position k (more than k entries are <= the k-th distance; a NaN
-    leaves fewer), so only those rows, and k >= n, go through the full sort.
+    ``partition`` gives each row's k-th distance v; the row keeps every entry
+    below v and the lowest-index entries equal to v up to k in all, which is
+    the stable sort's prefix as a set, and orders those k stably by distance.
+    Only rows whose k-th distance is NaN (fewer than k comparable entries), and
+    k >= n, go through the full sort.
     """
-    if k >= d2.shape[1]:
+    n, n_train = d2.shape
+    if k >= n_train:
         return np.argsort(d2, axis=1, kind="stable")[:, :k]
-    nn = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    nn.sort(axis=1)
-    dist = np.take_along_axis(d2, nn, axis=1)
-    by_dist = np.argsort(dist, axis=1, kind="stable")
+    kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+    keep = d2 <= kth
+    tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+    if tied.size:
+        rows, v = d2[tied], kth[tied]
+        at_v = rows == v
+        room = k - np.count_nonzero(rows < v, axis=1, keepdims=True)
+        keep[tied] = (rows < v) | (at_v & (np.cumsum(at_v, axis=1) <= room))
+    nan = np.isnan(kth[:, 0])
+    keep[nan, :k] = True  # placeholder columns, replaced below
+    nn = np.nonzero(keep)[1].reshape(n, k)
+    by_dist = np.argsort(np.take_along_axis(d2, nn, axis=1), axis=1, kind="stable")
     nn = np.take_along_axis(nn, by_dist, axis=1)
-    tied = np.count_nonzero(d2 <= dist.max(axis=1, keepdims=True), axis=1) != k
-    if tied.any():
-        nn[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    if nan.any():
+        nn[nan] = np.argsort(d2[nan], axis=1, kind="stable")[:, :k]
     return nn
 
 
 def _neighbors(X, train_features, k: int, *, exclude_self: bool = False):
     """``_nearest`` of each row of ``X`` among ``train_features`` (squared
-    Euclidean), in blocks of rows whose distance matrix fits ``_BLOCK_BYTES``.
+    Euclidean), in blocks of rows whose distances and their partition fit
+    ``_BLOCK_BYTES``.
 
     ``cdist`` computes every row on its own, so the blocks change no distance
     and no index. With ``exclude_self``, ``X`` is ``train_features`` and each
     row's own entry is set to inf.
     """
     n_train = train_features.shape[0]
-    rows = max(1, _BLOCK_BYTES // (8 * n_train))
+    rows = max(1, _BLOCK_BYTES // (16 * n_train))
     nn = np.empty((X.shape[0], min(k, n_train)), dtype=np.intp)
     for start in range(0, X.shape[0], rows):
         d2 = cdist(X[start:start + rows], train_features, "sqeuclidean")

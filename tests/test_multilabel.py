@@ -361,8 +361,8 @@ def stable_nearest(d2, k):
 
 
 class TestNearest:
-    """``_nearest`` (argpartition, then the stable sort only where a tie
-    straddles position k) equals the stable full-row sort."""
+    """``_nearest`` (the k-th distance by partition, ties at it to the lower
+    index) equals the stable full-row sort."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_heavy_integer_ties(self, seed):
@@ -405,20 +405,35 @@ class TestNearest:
         d2 = np.round(rng.uniform(size=(30, 9)), 1)
         np.testing.assert_array_equal(_nearest(d2, k), stable_nearest(d2, k))
 
-    def test_rows_without_ties_skip_the_full_sort(self, monkeypatch, rng):
-        d2 = rng.uniform(size=(50, 40))
-        widths = []
+    @pytest.fixture()
+    def sorted_shapes(self, monkeypatch):
+        """Records the shape of every array ``np.argsort`` sorts."""
+        shapes = []
+        argsort = np.argsort
 
         def spy(a, *args, **kwargs):
-            widths.append(np.shape(a)[-1])
+            shapes.append(np.shape(a))
             return argsort(a, *args, **kwargs)
 
-        argsort = np.argsort
         monkeypatch.setattr(np, "argsort", spy)
+        return shapes
+
+    @pytest.mark.parametrize("levels", [None, 2], ids=["untied", "tied"])
+    def test_only_the_k_selected_are_sorted(self, sorted_shapes, levels, rng):
+        d2 = (rng.uniform(size=(50, 40)) if levels is None
+              else rng.integers(0, levels, size=(50, 40)).astype(np.float64))
         nn = _nearest(d2, 4)
-        monkeypatch.undo()
+        assert sorted_shapes == [(50, 4)]
+        sorted_shapes.clear()
         np.testing.assert_array_equal(nn, stable_nearest(d2, 4))
-        assert widths == [4]
+
+    def test_nan_kth_rows_take_the_full_sort(self, sorted_shapes, rng):
+        d2 = rng.integers(0, 3, size=(6, 10)).astype(np.float64)
+        d2[[1, 4], 2:] = np.nan
+        nn = _nearest(d2, 3)
+        assert sorted_shapes == [(6, 3), (2, 10)]
+        sorted_shapes.clear()
+        np.testing.assert_array_equal(nn, stable_nearest(d2, 3))
 
 
 class TestNeighborBlocks:
@@ -443,14 +458,16 @@ class TestNeighborBlocks:
                                             blocks, rows_per_block):
         train, X_test = _fold(foodtruck_dataset, rounding=0)
         n_train = train.n_instances
-        budget = 8 * n_train * (rows_per_block + 1) - 1
+        budget = 16 * n_train * (rows_per_block + 1) - 1
         model = fit_mlknn(train, 5)
         X = np.vstack([X_test, X_test[:3] + 0.5])  # 85 rows: a last block not full
         d2 = cdist(X, train.features, "sqeuclidean")
         loo_d2 = cdist(train.features, train.features, "sqeuclidean")
         np.fill_diagonal(loo_d2, np.inf)
         points = [{"k": k, "s": 0.5} for k in (1, 5, 20)]
-        expected_grid = predict_mlknn_grid(train, X, points)
+        with monkeypatch.context() as oracle:
+            oracle.setattr(multilabel, "_nearest", stable_nearest)
+            expected_grid = predict_mlknn_grid(train, X, points)
 
         monkeypatch.setattr(multilabel, "_BLOCK_BYTES", budget)
         blocks.clear()
@@ -464,12 +481,12 @@ class TestNeighborBlocks:
         for got, want in zip(predict_mlknn_grid(train, X, points), expected_grid):
             np.testing.assert_array_equal(got, want)
         assert len(blocks) > 3
-        assert all(rows * cols * 8 <= budget for rows, cols in blocks)
+        assert all(rows * cols * 16 <= budget for rows, cols in blocks)
 
     def test_a_block_holds_at_least_one_row(self, monkeypatch, blocks, rng):
         train = rng.normal(size=(20, 3))
         X = rng.normal(size=(4, 3))
-        monkeypatch.setattr(multilabel, "_BLOCK_BYTES", 8)
+        monkeypatch.setattr(multilabel, "_BLOCK_BYTES", 16)
         nn = _neighbors(X, train, 3)
         assert blocks == [(1, 20)] * 4
         np.testing.assert_array_equal(
@@ -478,8 +495,8 @@ class TestNeighborBlocks:
     def test_default_budget_bounds_every_block(self, blocks, rng):
         train = rng.normal(size=(3000, 2))
         _neighbors(rng.normal(size=(3000, 2)), train, 5)
-        assert len(blocks) == 3
-        assert all(r * c * 8 <= multilabel._BLOCK_BYTES for r, c in blocks)
+        assert len(blocks) == 5
+        assert all(r * c * 16 <= multilabel._BLOCK_BYTES for r, c in blocks)
 
     def test_empty_query(self, rng):
         assert _neighbors(np.empty((0, 3)), rng.normal(size=(5, 3)), 2).shape == (0, 2)
