@@ -2,9 +2,9 @@
 
 Train binary relevance, classifier chain, or ML-kNN models on tabular
 multi-label data, attribute any single per-label prediction to the input
-features with an exact or kernel-based Shapley estimator, and aggregate the
-attributions into importance, summary (beeswarm), and force views emitted as
-JSON and SVG.
+features with an exact, kernel-based or (for binary relevance forests)
+tree-path Shapley estimator, and aggregate the attributions into importance,
+summary (beeswarm), and force views emitted as JSON and SVG.
 """
 
 from .data import (
@@ -68,9 +68,11 @@ from .shapley import (
     kernel_shap,
     kernel_weight,
     load_explanation,
+    resolve_estimator,
     sample_background,
     save_explanation,
     solve_weighted_ls,
+    tree_shap,
 )
 from .viz import (
     ForceData,

@@ -19,10 +19,12 @@ from .data import make_folds
 from .multilabel import load_model, save_model
 from .shapley import (
     ENUMERATION_CAP,
+    ESTIMATORS,
     EstimationError,
     explain_instance,
     explanation_to_doc,
     load_explanation,
+    resolve_estimator,
     sample_background,
 )
 from .viz import feature_importance, force_data, plot_spec, render_svg, summary_points, write_json
@@ -110,9 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--instance", type=int, help="row index to explain")
     explain.add_argument("--label-ids", dest="label_ids",
                          help="comma-separated label indices (default: all)")
-    explain.add_argument("--estimator", choices=["exact", "kernel"])
+    explain.add_argument("--estimator", choices=ESTIMATORS,
+                         help="default: tree for br models, kernel otherwise")
     explain.add_argument("--budget", type=_parse_budget_flag,
-                         help='kernel coalition budget or "full"')
+                         help='kernel coalition budget or "full" (kernel only)')
     explain.add_argument("--background", type=int,
                          help="background sample size (default 100)")
 
@@ -299,7 +302,10 @@ def cmd_explain(cfg) -> int:
     bad = [l for l in label_ids if not 0 <= l < model.n_labels]
     if bad:
         raise UsageError(f"label ids out of range: {bad}")
-    estimator = cfg.get("estimator") or "kernel"
+    try:
+        estimator = resolve_estimator(model, cfg.get("estimator"))
+    except ValueError as err:
+        raise UsageError(str(err))
     if estimator == "exact" and model.n_features > ENUMERATION_CAP:
         raise UsageError(
             f"exact estimator is capped at {ENUMERATION_CAP} features; this model "

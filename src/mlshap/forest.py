@@ -127,6 +127,68 @@ class RandomForest:
         return float(out[0]) if single else out
 
 
+def leaf_paths(trees: list[DecisionTree]):
+    """Every leaf of ``trees`` with the conditions its root path puts on a row.
+
+    Returns ``(tree, value, feature, lower, upper)``: per leaf, the index of
+    its tree in ``trees``, its value, and one column per distinct feature on
+    its path, where a row reaches the leaf exactly when
+    ``lower < row[feature] <= upper`` in every column (a split sends
+    ``x <= threshold`` left, as ``DecisionTree.predict`` does). A leaf has at
+    most its depth in columns; the rest, up to the widest leaf, are padding:
+    feature -1, with bounds -inf and inf. All trees are walked together, one
+    level per step, and the leaves come out level by level.
+    """
+    sizes = [tree.n_nodes for tree in trees]
+    offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left + o for tree, o in zip(trees, offsets)])
+    right = np.concatenate([tree.right + o for tree, o in zip(trees, offsets)])
+    value = np.concatenate([tree.value for tree in trees])
+    owner = np.repeat(np.arange(len(trees)), sizes)
+
+    node = offsets  # the roots
+    feats = np.full((node.size, 1), -1, dtype=np.int64)  # -1 marks a free column
+    lower = np.full((node.size, 1), -np.inf)
+    upper = np.full((node.size, 1), np.inf)
+    used = np.zeros(node.size, dtype=np.int64)  # distinct features so far
+    leaves = []
+    while node.size:
+        split = feature[node] >= 0
+        leaves.append((node[~split], feats[~split], lower[~split], upper[~split]))
+        node, feats, lower, upper, used = (
+            a[split] for a in (node, feats, lower, upper, used))
+        f, thr = feature[node], threshold[node]
+        seen = feats == f[:, None]
+        new = ~seen.any(axis=1)
+        col = np.where(new, used, seen.argmax(axis=1))
+        if node.size and col.max() == feats.shape[1]:
+            feats = np.pad(feats, ((0, 0), (0, 1)), constant_values=-1)
+            lower = np.pad(lower, ((0, 0), (0, 1)), constant_values=-np.inf)
+            upper = np.pad(upper, ((0, 0), (0, 1)), constant_values=np.inf)
+        at = np.arange(node.size), col
+        feats[at] = f
+        upper_left = upper.copy()
+        upper_left[at] = np.minimum(upper[at], thr)
+        lower_right = lower.copy()
+        lower_right[at] = np.maximum(lower[at], thr)
+        node = np.concatenate([left[node], right[node]])
+        feats = np.concatenate([feats, feats])
+        lower = np.concatenate([lower, lower_right])
+        upper = np.concatenate([upper_left, upper])
+        used = np.tile(used + new, 2)
+
+    width = max(a[1].shape[1] for a in leaves)
+
+    def gather(i, fill):
+        return np.concatenate([np.pad(a[i], ((0, 0), (0, width - a[i].shape[1])),
+                                      constant_values=fill) for a in leaves])
+
+    node = np.concatenate([a[0] for a in leaves])
+    return owner[node], value[node], gather(1, -1), gather(2, -np.inf), gather(3, np.inf)
+
+
 def entropy(class_counts) -> float:
     """Shannon entropy, in bits, of a two-class count pair."""
     neg, pos = class_counts
@@ -189,7 +251,11 @@ def _best_split(X, y, rows, feats, min_leaf):
     if not col_gain[j] > 0.0:
         return None
     i = lo + at[j]
-    return int(feats[j]), float((vs[i, j] + vs[i + 1, j]) / 2.0)
+    below, above = vs[i, j], vs[i + 1, j]
+    mid = (below + above) / 2.0
+    # The midpoint of two adjacent floats can round up onto the upper one; the
+    # lower one then splits the rows the same.
+    return int(feats[j]), float(mid if mid < above else below)
 
 
 def fit_tree(X, y, params: ForestParams, rng: np.random.Generator) -> DecisionTree:
@@ -209,20 +275,23 @@ def fit_tree(X, y, params: ForestParams, rng: np.random.Generator) -> DecisionTr
     right: list[int] = []
     value: list[float] = []
 
-    def new_node(rows):
+    def new_node(pos, n):
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(float(y[rows].mean()))
+        # Equal to y[rows].mean() bit for bit: an exact count over an exact
+        # count, divided once.
+        value.append(pos / n)
         return len(feature) - 1
 
-    # Preorder construction keeps rng consumption order fixed.
+    # Preorder construction keeps rng consumption order fixed. Each stack entry
+    # carries its node's positive count; a split counts its left rows only.
     root_rows = np.arange(X.shape[0])
-    stack = [(new_node(root_rows), root_rows, 0)]
+    root_pos = int(y.sum())
+    stack = [(new_node(root_pos, root_rows.size), root_rows, root_pos, 0)]
     while stack:
-        node, rows, depth = stack.pop()
-        pos = int(y[rows].sum())
+        node, rows, pos, depth = stack.pop()
         if (
             depth >= params.max_depth
             or pos == 0
@@ -236,15 +305,17 @@ def fit_tree(X, y, params: ForestParams, rng: np.random.Generator) -> DecisionTr
             continue
         f, thr = found
         go_left = X[rows, f] <= thr
+        left_rows, right_rows = rows[go_left], rows[~go_left]
+        pos_left = int(y[left_rows].sum())
         feature[node] = f
         threshold[node] = thr
-        left_node = new_node(rows[go_left])
-        right_node = new_node(rows[~go_left])
+        left_node = new_node(pos_left, left_rows.size)
+        right_node = new_node(pos - pos_left, right_rows.size)
         left[node] = left_node
         right[node] = right_node
         # Right pushed first so the left subtree is built (and draws rng) first.
-        stack.append((right_node, rows[~go_left], depth + 1))
-        stack.append((left_node, rows[go_left], depth + 1))
+        stack.append((right_node, right_rows, pos - pos_left, depth + 1))
+        stack.append((left_node, left_rows, pos_left, depth + 1))
     return DecisionTree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),

@@ -39,6 +39,12 @@ class MultiLabelModel:
             f"label_{i}" for i in range(n_labels)
         ]
         self.feature_names = list(feature_names) if feature_names else None
+        if len(self.label_names) != n_labels:
+            raise ValueError(f"label_names must have {n_labels} entries, one per "
+                             f"label, got {len(self.label_names)}")
+        if self.feature_names is not None and len(self.feature_names) != n_features:
+            raise ValueError(f"feature_names must have {n_features} entries, one per "
+                             f"feature, got {len(self.feature_names)}")
 
     def _proba_matrix(self, X: np.ndarray, labels: list[int]) -> np.ndarray:
         """(n, len(labels)) probabilities of the requested labels, in that order."""
@@ -218,9 +224,10 @@ class MLKNNModel(MultiLabelModel):
         }
 
 
-# A neighbor query block, its (rows, n_train) float64 distances plus the
-# selection's float64 partition of them, stays within this many bytes (a
-# block holds at least one row).
+# A block of work stays within this many bytes (a block holds at least one
+# row): here a neighbor query's (rows, n_train) float64 distances plus the
+# selection's float64 partition of them, and in ``shapley.tree_shap`` the
+# (background rows, path features, leaves) cells.
 _BLOCK_BYTES = 32 * 2**20
 
 

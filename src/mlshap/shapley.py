@@ -1,8 +1,8 @@
-"""Model-agnostic Shapley attributions for single predictions.
+"""Shapley attributions for single predictions.
 
-Two estimators share one coalition-value function. ``exact_shapley``
-enumerates every feature subset and applies the combinatorial weights
-directly; ``kernel_shap`` fits the additive surrogate
+Two model-agnostic estimators share one coalition-value function.
+``exact_shapley`` enumerates every feature subset and applies the
+combinatorial weights directly; ``kernel_shap`` fits the additive surrogate
 
     g(z') = phi_0 + sum_j phi_j z'_j
 
@@ -10,7 +10,9 @@ by weighted least squares over sampled coalitions, with the empty and full
 coalitions pinned as hard constraints so phi_0 + sum(phi) always equals the
 model output at the explained instance. Hidden features are marginalized by
 replacing them with background rows and averaging (interventional
-expectation).
+expectation). ``tree_shap`` computes the same interventional values of a
+forest exactly, in closed form over its leaf paths, without evaluating it on
+any coalition.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from . import _json
+from . import _json, multilabel
+from .forest import leaf_paths
 
 ENUMERATION_CAP = 16  # exact enumeration and budget="full" refuse beyond this
 DEFAULT_BUDGET_EXTRA = 2048  # default kernel budget is 2*M + this
 
 EXPLANATION_FILE_KEYS = {"instance", "label", "base_value", "fx", "phi"}
+
+ESTIMATORS = ("exact", "kernel", "tree")
 
 
 class EstimationError(RuntimeError):
@@ -117,6 +122,14 @@ def _coalition_values(target, x, masks, background):
         out = out.reshape(block.shape[0], B, -1)
         parts.append(np.ascontiguousarray(out.transpose(0, 2, 1)).mean(axis=-1))
     return np.concatenate(parts)
+
+
+def _base_and_fx(target, x, background):
+    """phi_0 (the empty coalition's value), f(x), and whether f is 1-D."""
+    fx, single = _at_instance(target, x)
+    M = target.n_features
+    base = _coalition_values(target, x, np.zeros((1, M), dtype=bool), background)[0]
+    return base, fx, single
 
 
 def _explanations(base, phi, fx, x, single, instance, label):
@@ -283,8 +296,7 @@ def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0
     """
     x, background = _check_inputs(target, x, background)
     M = target.n_features
-    fx, single = _at_instance(target, x)
-    base = _coalition_values(target, x, np.zeros((1, M), dtype=bool), background)[0]
+    base, fx, single = _base_and_fx(target, x, background)
     if M == 1:
         # Both constraints pin the single attribution; nothing to regress.
         return _explanations(base, (fx - base)[:, None], fx, x, single, instance, label)
@@ -317,6 +329,93 @@ def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0
     return _explanations(base, phi, fx, x, single, instance, label)
 
 
+def _path_weights(depth: int) -> np.ndarray:
+    """w[a, b] = a! b! / (a + b + 1)! for a, b in 0..depth."""
+    return np.array([[1.0 / ((a + b + 1) * math.comb(a + b, a))
+                      for b in range(depth + 1)] for a in range(depth + 1)])
+
+
+def _within(values, lower, upper):
+    inside = lower < values
+    inside &= values <= upper
+    return inside
+
+
+def _columns(keep, feature, lower, upper):
+    """Per leaf (row), the path columns where ``keep`` holds, moved to the
+    front and cut to the widest row, as (columns, leaves) arrays plus the
+    mask of real cells; the other cells are padding (feature 0, bounds -inf
+    and inf), which every finite value meets."""
+    width = int(keep.sum(axis=1).max(initial=0))
+    order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
+    held = np.take_along_axis(keep, order, axis=1)
+
+    def pick(a, fill):
+        return np.ascontiguousarray(
+            np.where(held, np.take_along_axis(a, order, axis=1), fill).T)
+
+    return pick(feature, 0), pick(lower, -np.inf), pick(upper, np.inf), held.T
+
+
+def tree_shap(forests, x, background) -> np.ndarray:
+    """Exact interventional Shapley values of each forest's output at ``x``.
+
+    Returns a (len(forests), M) matrix; row j explains ``forests[j]`` with
+    hidden features drawn from the background rows, the value function
+    ``exact_shapley`` and ``kernel_shap`` evaluate. A forest's output is the
+    mean of its trees' leaf values, so its Shapley values are the mean, over
+    trees, leaves and background rows r, of those of the game "the
+    synthesized row reaches this leaf" times the leaf value v. Each feature
+    on the leaf's path is x-only (x meets the path's conditions on it and r
+    does not), r-only (the reverse), both, or neither; the leaf is dead (no
+    coalition reaches it) when some feature is neither. Otherwise, with X
+    and R the x-only and r-only sets, a coalition reaches the leaf exactly
+    when it holds X and none of R, so each x-only feature gains
+    v (|X|-1)! |R|! / (|X|+|R|)! and each r-only one loses
+    v |X|! (|R|-1)! / (|X|+|R|)! (Lundberg et al. 2020, arXiv 1905.04610).
+
+    The path features x meets (the x side) are x-only where r misses them;
+    those x misses (the r side) are all r-only on a live leaf, and the leaf
+    is live exactly when r meets every one of them. Work runs in
+    (background, path features, leaves) blocks, cut along the background rows
+    so each stays within ``multilabel._BLOCK_BYTES``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    background = np.asarray(background, dtype=np.float64)
+    M = x.shape[0]
+    trees = [tree for forest in forests for tree in forest.trees]
+    n_trees = [len(forest.trees) for forest in forests]
+    tree, value, feature, lower, upper = leaf_paths(trees)
+    x_ok = _within(x[feature], lower, upper)  # true on padding (feature -1)
+    x_feat, x_lower, x_upper, _ = _columns(x_ok & (feature >= 0), feature, lower, upper)
+    r_feat, r_lower, r_upper, r_held = _columns(~x_ok, feature, lower, upper)
+    n_r = r_held.sum(axis=0)
+    weights = _path_weights(x_feat.shape[0] + r_feat.shape[0])
+    x_gain = np.zeros(x_feat.shape)
+    r_loss = np.zeros(value.shape[0])
+    # 16 bytes per (row, path feature, leaf) cell: the float64 gather beside
+    # the boolean masks.
+    cells = max(1, x_feat.size + r_feat.size)
+    rows = max(1, multilabel._BLOCK_BYTES // (16 * cells))
+    for start in range(0, background.shape[0], rows):
+        block = background[start:start + rows]
+        live = _within(np.take(block, r_feat, axis=1), r_lower, r_upper).all(axis=1)
+        miss = ~_within(np.take(block, x_feat, axis=1), x_lower, x_upper)
+        n_x = miss.sum(axis=1)
+        # An index of -1 (no x-only or no r-only feature) reads a real entry
+        # that nothing uses: no cell misses, or the leaf has no r side.
+        w_x = np.where(live, weights[n_x - 1, n_r], 0.0)
+        x_gain += np.einsum("bdk,bk->dk", miss, w_x)
+        r_loss += np.where(live, weights[n_x, n_r - 1], 0.0).sum(axis=0)
+    scale = value * np.repeat([1.0 / n for n in n_trees], n_trees)[tree]
+    column = np.repeat(np.arange(len(forests)), n_trees)[tree] * M
+    phi = np.bincount((column + x_feat).ravel(), minlength=len(forests) * M,
+                      weights=(x_gain * scale).ravel())
+    phi -= np.bincount((column + r_feat).ravel(), minlength=len(forests) * M,
+                       weights=(r_held * (r_loss * scale)).ravel())
+    return phi.reshape(len(forests), M) / background.shape[0]
+
+
 def sample_background(features, size: int = 100, seed: int = 0) -> np.ndarray:
     """Background rows drawn without replacement (all rows if fewer than size)."""
     features = np.asarray(features, dtype=np.float64)
@@ -327,26 +426,67 @@ def sample_background(features, size: int = 100, seed: int = 0) -> np.ndarray:
     return features[rows]
 
 
-def explain_instance(model, x, background, labels, estimator: str = "kernel",
+# Why each other model has no leaf-path form, for the error "tree" raises.
+_NO_TREE_FORM = {
+    "cc": "a classifier chain link thresholds the outputs of earlier forests, "
+          "so its output is not a sum of leaf values",
+    "mlknn": "an ML-kNN output comes from neighbor label counts, not from "
+             "leaf values",
+}
+
+
+def resolve_estimator(model, estimator: str | None = None) -> str:
+    """The estimator ``explain_instance`` runs for ``model``.
+
+    ``None`` means "tree" for a binary relevance model (one forest per label)
+    and "kernel" for any other. An unknown name, or "tree" for a model that
+    is not binary relevance, raises ValueError saying why.
+    """
+    is_br = isinstance(model, multilabel.BRModel)
+    if estimator is None:
+        return "tree" if is_br else "kernel"
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"estimator must be one of {', '.join(ESTIMATORS)}, "
+                         f"got {estimator!r}")
+    if estimator == "tree" and not is_br:
+        algorithm = getattr(model, "algorithm", None)
+        reason = _NO_TREE_FORM.get(algorithm, f"{type(model).__name__} is not "
+                                              "a binary relevance model")
+        raise ValueError(f'estimator "tree" explains binary relevance forests '
+                         f"only: {reason}")
+    return estimator
+
+
+def explain_instance(model, x, background, labels, estimator: str | None = None,
                      budget=None, seed: int = 0, instance=None) -> list[Explanation]:
     """One Explanation per requested label of a fitted multi-label model.
 
     ``model`` must expose ``label_proba_fn(labels)`` returning a batched
     target that maps an (n, M) matrix to (n, len(labels)) probabilities (all
-    mlshap models do). Every label is explained from one pass over the
-    coalitions: the same masks, background rows and regression serve all of
-    them, so each label's phi matches a one-label run to within 1e-12 and its
-    base value and f(x) match exactly.
+    mlshap models do). ``estimator`` is "exact", "kernel" or "tree", and
+    defaults by ``resolve_estimator``: "tree" for binary relevance, "kernel"
+    otherwise. ``budget`` and ``seed`` are read by "kernel" only.
+
+    Every label is explained from one pass: one set of coalitions, background
+    rows and regression for "exact" and "kernel", so each label's phi matches
+    a one-label run to within 1e-12; one walk over the leaf paths of every
+    requested forest for "tree". Each label's base value and f(x) come from
+    the same target calls under every estimator and match a one-label run
+    exactly.
     """
-    if estimator not in ("exact", "kernel"):
-        raise ValueError(f'estimator must be "exact" or "kernel", got {estimator!r}')
+    estimator = resolve_estimator(model, estimator)
     labels = [int(l) for l in labels]
     target = ExplainTarget(f=model.label_proba_fn(labels), n_features=model.n_features)
     if estimator == "exact":
         explanations = exact_shapley(target, x, background, instance=instance)
-    else:
+    elif estimator == "kernel":
         explanations = kernel_shap(target, x, background, budget=budget, seed=seed,
                                    instance=instance)
+    else:
+        x, background = _check_inputs(target, x, background)
+        base, fx, single = _base_and_fx(target, x, background)
+        phi = tree_shap([model.per_label_models[l] for l in labels], x, background)
+        explanations = _explanations(base, phi, fx, x, single, instance, None)
     for expl, l in zip(explanations, labels):
         expl.label = l
         expl.feature_names = getattr(model, "feature_names", None)

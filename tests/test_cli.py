@@ -257,6 +257,56 @@ class TestExplain:
         assert written == {f"explanation_i550_l{l}.json" for l in (1, 2, 12, 13)}
 
 
+@pytest.fixture(scope="module")
+def trained_cc_and_mlknn(small_arff, tmp_path_factory):
+    paths = {}
+    for algo, flags in (("cc", ["--n-trees", "2", "--max-depth", "3"]),
+                        ("mlknn", ["--k", "3"])):
+        out = tmp_path_factory.mktemp(algo)
+        assert run("train", "--data", small_arff, "--labels", "3", "--algo", algo,
+                   *flags, "--seed", "5", "--out", out) == 0
+        paths[algo] = out / "model.json"
+    return paths
+
+
+class TestTreeEstimator:
+    def test_br_default_is_tree_and_reads_no_budget(self, small_arff, trained, tmp_path):
+        common = ["explain", "--data", small_arff, "--labels", "3", "--model", trained,
+                  "--instance", "4", "--background", "8", "--seed", "5"]
+        assert run(*common, "--out", tmp_path / "default") == 0
+        assert run(*common, "--budget", "7", "--out", tmp_path / "budget") == 0
+        assert run(*common, "--estimator", "tree", "--out", tmp_path / "tree") == 0
+        files = sorted(p.name for p in (tmp_path / "tree").iterdir())
+        assert files == [f"explanation_i4_l{l}.json" for l in range(3)]
+        for name in files:
+            want = (tmp_path / "tree" / name).read_bytes()
+            assert (tmp_path / "default" / name).read_bytes() == want
+            assert (tmp_path / "budget" / name).read_bytes() == want
+
+    @pytest.mark.parametrize("algo, reason", [("cc", "not a sum of leaf values"),
+                                              ("mlknn", "neighbor label counts")])
+    def test_tree_on_cc_and_mlknn_exits_2(self, small_arff, trained_cc_and_mlknn,
+                                          tmp_path, capsys, algo, reason):
+        code = run("explain", "--data", small_arff, "--labels", "3",
+                   "--model", trained_cc_and_mlknn[algo], "--instance", "4",
+                   "--estimator", "tree", "--seed", "5", "--out", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert 'estimator "tree" explains binary relevance forests only' in err
+        assert reason in err
+        assert not list(tmp_path.glob("explanation_*.json"))
+
+    def test_unknown_estimator_in_config_exits_2(self, small_arff, trained, tmp_path,
+                                                 capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"estimator": "bogus"}))
+        code = run("explain", "--config", config, "--data", small_arff, "--labels", "3",
+                   "--model", trained, "--instance", "4", "--seed", "5",
+                   "--out", tmp_path)
+        assert code == 2
+        assert "estimator must be one of exact, kernel, tree" in capsys.readouterr().err
+
+
 class TestPlot:
     def test_importance(self, explanation_files, tmp_path):
         assert run("plot", "--kind", "importance", "--in", *explanation_files,

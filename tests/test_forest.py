@@ -17,7 +17,13 @@ from mlshap import (
     tree_rng,
 )
 from mlshap import forest
-from mlshap.forest import _best_split, _entropy_from_positive, forest_from_doc, forest_to_doc
+from mlshap.forest import (
+    _best_split,
+    _entropy_from_positive,
+    forest_from_doc,
+    forest_to_doc,
+    leaf_paths,
+)
 
 from _synth import foodtruck_like
 
@@ -404,3 +410,101 @@ class TestForestBytesMatchOracle:
         monkeypatch.setattr(forest, "_best_split", _best_split_per_feature)
         want = model_to_json(fit_point(algo, ds, params))
         assert got == want
+
+
+def _node_rows(tree, X):
+    """The rows of X that reach each node, by walking the arena in preorder."""
+    rows = {0: np.arange(X.shape[0])}
+    for i in range(tree.n_nodes):
+        if tree.feature[i] >= 0:
+            go_left = X[rows[i], tree.feature[i]] <= tree.threshold[i]
+            rows[tree.left[i]] = rows[i][go_left]
+            rows[tree.right[i]] = rows[i][~go_left]
+    return rows
+
+
+class TestNodeValues:
+    @pytest.mark.parametrize("decimals", [None, 0])
+    def test_every_node_value_is_its_rows_mean(self, decimals):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(150, 5))
+        if decimals is not None:
+            X = np.round(X, decimals)
+        y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(np.int64)
+        params = ForestParams(n_trees=1, max_depth=9, min_samples_leaf=2)
+        tree = fit_tree(X, y, params, tree_rng(3, 0))
+        for node, rows in _node_rows(tree, X).items():
+            assert tree.value[node] == y[rows].mean()
+
+    def test_split_between_adjacent_floats(self):
+        """(a + b) / 2 rounds up onto b; the split at a keeps b's rows on the
+        right, so neither child is empty."""
+        a, b = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+        assert (a + b) / 2.0 == b
+        X = np.array([[a]] * 3 + [[b]] * 3 + [[2.0]] * 4)
+        y = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 1])
+        tree = fit_tree(X, y, ForestParams(n_trees=1, max_features=1), tree_rng(0, 0))
+        assert tree.n_nodes == 3 and tree.threshold[0] == a
+        for node, rows in _node_rows(tree, X).items():
+            assert tree.value[node] == y[rows].mean()
+
+
+def _assert_routes(trees, Q):
+    """Each row of Q meets the intervals of exactly one leaf per tree, the one
+    ``predict`` reaches."""
+    tree, value, feature, lower, upper = leaf_paths(trees)
+    for t, fitted in enumerate(trees):
+        mine = tree == t
+        assert mine.sum() == np.count_nonzero(fitted.feature < 0)
+        f = np.where(feature[mine] >= 0, feature[mine], 0)
+        inside = ((lower[mine] < Q[:, f]) & (Q[:, f] <= upper[mine])).all(axis=2)
+        assert np.all(inside.sum(axis=1) == 1)
+        np.testing.assert_array_equal(value[mine][inside.argmax(axis=1)],
+                                      fitted.predict(Q))
+
+
+class TestLeafPaths:
+    @pytest.mark.parametrize("decimals", [None, 0])
+    def test_each_row_reaches_the_leaf_predict_reaches(self, decimals):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(200, 6))
+        if decimals is not None:
+            X = np.round(X, decimals)
+        y = (X[:, 0] * X[:, 1] + X[:, 2] > 0).astype(int)
+        trees = fit_forest(X, y, ForestParams(n_trees=6, max_depth=7, seed=2)).trees
+        Q = np.concatenate([rng.normal(size=(300, 6)), np.round(X[:50]), X[:50]])
+        _assert_routes(trees, Q)
+
+    def test_a_looser_repeated_split_keeps_the_tighter_bound(self):
+        """Hand-written arena: below x0 <= 1 a split at 2 (never false), and
+        above it one at 0.5 (never true); the unreachable leaves get empty
+        intervals."""
+        tree = DecisionTree(
+            feature=np.array([0, 0, -1, -1, 0, -1, -1]),
+            threshold=np.array([1.0, 2.0, 0.0, 0.0, 0.5, 0.0, 0.0]),
+            left=np.array([1, 2, -1, -1, 5, -1, -1]),
+            right=np.array([4, 3, -1, -1, 6, -1, -1]),
+            value=np.array([0.5, 0.5, 0.1, 0.2, 0.5, 0.3, 0.4]),
+        )
+        Q = np.linspace(-1.0, 3.0, 81)[:, None]  # 0.5, 1 and 2 among them
+        _assert_routes([tree], Q)
+
+    def test_columns_are_distinct_path_features(self):
+        rng = np.random.default_rng(14)
+        X = np.round(rng.normal(size=(200, 3)), 1)  # few features: many repeats
+        y = (X[:, 0] * X[:, 1] > 0).astype(int)
+        trees = fit_forest(X, y, ForestParams(n_trees=3, max_depth=10, seed=1)).trees
+        tree, value, feature, lower, upper = leaf_paths(trees)
+        assert feature.shape[1] <= 3
+        for row in feature:
+            real = row[row >= 0]
+            assert real.size == np.unique(real).size
+            assert np.all(row[real.size:] == -1)  # padding after the real columns
+        pad = feature < 0
+        assert np.all(lower[pad] == -np.inf) and np.all(upper[pad] == np.inf)
+        assert np.all(lower[~pad] < upper[~pad])
+
+    def test_a_single_leaf_tree(self):
+        tree, value, feature, lower, upper = leaf_paths([leaf_tree(0.25)])
+        assert tree.tolist() == [0] and value.tolist() == [0.25]
+        assert np.all(feature == -1) and np.all(np.isinf(lower) & np.isinf(upper))

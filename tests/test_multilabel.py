@@ -624,3 +624,32 @@ class TestModelContract:
         for bad in ([5], [-1], []):
             with pytest.raises(ValueError, match="label"):
                 model.label_proba_fn(bad)
+
+    @pytest.mark.parametrize("maker", MODEL_MAKERS, ids=["br", "cc", "mlknn"])
+    @pytest.mark.parametrize("field, names", [
+        ("label_names", ["only"]), ("label_names", ["a", "b", "c", "d"]),
+        ("feature_names", ["only"]), ("feature_names", [f"f{i}" for i in range(7)]),
+    ])
+    def test_model_document_rejects_name_count(self, small_dataset, maker, field, names):
+        doc = maker(small_dataset).to_doc()
+        doc[field] = names
+        with pytest.raises(ValueError, match=f"{field} must have"):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize("field", ["label_names", "feature_names"])
+    @pytest.mark.parametrize("maker", MODEL_MAKERS, ids=["br", "cc", "mlknn"])
+    def test_explain_exits_1_on_a_wrong_name_count(self, tmp_path, capsys, maker, field):
+        ds = planted_dataset("names", 30, 4, 3, seed=1)
+        data = tmp_path / "names.arff"
+        write_arff(ds, data)
+        doc = maker(ds).to_doc()
+        doc[field] = ["only"]
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        code = main([str(a) for a in ["explain", "--data", data, "--labels", "3",
+                                      "--model", tmp_path / "model.json",
+                                      "--instance", "0", "--budget", "16",
+                                      "--background", "5", "--seed", "1",
+                                      "--out", tmp_path]])
+        assert code == 1
+        assert f"error: {field} must have" in capsys.readouterr().err
+        assert not list(tmp_path.glob("explanation_*.json"))

@@ -22,7 +22,10 @@ from mlshap import (
     save_explanation,
     solve_weighted_ls,
 )
-from mlshap.shapley import Explanation, _size_order
+from mlshap import multilabel
+from mlshap.data import Dataset
+from mlshap.evaluation import PRESETS
+from mlshap.shapley import Explanation, _size_order, resolve_estimator, tree_shap
 
 from _synth import planted_dataset
 
@@ -316,7 +319,135 @@ class TestExplainInstance:
         with pytest.raises(ValueError, match="estimator"):
             explain_instance(model, small_dataset.features[0],
                              small_dataset.features[:5], labels=[0],
-                             estimator="tree")
+                             estimator="bogus")
+
+
+def _br_case(name, params, n=90, d=8, L=3, seed=0, decimals=None):
+    """A BR model on a planted dataset, its background and one instance."""
+    ds = planted_dataset(name, n, d, L, seed=seed)
+    if decimals is not None:  # coarse values: repeated features and thresholds
+        ds = Dataset(ds.name, np.round(ds.features, decimals), ds.feature_names,
+                     ds.labels, ds.label_names)
+    model = fit_br(ds, ForestParams(**params))
+    return model, sample_background(ds.features, size=7, seed=seed), ds.features[3]
+
+
+def _forest_params(preset, **overrides):
+    """The ForestParams fields of a training preset, with overrides."""
+    params = dict(PRESETS[preset], **overrides)
+    return {k: v for k, v in params.items() if k in ForestParams.__dataclass_fields__}
+
+
+BR_CASES = {
+    "paper-br": _forest_params("paper-br", n_trees=4, seed=1),
+    "paper-cc-forests": _forest_params("paper-cc", n_trees=5, seed=3),
+    "defaults": dict(n_trees=4, seed=2),
+    "min-leaf-5": dict(n_trees=3, max_depth=8, min_samples_leaf=5, seed=4),
+    "no-bootstrap": dict(n_trees=3, max_depth=6, bootstrap=False, seed=5),
+    "stumps": dict(n_trees=6, max_depth=1, seed=6),
+    "all-features": dict(n_trees=3, max_depth=10, max_features=8, seed=7),
+}
+
+
+class TestTreeShap:
+    """``estimator="tree"`` against the oracles, on BR forests."""
+
+    @pytest.mark.parametrize("decimals", [None, 0], ids=["continuous", "integer"])
+    @pytest.mark.parametrize("case", sorted(BR_CASES))
+    def test_matches_exact_and_full_kernel(self, case, decimals):
+        model, bg, x = _br_case(case, BR_CASES[case], decimals=decimals)
+        labels = [2, 0, 1]
+        tree = explain_instance(model, x, bg, labels, estimator="tree", instance=3)
+        exact = explain_instance(model, x, bg, labels, estimator="exact")
+        kern = explain_instance(model, x, bg, labels, estimator="kernel", budget="full")
+        assert [e.label for e in tree] == labels
+        for t, e, k in zip(tree, exact, kern):
+            np.testing.assert_allclose(t.phi, e.phi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(t.phi, k.phi, rtol=0, atol=1e-10)
+            assert t.local_accuracy_gap() <= 1e-12
+            assert t.base_value == k.base_value and t.fx == k.fx
+            assert t.instance == 3 and t.feature_names == model.feature_names
+
+    def test_instance_and_background_on_the_thresholds(self):
+        """x <= threshold goes left: values equal to a threshold, as predict sends them."""
+        model, bg, x = _br_case("ties", BR_CASES["defaults"], decimals=0)
+        trees = [t for f in model.per_label_models for t in f.trees]
+        split = np.concatenate([t.feature for t in trees]) >= 0
+        feats = np.concatenate([t.feature for t in trees])[split]
+        thresholds = np.concatenate([t.threshold for t in trees])[split]
+        rng = np.random.default_rng(0)
+        x, bg = x.copy(), bg.copy()
+        for row in (x, *bg):
+            for j in rng.choice(feats.size, size=6, replace=False):
+                row[feats[j]] = thresholds[j]
+        tree = explain_instance(model, x, bg, [0, 1, 2], estimator="tree")
+        exact = explain_instance(model, x, bg, [0, 1, 2], estimator="exact")
+        for t, e in zip(tree, exact):
+            np.testing.assert_allclose(t.phi, e.phi, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bg_shape", ["vector", "one-row"])
+    def test_single_background_row(self, bg_shape):
+        model, bg, x = _br_case("one", BR_CASES["paper-br"])
+        b = bg[0] if bg_shape == "vector" else bg[:1]
+        tree = explain_instance(model, x, b, [0, 1, 2], estimator="tree")
+        exact = explain_instance(model, x, b, [0, 1, 2], estimator="exact")
+        for t, e in zip(tree, exact):
+            np.testing.assert_allclose(t.phi, e.phi, rtol=0, atol=1e-12)
+            assert t.base_value == e.base_value
+
+    def test_constant_forest_gets_zero_phi(self):
+        ds = planted_dataset("const", 40, 5, 2, seed=3)
+        labels = ds.labels.copy()
+        labels[:, 1] = 1  # every tree of label 1 is one leaf
+        ds = Dataset(ds.name, ds.features, ds.feature_names, labels, ds.label_names)
+        model = fit_br(ds, ForestParams(n_trees=3, max_depth=4, seed=0))
+        bg = ds.features[:6]
+        tree = explain_instance(model, ds.features[7], bg, [1, 0], estimator="tree")
+        assert np.all(tree[0].phi == 0.0) and tree[0].fx == 1.0
+        exact = explain_instance(model, ds.features[7], bg, [0], estimator="exact")
+        np.testing.assert_allclose(tree[1].phi, exact[0].phi, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(tree_shap(model.per_label_models[1:], ds.features[7], bg),
+                                      np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("budget", [1, 1 << 14])
+    def test_blocks_match_one_block(self, monkeypatch, budget):
+        """One background row per block (budget 1) or a few, against one block."""
+        model, bg, x = _br_case("blocks", BR_CASES["defaults"], d=10)
+        forests = model.per_label_models
+        whole = tree_shap(forests, x, bg)
+        monkeypatch.setattr(multilabel, "_BLOCK_BYTES", budget)
+        np.testing.assert_allclose(tree_shap(forests, x, bg), whole, rtol=0, atol=1e-14)
+
+    def test_default_on_br_is_tree(self):
+        model, bg, x = _br_case("default", BR_CASES["paper-br"])
+        default = explain_instance(model, x, bg, [0, 2], seed=5, instance=3)
+        tree = explain_instance(model, x, bg, [0, 2], estimator="tree", instance=3)
+        for d, t in zip(default, tree):
+            np.testing.assert_array_equal(d.phi, t.phi)
+            assert (d.base_value, d.fx, d.label) == (t.base_value, t.fx, t.label)
+
+    def test_wide_model(self):
+        """Beyond the enumeration cap: local accuracy, and the dummy axiom for
+        every feature no tree of the label splits on."""
+        model, bg, x = _br_case("wide", dict(n_trees=3, max_depth=12, seed=8), d=40)
+        for expl in explain_instance(model, x, bg, [0, 1, 2]):
+            assert expl.local_accuracy_gap() <= 1e-12
+            used = {int(f) for t in model.per_label_models[expl.label].trees
+                    for f in t.feature if f >= 0}
+            unused = sorted(set(range(40)) - used)
+            assert np.all(expl.phi[unused] == 0.0)
+
+    @pytest.mark.parametrize("fit", [
+        lambda ds: fit_cc(ds, ForestParams(n_trees=2, max_depth=3, seed=1), seed=2),
+        lambda ds: fit_mlknn(ds, k=5),
+    ], ids=["cc", "mlknn"])
+    def test_refused_beyond_br(self, small_dataset, fit):
+        model = fit(small_dataset)
+        reason = {"cc": "not a sum of leaf values", "mlknn": "neighbor label counts"}
+        with pytest.raises(ValueError, match=reason[model.algorithm]):
+            explain_instance(model, small_dataset.features[0],
+                             small_dataset.features[:5], labels=[0], estimator="tree")
+        assert resolve_estimator(model) == "kernel"
 
 
 class TestShapleyProperties:
