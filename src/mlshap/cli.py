@@ -131,6 +131,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Integer settings and the least value each takes. Only a missing (None)
+# value means "use the default"; 0 is a value like any other.
+_INT_MINIMUMS = {"seed": 0, "instance": 0, "background": 1, "reps": 1, "folds": 2}
+_STR_KEYS = ("data", "format", "out", "model", "algo", "preset", "scoring", "estimator")
+
+
+def _flag(key) -> str:
+    return f"--{key.replace('_', '-')}"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_values(cfg) -> None:
+    """Raise UsageError naming the flag of any set value of the wrong type or
+    range; config-file values skip argparse's types, so this checks both."""
+    for key, least in _INT_MINIMUMS.items():
+        value = cfg.get(key)
+        if value is not None and not (_is_int(value) and value >= least):
+            raise UsageError(f"{_flag(key)} must be an integer >= {least}, "
+                             f"got {value!r}")
+    for key in _STR_KEYS:
+        if cfg.get(key) is not None and not isinstance(cfg[key], str):
+            raise UsageError(f"{_flag(key)} must be a string, got {cfg[key]!r}")
+    if cfg.get("preset") is not None and cfg["preset"] not in PRESETS:
+        raise UsageError(f"--preset must be one of {', '.join(sorted(PRESETS))}, "
+                         f"got {cfg['preset']!r}")
+    if cfg.get("order") is not None and not isinstance(cfg["order"], (str, list)):
+        raise UsageError(f'--order must be "random" or a list of label indices, '
+                         f"got {cfg['order']!r}")
+    labels = cfg.get("labels")
+    if labels is not None and not (
+            _is_int(labels) or (isinstance(labels, list)
+                                and all(isinstance(l, str) for l in labels))):
+        raise UsageError(f"--labels must be a label count or a list of label names, "
+                         f"got {labels!r}")
+    label_ids = cfg.get("label_ids")
+    if label_ids is not None and not (
+            isinstance(label_ids, list) and label_ids
+            and all(_is_int(l) for l in label_ids)):
+        raise UsageError(f"--label-ids must be a non-empty list of label indices, "
+                         f"got {label_ids!r}")
+    budget = cfg.get("budget")
+    if budget is not None and not (_is_int(budget) or budget == "full"):
+        raise UsageError(f'--budget must be an integer or "full", got {budget!r}')
+
+
 def _merge_config(ns) -> dict:
     """Config file values overridden by any flag given on the command line."""
     merged = {}
@@ -155,13 +203,24 @@ def _merge_config(ns) -> dict:
     if isinstance(merged.get("labels"), str):
         merged["labels"] = _parse_labels_flag(merged["labels"])
     if isinstance(merged.get("label_ids"), str):
-        merged["label_ids"] = [int(v) for v in merged["label_ids"].split(",") if v]
+        try:
+            merged["label_ids"] = [int(v) for v in merged["label_ids"].split(",") if v]
+        except ValueError:
+            raise UsageError(f"--label-ids must be comma-separated integers, "
+                             f"got {merged['label_ids']!r}")
+    _check_values(merged)
     return merged
+
+
+def _get(cfg, key, default):
+    """``cfg[key]``, or ``default`` when it is unset (None)."""
+    value = cfg.get(key)
+    return default if value is None else value
 
 
 def _require(cfg, key):
     if cfg.get(key) is None:
-        raise UsageError(f"--{key.replace('_', '-')} is required")
+        raise UsageError(f"{_flag(key)} is required")
     return cfg[key]
 
 
@@ -169,7 +228,7 @@ def _load_dataset(cfg):
     path = Path(_require(cfg, "data"))
     if not path.exists():
         raise UsageError(f"data file not found: {path}")
-    fmt = cfg.get("format") or path.suffix.lstrip(".").lower()
+    fmt = _get(cfg, "format", path.suffix.lstrip(".").lower())
     labels = _require(cfg, "labels")
     if fmt == "arff":
         return load_arff(path, labels)
@@ -181,7 +240,7 @@ def _load_dataset(cfg):
 
 
 def _out_dir(cfg) -> Path:
-    out = Path(cfg.get("out") or ".")
+    out = Path(_get(cfg, "out", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -264,10 +323,10 @@ def cmd_tune(cfg) -> int:
         grid = ParamGrid(algorithm=algo, axes=axes)
     except ValueError as err:
         raise UsageError(f"--grid: {err}")
-    foldplan = make_folds(dataset.n_instances, cfg.get("reps") or 2,
-                          cfg.get("folds") or 5, seed)
+    foldplan = make_folds(dataset.n_instances, _get(cfg, "reps", 2),
+                          _get(cfg, "folds", 5), seed)
     report = grid_search(dataset, grid, foldplan,
-                         scoring=cfg.get("scoring") or "hamming_loss")
+                         scoring=_get(cfg, "scoring", "hamming_loss"))
     out = _out_dir(cfg)
     report_path = out / "cv_report.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
@@ -298,7 +357,7 @@ def cmd_explain(cfg) -> int:
     if not 0 <= instance < dataset.n_instances:
         raise UsageError(f"instance {instance} out of range "
                          f"[0, {dataset.n_instances})")
-    label_ids = cfg.get("label_ids") or list(range(model.n_labels))
+    label_ids = _get(cfg, "label_ids", list(range(model.n_labels)))
     bad = [l for l in label_ids if not 0 <= l < model.n_labels]
     if bad:
         raise UsageError(f"label ids out of range: {bad}")
@@ -312,7 +371,7 @@ def cmd_explain(cfg) -> int:
             f"has {model.n_features}. Use --estimator kernel."
         )
     background = sample_background(dataset.features,
-                                   size=cfg.get("background") or 100, seed=seed)
+                                   size=_get(cfg, "background", 100), seed=seed)
     explanations = explain_instance(
         model, dataset.features[instance], background, label_ids,
         estimator=estimator, budget=cfg.get("budget"), seed=seed, instance=instance,

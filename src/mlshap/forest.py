@@ -123,7 +123,12 @@ class RandomForest:
             raise ValueError(
                 f"input width {X.shape[1]} does not match training width {self.n_features}"
             )
-        out = np.mean([tree.predict(X) for tree in self.trees], axis=0)
+        # A running total in tree order sums as np.mean over the stacked
+        # per-tree predictions does, without holding them all.
+        total = self.trees[0].predict(X)
+        for tree in self.trees[1:]:
+            total += tree.predict(X)
+        out = total / len(self.trees)
         return float(out[0]) if single else out
 
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from . import _json
+from . import _blocks, _json
 from .data import Dataset
 from .forest import ForestParams, fit_forest, forest_from_doc, forest_to_doc
 
@@ -47,7 +47,8 @@ class MultiLabelModel:
                              f"feature, got {len(self.feature_names)}")
 
     def _proba_matrix(self, X: np.ndarray, labels: list[int]) -> np.ndarray:
-        """(n, len(labels)) probabilities of the requested labels, in that order."""
+        """(n, len(labels)) probabilities of the requested labels, in that order,
+        in C order (so the explainers can reshape it without a copy)."""
         raise NotImplementedError
 
     def _label_ids(self, labels) -> list[int]:
@@ -133,17 +134,23 @@ class CCModel(MultiLabelModel):
                                  f"expected {n_features + j}")
 
     def _proba_matrix(self, X, labels):
-        """Runs links 0..p only, p the deepest chain position requested."""
+        """Runs links 0..p only, p the deepest chain position requested.
+
+        One augmented matrix holds the features and every earlier decision;
+        link j reads its first M + j columns, and its 0/1 decision is written
+        in place as column M + j.
+        """
         positions = [self.chain_order.index(l) for l in labels]
         last = max(positions)
-        aug = X
-        probas = []
+        M = self.n_features
+        aug = np.empty((X.shape[0], M + last))
+        aug[:, :M] = X
+        probas = np.empty((X.shape[0], last + 1))
         for j in range(last + 1):
-            p = self.chained_models[j].predict_proba(aug)
-            probas.append(p)
+            probas[:, j] = self.chained_models[j].predict_proba(aug[:, :M + j])
             if j < last:
-                aug = np.column_stack([aug, (p >= 0.5).astype(np.float64)])
-        return np.column_stack([probas[j] for j in positions])
+                aug[:, M + j] = probas[:, j] >= 0.5
+        return probas.take(positions, axis=1)
 
     def _payload(self):
         return {
@@ -213,7 +220,8 @@ class MLKNNModel(MultiLabelModel):
         return p1 / (p1 + p0)
 
     def _proba_matrix(self, X, labels):
-        return self._posterior(_neighbors(X, self.train_features, self.k))[:, labels]
+        return self._posterior(_neighbors(X, self.train_features, self.k)).take(
+            labels, axis=1)
 
     def _payload(self):
         return {
@@ -222,13 +230,6 @@ class MLKNNModel(MultiLabelModel):
             "train_features": self.train_features.tolist(),
             "train_labels": self.train_labels.tolist(),
         }
-
-
-# A block of work stays within this many bytes (a block holds at least one
-# row): here a neighbor query's (rows, n_train) float64 distances plus the
-# selection's float64 partition of them, and in ``shapley.tree_shap`` the
-# (background rows, path features, leaves) cells.
-_BLOCK_BYTES = 32 * 2**20
 
 
 def _nearest(d2, k: int):
@@ -266,22 +267,21 @@ def _nearest(d2, k: int):
 
 def _neighbors(X, train_features, k: int, *, exclude_self: bool = False):
     """``_nearest`` of each row of ``X`` among ``train_features`` (squared
-    Euclidean), in blocks of rows whose distances and their partition fit
-    ``_BLOCK_BYTES``.
+    Euclidean), in blocks of rows within the byte budget of ``_blocks``: per
+    row, the float64 distances to every training row and their partition.
 
     ``cdist`` computes every row on its own, so the blocks change no distance
     and no index. With ``exclude_self``, ``X`` is ``train_features`` and each
     row's own entry is set to inf.
     """
     n_train = train_features.shape[0]
-    rows = max(1, _BLOCK_BYTES // (16 * n_train))
     nn = np.empty((X.shape[0], min(k, n_train)), dtype=np.intp)
-    for start in range(0, X.shape[0], rows):
-        d2 = cdist(X[start:start + rows], train_features, "sqeuclidean")
+    for rows in _blocks.row_slices(X.shape[0], 16 * n_train):
+        d2 = cdist(X[rows], train_features, "sqeuclidean")
         if exclude_self:
             own = np.arange(d2.shape[0])
-            d2[own, start + own] = np.inf
-        nn[start:start + rows] = _nearest(d2, k)
+            d2[own, rows.start + own] = np.inf
+        nn[rows] = _nearest(d2, k)
     return nn
 
 

@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from . import _json, multilabel
-from .forest import leaf_paths
+from . import _blocks, _json, multilabel
+from .forest import _as_int, leaf_paths
 
 ENUMERATION_CAP = 16  # exact enumeration and budget="full" refuse beyond this
 DEFAULT_BUDGET_EXTRA = 2048  # default kernel budget is 2*M + this
@@ -105,18 +105,18 @@ def _at_instance(target, x):
     return out.reshape(-1), out.ndim == 1
 
 
-def _coalition_values(target, x, masks, background):
+def _coalition_values(target, x, masks, background, n_outputs):
     """Mean model output over background-completed rows: (n_masks, L).
 
-    Chunked so the synthesized (masks x background) row block stays small.
+    Masks run in blocks within the byte budget: per mask, the B synthesized
+    rows of width M and the target's (B, L) output with its transposed copy.
     Each mean runs along a contiguous axis of length B, so it sums in the
-    same order whatever L is.
+    same order whatever L is and however the masks are blocked.
     """
     B, M = background.shape
-    chunk = max(1, 65536 // B)
     parts = []
-    for start in range(0, masks.shape[0], chunk):
-        block = masks[start:start + chunk]
+    for rows in _blocks.row_slices(masks.shape[0], 8 * B * (M + 2 * n_outputs)):
+        block = masks[rows]
         synth = np.where(block[:, None, :], x[None, None, :], background[None, :, :])
         out = np.asarray(target.f(synth.reshape(-1, M)), dtype=np.float64)
         out = out.reshape(block.shape[0], B, -1)
@@ -128,7 +128,8 @@ def _base_and_fx(target, x, background):
     """phi_0 (the empty coalition's value), f(x), and whether f is 1-D."""
     fx, single = _at_instance(target, x)
     M = target.n_features
-    base = _coalition_values(target, x, np.zeros((1, M), dtype=bool), background)[0]
+    base = _coalition_values(target, x, np.zeros((1, M), dtype=bool), background,
+                             len(fx))[0]
     return base, fx, single
 
 
@@ -152,7 +153,8 @@ def eval_coalition(target: ExplainTarget, x, mask, background) -> float:
         raise ValueError("mask width does not match target width")
     if mask.all():
         return _at_instance(target, x)[0].item()
-    return _coalition_values(target, x, mask[None, :], background).item()
+    # One mask is one block whatever the output width; .item() wants one output.
+    return _coalition_values(target, x, mask[None, :], background, 1).item()
 
 
 def exact_shapley(target: ExplainTarget, x, background,
@@ -172,8 +174,9 @@ def exact_shapley(target: ExplainTarget, x, background,
     n_masks = 1 << M
     ints = np.arange(n_masks, dtype=np.int64)
     bits = ((ints[:, None] >> np.arange(M)) & 1).astype(bool)
-    values = np.ascontiguousarray(_coalition_values(target, x, bits, background).T)
     fx, single = _at_instance(target, x)
+    values = np.ascontiguousarray(
+        _coalition_values(target, x, bits, background, len(fx)).T)
     values[:, -1] = fx  # full coalition is exactly f(x)
     base = values[:, 0].copy()
 
@@ -282,6 +285,22 @@ def solve_weighted_ls(design: np.ndarray, weights: np.ndarray,
     return scipy.linalg.cho_solve(factor, rhs)
 
 
+def _coalition_budget(budget, M: int) -> int:
+    """The number of proper coalitions ``kernel_shap`` evaluates for ``budget``."""
+    total_proper = (1 << M) - 2
+    if budget is None:
+        return min(2 * M + DEFAULT_BUDGET_EXTRA, total_proper)
+    if budget == "full":
+        if M > ENUMERATION_CAP:
+            raise ValueError(f'budget="full" is capped at {ENUMERATION_CAP} features, '
+                             f"target has {M}")
+        return total_proper
+    n_budget = _as_int("budget", budget, 'an integer or "full"')
+    if n_budget < 2:
+        raise ValueError("budget must be at least 2 coalition evaluations")
+    return min(n_budget, total_proper)
+
+
 def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0,
                 instance=None, label=None):
     """Attributions from the kernel-weighted surrogate regression.
@@ -296,28 +315,15 @@ def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0
     """
     x, background = _check_inputs(target, x, background)
     M = target.n_features
+    n_budget = _coalition_budget(budget, M)
     base, fx, single = _base_and_fx(target, x, background)
     if M == 1:
         # Both constraints pin the single attribution; nothing to regress.
         return _explanations(base, (fx - base)[:, None], fx, x, single, instance, label)
 
-    total_proper = (1 << M) - 2
-    if budget == "full":
-        if M > ENUMERATION_CAP:
-            raise ValueError(f'budget="full" is capped at {ENUMERATION_CAP} features, '
-                             f"target has {M}")
-        n_budget = total_proper
-    elif budget is None:
-        n_budget = min(2 * M + DEFAULT_BUDGET_EXTRA, total_proper)
-    else:
-        n_budget = int(budget)
-        if n_budget < 2:
-            raise ValueError("budget must be at least 2 coalition evaluations")
-        n_budget = min(n_budget, total_proper)
-
     rng = np.random.default_rng(seed)
     masks, weights = _sample_coalitions(M, n_budget, rng)
-    values = _coalition_values(target, x, masks, background)
+    values = _coalition_values(target, x, masks, background, len(fx))
 
     # Substitute phi_e = (fx - base) - sum(other phi) to enforce g(full) = fx.
     Z = masks.astype(np.float64)
@@ -378,7 +384,7 @@ def tree_shap(forests, x, background) -> np.ndarray:
     those x misses (the r side) are all r-only on a live leaf, and the leaf
     is live exactly when r meets every one of them. Work runs in
     (background, path features, leaves) blocks, cut along the background rows
-    so each stays within ``multilabel._BLOCK_BYTES``.
+    so each stays within the byte budget of ``_blocks``.
     """
     x = np.asarray(x, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
@@ -395,10 +401,9 @@ def tree_shap(forests, x, background) -> np.ndarray:
     r_loss = np.zeros(value.shape[0])
     # 16 bytes per (row, path feature, leaf) cell: the float64 gather beside
     # the boolean masks.
-    cells = max(1, x_feat.size + r_feat.size)
-    rows = max(1, multilabel._BLOCK_BYTES // (16 * cells))
-    for start in range(0, background.shape[0], rows):
-        block = background[start:start + rows]
+    cells = x_feat.size + r_feat.size
+    for rows in _blocks.row_slices(background.shape[0], 16 * cells):
+        block = background[rows]
         live = _within(np.take(block, r_feat, axis=1), r_lower, r_upper).all(axis=1)
         miss = ~_within(np.take(block, x_feat, axis=1), x_lower, x_upper)
         n_x = miss.sum(axis=1)

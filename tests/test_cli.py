@@ -307,6 +307,78 @@ class TestTreeEstimator:
         assert "estimator must be one of exact, kernel, tree" in capsys.readouterr().err
 
 
+class TestNumericInputs:
+    """A numeric flag or config value of the wrong type or range exits 2 naming
+    its flag, before any output; only an unset (null) value takes the default."""
+
+    @staticmethod
+    def _config(command, small_arff, trained, out):
+        base = {"data": str(small_arff), "labels": 3, "seed": 5, "out": str(out)}
+        return dict(base, **{
+            "train": {"algo": "br", "n_trees": 1},
+            "tune": {"algo": "mlknn", "grid": {"k": [2]}},
+            "explain": {"model": str(trained), "instance": 4},
+        }[command])
+
+    @pytest.mark.parametrize("command, flags, bad, flag", [
+        ("explain", ["--background", "0"], {}, "--background"),
+        ("explain", ["--background", "-5"], {}, "--background"),
+        ("tune", ["--reps", "0"], {}, "--reps"),
+        ("tune", ["--folds", "0"], {}, "--folds"),
+        ("tune", ["--folds", "1"], {}, "--folds"),
+        ("explain", ["--label-ids", "0,a"], {}, "--label-ids"),
+        ("explain", [], {"background": 2.5}, "--background"),
+        ("explain", [], {"instance": "3"}, "--instance"),
+        ("explain", [], {"instance": -1}, "--instance"),
+        ("explain", [], {"label_ids": ["0"]}, "--label-ids"),
+        ("explain", [], {"label_ids": 0}, "--label-ids"),
+        ("explain", [], {"label_ids": []}, "--label-ids"),
+        ("explain", [], {"label_ids": [True]}, "--label-ids"),
+        ("explain", [], {"budget": "7"}, "--budget"),
+        ("explain", [], {"budget": 2.5}, "--budget"),
+        ("explain", [], {"seed": "x"}, "--seed"),
+        ("tune", [], {"reps": 1.5}, "--reps"),
+        ("tune", [], {"folds": True}, "--folds"),
+        ("train", [], {"labels": 12.5}, "--labels"),
+        ("train", [], {"labels": [0, 1]}, "--labels"),
+        ("train", [], {"seed": -1}, "--seed"),
+        ("train", [], {"out": 5}, "--out"),
+        ("train", [], {"data": 5}, "--data"),
+        ("train", [], {"preset": 3}, "--preset"),
+        ("train", [], {"preset": "bogus"}, "--preset"),
+        ("train", [], {"algo": "cc", "order": 5}, "--order"),
+    ])
+    def test_exits_2_naming_the_flag(self, small_arff, trained, tmp_path, capsys,
+                                     command, flags, bad, flag):
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(
+            self._config(command, small_arff, trained, out), **bad)))
+        assert run(command, "--config", config, *flags) == 2
+        assert f"error: {flag} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_takes_the_default(self, small_arff, trained, tmp_path):
+        config = tmp_path / "config.json"
+        outs = []
+        for extra in ({}, {"background": None, "label_ids": None, "budget": None}):
+            outs.append(tmp_path / f"out{len(outs)}")
+            config.write_text(json.dumps(dict(
+                self._config("explain", small_arff, trained, outs[-1]),
+                estimator="kernel", **extra)))
+            assert run("explain", "--config", config) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert len(names) == 3
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_smallest_values_are_taken(self, small_arff, trained, tmp_path):
+        assert run("explain", "--data", small_arff, "--labels", "3",
+                   "--model", trained, "--instance", "0", "--label-ids", "0",
+                   "--background", "1", "--seed", "0", "--out", tmp_path) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["explanation_i0_l0.json"]
+
+
 class TestPlot:
     def test_importance(self, explanation_files, tmp_path):
         assert run("plot", "--kind", "importance", "--in", *explanation_files,

@@ -253,11 +253,13 @@ class TestFitForest:
         )
         assert forest.predict_proba(np.zeros(3)) == 0.4
 
-    def test_mean_is_exact_tree_average(self):
+    @pytest.mark.parametrize("n_trees", [1, 2, 3, 5, 7, 100])
+    def test_mean_is_exact_tree_average(self, n_trees):
+        """Bit-equal to np.mean over the stacked per-tree predictions."""
         rng = np.random.default_rng(14)
         X = rng.normal(size=(50, 4))
         y = rng.integers(0, 2, size=50)
-        forest = fit_forest(X, y, ForestParams(n_trees=7, seed=3))
+        forest = fit_forest(X, y, ForestParams(n_trees=n_trees, seed=3))
         Q = rng.normal(size=(20, 4))
         expected = np.mean([t.predict(Q) for t in forest.trees], axis=0)
         np.testing.assert_array_equal(forest.predict_proba(Q), expected)

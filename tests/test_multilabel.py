@@ -21,7 +21,7 @@ from mlshap import (
     save_model,
     split,
 )
-from mlshap import multilabel
+from mlshap import _blocks, multilabel
 from mlshap.cli import main
 from mlshap.multilabel import (
     MLKNNModel,
@@ -187,6 +187,28 @@ class TestClassifierChain:
             labels = [model.chain_order[p], model.chain_order[0]]
             model.label_proba_fn(labels)(ds.features[:4])
             assert calls == [1] * (p + 1) + [0] * (L - p - 1)
+
+    def test_one_augmented_matrix_equals_column_stack_chain(self):
+        """Every deepest chain position: the in-place augmented matrix gives the
+        bits of the chain that column_stacks each decision onto a new copy."""
+        ds = planted_dataset("chain", 80, 6, 5, seed=11)
+        model = fit_cc(ds, ForestParams(n_trees=3, max_depth=4, seed=1), seed=3)
+        X = ds.features[:30]
+
+        def column_stack_chain(labels):
+            positions = [model.chain_order.index(l) for l in labels]
+            aug, probas = X, []
+            for j in range(max(positions) + 1):
+                p = model.chained_models[j].predict_proba(aug)
+                probas.append(p)
+                aug = np.column_stack([aug, (p >= 0.5).astype(np.float64)])
+            return np.column_stack([probas[j] for j in positions])
+
+        for p in range(model.n_labels):
+            labels = [model.chain_order[p], model.chain_order[0]]
+            got = model._proba_matrix(X, labels)
+            np.testing.assert_array_equal(got, column_stack_chain(labels))
+            assert got.flags.c_contiguous
 
     def test_constant_link_ignores_earlier_links(self, small_dataset):
         """A pure-leaf link's output cannot depend on what came before it."""
@@ -437,7 +459,7 @@ class TestNearest:
 
 
 class TestNeighborBlocks:
-    """Queries split into row blocks within ``_BLOCK_BYTES`` equal the
+    """Queries split into row blocks within ``_blocks._BLOCK_BYTES`` equal the
     unblocked query bit for bit."""
 
     @pytest.fixture()
@@ -469,7 +491,7 @@ class TestNeighborBlocks:
             oracle.setattr(multilabel, "_nearest", stable_nearest)
             expected_grid = predict_mlknn_grid(train, X, points)
 
-        monkeypatch.setattr(multilabel, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
         blocks.clear()
         proba = model.predict_proba(X)
         assert [r for r, _ in blocks] == (
@@ -486,7 +508,7 @@ class TestNeighborBlocks:
     def test_a_block_holds_at_least_one_row(self, monkeypatch, blocks, rng):
         train = rng.normal(size=(20, 3))
         X = rng.normal(size=(4, 3))
-        monkeypatch.setattr(multilabel, "_BLOCK_BYTES", 16)
+        monkeypatch.setattr(_blocks, "_BLOCK_BYTES", 16)
         nn = _neighbors(X, train, 3)
         assert blocks == [(1, 20)] * 4
         np.testing.assert_array_equal(
@@ -496,7 +518,7 @@ class TestNeighborBlocks:
         train = rng.normal(size=(3000, 2))
         _neighbors(rng.normal(size=(3000, 2)), train, 5)
         assert len(blocks) == 5
-        assert all(r * c * 16 <= multilabel._BLOCK_BYTES for r, c in blocks)
+        assert all(r * c * 16 <= _blocks._BLOCK_BYTES for r, c in blocks)
 
     def test_empty_query(self, rng):
         assert _neighbors(np.empty((0, 3)), rng.normal(size=(5, 3)), 2).shape == (0, 2)

@@ -22,10 +22,16 @@ from mlshap import (
     save_explanation,
     solve_weighted_ls,
 )
-from mlshap import multilabel
+from mlshap import _blocks, multilabel
 from mlshap.data import Dataset
 from mlshap.evaluation import PRESETS
-from mlshap.shapley import Explanation, _size_order, resolve_estimator, tree_shap
+from mlshap.shapley import (
+    Explanation,
+    _coalition_values,
+    _size_order,
+    resolve_estimator,
+    tree_shap,
+)
 
 from _synth import planted_dataset
 
@@ -188,6 +194,19 @@ class TestKernelShap:
         with pytest.raises(ValueError, match="at least 2"):
             kernel_shap(target, np.zeros(4), np.zeros((1, 4)), budget=1)
 
+    @pytest.mark.parametrize("budget", [2.5, True, "7", np.float64(40.0)])
+    def test_budget_must_be_an_integer_or_full(self, rng, budget):
+        target = linear_target(rng.normal(size=4))
+        with pytest.raises(ValueError, match='budget must be an integer or "full"'):
+            kernel_shap(target, np.zeros(4), np.zeros((1, 4)), budget=budget)
+
+    def test_numpy_integer_budget_equals_int(self, rng):
+        target = forest_target(6, seed=6)
+        x, bg = rng.normal(size=6), rng.normal(size=(3, 6))
+        np.testing.assert_array_equal(
+            kernel_shap(target, x, bg, budget=np.int64(20), seed=1).phi,
+            kernel_shap(target, x, bg, budget=20, seed=1).phi)
+
     def test_wide_target_default_budget(self, rng):
         # sampling path: M far beyond the enumeration cap
         w = rng.normal(size=24)
@@ -322,6 +341,99 @@ class TestExplainInstance:
                              estimator="bogus")
 
 
+def _multi_forest_target(M, L, seed):
+    """An (n, L) target: L forests on the same features."""
+    forests = [forest_target(M, seed + l, n_trees=3).f for l in range(L)]
+    return ExplainTarget(f=lambda X: np.column_stack([f(X) for f in forests]),
+                         n_features=M)
+
+
+def _mask_bytes(B, M, L):
+    """Bytes one mask costs a coalition block: its B synthesized rows and the
+    target's (B, L) output with its transposed copy."""
+    return 8 * B * (M + 2 * L)
+
+
+class TestCoalitionBlocks:
+    """Masks run in blocks within ``_blocks._BLOCK_BYTES``; however they are
+    cut, phi, base_value and fx are the same bits as in one block."""
+
+    @pytest.mark.parametrize("L", [None, 3])
+    @pytest.mark.parametrize("per_block", [7.5, 1, 0.5])
+    def test_coalition_values_and_estimators(self, monkeypatch, rng, L, per_block):
+        M, B = 6, 5
+        target = (forest_target(M, seed=8) if L is None
+                  else _multi_forest_target(M, L, seed=8))
+        x, bg = rng.normal(size=M), rng.normal(size=(B, M))
+        masks = rng.random((40, M)) < 0.5
+        n_out = 1 if L is None else L
+
+        def run():
+            return (_coalition_values(target, x, masks, bg, n_out),
+                    exact_shapley(target, x, bg),
+                    kernel_shap(target, x, bg, budget=30, seed=4))
+
+        values, *whole = run()
+        monkeypatch.setattr(_blocks, "_BLOCK_BYTES", int(per_block * _mask_bytes(B, M, n_out)))
+        blocked_values, *blocked = run()
+        np.testing.assert_array_equal(blocked_values, values)
+        for got, want in zip(blocked, whole):
+            got, want = (got, want) if L else ([got], [want])
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.phi, w.phi)
+                assert (g.base_value, g.fx) == (w.base_value, w.fx)
+
+    @pytest.mark.parametrize("estimator", [None, "kernel"])
+    @pytest.mark.parametrize("fit", [
+        lambda ds: fit_br(ds, ForestParams(n_trees=3, max_depth=4, seed=1)),
+        lambda ds: fit_cc(ds, ForestParams(n_trees=3, max_depth=3, seed=1), seed=2),
+        lambda ds: fit_mlknn(ds, k=5),
+    ], ids=["br", "cc", "mlknn"])
+    @pytest.mark.parametrize("budget", [1, "one mask"])
+    def test_explain_instance(self, monkeypatch, fit, estimator, budget):
+        ds = planted_dataset("blocks", 80, 6, 4, seed=11)
+        model = fit(ds)
+        bg = sample_background(ds.features, size=8, seed=0)
+        labels = [3, 0, 2]
+
+        def run(labels):
+            return explain_instance(model, ds.features[9], bg, labels,
+                                    estimator=estimator, budget=40, seed=2)
+
+        whole, whole_one = run(labels), run([1])
+        if budget == "one mask":
+            budget = _mask_bytes(8, 6, len(labels))
+        monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
+        for got, want in zip(run(labels) + run([1]), whole + whole_one):
+            np.testing.assert_array_equal(got.phi, want.phi)
+            assert (got.base_value, got.fx, got.label) == \
+                (want.base_value, want.fx, want.label)
+
+    @pytest.mark.parametrize("budget", [None, 7 * _mask_bytes(50, 20, 12) + 1])
+    def test_every_block_fits_the_budget(self, monkeypatch, rng, budget):
+        """A target spy sees each block's masks x bytes per mask within the
+        budget; the default budget cuts a 2 088-mask, 50-row background into
+        blocks too."""
+        M, B, L = 20, 50, 12
+        if budget is not None:
+            monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
+        W = rng.normal(size=(M, L))
+        calls = []
+
+        def f(X):
+            calls.append(X.shape[0])
+            return X @ W
+
+        kernel_shap(ExplainTarget(f=f, n_features=M), rng.normal(size=M),
+                    rng.normal(size=(B, M)), seed=0)
+        assert calls[:2] == [1, B]  # f(x), then the empty coalition
+        blocks = [rows // B for rows in calls[2:]]
+        assert all(rows % B == 0 for rows in calls[2:])
+        assert sum(blocks) == 2 * M + 2048 and len(blocks) > 1
+        assert all(n * _mask_bytes(B, M, L) <= _blocks._BLOCK_BYTES
+                   for n in blocks if n > 1)
+
+
 def _br_case(name, params, n=90, d=8, L=3, seed=0, decimals=None):
     """A BR model on a planted dataset, its background and one instance."""
     ds = planted_dataset(name, n, d, L, seed=seed)
@@ -415,7 +527,7 @@ class TestTreeShap:
         model, bg, x = _br_case("blocks", BR_CASES["defaults"], d=10)
         forests = model.per_label_models
         whole = tree_shap(forests, x, bg)
-        monkeypatch.setattr(multilabel, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
         np.testing.assert_allclose(tree_shap(forests, x, bg), whole, rtol=0, atol=1e-14)
 
     def test_default_on_br_is_tree(self):
