@@ -1,4 +1,5 @@
-"""The one byte budget that bounds every large block of work.
+"""The one byte budget that bounds every large block of work, and the threads
+that share the blocks.
 
 Explaining a prediction builds blocks whose size grows with the request:
 synthesized (coalition x background) rows, (query x training row) distances,
@@ -7,16 +8,114 @@ one row of its block holds, and :func:`row_slices` cuts the rows so a block
 holds at most ``_BLOCK_BYTES``, but never fewer than one row. Arrays that
 scale with the model rather than the request, such as a forest's leaf paths,
 are outside the budget.
+
+:func:`map_slices` runs the slices of a block on the calling thread and one
+pool thread per extra CPU of the process's affinity mask (``_WORKERS`` in
+all), each slice within its thread's share of the budget, so the blocks in
+flight together stay within it. Only callers whose rows are computed
+independently of each other use it, so its results do not depend on how many
+threads there are.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 _BLOCK_BYTES = 32 * 2**20
 
 
-def row_slices(n_rows: int, row_bytes: int):
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+_WORKERS = _cpu_count()
+
+# True while this thread runs a slice of a shared block; pool threads inherit
+# it through the context each slice runs in.
+_in_slice = contextvars.ContextVar("mlshap_in_slice", default=False)
+
+
+def _rows(budget: int, row_bytes: int) -> int:
+    return max(1, budget // max(1, row_bytes))
+
+
+def _cut(n_rows: int, rows: int) -> list[slice]:
+    return [slice(start, min(start + rows, n_rows)) for start in range(0, n_rows, rows)]
+
+
+def row_slices(n_rows: int, row_bytes: int) -> list[slice]:
     """Consecutive slices covering ``range(n_rows)``, each at most
     ``_BLOCK_BYTES // row_bytes`` rows long and at least one row long."""
-    rows = max(1, _BLOCK_BYTES // max(1, row_bytes))
-    for start in range(0, n_rows, rows):
-        yield slice(start, min(start + rows, n_rows))
+    return _cut(n_rows, _rows(_BLOCK_BYTES, row_bytes))
+
+
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(threads, thread_name_prefix="mlshap-blocks")
+
+
+def map_slices(fn, n_rows: int, row_bytes: int) -> list:
+    """``[fn(s) for s in slices]``, the slices covering ``range(n_rows)`` in
+    order, run on up to ``_WORKERS`` threads.
+
+    ``fn`` must compute the rows of its slice independently of the other
+    slices, and write nothing the other slices read. The calling thread and
+    ``_WORKERS - 1`` pool threads take slices in turn. Each slice holds at
+    most ``_BLOCK_BYTES // (_WORKERS * row_bytes)`` rows and at least one,
+    and there are at least ``_WORKERS`` slices (or one per row). Work below an
+    eighth of the budget, or with one CPU, runs on the calling thread as
+    :func:`row_slices` cuts it. A call made from inside a slice runs on that
+    slice's thread, within the thread's share of the budget, so pools never
+    nest (a pool thread waiting on its own pool could wait forever). An
+    exception in a slice stops the threads taking more slices and is
+    re-raised here; of several, the one from the lowest slice, which is the
+    one a serial loop would raise.
+    """
+    workers = _WORKERS
+    share = _rows(_BLOCK_BYTES // workers, row_bytes)
+    if _in_slice.get():
+        return [fn(s) for s in _cut(n_rows, share)]
+    if workers > 1 and n_rows > 1 and n_rows * row_bytes >= _BLOCK_BYTES // 8:
+        return _run_shared(fn, _cut(n_rows, min(share, -(-n_rows // workers))), workers)
+    return [fn(s) for s in row_slices(n_rows, row_bytes)]
+
+
+def _run_shared(fn, slices: list[slice], workers: int) -> list:
+    """Caller-runs: this thread and up to ``workers - 1`` threads of one
+    persistent pool take the next slice from one counter until none is left
+    or one has failed."""
+    results = [None] * len(slices)
+    failed: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    order = iter(range(len(slices)))
+
+    def take():
+        while not failed:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(slices[i])
+            except BaseException as err:  # re-raised by the caller below
+                failed[i] = err
+
+    token = _in_slice.set(True)
+    try:
+        helpers = [_pool(workers - 1).submit(contextvars.copy_context().run, take)
+                   for _ in range(min(workers, len(slices)) - 1)]
+        take()
+        for helper in helpers:
+            helper.result()
+    finally:
+        _in_slice.reset(token)
+    if failed:
+        raise failed[min(failed)]
+    return results

@@ -165,59 +165,24 @@ class MLKNNModel(MultiLabelModel):
     algorithm = "mlknn"
 
     def __init__(self, k, s, train_features, train_labels, label_names=None,
-                 feature_names=None, *, _loo=None):
-        train_features = np.asarray(train_features, dtype=np.float64)
-        if train_features.ndim != 2 or not np.isfinite(train_features).all():
-            raise ValueError("train_features must be a 2-D matrix of finite numbers")
-        raw_labels = np.asarray(train_labels)
-        if raw_labels.ndim != 2 or raw_labels.shape[0] != train_features.shape[0]:
-            raise ValueError(f"train_labels must have one row per train_features row "
-                             f"({train_features.shape[0]}), got shape {raw_labels.shape}")
-        if not np.isin(raw_labels, (0, 1)).all():
-            raise ValueError("train_labels must hold only 0 and 1")
+                 feature_names=None):
+        train_features, train_labels = _train_rows(train_features, train_labels)
         check_mlknn_params(k, s, train_features.shape[0])
-        train_labels = raw_labels.astype(np.int64)
         super().__init__(train_features.shape[1], train_labels.shape[1],
                          label_names, feature_names)
         self.k = int(k)
         self.s = float(s)
         self.train_features = train_features
         self.train_labels = train_labels
-        self.priors = (self.s + train_labels.sum(axis=0)) / (
-            2.0 * self.s + train_labels.shape[0]
-        )
-        # ``_loo`` is a leave-one-out order at some k' >= k over these rows;
-        # its first k columns are the order computed here.
-        loo = _loo_order(train_features, self.k) if _loo is None else _loo[:, : self.k]
-        self.cond_counts_pos, self.cond_counts_neg = self._neighbor_statistics(loo)
-
-    def _neighbor_statistics(self, loo):
-        """Count, per label and per neighbor-positive count j in 0..k, how many
-        training instances with(out) the label saw exactly j positive neighbors
-        among their ``loo`` rows (self excluded)."""
-        L = self.n_labels
-        counts = self.train_labels[loo].sum(axis=1)  # (n, L)
-        c_pos = np.zeros((L, self.k + 1), dtype=np.int64)
-        c_neg = np.zeros((L, self.k + 1), dtype=np.int64)
-        for l in range(L):
-            has = self.train_labels[:, l] == 1
-            c_pos[l] = np.bincount(counts[has, l], minlength=self.k + 1)
-            c_neg[l] = np.bincount(counts[~has, l], minlength=self.k + 1)
-        return c_pos, c_neg
+        self.priors = _priors(train_labels, self.s)
+        counts = _positive_counts(train_labels, _loo_order(train_features, self.k))
+        self.cond_counts_pos, self.cond_counts_neg = _neighbor_statistics(
+            train_labels, counts, self.k)
 
     def _posterior(self, nn):
         """(n, L) label probabilities of rows whose k nearest training rows are ``nn``."""
-        counts = self.train_labels[nn].sum(axis=1)  # (n, L)
-        L = self.n_labels
-        cols = np.arange(L)[None, :]
-        s, k = self.s, self.k
-        m_pos = self.cond_counts_pos.sum(axis=1)
-        m_neg = self.cond_counts_neg.sum(axis=1)
-        cond_pos = (s + self.cond_counts_pos[cols, counts]) / (s * (k + 1) + m_pos)
-        cond_neg = (s + self.cond_counts_neg[cols, counts]) / (s * (k + 1) + m_neg)
-        p1 = self.priors * cond_pos
-        p0 = (1.0 - self.priors) * cond_neg
-        return p1 / (p1 + p0)
+        return _map_posterior(_positive_counts(self.train_labels, nn), self.priors,
+                              self.cond_counts_pos, self.cond_counts_neg, self.s)
 
     def _proba_matrix(self, X, labels):
         return self._posterior(_neighbors(X, self.train_features, self.k)).take(
@@ -230,6 +195,65 @@ class MLKNNModel(MultiLabelModel):
             "train_features": self.train_features.tolist(),
             "train_labels": self.train_labels.tolist(),
         }
+
+
+def _train_rows(train_features, train_labels):
+    """ML-kNN's training rows as float64 features and int64 0/1 labels, or
+    ValueError."""
+    train_features = np.asarray(train_features, dtype=np.float64)
+    if train_features.ndim != 2 or not np.isfinite(train_features).all():
+        raise ValueError("train_features must be a 2-D matrix of finite numbers")
+    raw_labels = np.asarray(train_labels)
+    if raw_labels.ndim != 2 or raw_labels.shape[0] != train_features.shape[0]:
+        raise ValueError(f"train_labels must have one row per train_features row "
+                         f"({train_features.shape[0]}), got shape {raw_labels.shape}")
+    if not np.isin(raw_labels, (0, 1)).all():
+        raise ValueError("train_labels must hold only 0 and 1")
+    return train_features, raw_labels.astype(np.int64)
+
+
+def _priors(train_labels, s: float):
+    """Laplace-smoothed prior probability of each label."""
+    return (s + train_labels.sum(axis=0)) / (2.0 * s + train_labels.shape[0])
+
+
+def _positive_counts(train_labels, nn):
+    """(n, L) count, per row of ``nn`` and per label, of the positive labels
+    among the training rows ``nn`` names, added one neighbor column at a time
+    so no (n, k, L) gather is held."""
+    counts = train_labels[nn[:, 0]]
+    for j in range(1, nn.shape[1]):
+        counts += train_labels[nn[:, j]]
+    return counts
+
+
+def _neighbor_statistics(train_labels, counts, k: int):
+    """Count, per label and per neighbor-positive count j in 0..k, how many
+    training instances with (first) and without (second) the label saw
+    exactly j positive neighbors; ``counts`` is their ``_positive_counts``.
+    Both are (L, k + 1), from one ``bincount`` over (label value, label, j)."""
+    L = train_labels.shape[1]
+    cell = (train_labels * L + np.arange(L)) * (k + 1) + counts
+    table = np.bincount(cell.ravel(), minlength=2 * L * (k + 1)).reshape(2, L, k + 1)
+    return table[1], table[0]
+
+
+def _map_posterior(counts, priors, c_pos, c_neg, s: float):
+    """(n, L) MAP label probabilities of rows with ``counts`` positive
+    neighbors, from the statistics of a fit at k = ``c_pos.shape[1] - 1``:
+    p1 / (p1 + p0), p1 the prior times the smoothed likelihood of the count
+    given the label and p0 the same without it. Two (n, L) arrays hold the
+    work, updated in place."""
+    cols = np.arange(counts.shape[1])[None, :]
+    k = c_pos.shape[1] - 1
+    p1 = np.add(s, c_pos[cols, counts])
+    p1 /= s * (k + 1) + c_pos.sum(axis=1)
+    p1 *= priors
+    p0 = np.add(s, c_neg[cols, counts])
+    p0 /= s * (k + 1) + c_neg.sum(axis=1)
+    p0 *= 1.0 - priors
+    p0 += p1
+    return np.divide(p1, p0, out=p1)
 
 
 def _nearest(d2, k: int):
@@ -267,8 +291,9 @@ def _nearest(d2, k: int):
 
 def _neighbors(X, train_features, k: int, *, exclude_self: bool = False):
     """``_nearest`` of each row of ``X`` among ``train_features`` (squared
-    Euclidean), in blocks of rows within the byte budget of ``_blocks``: per
-    row, the float64 distances to every training row and their partition.
+    Euclidean), in blocks of rows within the byte budget of ``_blocks``, run
+    by the threads of ``_blocks.map_slices``: per row, the float64 distances
+    to every training row and their partition.
 
     ``cdist`` computes every row on its own, so the blocks change no distance
     and no index. With ``exclude_self``, ``X`` is ``train_features`` and each
@@ -276,12 +301,15 @@ def _neighbors(X, train_features, k: int, *, exclude_self: bool = False):
     """
     n_train = train_features.shape[0]
     nn = np.empty((X.shape[0], min(k, n_train)), dtype=np.intp)
-    for rows in _blocks.row_slices(X.shape[0], 16 * n_train):
+
+    def select(rows):
         d2 = cdist(X[rows], train_features, "sqeuclidean")
         if exclude_self:
             own = np.arange(d2.shape[0])
             d2[own, rows.start + own] = np.inf
         nn[rows] = _nearest(d2, k)
+
+    _blocks.map_slices(select, X.shape[0], 16 * n_train)
     return nn
 
 
@@ -349,18 +377,32 @@ def predict_mlknn_grid(train: Dataset, X, points) -> list[np.ndarray]:
     """Hard 0/1 labels of ``X`` under ML-kNN at each ``{"k", "s"}`` point, in order.
 
     Each equals ``fit_mlknn(train, k, s).predict(X)`` bit for bit, but the
-    leave-one-out order of the train rows and the neighbor order of ``X`` are
-    computed once, at the widest k, and every point takes their first k
-    columns (see ``_nearest``).
+    train rows are checked once, the leave-one-out order of the train rows
+    and the neighbor order of ``X`` are computed once, at the widest k (every
+    k takes their first k columns, see ``_nearest``), and the positive counts
+    of both run on from one k to the next. Integer counts add exactly, and
+    each point's posterior is ``_map_posterior``, as in ``_posterior``.
     """
-    k_max = max(p["k"] for p in points)
-    loo = _loo_order(train.features, k_max)
-    nn = _neighbors(X, train.features, k_max)
+    features, labels = _train_rows(train.features, train.labels)
+    for p in points:
+        check_mlknn_params(p["k"], p.get("s", 1.0), features.shape[0])
+    ks = sorted({int(p["k"]) for p in points})
+    loo = _loo_order(features, ks[-1])
+    nn = _neighbors(X, features, ks[-1])
+    at_k = {}
+    loo_counts = nn_counts = 0
+    done = 0
+    for k in ks:
+        loo_counts = loo_counts + _positive_counts(labels, loo[:, done:k])
+        nn_counts = nn_counts + _positive_counts(labels, nn[:, done:k])
+        at_k[k] = _neighbor_statistics(labels, loo_counts, k), nn_counts
+        done = k
     predictions = []
     for p in points:
-        model = MLKNNModel(p["k"], p.get("s", 1.0), train.features, train.labels,
-                           _loo=loo)
-        predictions.append(predict_labels(model._posterior(nn[:, : model.k])))
+        s = float(p.get("s", 1.0))
+        (c_pos, c_neg), counts = at_k[int(p["k"])]
+        predictions.append(predict_labels(
+            _map_posterior(counts, _priors(labels, s), c_pos, c_neg, s)))
     return predictions
 
 

@@ -108,20 +108,23 @@ def _at_instance(target, x):
 def _coalition_values(target, x, masks, background, n_outputs):
     """Mean model output over background-completed rows: (n_masks, L).
 
-    Masks run in blocks within the byte budget: per mask, the B synthesized
-    rows of width M and the target's (B, L) output with its transposed copy.
-    Each mean runs along a contiguous axis of length B, so it sums in the
-    same order whatever L is and however the masks are blocked.
+    Masks run in blocks within the byte budget, shared by the threads of
+    ``_blocks.map_slices``: per mask, the B synthesized rows of width M and
+    the target's (B, L) output with its transposed copy. Each mean runs along
+    a contiguous axis of length B, so it sums in the same order whatever L is,
+    however the masks are blocked and whichever thread runs the block.
     """
     B, M = background.shape
-    parts = []
-    for rows in _blocks.row_slices(masks.shape[0], 8 * B * (M + 2 * n_outputs)):
+
+    def block_values(rows):
         block = masks[rows]
         synth = np.where(block[:, None, :], x[None, None, :], background[None, :, :])
         out = np.asarray(target.f(synth.reshape(-1, M)), dtype=np.float64)
         out = out.reshape(block.shape[0], B, -1)
-        parts.append(np.ascontiguousarray(out.transpose(0, 2, 1)).mean(axis=-1))
-    return np.concatenate(parts)
+        return np.ascontiguousarray(out.transpose(0, 2, 1)).mean(axis=-1)
+
+    return np.concatenate(_blocks.map_slices(block_values, masks.shape[0],
+                                             8 * B * (M + 2 * n_outputs)))
 
 
 def _base_and_fx(target, x, background):

@@ -24,10 +24,11 @@ from mlshap import (
 from mlshap import _blocks, multilabel
 from mlshap.cli import main
 from mlshap.multilabel import (
-    MLKNNModel,
     _loo_order,
     _nearest,
+    _neighbor_statistics,
     _neighbors,
+    _positive_counts,
     derive_seed,
     model_from_doc,
     predict_mlknn_grid,
@@ -276,6 +277,23 @@ class TestMLKNN:
             expected = mlknn_oracle_scores(X, Y, q, k=5, s=1.0)
             np.testing.assert_array_equal(model.predict_proba(q), expected)
 
+    @pytest.mark.parametrize("k,s", [(1, 1.0), (5, 0.3), (12, 2.5)])
+    def test_posterior_equals_the_gathered_formula(self, foodtruck_dataset, k, s):
+        """Counts added one neighbor column at a time and the in-place
+        posterior give the bits of the (n, k, L) gather and the plain formula."""
+        model = fit_mlknn(foodtruck_dataset, k, s)
+        nn = np.random.default_rng(k).integers(foodtruck_dataset.n_instances, size=(500, k))
+        counts = model.train_labels[nn].sum(axis=1)
+        np.testing.assert_array_equal(_positive_counts(model.train_labels, nn), counts)
+        cols = np.arange(model.n_labels)[None, :]
+        cond_pos = (s + model.cond_counts_pos[cols, counts]) / (
+            s * (k + 1) + model.cond_counts_pos.sum(axis=1))
+        cond_neg = (s + model.cond_counts_neg[cols, counts]) / (
+            s * (k + 1) + model.cond_counts_neg.sum(axis=1))
+        p1 = model.priors * cond_pos
+        p0 = (1.0 - model.priors) * cond_neg
+        assert model._posterior(nn).tobytes() == (p1 / (p1 + p0)).tobytes()
+
     def test_training_order_invariance(self):
         rng = np.random.default_rng(7)
         X = rng.uniform(size=(30, 3))
@@ -359,13 +377,14 @@ class TestSharedNeighborOrder:
         train, X_test = _fold(foodtruck_dataset, rounding)
         loo = _loo_order(train.features, 20)
         nn = _nearest(cdist(X_test, train.features, "sqeuclidean"), 20)
+        labels = train.labels.astype(np.int64)
         for k in range(1, 21):
             fitted = fit_mlknn(train, k)
-            shared = MLKNNModel(k, 1.0, train.features, train.labels, _loo=loo)
-            np.testing.assert_array_equal(shared.cond_counts_pos, fitted.cond_counts_pos)
-            np.testing.assert_array_equal(shared.cond_counts_neg, fitted.cond_counts_neg)
-            np.testing.assert_array_equal(shared.priors, fitted.priors)
-            assert np.array_equal(shared._posterior(nn[:, :k]),
+            c_pos, c_neg = _neighbor_statistics(
+                labels, _positive_counts(labels, loo[:, :k]), k)
+            np.testing.assert_array_equal(c_pos, fitted.cond_counts_pos)
+            np.testing.assert_array_equal(c_neg, fitted.cond_counts_neg)
+            assert np.array_equal(fitted._posterior(nn[:, :k]),
                                   fitted.predict_proba(X_test))
 
     def test_grid_predictions_equal_per_point_fits(self, foodtruck_dataset):
@@ -460,7 +479,14 @@ class TestNearest:
 
 class TestNeighborBlocks:
     """Queries split into row blocks within ``_blocks._BLOCK_BYTES`` equal the
-    unblocked query bit for bit."""
+    unblocked query bit for bit. Here the blocks run on one thread, in order;
+    ``TestNeighborBlocksOnTwoThreads`` runs the same cases on two."""
+
+    workers = 1
+
+    @pytest.fixture(autouse=True)
+    def _workers(self, monkeypatch):
+        monkeypatch.setattr(_blocks, "_WORKERS", self.workers)
 
     @pytest.fixture()
     def blocks(self, monkeypatch):
@@ -475,9 +501,32 @@ class TestNeighborBlocks:
         monkeypatch.setattr(multilabel, "cdist", spy)
         return shapes
 
+    @pytest.fixture()
+    def starts(self, monkeypatch):
+        """Records the row slice of every block, from whichever thread runs it."""
+        slices = []
+        map_slices = _blocks.map_slices
+
+        def spy(fn, n_rows, row_bytes):
+            def recorded(rows):
+                slices.append(rows)
+                return fn(rows)
+            return map_slices(recorded, n_rows, row_bytes)
+
+        monkeypatch.setattr(_blocks, "map_slices", spy)
+        return slices
+
+    def assert_shared(self, blocks, starts, n_rows, budget):
+        """Two threads: each block is within half the budget (or one row),
+        and the blocks, sorted by start, cover the rows."""
+        assert all(rows == 1 or rows * cols * 16 <= budget // 2 for rows, cols in blocks)
+        starts = sorted((rows.start, rows.stop) for rows in starts)
+        assert [a for a, _ in starts] == [0] + [b for _, b in starts[:-1]]
+        assert starts[-1][1] == n_rows
+
     @pytest.mark.parametrize("rows_per_block", [1, 7, 64])
     def test_blocked_query_equals_unblocked(self, foodtruck_dataset, monkeypatch,
-                                            blocks, rows_per_block):
+                                            blocks, starts, rows_per_block):
         train, X_test = _fold(foodtruck_dataset, rounding=0)
         n_train = train.n_instances
         budget = 16 * n_train * (rows_per_block + 1) - 1
@@ -493,10 +542,14 @@ class TestNeighborBlocks:
 
         monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
         blocks.clear()
+        starts.clear()
         proba = model.predict_proba(X)
-        assert [r for r, _ in blocks] == (
-            [rows_per_block] * (len(X) // rows_per_block)
-            + [len(X) % rows_per_block] * (len(X) % rows_per_block > 0))
+        if self.workers == 1:
+            assert [r for r, _ in blocks] == (
+                [rows_per_block] * (len(X) // rows_per_block)
+                + [len(X) % rows_per_block] * (len(X) % rows_per_block > 0))
+        else:
+            self.assert_shared(blocks, starts, len(X), budget)
         assert np.array_equal(proba, model._posterior(stable_nearest(d2, 5)))
         np.testing.assert_array_equal(_loo_order(train.features, 20),
                                       stable_nearest(loo_d2, 20))
@@ -514,14 +567,21 @@ class TestNeighborBlocks:
         np.testing.assert_array_equal(
             nn, stable_nearest(cdist(X, train, "sqeuclidean"), 3))
 
-    def test_default_budget_bounds_every_block(self, blocks, rng):
+    def test_default_budget_bounds_every_block(self, blocks, starts, rng):
         train = rng.normal(size=(3000, 2))
         _neighbors(rng.normal(size=(3000, 2)), train, 5)
-        assert len(blocks) == 5
+        if self.workers == 1:
+            assert len(blocks) == 5
+        else:
+            self.assert_shared(blocks, starts, 3000, _blocks._BLOCK_BYTES)
         assert all(r * c * 16 <= _blocks._BLOCK_BYTES for r, c in blocks)
 
     def test_empty_query(self, rng):
         assert _neighbors(np.empty((0, 3)), rng.normal(size=(5, 3)), 2).shape == (0, 2)
+
+
+class TestNeighborBlocksOnTwoThreads(TestNeighborBlocks):
+    workers = 2
 
 
 @pytest.mark.parametrize("rounding", [None, 1])
