@@ -3,8 +3,9 @@
 Builds a small nonlinear target (a fitted forest), explains one prediction
 with the exact and kernel estimators, and demonstrates the properties the
 attributions are tested against: local accuracy, the dummy/symmetry axioms,
-the closed form for linear models, and convergence of the kernel estimate
-toward the exact values as the coalition budget grows. Last, it explains a
+the closed form for linear models, convergence of the kernel estimate
+toward the exact values as the coalition budget grows, and the kernel
+estimate of the dual game, which must cancel the game's (it raises if not). Last, it explains a
 small binary relevance model with the tree estimator, its default, and
 compares that with exact enumeration.
 
@@ -57,14 +58,27 @@ print("  " + ", ".join(f"z={z}: {kernel_weight(M, z):.4f}" for z in range(1, M))
 
 # ----------------------------------------------------------------------------
 # The kernel estimate converges to the exact values as the budget grows; with
-# the full budget the weighted regression recovers them to round-off.
+# the full budget the weighted regression recovers them to round-off. With
+# one background row r, explaining r against x is the dual game of explaining
+# x against r, whose Shapley values are the negated ones. The sampler pairs
+# every coalition with its complement, so the two estimates cancel and their
+# errors are equal at every budget.
 # ----------------------------------------------------------------------------
-print("\nbudget -> max |kernel - exact|:")
+r = background[:1]
+exact_r = exact_shapley(target, x, r).phi
+print("\nbudget -> max |kernel - exact|; one background row: game, dual game:")
 for budget in (2 * M, 8 * M, 120, "full"):
     kernel = kernel_shap(target, x, background, budget=budget, seed=0)
     gap = np.max(np.abs(kernel.phi - exact.phi))
+    game = kernel_shap(target, x, r, budget=budget, seed=0).phi
+    dual = kernel_shap(target, r[0], x[None], budget=budget, seed=0).phi
     print(f"  {str(budget):>5}: {gap:.2e} "
-          f"(local accuracy {kernel.local_accuracy_gap():.1e})")
+          f"(local accuracy {kernel.local_accuracy_gap():.1e}); "
+          f"game {np.max(np.abs(game - exact_r)):.2e}, "
+          f"dual {np.max(np.abs(-dual - exact_r)):.2e}")
+    if np.max(np.abs(game + dual)) > 1e-12:
+        raise AssertionError(f"budget {budget}: game and dual game estimates "
+                             f"differ by {np.max(np.abs(game + dual)):.1e}")
 
 # ----------------------------------------------------------------------------
 # Axioms on constructed targets.

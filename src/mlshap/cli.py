@@ -21,6 +21,7 @@ from .shapley import (
     ENUMERATION_CAP,
     ESTIMATORS,
     EstimationError,
+    _coalition_budget,
     explain_instance,
     explanation_to_doc,
     load_explanation,
@@ -174,6 +175,8 @@ def _check_values(cfg) -> None:
             and all(_is_int(l) for l in label_ids)):
         raise UsageError(f"--label-ids must be a non-empty list of label indices, "
                          f"got {label_ids!r}")
+    if label_ids is not None and len(set(label_ids)) != len(label_ids):
+        raise UsageError(f"--label-ids must be distinct label indices, got {label_ids!r}")
     budget = cfg.get("budget")
     if budget is not None and not (_is_int(budget) or budget == "full"):
         raise UsageError(f'--budget must be an integer or "full", got {budget!r}')
@@ -370,6 +373,11 @@ def cmd_explain(cfg) -> int:
             f"exact estimator is capped at {ENUMERATION_CAP} features; this model "
             f"has {model.n_features}. Use --estimator kernel."
         )
+    if estimator == "kernel":
+        try:
+            _coalition_budget(cfg.get("budget"), model.n_features)
+        except ValueError as err:
+            raise UsageError(f"--budget: {err}")
     background = sample_background(dataset.features,
                                    size=_get(cfg, "background", 100), seed=seed)
     explanations = explain_instance(

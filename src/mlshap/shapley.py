@@ -6,9 +6,13 @@ combinatorial weights directly; ``kernel_shap`` fits the additive surrogate
 
     g(z') = phi_0 + sum_j phi_j z'_j
 
-by weighted least squares over sampled coalitions, with the empty and full
+by weighted least squares over coalitions, with the empty and full
 coalitions pinned as hard constraints so phi_0 + sum(phi) always equals the
-model output at the explained instance. Hidden features are marginalized by
+model output at the explained instance. Its coalitions come in complementary
+pairs: size classes z and M-z are enumerated together while the pair fits in
+the budget, and the rest is spent on draws weighted by the kernel mass left,
+each added with its complement. Paired coalitions keep the estimate free of
+bias between a game and its dual. Hidden features are marginalized by
 replacing them with background rows and averaging (interventional
 expectation). ``tree_shap`` computes the same interventional values of a
 forest exactly, in closed form over its leaf paths, without evaluating it on
@@ -205,59 +209,44 @@ def kernel_weight(M: int, z: int) -> float:
     return (M - 1) / (math.comb(M, z) * z * (M - z))
 
 
-def _size_order(M: int):
-    """Coalition sizes from the extremes inward: 1, M-1, 2, M-2, ..."""
-    for d in range(1, (M - 1) // 2 + 1):
-        yield d
-        yield M - d
-    if M % 2 == 0:
-        yield M // 2
-
-
 def _sample_coalitions(M: int, budget: int, rng: np.random.Generator):
-    """Coalition masks and kernel weights under the extremes-inward policy.
+    """Coalition masks and kernel weights for ``budget`` <= 2^M - 2 rows,
+    closed under complement (Covert & Lee 2021, arXiv 2012.01536).
 
-    Size classes that fit in the remaining budget are enumerated exhaustively;
-    the first class that does not fit is sampled uniformly without
-    replacement, its per-coalition weight scaled so the class keeps its total
-    kernel mass, and sampling stops there.
+    Size classes are enumerated in complementary pairs {z, M-z}, from z = 1
+    inward while the whole pair fits in the budget; each enumerated row keeps
+    its ``kernel_weight``. The rest of the budget goes to draws of a size z in
+    proportion to the kernel mass (M-1) / (z (M-z)) of the sizes left, then of
+    a uniform subset of that size, each added with its complement. Each
+    sampled row weighs the mass left over the number of sampled rows. An odd
+    remainder drops the unpaired draw, so E + 2 * ((budget - E) // 2) rows
+    come back for E enumerated ones, all 2^M - 2 once every pair fits.
     """
-    masks = []
-    weights = []
-    remaining = budget
-    for z in _size_order(M):
-        if remaining <= 0:
-            break
+    half, weights, n_enum = [], [], 0
+    for z in range(1, M // 2 + 1):
         n_class = math.comb(M, z)
-        w = kernel_weight(M, z)
-        if n_class <= remaining:
-            for combo in itertools.combinations(range(M), z):
-                row = np.zeros(M, dtype=bool)
-                row[list(combo)] = True
-                masks.append(row)
-                weights.append(w)
-            remaining -= n_class
-            continue
-        if n_class <= 200_000:
-            combos = list(itertools.combinations(range(M), z))
-            picks = rng.choice(n_class, size=remaining, replace=False)
-            chosen = [combos[i] for i in np.sort(picks)]
-        else:
-            seen = set()
-            attempts = 0
-            while len(seen) < remaining and attempts < 50 * remaining:
-                combo = tuple(sorted(rng.choice(M, size=z, replace=False).tolist()))
-                seen.add(combo)
-                attempts += 1
-            chosen = sorted(seen)
-        scaled = w * (n_class / len(chosen))
-        for combo in chosen:
-            row = np.zeros(M, dtype=bool)
-            row[list(combo)] = True
-            masks.append(row)
-            weights.append(scaled)
-        remaining = 0
-    return np.array(masks, dtype=bool), np.array(weights, dtype=np.float64)
+        if n_enum + (n_class if 2 * z == M else 2 * n_class) > budget:
+            break
+        combos = np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations(range(M), z)), dtype=np.intp).reshape(n_class, z)
+        block = np.zeros((n_class, M), dtype=bool)
+        np.put_along_axis(block, combos, True, axis=1)
+        # The middle class is its own complement: keep the half holding feature 0.
+        half.append(block[block[:, 0]] if 2 * z == M else block)
+        weights.append(np.full(len(half[-1]), kernel_weight(M, z)))
+        n_enum += 2 * len(half[-1])
+    left = np.arange(len(half) + 1, M - len(half))
+    n_draws = (budget - n_enum) // 2
+    if n_draws:
+        mass = (M - 1) / (left * (M - left))
+        sizes = rng.choice(left, size=n_draws, p=mass / mass.sum())
+        drawn = np.empty((n_draws, M), dtype=bool)
+        np.put_along_axis(drawn, rng.random((n_draws, M)).argsort(axis=1),
+                          np.arange(M) < sizes[:, None], axis=1)
+        half.append(drawn)
+        weights.append(np.full(n_draws, mass.sum() / (2 * n_draws)))
+    half, weights = np.concatenate(half), np.concatenate(weights)
+    return np.concatenate([half, ~half]), np.concatenate([weights, weights])
 
 
 def solve_weighted_ls(design: np.ndarray, weights: np.ndarray,
@@ -310,7 +299,10 @@ def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0
 
     ``budget`` counts proper-coalition evaluations: an integer >= 2, or
     ``"full"`` for all 2^M - 2 of them (M <= 16), or None for the default
-    2*M + 2048. The constraints g(empty) = phi_0 and g(full) = f(x) are
+    2*M + 2048. Size pairs {z, M-z} are enumerated from z = 1 inward while
+    they fit, E rows in all; the rest are complement-paired draws, so
+    E + 2 * ((budget - E) // 2) coalitions are evaluated: an odd remainder
+    leaves one unused. The constraints g(empty) = phi_0 and g(full) = f(x) are
     eliminated by substitution, so local accuracy holds by construction.
     Deterministic for a fixed seed. Returns one Explanation for a 1-D target,
     else a list with one per output column; all outputs share the coalitions

@@ -233,6 +233,28 @@ class TestExplain:
                    "--estimator", "kernel", "--budget", "64", "--seed", "2",
                    "--out", tmp_path) == 0
 
+    @pytest.mark.parametrize("budget, code, message", [
+        ("full", 2, 'error: --budget: budget="full" is capped at 16 features'),
+        ("1", 2, "error: --budget: budget must be at least 2"),
+        ("-5", 2, "error: --budget: budget must be at least 2"),
+        ("3", 1, "system has 2 rows for 20 coefficients"),
+    ])
+    def test_kernel_budget_exit_codes(self, foodtruck_arff, tmp_path_factory, tmp_path,
+                                      capsys, budget, code, message):
+        """A budget the library refuses is a usage error (exit 2) naming
+        --budget; one too small for the 21-feature regression is a runtime
+        error (exit 1)."""
+        out = tmp_path_factory.mktemp("foodtruck-mlknn")
+        assert run("train", "--data", foodtruck_arff, "--labels", "12", "--algo",
+                   "mlknn", "--k", "3", "--seed", "2", "--out", out) == 0
+        capsys.readouterr()
+        assert run("explain", "--data", foodtruck_arff, "--labels", "12",
+                   "--model", out / "model.json", "--instance", "0",
+                   "--label-ids", "0", "--background", "4", "--budget", budget,
+                   "--seed", "2", "--out", tmp_path) == code
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("explanation_*.json"))
+
     def test_instance_out_of_range(self, small_arff, trained, tmp_path, capsys):
         assert run("explain", "--data", small_arff, "--labels", "3",
                    "--model", trained, "--instance", "999", "--seed", "1",
@@ -347,6 +369,8 @@ class TestNumericInputs:
         ("train", [], {"preset": 3}, "--preset"),
         ("train", [], {"preset": "bogus"}, "--preset"),
         ("train", [], {"algo": "cc", "order": 5}, "--order"),
+        ("explain", ["--label-ids", "1,1"], {}, "--label-ids"),
+        ("explain", [], {"label_ids": [0, 2, 0]}, "--label-ids"),
     ])
     def test_exits_2_naming_the_flag(self, small_arff, trained, tmp_path, capsys,
                                      command, flags, bad, flag):

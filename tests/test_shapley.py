@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -27,8 +29,9 @@ from mlshap.data import Dataset
 from mlshap.evaluation import PRESETS
 from mlshap.shapley import (
     Explanation,
+    _coalition_budget,
     _coalition_values,
-    _size_order,
+    _sample_coalitions,
     resolve_estimator,
     tree_shap,
 )
@@ -129,13 +132,83 @@ class TestKernelWeight:
             kernel_weight(5, z)
 
 
-def test_size_order_covers_all_proper_sizes():
-    for M in range(2, 12):
-        order = list(_size_order(M))
-        assert sorted(order) == list(range(1, M))
-        assert order[0] == 1
-        if M > 2:
-            assert order[1] == M - 1
+def _documented_rows(M, budget):
+    """E + 2 * ((budget - E) // 2), E the rows of the size pairs that fit."""
+    enumerated = 0
+    for z in range(1, M // 2 + 1):
+        pair = math.comb(M, z) * (1 if 2 * z == M else 2)
+        if enumerated + pair > budget:
+            break
+        enumerated += pair
+    return enumerated + 2 * ((budget - enumerated) // 2)
+
+
+def _codes(masks):
+    return (masks.astype(np.int64) << np.arange(masks.shape[1])).sum(axis=1)
+
+
+class TestSampleCoalitions:
+    @pytest.mark.parametrize("M", range(2, 15))
+    def test_paired_rows_over_a_budget_sweep(self, M):
+        full = (1 << M) - 1
+        total = full - 1
+        budgets = {2, 3, total - 1, total} | {
+            int(b) + d for b in np.linspace(2, total - 1, 10) for d in (0, 1)}
+        for budget in sorted(b for b in budgets if 2 <= b <= total):
+            masks, weights = _sample_coalitions(M, budget, np.random.default_rng(budget))
+            assert masks.shape == (_documented_rows(M, budget), M) == (len(weights), M)
+            sizes = masks.sum(axis=1)
+            assert ((sizes > 0) & (sizes < M)).all()
+            # Closed under complement, each row paired with its complement at
+            # the same weight: the (mask, weight) multiset is its own complement.
+            rows = sorted(zip(_codes(masks).tolist(), weights.tolist()))
+            flipped = sorted(zip((full ^ _codes(masks)).tolist(), weights.tolist()))
+            assert rows == flipped
+
+    @pytest.mark.parametrize("M", range(2, 15))
+    def test_full_budget_is_every_proper_coalition(self, M):
+        masks, weights = _sample_coalitions(M, _coalition_budget("full", M),
+                                            np.random.default_rng(0))
+        assert len(set(_codes(masks).tolist())) == len(masks) == (1 << M) - 2
+        assert weights.tolist() == [kernel_weight(M, int(z)) for z in masks.sum(axis=1)]
+
+    def test_wide_target_large_budget(self):
+        masks, weights = _sample_coalitions(40, 300_000, np.random.default_rng(0))
+        assert masks.shape == (_documented_rows(40, 300_000), 40) == (300_000, 40)
+        assert len(weights) == 300_000
+
+
+class TestDualGame:
+    """Shapley values of the dual game are the negated values of the game:
+    explaining x against background r is the dual of explaining r against x,
+    so with complement-paired coalitions the two estimates cancel."""
+
+    M = 12
+
+    @pytest.fixture(scope="class")
+    def game(self):
+        X = np.random.default_rng(0).normal(size=(300, self.M))
+        y = (X[:, 0] * X[:, 1] + X[:, 2] * X[:, 3] - X[:, 4] > 0).astype(int)
+        forest = fit_forest(X, y, ForestParams(n_trees=10, max_depth=6, seed=5))
+        x, r = np.random.default_rng(1).normal(size=(2, self.M))
+        return ExplainTarget(f=forest.predict_proba, n_features=self.M), x, r
+
+    @pytest.mark.parametrize("budget", [200, 201, 1000, 1001])
+    def test_game_and_dual_cancel(self, game, budget):
+        target, x, r = game
+        for seed in range(20):
+            phi = kernel_shap(target, x, r[None], budget=budget, seed=seed).phi
+            dual = kernel_shap(target, r, x[None], budget=budget, seed=seed).phi
+            assert np.abs(phi + dual).max() <= 1e-12
+
+    def test_error_falls_with_the_budget(self, game):
+        target, x, r = game
+        exact = exact_shapley(target, x, r[None]).phi
+        medians = [np.median([
+            np.abs(kernel_shap(target, x, r[None], budget=budget, seed=seed).phi
+                   - exact).max() for seed in range(20)])
+            for budget in (200, 1000, 3000)]
+        assert medians[0] > medians[1] > medians[2]
 
 
 class TestKernelShap:
