@@ -32,8 +32,8 @@ from .forest import (
     DecisionTree,
     ForestParams,
     RandomForest,
-    entropy,
     fit_forest,
+    fit_forests,
     fit_tree,
     forest_from_json,
     forest_to_json,

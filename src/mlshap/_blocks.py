@@ -3,9 +3,10 @@ that share the blocks.
 
 Explaining a prediction builds blocks whose size grows with the request:
 synthesized (coalition x background) rows, (query x training row) distances,
-(background x path feature x leaf) cells. Each caller states how many bytes
-one row of its block holds, and :func:`row_slices` cuts the rows so a block
-holds at most ``_BLOCK_BYTES``, but never fewer than one row. Arrays that
+(background x path feature x leaf) cells; fitting forests holds (tree in
+flight x training row) row ids. Each caller states how many bytes one row of
+its block holds, and :func:`row_slices` cuts the rows so a block holds at
+most ``_BLOCK_BYTES``, but never fewer than one row. Arrays that
 scale with the model rather than the request, such as a forest's leaf paths,
 are outside the budget.
 

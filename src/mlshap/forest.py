@@ -4,17 +4,20 @@ The trees are binary probabilistic classifiers: each leaf stores the positive
 fraction of its training rows, and a forest's prediction is the arithmetic
 mean of the leaf probabilities reached in every tree. Each tree derives an
 independent rng stream from (forest seed, tree index), so refits are
-bit-identical regardless of evaluation order.
+bit-identical regardless of evaluation order. :func:`fit_forests` grows all
+the trees of several forests in lockstep, with one batched split search per
+step, and each tree is the one it would be grown on its own.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _json
+from . import _blocks, _json
 
 FOREST_FORMAT = "mlshap-forest"
 FOREST_VERSION = 1
@@ -194,140 +197,244 @@ def leaf_paths(trees: list[DecisionTree]):
     return owner[node], value[node], gather(1, -1), gather(2, -np.inf), gather(3, np.inf)
 
 
-def entropy(class_counts) -> float:
-    """Shannon entropy, in bits, of a two-class count pair."""
-    neg, pos = class_counts
-    if neg < 0 or pos < 0:
-        raise ValueError("class counts must be non-negative")
-    total = neg + pos
-    if total == 0:
-        raise ValueError("class counts must not both be zero")
-    h = 0.0
-    for count in (neg, pos):
-        if 0 < count < total:
-            p = count / total
-            h -= p * math.log2(p)
-    return h
-
-
 def _entropy_from_positive(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Vectorized two-class entropy from positive counts; total > 0."""
+    """Vectorized two-class entropy, in bits, from positive counts; total > 0."""
     p = pos / total
+    # 0 < p < 1 exactly where 0 < 1 - p < 1, as p is 0 or at least 1/total.
+    inner = (p > 0.0) & (p < 1.0)
     out = np.zeros(p.shape)
     for q in (p, 1.0 - p):
-        # q * log2(q) where 0 < q < 1, and exactly 0.0 elsewhere.
-        out -= q * np.log2(q, out=np.zeros(q.shape), where=(q > 0.0) & (q < 1.0))
+        # q * log2(q) where 0 < q < 1, and exactly 0.0 elsewhere (log2(1) = 0).
+        out -= q * np.log2(np.where(inner, q, 1.0))
     return out
 
 
-def _best_split(X, y, rows, feats, min_leaf):
-    """Highest-entropy-gain (feature, threshold) over the candidate features.
+# Cells (node rows x candidate features) in one block of the batched split
+# search: 128 KiB per float64 array of the block, so its arrays stay in cache.
+# Caps from 4 096 to 32 768 timed alike on the foodtruck- and yeast-shaped
+# stand-ins, and 2 048 and 262 144 were slower (measurements in ROADMAP.md).
+_SPLIT_CELLS = 16384
 
-    All candidates are scored in one pass over the (rows, feats) block: each
-    column is sorted once, and a split after sorted position i is valid where
-    the value changes and both sides keep at least ``min_leaf`` rows. Ties
-    resolve to the lowest feature index, then the lowest threshold.
-    Returns None when no candidate split is valid or no split gains.
+# Bytes a tree in flight holds per training row: the row ids of its pending
+# nodes (disjoint parts of its n bootstrap rows, so at most n of them) and,
+# while a node splits, its children's copies; 8 bytes each.
+_TREE_ROW_BYTES = 16
+
+
+def _best_splits(nodes):
+    """Highest-entropy-gain split of each node of ``nodes``, scored in blocks.
+
+    A node is ``(X, y, rows, feats, min_leaf)``. Returns, per node, None when
+    no candidate split is valid or none gains, else ``(feature, threshold,
+    left_rows, right_rows, left_positives)``; ``left_rows`` are the rows with
+    ``X[row, feature] <= threshold``, in the order of ``rows``.
+
+    Nodes of similar size share a block, which holds one line of cells per
+    (node, candidate feature), one cell per row of the node, padded with +inf.
+    +inf sorts after every finite value, so padding never ends a valid
+    candidate. Each line is sorted once, and a split after sorted position i
+    is valid where the value changes and both sides keep at least
+    ``min_leaf`` of the node's rows. Every cell is scored by the same
+    arithmetic as a node on its own would be, so the result does not depend
+    on how the nodes are grouped. Ties resolve to the lowest feature index,
+    then the lowest threshold.
     """
-    n = rows.size
-    if n < 2 * min_leaf:
-        return None
-    ys = y[rows]
-    pos_total = int(ys.sum())
-    parent = _entropy_from_positive(np.array([pos_total]), np.array([n]))[0]
-    block = X[rows[:, None], feats]
-    order = np.argsort(block, axis=0, kind="stable")
-    vs = np.take_along_axis(block, order, axis=0)
-    # Candidate r splits after sorted position lo + r; the range [lo, hi)
-    # leaves at least min_leaf rows on each side.
-    lo, hi = min_leaf - 1, n - min_leaf
-    pos_left = np.cumsum(ys[order], axis=0)[lo:hi]
-    n_left = np.arange(lo + 1, hi + 1)[:, None]
-    n_right = n - n_left
-    k = hi - lo
-    h = _entropy_from_positive(  # left children in rows [0, k), right in [k, 2k)
-        np.concatenate([pos_left, pos_total - pos_left]), np.concatenate([n_left, n_right])
-    )
-    gains = parent - (n_left * h[:k] + n_right * h[k:]) / n
-    gains[vs[lo:hi] == vs[lo + 1 : hi + 1]] = -np.inf
-    at = np.argmax(gains, axis=0)  # first max -> lowest threshold on ties
-    col_gain = gains[at, np.arange(gains.shape[1])]
-    j = int(np.argmax(col_gain))  # first max -> lowest feature on ties
-    if not col_gain[j] > 0.0:
-        return None
-    i = lo + at[j]
-    below, above = vs[i, j], vs[i + 1, j]
+    out = [None] * len(nodes)
+    sizes = np.array([node[2].size for node in nodes], dtype=np.int64)
+    min_leaf = np.array([node[4] for node in nodes], dtype=np.int64)
+    widths = np.array([node[3].size for node in nodes], dtype=np.int64)
+    order = np.argsort(-sizes, kind="stable")
+    order = order[sizes[order] >= 2 * min_leaf[order]]  # the rest cannot split
+    start = 0
+    while start < order.size:
+        height, width, end = sizes[order[start]], widths[order[start]], start + 1
+        # Within a factor two of the block's largest node, so padding stays
+        # under half the rows, and within _SPLIT_CELLS cells (at least one node).
+        while end < order.size and 2 * sizes[order[end]] > height:
+            wider = max(width, widths[order[end]])
+            if (end + 1 - start) * wider * height > _SPLIT_CELLS:
+                break
+            width, end = wider, end + 1
+        block = order[start:end]
+        for b, found in zip(block, _split_block([nodes[b] for b in block],
+                                                int(height), int(width))):
+            out[b] = found
+        start = end
+    return out
+
+
+def _split_block(nodes, height, width):
+    """:func:`_best_splits` over one block: ``width`` lines of ``height``
+    cells per node, the lines past a node's own candidate features all
+    padding."""
+    k = len(nodes)
+    vals = np.full((k * width, height), np.inf)
+    ys = np.zeros((k * width, height), dtype=np.int64)
+    for b, (X, y, rows, feats, _) in enumerate(nodes):
+        vals[b * width:b * width + feats.size, :rows.size] = X[rows, feats[:, None]]
+        ys[b * width:(b + 1) * width, :rows.size] = y[rows]
+    n = np.repeat([node[2].size for node in nodes], width)[:, None]
+    min_leaf = np.repeat([node[4] for node in nodes], width)[:, None]
+    # Ties sort in any order: a valid split ends a run of equal values, so the
+    # rows before it, and their positive count, do not depend on that order.
+    order = np.argsort(vals, axis=1)
+    vs = np.take_along_axis(vals, order, axis=1)
+    # One entropy call scores every cell: cell i of a line is the split after
+    # sorted position i, with its left child in column i, its right child in
+    # column height - 1 + i, and the node itself in the last column.
+    pos = np.empty((k * width, 2 * height - 1), dtype=np.int64)
+    total = np.empty_like(pos)
+    left, right = slice(0, height - 1), slice(height - 1, -1)
+    np.cumsum(np.take_along_axis(ys, order, axis=1)[:, :-1], axis=1, out=pos[:, left])
+    pos[:, -1] = ys.sum(axis=1)
+    np.subtract(pos[:, -1:], pos[:, left], out=pos[:, right])
+    n_left = np.arange(1, height)
+    total[:, left] = n_left
+    # Past the rows of a line's node n_right is not positive; those cells are
+    # masked below, and 1 keeps their division finite.
+    np.maximum(n - n_left, 1, out=total[:, right])
+    total[:, -1:] = n
+    h = _entropy_from_positive(pos, total)
+    gains = h[:, -1:] - (n_left * h[:, left] + total[:, right] * h[:, right]) / n
+    valid = vs[:, :-1] != vs[:, 1:]
+    valid &= n_left >= min_leaf
+    valid &= n_left <= n - min_leaf
+    gains[~valid] = -np.inf
+    at = np.argmax(gains, axis=1)  # first max -> lowest threshold on ties
+    col_gain = gains[np.arange(k * width), at].reshape(k, width)
+    j = np.argmax(col_gain, axis=1)  # first max -> lowest feature on ties
+    split = np.flatnonzero(col_gain[np.arange(k), j] > 0.0)
+    cols = split * width + j[split]
+    below, above = vs[cols, at[cols]], vs[cols, at[cols] + 1]
     mid = (below + above) / 2.0
     # The midpoint of two adjacent floats can round up onto the upper one; the
     # lower one then splits the rows the same.
-    return int(feats[j]), float(mid if mid < above else below)
+    threshold = np.where(mid < above, mid, below)
+    go_left = vals[cols] <= threshold[:, None]
+    left_pos = (go_left * ys[cols]).sum(axis=1)
+    found = [None] * k
+    for s, b in enumerate(split):
+        rows, feats = nodes[b][2], nodes[b][3]
+        goes = go_left[s, :rows.size]
+        found[b] = (int(feats[j[b]]), float(threshold[s]), rows[goes], rows[~goes],
+                    int(left_pos[s]))
+    return found
+
+
+class _Growing:
+    """One tree in flight: its training data, rng stream, node arena and the
+    stack of nodes still to visit, each with its row ids into ``X``."""
+
+    def __init__(self, X, y, params: ForestParams, rng, bootstrap: bool):
+        n = X.shape[0]
+        self.X, self.y, self.rng = X, y, rng
+        self.n_features = X.shape[1]
+        self.m = params.resolve_max_features(self.n_features)
+        self.max_depth = params.max_depth
+        self.min_leaf = params.min_samples_leaf
+        # Typed arrays hold 8 bytes a field; a Python list holds an object.
+        self.feature = array("q")
+        self.threshold = array("d")
+        self.left = array("q")
+        self.right = array("q")
+        self.value = array("d")
+        # A bootstrap is drawn first, from the tree's own stream, as n row ids.
+        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        pos = int(y[rows].sum())
+        self.stack = [(self.new_node(pos, n), rows, pos, 0)]
+
+    def new_node(self, pos: int, n: int) -> int:
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        # Equal to y[rows].mean() bit for bit: an exact count over an exact
+        # count, divided once.
+        self.value.append(pos / n)
+        return len(self.feature) - 1
+
+    def next_node(self):
+        """Pop nodes in preorder up to the first that may split, and draw its
+        candidate features; None once the stack is empty. Each tree draws in
+        the same order as when grown on its own."""
+        while self.stack:
+            node, rows, pos, depth = self.stack.pop()
+            if (depth < self.max_depth and 0 < pos < rows.size
+                    and rows.size >= 2 * self.min_leaf):
+                feats = np.sort(self.rng.choice(self.n_features, size=self.m,
+                                                replace=False))
+                return node, pos, depth, (self.X, self.y, rows, feats, self.min_leaf)
+        return None
+
+    def split(self, node, pos, depth, found) -> None:
+        f, thr, left_rows, right_rows, pos_left = found
+        self.feature[node] = f
+        self.threshold[node] = thr
+        self.left[node] = self.new_node(pos_left, left_rows.size)
+        self.right[node] = self.new_node(pos - pos_left, right_rows.size)
+        # Right pushed first so the left subtree is built (and draws rng) first.
+        self.stack.append((self.right[node], right_rows, pos - pos_left, depth + 1))
+        self.stack.append((self.left[node], left_rows, pos_left, depth + 1))
+
+    def tree(self) -> DecisionTree:
+        return DecisionTree(
+            feature=np.array(self.feature, dtype=np.int64),
+            threshold=np.array(self.threshold, dtype=np.float64),
+            left=np.array(self.left, dtype=np.int64),
+            right=np.array(self.right, dtype=np.int64),
+            value=np.array(self.value, dtype=np.float64),
+        )
+
+
+def _grow(jobs) -> list[DecisionTree]:
+    """One greedy entropy tree per ``(X, y, params, rng, bootstrap)`` job.
+
+    The trees grow in lockstep: each step, every tree pops its next node that
+    may split, and one :func:`_best_splits` call scores them all. The jobs are
+    cut into waves by :func:`_blocks.row_slices`, at ``_TREE_ROW_BYTES`` per
+    training row of a tree, so the trees in flight hold at most
+    ``_blocks._BLOCK_BYTES`` of row ids.
+    """
+    trees = []
+    n_rows = max((job[0].shape[0] for job in jobs), default=1)
+    for wave in _blocks.row_slices(len(jobs), _TREE_ROW_BYTES * n_rows):
+        growing = [_Growing(*job) for job in jobs[wave]]
+        live = growing
+        while live:
+            popped = [(tree, node) for tree in live
+                      if (node := tree.next_node()) is not None]
+            searched = _best_splits([node[-1] for _, node in popped])
+            for (tree, node), found in zip(popped, searched):
+                if found is not None:
+                    tree.split(*node[:-1], found)
+            live = [tree for tree in live if tree.stack]
+        trees.extend(tree.tree() for tree in growing)
+    return trees
+
+
+def _training_pair(X, y):
+    """``X`` as a float64 matrix and ``y`` as int64 labels; a bad one raises
+    ValueError naming it."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ValueError("training data X must be a non-empty matrix")
+    if not np.isfinite(X).all():
+        raise ValueError("training data X must be finite, not nan or inf")
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise ValueError(f"labels y must be 1-D, got shape {y.shape}")
+    if y.shape[0] != X.shape[0]:
+        raise ValueError(f"labels y has {y.shape[0]} entries for {X.shape[0]} rows of X")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels y must all be 0 or 1")
+    return X, y.astype(np.int64)
 
 
 def fit_tree(X, y, params: ForestParams, rng: np.random.Generator) -> DecisionTree:
-    """Grow one greedy entropy tree over per-node random feature subsets."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("training data must be a non-empty matrix")
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X rows must match y length")
-    d = X.shape[1]
-    m = params.resolve_max_features(d)
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-
-    def new_node(pos, n):
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        # Equal to y[rows].mean() bit for bit: an exact count over an exact
-        # count, divided once.
-        value.append(pos / n)
-        return len(feature) - 1
-
-    # Preorder construction keeps rng consumption order fixed. Each stack entry
-    # carries its node's positive count; a split counts its left rows only.
-    root_rows = np.arange(X.shape[0])
-    root_pos = int(y.sum())
-    stack = [(new_node(root_pos, root_rows.size), root_rows, root_pos, 0)]
-    while stack:
-        node, rows, pos, depth = stack.pop()
-        if (
-            depth >= params.max_depth
-            or pos == 0
-            or pos == rows.size
-            or rows.size < 2 * params.min_samples_leaf
-        ):
-            continue
-        feats = np.sort(rng.choice(d, size=m, replace=False))
-        found = _best_split(X, y, rows, feats, params.min_samples_leaf)
-        if found is None:
-            continue
-        f, thr = found
-        go_left = X[rows, f] <= thr
-        left_rows, right_rows = rows[go_left], rows[~go_left]
-        pos_left = int(y[left_rows].sum())
-        feature[node] = f
-        threshold[node] = thr
-        left_node = new_node(pos_left, left_rows.size)
-        right_node = new_node(pos - pos_left, right_rows.size)
-        left[node] = left_node
-        right[node] = right_node
-        # Right pushed first so the left subtree is built (and draws rng) first.
-        stack.append((right_node, right_rows, pos - pos_left, depth + 1))
-        stack.append((left_node, left_rows, pos_left, depth + 1))
-    return DecisionTree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        value=np.array(value, dtype=np.float64),
-    )
+    """Grow one greedy entropy tree over per-node random feature subsets, on
+    every row of X (no bootstrap)."""
+    X, y = _training_pair(X, y)
+    return _grow([(X, y, params, rng, False)])[0]
 
 
 def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -335,22 +442,25 @@ def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, tree_index])
 
 
+def fit_forests(problems) -> list[RandomForest]:
+    """One forest per ``(X, y, params)`` of ``problems``, all grown together.
+
+    Tree t of a forest draws from ``tree_rng(params.seed, t)``: first its
+    bootstrap resample (n row ids, if ``params.bootstrap``), then each node's
+    candidate features in preorder. The trees are independent, so each is
+    the tree it would be on its own, whatever else grows with it.
+    """
+    checked = [(*_training_pair(X, y), params) for X, y, params in problems]
+    trees = iter(_grow([(X, y, params, tree_rng(params.seed, t), params.bootstrap)
+                        for X, y, params in checked for t in range(params.n_trees)]))
+    return [RandomForest(params=params, trees=[next(trees) for _ in range(params.n_trees)],
+                         n_features=X.shape[1])
+            for X, _, params in checked]
+
+
 def fit_forest(X, y, params: ForestParams) -> RandomForest:
     """Bag ``n_trees`` entropy trees, one bootstrap resample (size n) per tree."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("training data must be a non-empty matrix")
-    n = X.shape[0]
-    trees = []
-    for t in range(params.n_trees):
-        rng = tree_rng(params.seed, t)
-        if params.bootstrap:
-            rows = rng.integers(0, n, size=n)
-            trees.append(fit_tree(X[rows], y[rows], params, rng))
-        else:
-            trees.append(fit_tree(X, y, params, rng))
-    return RandomForest(params=params, trees=trees, n_features=X.shape[1])
+    return fit_forests([(X, y, params)])[0]
 
 
 def forest_to_doc(forest: RandomForest) -> dict:

@@ -16,7 +16,7 @@ from scipy.spatial.distance import cdist
 
 from . import _blocks, _json
 from .data import Dataset
-from .forest import ForestParams, fit_forest, forest_from_doc, forest_to_doc
+from .forest import ForestParams, fit_forests, forest_from_doc, forest_to_doc
 
 MODEL_FORMAT = "mlshap-model"
 MODEL_VERSION = 1
@@ -320,10 +320,10 @@ def _loo_order(features, k: int):
 
 def fit_br(train: Dataset, forest_params: ForestParams) -> BRModel:
     """Fit one forest per label column, each with a (seed, label)-derived seed."""
-    forests = []
-    for l in range(train.n_labels):
-        params_l = replace(forest_params, seed=derive_seed(forest_params.seed, l))
-        forests.append(fit_forest(train.features, train.labels[:, l], params_l))
+    forests = fit_forests([
+        (train.features, train.labels[:, l],
+         replace(forest_params, seed=derive_seed(forest_params.seed, l)))
+        for l in range(train.n_labels)])
     return BRModel(forests, train.label_names, train.feature_names)
 
 
@@ -339,12 +339,16 @@ def fit_cc(train: Dataset, forest_params: ForestParams, order="random",
         chain = [int(i) for i in order]
         if sorted(chain) != list(range(L)):
             raise ValueError("order is not a permutation of the label indices")
-    aug = train.features
-    models = []
-    for l in chain:
-        params_l = replace(forest_params, seed=derive_seed(forest_params.seed, l))
-        models.append(fit_forest(aug, train.labels[:, l], params_l))
-        aug = np.column_stack([aug, train.labels[:, l].astype(np.float64)])
+    # One augmented matrix, as CCModel._proba_matrix builds: link j reads the
+    # features and the labels of the j earlier links, its first M + j columns.
+    M = train.n_features
+    aug = np.empty((train.n_instances, M + L - 1))
+    aug[:, :M] = train.features
+    aug[:, M:] = train.labels[:, chain[:-1]]
+    models = fit_forests([
+        (aug[:, :M + j], train.labels[:, l],
+         replace(forest_params, seed=derive_seed(forest_params.seed, l)))
+        for j, l in enumerate(chain)])
     return CCModel(chain, models, train.n_features, train.label_names,
                    train.feature_names)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from mlshap import (
     DecisionTree,
     ForestParams,
     RandomForest,
-    entropy,
     fit_forest,
+    fit_forests,
     fit_point,
     fit_tree,
     forest_from_json,
@@ -16,9 +18,9 @@ from mlshap import (
     model_to_json,
     tree_rng,
 )
-from mlshap import forest
+from mlshap import _blocks, forest, multilabel
 from mlshap.forest import (
-    _best_split,
+    _best_splits,
     _entropy_from_positive,
     forest_from_doc,
     forest_to_doc,
@@ -35,31 +37,37 @@ def leaf_tree(p):
     )
 
 
+def _entropy_pair(neg, pos):
+    """Shannon entropy, in bits, of a two-class count pair (scalar reference)."""
+    h = 0.0
+    for count in (neg, pos):
+        if 0 < count < neg + pos:
+            p = count / (neg + pos)
+            h -= p * math.log2(p)
+    return h
+
+
+def _entropy(neg, pos):
+    return float(_entropy_from_positive(np.array([pos]), np.array([neg + pos]))[0])
+
+
 class TestEntropy:
     def test_uniform(self):
-        assert entropy((1, 1)) == 1.0
+        assert _entropy(1, 1) == 1.0
 
     def test_pure(self):
-        assert entropy((5, 0)) == 0.0
-        assert entropy((0, 5)) == 0.0
+        assert _entropy(5, 0) == 0.0
+        assert _entropy(0, 5) == 0.0
 
     def test_three_one(self):
         # -0.75*log2(0.75) - 0.25*log2(0.25)
-        assert entropy((3, 1)) == pytest.approx(0.811278, abs=1e-6)
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            entropy((0, 0))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            entropy((-1, 2))
+        assert _entropy(3, 1) == pytest.approx(0.811278, abs=1e-6)
 
     def test_vectorized_matches_scalar(self):
         # uniform, pure both ways, 3:1 and 1:3, then impure and pure mixed
         neg = np.array([1, 5, 0, 3, 1, 7, 0, 2, 4, 0])
         pos = np.array([1, 0, 5, 1, 3, 0, 9, 2, 1, 1])
-        want = np.array([entropy((a, b)) for a, b in zip(neg, pos)])
+        want = np.array([_entropy_pair(a, b) for a, b in zip(neg, pos)])
         got = _entropy_from_positive(pos, neg + pos)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
         assert got[0] == 1.0 and got[1] == got[2] == 0.0
@@ -182,7 +190,7 @@ def _gain(X, y, feature, threshold):
     if left.size == 0 or right.size == 0:
         return 0.0
     def h(v):
-        return entropy((int(np.sum(v == 0)), int(np.sum(v == 1))))
+        return _entropy_pair(int(np.sum(v == 0)), int(np.sum(v == 1)))
     return h(y) - (left.size * h(left) + right.size * h(right)) / y.size
 
 
@@ -349,31 +357,163 @@ def _best_split_per_feature(X, y, rows, feats, min_leaf):
     return best
 
 
+def _best_split(X, y, rows, feats, min_leaf):
+    """Reference split search for one node: its (rows, feats) block in one
+    2-D pass, each column sorted stably. Ties resolve to the lowest feature
+    index, then the lowest threshold. None when no candidate split is valid
+    or none gains."""
+    n = rows.size
+    if n < 2 * min_leaf:
+        return None
+    ys = y[rows]
+    pos_total = int(ys.sum())
+    parent = _entropy_from_positive(np.array([pos_total]), np.array([n]))[0]
+    block = X[rows[:, None], feats]
+    order = np.argsort(block, axis=0, kind="stable")
+    vs = np.take_along_axis(block, order, axis=0)
+    # Candidate r splits after sorted position lo + r; the range [lo, hi)
+    # leaves at least min_leaf rows on each side.
+    lo, hi = min_leaf - 1, n - min_leaf
+    pos_left = np.cumsum(ys[order], axis=0)[lo:hi]
+    n_left = np.arange(lo + 1, hi + 1)[:, None]
+    n_right = n - n_left
+    k = hi - lo
+    h = _entropy_from_positive(  # left children in rows [0, k), right in [k, 2k)
+        np.concatenate([pos_left, pos_total - pos_left]), np.concatenate([n_left, n_right])
+    )
+    gains = parent - (n_left * h[:k] + n_right * h[k:]) / n
+    gains[vs[lo:hi] == vs[lo + 1 : hi + 1]] = -np.inf
+    at = np.argmax(gains, axis=0)
+    col_gain = gains[at, np.arange(gains.shape[1])]
+    j = int(np.argmax(col_gain))
+    if not col_gain[j] > 0.0:
+        return None
+    i = lo + at[j]
+    below, above = vs[i, j], vs[i + 1, j]
+    mid = (below + above) / 2.0
+    return int(feats[j]), float(mid if mid < above else below)
+
+
+def _fit_tree_per_node(X, y, params, rng):
+    """Reference grower: one tree, one node and one :func:`_best_split` call
+    at a time, in preorder, drawing each node's features from ``rng``."""
+    d = X.shape[1]
+    m = params.resolve_max_features(d)
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node(pos, n):
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(pos / n)
+        return len(feature) - 1
+
+    root_rows = np.arange(X.shape[0])
+    root_pos = int(y.sum())
+    stack = [(new_node(root_pos, root_rows.size), root_rows, root_pos, 0)]
+    while stack:
+        node, rows, pos, depth = stack.pop()
+        if (depth >= params.max_depth or pos == 0 or pos == rows.size
+                or rows.size < 2 * params.min_samples_leaf):
+            continue
+        feats = np.sort(rng.choice(d, size=m, replace=False))
+        found = _best_split(X, y, rows, feats, params.min_samples_leaf)
+        if found is None:
+            continue
+        f, thr = found
+        go_left = X[rows, f] <= thr
+        left_rows, right_rows = rows[go_left], rows[~go_left]
+        pos_left = int(y[left_rows].sum())
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = new_node(pos_left, left_rows.size)
+        right[node] = new_node(pos - pos_left, right_rows.size)
+        stack.append((right[node], right_rows, pos - pos_left, depth + 1))
+        stack.append((left[node], left_rows, pos_left, depth + 1))
+    return DecisionTree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        value=np.array(value, dtype=np.float64),
+    )
+
+
+def _fit_forests_per_tree(problems):
+    """Reference for ``fit_forests``: every tree grown on its own, one after
+    another, on a copy of its bootstrap rows."""
+    forests = []
+    for X, y, params in problems:
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        n = X.shape[0]
+        trees = []
+        for t in range(params.n_trees):
+            rng = tree_rng(params.seed, t)
+            rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+            trees.append(_fit_tree_per_node(X[rows], y[rows], params, rng))
+        forests.append(RandomForest(params=params, trees=trees, n_features=X.shape[1]))
+    return forests
+
+
+def _random_nodes(rng, count):
+    """``count`` random split-search nodes, (X, y, rows, feats, min_leaf), and
+    how many of them have tied, constant-column and single-feature blocks."""
+    seen = {"tied": 0, "constant": 0, "single": 0}
+    nodes = []
+    for _ in range(count):
+        n_pool = int(rng.integers(2, 50))
+        d = int(rng.integers(1, 7))
+        X = rng.normal(size=(n_pool, d))
+        decimals = int(rng.integers(0, 4))
+        if decimals < 3:  # coarse grid: many tied values per column
+            X = np.round(X, decimals)
+            seen["tied"] += 1
+        if rng.random() < 0.25:
+            X[:, rng.integers(d)] = 0.5
+            seen["constant"] += 1
+        y = (rng.random(n_pool) < rng.random()).astype(np.int64)
+        rows = rng.choice(n_pool, size=int(rng.integers(1, 2 * n_pool)))
+        m = int(rng.integers(1, d + 1))
+        seen["single"] += m == 1
+        feats = np.sort(rng.choice(d, size=m, replace=False))
+        min_leaf = int(rng.integers(1, 5))
+        nodes.append((X, y, rows, feats, min_leaf))
+    return nodes, seen
+
+
+def _assert_split_matches(node, found, want):
+    """``found``, from ``_best_splits``, picks the split ``want`` names and
+    partitions the node's rows by it."""
+    X, y, rows, _, _ = node
+    if want is None:
+        assert found is None
+        return
+    f, thr, left_rows, right_rows, left_pos = found
+    assert (f, thr) == want
+    goes = X[rows, f] <= thr
+    np.testing.assert_array_equal(left_rows, rows[goes])
+    np.testing.assert_array_equal(right_rows, rows[~goes])
+    assert left_pos == int(y[left_rows].sum())
+
+
 class TestSplitSearchOracle:
     def test_random_nodes_match_per_feature_search(self):
         rng = np.random.default_rng(2024)
-        seen = {"none": 0, "split": 0, "tied": 0, "constant": 0, "single": 0}
-        for _ in range(800):
-            n_pool = int(rng.integers(2, 50))
-            d = int(rng.integers(1, 7))
-            X = rng.normal(size=(n_pool, d))
-            decimals = int(rng.integers(0, 4))
-            if decimals < 3:  # coarse grid: many tied values per column
-                X = np.round(X, decimals)
-                seen["tied"] += 1
-            if rng.random() < 0.25:
-                X[:, rng.integers(d)] = 0.5
-                seen["constant"] += 1
-            y = (rng.random(n_pool) < rng.random()).astype(np.int64)
-            rows = rng.choice(n_pool, size=int(rng.integers(1, 2 * n_pool)))
-            m = int(rng.integers(1, d + 1))
-            seen["single"] += m == 1
-            feats = np.sort(rng.choice(d, size=m, replace=False))
-            min_leaf = int(rng.integers(1, 5))
-            want = _best_split_per_feature(X, y, rows, feats, min_leaf)
-            assert _best_split(X, y, rows, feats, min_leaf) == want
-            seen["none" if want is None else "split"] += 1
+        nodes, seen = _random_nodes(rng, 800)
+        wants = [_best_split_per_feature(*node) for node in nodes]
+        seen["none"] = sum(want is None for want in wants)
+        seen["split"] = len(wants) - seen["none"]
         assert min(seen.values()) >= 50, seen
+        start = 0
+        while start < len(nodes):  # mixed-size batches of 1 to 60 nodes
+            stop = start + int(rng.integers(1, 61))
+            batch = nodes[start:stop]
+            for node, found, want in zip(batch, _best_splits(batch), wants[start:stop]):
+                _assert_split_matches(node, found, want)
+                assert _best_split(*node) == want
+            start = stop
 
     @pytest.mark.parametrize("X, y, min_leaf", [
         (np.full((6, 2), 3.0), np.array([0, 1, 0, 1, 0, 1]), 1),  # all constant
@@ -385,33 +525,153 @@ class TestSplitSearchOracle:
         rows = np.arange(X.shape[0])
         feats = np.arange(X.shape[1])
         assert _best_split_per_feature(X, y, rows, feats, min_leaf) is None
-        assert _best_split(X, y, rows, feats, min_leaf) is None
+        assert _best_splits([(X, y, rows, feats, min_leaf)]) == [None]
 
     def test_ties_go_to_lowest_feature_then_lowest_threshold(self):
         # Columns 1 and 2 are identical perfect separators at two thresholds.
         X = np.array([[5.0, 0.0, 0.0], [4.0, 1.0, 1.0], [3.0, 2.0, 2.0],
                       [2.0, 3.0, 3.0]])
         y = np.array([0, 1, 1, 0])
-        rows, feats = np.arange(4), np.array([1, 2])
-        want = _best_split_per_feature(X, y, rows, feats, 1)
+        node = (X, y, np.arange(4), np.array([1, 2]), 1)
+        want = _best_split_per_feature(*node)
         assert want == (1, 0.5)
-        assert _best_split(X, y, rows, feats, 1) == want
+        _assert_split_matches(node, _best_splits([node])[0], want)
+
+    def test_empty_batch(self):
+        assert _best_splits([]) == []
+
+
+def _dataset(decimals=None):
+    ds = foodtruck_like()
+    if decimals is not None:
+        ds = Dataset(ds.name, np.round(ds.features, decimals), ds.feature_names,
+                     ds.labels, ds.label_names)
+    return ds
 
 
 class TestForestBytesMatchOracle:
     @pytest.mark.parametrize("preset", ["paper-br", "paper-cc"])
     @pytest.mark.parametrize("decimals", [None, 1])
     def test_model_json_identical(self, monkeypatch, preset, decimals):
-        ds = foodtruck_like()
-        if decimals is not None:
-            ds = Dataset(ds.name, np.round(ds.features, decimals), ds.feature_names,
-                         ds.labels, ds.label_names)
+        ds = _dataset(decimals)
         params = dict(PRESETS[preset], n_trees=3, seed=7)
         algo = params.pop("algo")
         got = model_to_json(fit_point(algo, ds, params))
-        monkeypatch.setattr(forest, "_best_split", _best_split_per_feature)
+        monkeypatch.setattr(multilabel, "fit_forests", _fit_forests_per_tree)
         want = model_to_json(fit_point(algo, ds, params))
         assert got == want
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    @pytest.mark.parametrize("params", [
+        {"bootstrap": False},
+        {"max_features": 1},
+        {"max_features": 21, "max_depth": 6},
+        {"min_samples_leaf": 2},
+        {"min_samples_leaf": 3, "bootstrap": False},
+        {"min_samples_leaf": 5},
+    ], ids=["no-bootstrap", "one-feature", "all-features", "leaf-2",
+            "leaf-3-no-bootstrap", "leaf-5"])
+    def test_forest_params_identical(self, params, decimals):
+        ds = _dataset(decimals)
+        p = ForestParams(**dict({"n_trees": 3, "seed": 4}, **params))
+        y = ds.labels[:, 2]
+        got = forest_to_json(fit_forest(ds.features, y, p))
+        assert got == forest_to_json(_fit_forests_per_tree([(ds.features, y, p)])[0])
+
+    def test_mixed_problems_match_each_alone(self):
+        """Forests of different widths, labels and parameters grown together
+        are the forests each grows on its own."""
+        ds = _dataset(1)
+        X = ds.features
+        problems = [
+            (X, ds.labels[:, 0], ForestParams(n_trees=2, seed=1)),
+            (X[:, :5], ds.labels[:, 1], ForestParams(n_trees=3, max_depth=3, seed=2)),
+            (X, ds.labels[:, 2], ForestParams(n_trees=1, min_samples_leaf=4,
+                                              max_features=7, bootstrap=False, seed=3)),
+            (X[:40], ds.labels[:40, 3], ForestParams(n_trees=2, seed=4)),
+        ]
+        together = [forest_to_json(f) for f in fit_forests(problems)]
+        alone = [forest_to_json(fit_forest(*problem)) for problem in problems]
+        assert together == alone
+        assert together == [forest_to_json(f) for f in _fit_forests_per_tree(problems)]
+
+    def test_one_cell_blocks_and_one_tree_waves(self, monkeypatch):
+        ds = _dataset(1)
+        problems = [(ds.features, ds.labels[:, l], ForestParams(n_trees=2, seed=l))
+                    for l in range(3)]
+        want = [forest_to_json(f) for f in fit_forests(problems)]
+        blocks, waves = [], []
+        split_block, row_slices = forest._split_block, _blocks.row_slices
+
+        def one_node_blocks(nodes, height, width):
+            blocks.append(len(nodes))
+            return split_block(nodes, height, width)
+
+        def one_tree_waves(n_rows, row_bytes):
+            cut = row_slices(n_rows, row_bytes)
+            waves.extend(cut)
+            return cut
+
+        monkeypatch.setattr(forest, "_SPLIT_CELLS", 1)
+        monkeypatch.setattr(_blocks, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(forest, "_split_block", one_node_blocks)
+        monkeypatch.setattr(_blocks, "row_slices", one_tree_waves)
+        assert [forest_to_json(f) for f in fit_forests(problems)] == want
+        assert blocks and max(blocks) == 1
+        assert len(waves) == 6 and all(s.stop - s.start == 1 for s in waves)
+
+
+class TestInputChecks:
+    """Each entry of the grower names the argument it refuses."""
+
+    ENTRIES = {
+        "fit_forest": lambda X, y: fit_forest(X, y, ForestParams(n_trees=2)),
+        "fit_forests": lambda X, y: fit_forests([(X, y, ForestParams(n_trees=2))]),
+        "fit_tree": lambda X, y: fit_tree(X, y, ForestParams(), tree_rng(0, 0)),
+    }
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, 3))
+        return X, (X[:, 0] > 0).astype(np.int64)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_X(self, entry, bad):
+        X, y = self._data()
+        X[4, 1] = bad
+        with pytest.raises(ValueError, match="X must be finite"):
+            self.ENTRIES[entry](X, y)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_y_not_one_dimensional(self, entry):
+        X, y = self._data()
+        with pytest.raises(ValueError, match="y must be 1-D"):
+            self.ENTRIES[entry](X, y[:, None])
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("length", [29, 31])
+    def test_y_wrong_length(self, entry, length):
+        X, y = self._data()
+        with pytest.raises(ValueError, match=f"y has {length} entries for 30 rows"):
+            self.ENTRIES[entry](X, np.resize(y, length))
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_y_not_zero_or_one(self, entry, bad):
+        X, y = self._data()
+        y = y.astype(np.float64)
+        y[7] = bad
+        with pytest.raises(ValueError, match="y must all be 0 or 1"):
+            self.ENTRIES[entry](X, y)
+
+    def test_float_and_bool_labels_fit_as_integers(self):
+        X, y = self._data()
+        params = ForestParams(n_trees=2, seed=5)
+        want = forest_to_json(fit_forest(X, y, params))
+        assert forest_to_json(fit_forest(X, y.astype(np.float64), params)) == want
+        assert forest_to_json(fit_forest(X, y.astype(bool), params)) == want
 
 
 def _node_rows(tree, X):

@@ -12,6 +12,7 @@ from mlshap import (
     fit_cc,
     fit_forest,
     fit_mlknn,
+    forest_to_json,
     knn_indices,
     load_model,
     make_folds,
@@ -157,6 +158,19 @@ class TestClassifierChain:
     def test_invalid_permutation(self, small_dataset):
         with pytest.raises(ValueError, match="permutation"):
             fit_cc(small_dataset, DET_PARAMS, order=[0, 0, 1])
+
+    def test_links_train_on_earlier_ground_truth_labels(self, small_dataset):
+        """Link j is the forest fitted on the features followed by the labels
+        of links 0..j-1, byte for byte."""
+        params = ForestParams(n_trees=2, max_depth=4, seed=9)
+        chain = [2, 0, 1]
+        model = fit_cc(small_dataset, params, order=chain)
+        from dataclasses import replace
+        X, Y = small_dataset.features, small_dataset.labels
+        for j, l in enumerate(chain):
+            aug = np.column_stack([X] + [Y[:, e].astype(np.float64) for e in chain[:j]])
+            link = fit_forest(aug, Y[:, l], replace(params, seed=derive_seed(9, l)))
+            assert forest_to_json(model.chained_models[j]) == forest_to_json(link)
 
     def test_manual_chain_evaluation(self, small_dataset):
         """predict_proba equals hand-run chaining with hard thresholds,
