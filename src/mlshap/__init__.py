@@ -35,8 +35,6 @@ from .forest import (
     fit_forest,
     fit_forests,
     fit_tree,
-    forest_from_json,
-    forest_to_json,
     tree_rng,
 )
 from .multilabel import (
@@ -48,11 +46,7 @@ from .multilabel import (
     fit_br,
     fit_cc,
     fit_mlknn,
-    knn_indices,
     load_model,
-    model_from_json,
-    model_to_json,
-    predict_labels,
     save_model,
 )
 from .shapley import (
@@ -60,7 +54,6 @@ from .shapley import (
     EstimationError,
     ExplainTarget,
     Explanation,
-    eval_coalition,
     exact_shapley,
     explain_instance,
     explanation_from_doc,

@@ -13,9 +13,8 @@ import sys
 from pathlib import Path
 
 from . import _json
-from .data import ParseError, load_arff, load_csv
+from .data import ParseError, load_arff, load_csv, make_folds
 from .evaluation import METRICS, PRESETS, ParamGrid, fit_point, grid_search
-from .data import make_folds
 from .multilabel import load_model, save_model
 from .shapley import (
     ENUMERATION_CAP,
@@ -23,10 +22,10 @@ from .shapley import (
     EstimationError,
     _coalition_budget,
     explain_instance,
-    explanation_to_doc,
     load_explanation,
     resolve_estimator,
     sample_background,
+    save_explanation,
 )
 from .viz import feature_importance, force_data, plot_spec, render_svg, summary_points, write_json
 
@@ -53,13 +52,15 @@ def _parse_labels_flag(text):
         return [part.strip() for part in text.split(",") if part.strip()]
 
 
+# argparse turns only ValueError, TypeError and ArgumentTypeError from a
+# type= function into a usage message (exit 2); anything else escapes it.
 def _parse_budget_flag(text):
     if text == "full":
         return "full"
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f'--budget must be an integer or "full", got {text!r}')
+        raise argparse.ArgumentTypeError(f'must be an integer or "full", got {text!r}')
 
 
 def _parse_max_features_flag(text):
@@ -68,7 +69,7 @@ def _parse_max_features_flag(text):
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f'--max-features must be an integer or "sqrt", got {text!r}')
+        raise argparse.ArgumentTypeError(f'must be an integer or "sqrt", got {text!r}')
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +388,7 @@ def cmd_explain(cfg) -> int:
     out = _out_dir(cfg)
     for expl in explanations:
         path = out / f"explanation_i{instance}_l{expl.label}.json"
-        _json.write(path, explanation_to_doc(expl))
+        save_explanation(expl, path)
         print(f"wrote {path}")
     return 0
 
@@ -451,3 +452,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -91,10 +91,6 @@ class FoldPlan:
     assignments: list[list[tuple[np.ndarray, np.ndarray]]]  # [rep][fold] -> (train, test)
     seed: int
 
-    @property
-    def n_evaluations(self) -> int:
-        return self.repetitions * self.folds_per_rep
-
 
 def _resolve_label_columns(path, names, label_spec):
     """Map a trailing-count or explicit name list onto column indices."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blocks, _json
+from . import _blocks
 
 FOREST_FORMAT = "mlshap-forest"
 FOREST_VERSION = 1
@@ -489,12 +489,50 @@ def forest_to_doc(forest: RandomForest) -> dict:
     }
 
 
+def _check_arenas(trees: list[DecisionTree], n_features: int) -> None:
+    """Raise ValueError naming the field unless every arena is one the grower
+    writes: five arrays of one length, at least one node, features in
+    [-1, n_features), and children in preorder, so that a split node i has
+    both children in (i, n_nodes) and a leaf has -1 for both. Children after
+    their parent rule out cycles, so every walk from the root ends at a leaf.
+    """
+    for t, tree in enumerate(trees):
+        for name in ("threshold", "left", "right", "value"):
+            if getattr(tree, name).shape != tree.feature.shape:
+                raise ValueError(f"tree {t}: {name} has {getattr(tree, name).size} "
+                                 f"entries, feature has {tree.feature.size}")
+        if tree.feature.ndim != 1 or tree.n_nodes == 0:
+            raise ValueError(f"tree {t}: feature must be a non-empty list")
+    sizes = np.array([tree.n_nodes for tree in trees], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    node = np.arange(sizes.sum()) - np.repeat(starts, sizes)  # index within its tree
+    n_nodes = np.repeat(sizes, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    split = feature >= 0
+    checks = [("feature", (feature >= -1) & (feature < n_features),
+               f"in [-1, {n_features})")]
+    for name in ("left", "right"):
+        child = np.concatenate([getattr(tree, name) for tree in trees])
+        checks.append((name, np.where(split, (node < child) & (child < n_nodes),
+                                      child == -1),
+                       "after its node and inside the tree at a split, -1 at a leaf"))
+    for name, ok, rule in checks:
+        if not ok.all():
+            i = int(np.argmin(ok))
+            t = int(np.searchsorted(starts, i, side="right")) - 1
+            raise ValueError(f"tree {t}: {name}[{node[i]}] is "
+                             f"{getattr(trees[t], name)[node[i]]}, must be {rule}")
+
+
 def forest_from_doc(doc: dict) -> RandomForest:
+    """The forest of a ``forest_to_doc`` document; a malformed one raises
+    ValueError naming the field."""
     if doc.get("format") != FOREST_FORMAT:
         raise ValueError(f"not a forest document: {doc.get('format')!r}")
     if doc.get("version") != FOREST_VERSION:
         raise ValueError(f"unsupported forest version {doc.get('version')!r}")
     params = ForestParams(**doc["params"])
+    n_features = _as_int("n_features", doc["n_features"])
     trees = [
         DecisionTree(
             feature=np.array(t["feature"], dtype=np.int64),
@@ -505,12 +543,6 @@ def forest_from_doc(doc: dict) -> RandomForest:
         )
         for t in doc["trees"]
     ]
-    return RandomForest(params=params, trees=trees, n_features=doc["n_features"])
-
-
-def forest_to_json(forest: RandomForest) -> str:
-    return _json.dumps(forest_to_doc(forest))
-
-
-def forest_from_json(text: str) -> RandomForest:
-    return forest_from_doc(_json.loads(text))
+    forest = RandomForest(params=params, trees=trees, n_features=n_features)
+    _check_arenas(forest.trees, n_features)
+    return forest

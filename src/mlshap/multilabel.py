@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import _blocks, _json
 from .data import Dataset
-from .forest import ForestParams, fit_forests, forest_from_doc, forest_to_doc
+from .forest import ForestParams, _as_int, fit_forests, forest_from_doc, forest_to_doc
 
 MODEL_FORMAT = "mlshap-model"
 MODEL_VERSION = 1
@@ -76,8 +75,9 @@ class MultiLabelModel:
         out = self._proba_matrix(X, self._label_ids(labels))
         return out[0] if single else out
 
-    def predict(self, X, threshold: float = 0.5):
-        return predict_labels(self.predict_proba(X), threshold)
+    def predict(self, X):
+        """Hard 0/1 decisions; a probability of exactly 0.5 rounds up."""
+        return (self.predict_proba(X) >= 0.5).astype(np.int64)
 
     def label_proba_fn(self, labels):
         """Batched explainer target: an (n, M) matrix to (n, len(labels))."""
@@ -299,6 +299,9 @@ def _neighbors(X, train_features, k: int, *, exclude_self: bool = False):
     and no index. With ``exclude_self``, ``X`` is ``train_features`` and each
     row's own entry is set to inf.
     """
+    # Imported here, so a run that never measures a distance never loads scipy.
+    from scipy.spatial.distance import cdist
+
     n_train = train_features.shape[0]
     nn = np.empty((X.shape[0], min(k, n_train)), dtype=np.intp)
 
@@ -353,16 +356,10 @@ def fit_cc(train: Dataset, forest_params: ForestParams, order="random",
                    train.feature_names)
 
 
-def _check_k(k) -> None:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-
-
 def check_mlknn_params(k, s, n_instances: int) -> None:
     """Raise ValueError unless ML-kNN can fit (k, s) on ``n_instances`` rows."""
-    _check_k(k)
+    if _as_int("k", k) < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if isinstance(s, bool) or not isinstance(s, (int, float, np.integer, np.floating)):
         raise ValueError(f"smoothing s must be a number, got {s!r}")
     if k >= n_instances:
@@ -405,24 +402,9 @@ def predict_mlknn_grid(train: Dataset, X, points) -> list[np.ndarray]:
     for p in points:
         s = float(p.get("s", 1.0))
         (c_pos, c_neg), counts = at_k[int(p["k"])]
-        predictions.append(predict_labels(
-            _map_posterior(counts, _priors(labels, s), c_pos, c_neg, s)))
+        proba = _map_posterior(counts, _priors(labels, s), c_pos, c_neg, s)
+        predictions.append((proba >= 0.5).astype(np.int64))
     return predictions
-
-
-def knn_indices(train_features, x, k: int):
-    """Indices of the k nearest rows by Euclidean distance, ties to lower index."""
-    _check_k(k)
-    train_features = np.asarray(train_features, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if k > train_features.shape[0]:
-        raise ValueError(f"k={k} exceeds the {train_features.shape[0]} available rows")
-    return _neighbors(x[None, :], train_features, k)[0]
-
-
-def predict_labels(probas, threshold: float = 0.5):
-    """Hard 0/1 decisions; probabilities equal to the threshold round up."""
-    return (np.asarray(probas) >= threshold).astype(np.int64)
 
 
 def model_from_doc(doc: dict) -> MultiLabelModel:
@@ -445,14 +427,6 @@ def model_from_doc(doc: dict) -> MultiLabelModel:
         return MLKNNModel(payload["k"], payload["s"], payload["train_features"],
                           payload["train_labels"], *names)
     raise ValueError(f"unknown algorithm tag {algorithm!r}")
-
-
-def model_to_json(model: MultiLabelModel) -> str:
-    return _json.dumps(model.to_doc())
-
-
-def model_from_json(text: str) -> MultiLabelModel:
-    return model_from_doc(_json.loads(text))
 
 
 def save_model(model: MultiLabelModel, path) -> None:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import _blocks, _json, multilabel
 from .forest import _as_int, leaf_paths
@@ -140,32 +139,15 @@ def _base_and_fx(target, x, background):
     return base, fx, single
 
 
-def _explanations(base, phi, fx, x, single, instance, label):
+def _explanations(base, phi, fx, x, single):
     """One Explanation per output row of ``phi``; the only one for a 1-D target."""
     expls = [Explanation(base_value=float(base[j]), phi=phi[j], fx=float(fx[j]),
-                         feature_values=x.copy(), instance=instance, label=label)
+                         feature_values=x.copy())
              for j in range(len(fx))]
     return expls[0] if single else expls
 
 
-def eval_coalition(target: ExplainTarget, x, mask, background) -> float:
-    """Model output with masked-in features from x and the rest marginalized.
-
-    The full mask short-circuits to f(x) so it is exact, not an average of
-    identical terms.
-    """
-    x, background = _check_inputs(target, x, background)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (target.n_features,):
-        raise ValueError("mask width does not match target width")
-    if mask.all():
-        return _at_instance(target, x)[0].item()
-    # One mask is one block whatever the output width; .item() wants one output.
-    return _coalition_values(target, x, mask[None, :], background, 1).item()
-
-
-def exact_shapley(target: ExplainTarget, x, background,
-                  instance=None, label=None):
+def exact_shapley(target: ExplainTarget, x, background):
     """Attributions by full subset enumeration (the combinatorial definition).
 
     phi_i sums, over every coalition S not containing i, the weight
@@ -198,7 +180,7 @@ def exact_shapley(target: ExplainTarget, x, background,
         # take() keeps rows contiguous, so each row sums as a 1-D target's would
         gains = values.take(without | (1 << i), axis=1) - values.take(without, axis=1)
         phi[:, i] = np.sum(size_weight[popcount[without]] * gains, axis=1)
-    return _explanations(base, phi, fx, x, single, instance, label)
+    return _explanations(base, phi, fx, x, single)
 
 
 def kernel_weight(M: int, z: int) -> float:
@@ -267,6 +249,8 @@ def solve_weighted_ls(design: np.ndarray, weights: np.ndarray,
         )
     if w.shape != (A.shape[0],) or (w <= 0).any():
         raise ValueError("weights must be positive, one per row")
+    import scipy.linalg  # here, so a run that solves no system never loads scipy
+
     Aw = A * w[:, None]
     gram = A.T @ Aw
     rhs = Aw.T @ r
@@ -293,8 +277,7 @@ def _coalition_budget(budget, M: int) -> int:
     return min(n_budget, total_proper)
 
 
-def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0,
-                instance=None, label=None):
+def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0):
     """Attributions from the kernel-weighted surrogate regression.
 
     ``budget`` counts proper-coalition evaluations: an integer >= 2, or
@@ -314,7 +297,7 @@ def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0
     base, fx, single = _base_and_fx(target, x, background)
     if M == 1:
         # Both constraints pin the single attribution; nothing to regress.
-        return _explanations(base, (fx - base)[:, None], fx, x, single, instance, label)
+        return _explanations(base, (fx - base)[:, None], fx, x, single)
 
     rng = np.random.default_rng(seed)
     masks, weights = _sample_coalitions(M, n_budget, rng)
@@ -327,7 +310,7 @@ def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0
     responses = values - base - z_e[:, None] * (fx - base)
     coef = solve_weighted_ls(design, weights, responses).T  # (L, M - 1)
     phi = np.column_stack([coef, (fx - base) - coef.sum(axis=1)])
-    return _explanations(base, phi, fx, x, single, instance, label)
+    return _explanations(base, phi, fx, x, single)
 
 
 def _path_weights(depth: int) -> np.ndarray:
@@ -478,16 +461,16 @@ def explain_instance(model, x, background, labels, estimator: str | None = None,
     labels = [int(l) for l in labels]
     target = ExplainTarget(f=model.label_proba_fn(labels), n_features=model.n_features)
     if estimator == "exact":
-        explanations = exact_shapley(target, x, background, instance=instance)
+        explanations = exact_shapley(target, x, background)
     elif estimator == "kernel":
-        explanations = kernel_shap(target, x, background, budget=budget, seed=seed,
-                                   instance=instance)
+        explanations = kernel_shap(target, x, background, budget=budget, seed=seed)
     else:
         x, background = _check_inputs(target, x, background)
         base, fx, single = _base_and_fx(target, x, background)
         phi = tree_shap([model.per_label_models[l] for l in labels], x, background)
-        explanations = _explanations(base, phi, fx, x, single, instance, None)
+        explanations = _explanations(base, phi, fx, x, single)
     for expl, l in zip(explanations, labels):
+        expl.instance = instance
         expl.label = l
         expl.feature_names = getattr(model, "feature_names", None)
     return explanations

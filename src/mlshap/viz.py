@@ -183,20 +183,18 @@ def force_data(explanation: Explanation) -> ForceData:
 
 # --- PlotSpec construction and JSON round-trip -------------------------------
 
-def plot_spec(payload, title: str = "", width: int = 720, height=None) -> PlotSpec:
-    """Wrap a view payload, inferring kind and a reasonable height."""
+def plot_spec(payload, title: str = "") -> PlotSpec:
+    """Wrap a view payload, inferring its kind and a height that fits its rows."""
     kind = PlotSpec._KIND_FOR.get(type(payload))
     if kind is None:
         raise ValueError(f"unsupported payload type {type(payload).__name__}")
-    if height is None:
-        if kind == "importance":
-            height = 60 + 24 * len(payload.feature_names) + 18 * len(payload.label_ids)
-        elif kind == "summary":
-            height = 60 + 28 * len(payload.feature_names)
-        else:
-            height = 170
-    return PlotSpec(kind=kind, payload=payload, title=title, width=width,
-                    height=int(height))
+    if kind == "importance":
+        height = 60 + 24 * len(payload.feature_names) + 18 * len(payload.label_ids)
+    elif kind == "summary":
+        height = 60 + 28 * len(payload.feature_names)
+    else:
+        height = 170
+    return PlotSpec(kind=kind, payload=payload, title=title, width=720, height=height)
 
 
 def _payload_doc(payload):

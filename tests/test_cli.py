@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mlshap
 from mlshap import load_model
 from mlshap.cli import main
 
@@ -24,6 +29,13 @@ def small_arff(tmp_path_factory):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_python(*args, cwd):
+    """A fresh interpreter that imports mlshap from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mlshap.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 class TestTrain:
@@ -396,11 +408,91 @@ class TestNumericInputs:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    @pytest.mark.parametrize("command, flag", [("explain", "--budget"),
+                                               ("train", "--max-features")])
+    def test_unparsable_flag_value_usage_error(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(command, flag, "abc", "--seed", "1", "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be an integer or" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_smallest_values_are_taken(self, small_arff, trained, tmp_path):
         assert run("explain", "--data", small_arff, "--labels", "3",
                    "--model", trained, "--instance", "0", "--label-ids", "0",
                    "--background", "1", "--seed", "0", "--out", tmp_path) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["explanation_i0_l0.json"]
+
+
+class TestMalformedModel:
+    """A model.json whose tree arenas the grower could not have written fails
+    to load with ValueError naming the field, so explain exits 1 and neither
+    loops forever nor indexes out of range."""
+
+    @staticmethod
+    def _corrupt(trained, tmp_path, field):
+        doc = json.loads(trained.read_text())
+        tree = doc["payload"]["forests"][0]["trees"][0]
+        assert tree["feature"][0] >= 0  # a split root, so a cycle would loop
+        if field == "left":  # the root is its own child
+            tree["left"][0] = tree["right"][0] = 0
+        elif field == "feature":
+            tree["feature"][0] = doc["n_features"]
+        else:
+            tree["value"].pop()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("field", ["left", "feature", "value"])
+    def test_load_model_names_the_field(self, trained, tmp_path, field):
+        path = self._corrupt(trained, tmp_path, field)
+        with pytest.raises(ValueError, match=f"^tree 0: {field}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["left", "feature", "value"])
+    def test_explain_exits_1(self, small_arff, trained, tmp_path, capsys, field):
+        path = self._corrupt(trained, tmp_path, field)
+        out = tmp_path / "out"
+        assert run("explain", "--data", small_arff, "--labels", "3", "--model", path,
+                   "--instance", "0", "--seed", "1", "--out", out) == 1
+        assert f"error: tree 0: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestModuleEntry:
+    def test_python_m_runs_the_cli(self, tmp_path):
+        done = run_python("-m", "mlshap.cli", "--help", cwd=tmp_path)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: mlshap")
+        done = run_python("-m", "mlshap.cli", "train", cwd=tmp_path)
+        assert done.returncode == 2
+        assert "error: --seed is required" in done.stderr
+
+    def test_scipy_loads_only_where_called(self, small_arff, tmp_path):
+        """Train, BR explain and plot run without scipy; ML-kNN loads it."""
+        script = f"""
+import sys
+import mlshap, mlshap.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert loaded() == [], loaded()
+flags = ["--data", {str(small_arff)!r}, "--labels", "3", "--seed", "1"]
+main = mlshap.cli.main
+assert main(["train", *flags, "--algo", "br", "--n-trees", "2", "--out", "br"]) == 0
+assert main(["explain", *flags, "--model", "br/model.json", "--instance", "0",
+             "--background", "5", "--out", "ex"]) == 0
+assert main(["plot", "--kind", "importance", "--in", "ex/explanation_i0_l0.json",
+             "--out", "plot"]) == 0
+assert loaded() == [], loaded()
+data = mlshap.load_arff({str(small_arff)!r}, 3)
+mlshap.fit_mlknn(data, k=3).predict_proba(data.features[:2])
+assert "scipy.spatial.distance" in sys.modules, loaded()
+"""
+        done = run_python("-c", script, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
 
 
 class TestPlot:

@@ -13,12 +13,9 @@ from mlshap import (
     fit_forests,
     fit_point,
     fit_tree,
-    forest_from_json,
-    forest_to_json,
-    model_to_json,
     tree_rng,
 )
-from mlshap import _blocks, forest, multilabel
+from mlshap import _blocks, _json, forest, multilabel
 from mlshap.forest import (
     _best_splits,
     _entropy_from_positive,
@@ -28,6 +25,11 @@ from mlshap.forest import (
 )
 
 from _synth import foodtruck_like
+
+
+def forest_bytes(f):
+    """The canonical JSON bytes of a forest, as a model file holds them."""
+    return _json.dumps(forest_to_doc(f))
 
 
 def leaf_tree(p):
@@ -107,7 +109,7 @@ class TestForestParams:
             assert type(getattr(params, name)) is int
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 3))
-        forest_to_json(fit_forest(X, (X[:, 0] > 0).astype(int), params))
+        forest_bytes(fit_forest(X, (X[:, 0] > 0).astype(int), params))
 
     @pytest.mark.parametrize("field, value", [
         ("bootstrap", "no"), ("max_depth", 2.5), ("n_trees", True),
@@ -250,8 +252,8 @@ class TestFitForest:
         X = rng.normal(size=(80, 5))
         y = (X[:, 0] - X[:, 3] > 0).astype(int)
         params = ForestParams(n_trees=6, max_depth=6, seed=99)
-        a = forest_to_json(fit_forest(X, y, params))
-        b = forest_to_json(fit_forest(X, y, params))
+        a = forest_bytes(fit_forest(X, y, params))
+        b = forest_bytes(fit_forest(X, y, params))
         assert a == b
 
     def test_mean_contract(self):
@@ -293,16 +295,56 @@ class TestForestJson:
         X = rng.normal(size=(60, 4))
         y = (X[:, 2] > 0.3).astype(int)
         forest = fit_forest(X, y, ForestParams(n_trees=3, seed=5))
-        text = forest_to_json(forest)
-        restored = forest_from_json(text)
-        assert forest_to_json(restored) == text
+        text = forest_bytes(forest)
+        restored = forest_from_doc(_json.loads(text))
+        assert forest_bytes(restored) == text
         Q = rng.normal(size=(15, 4))
         np.testing.assert_array_equal(restored.predict_proba(Q),
                                       forest.predict_proba(Q))
 
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError, match="not a forest"):
-            forest_from_json('{"format": "other"}\n')
+            forest_from_doc({"format": "other"})
+
+    @staticmethod
+    def _doc(**tree):
+        """A one-tree forest over 2 features: a root split on feature 1 with
+        two leaves, with any array replaced by ``tree``."""
+        arena = dict(feature=[1, -1, -1], threshold=[0.5, 0.0, 0.0],
+                     left=[1, -1, -1], right=[2, -1, -1], value=[0.5, 0.0, 1.0])
+        return dict(forest_to_doc(RandomForest(ForestParams(n_trees=1),
+                                               [leaf_tree(0.5)], n_features=2)),
+                    trees=[dict(arena, **tree)])
+
+    def test_well_formed_arena_loads(self):
+        forest = forest_from_doc(self._doc())
+        np.testing.assert_array_equal(forest.predict_proba(np.array([[0.0, 0.0],
+                                                                     [0.0, 1.0]])),
+                                      [0.0, 1.0])
+
+    @pytest.mark.parametrize("tree, message", [
+        ({"left": [0, -1, -1], "right": [0, -1, -1]}, r"left\[0\] is 0"),
+        ({"right": [2, -1, 1]}, r"right\[2\] is 1, .*-1 at a leaf"),
+        ({"left": [3, -1, -1]}, r"left\[0\] is 3, .*inside the tree"),
+        ({"left": [-1, -1, -1]}, r"left\[0\] is -1"),
+        ({"feature": [2, -1, -1]}, r"feature\[0\] is 2, must be in \[-1, 2\)"),
+        ({"feature": [1, -2, -1]}, r"feature\[1\] is -2"),
+        ({"value": [0.5, 0.0]}, "value has 2 entries, feature has 3"),
+        ({"threshold": [0.5]}, "threshold has 1 entries"),
+        ({"feature": [], "threshold": [], "left": [], "right": [], "value": []},
+         "feature must be a non-empty list"),
+    ])
+    def test_malformed_arena_rejected(self, tree, message):
+        with pytest.raises(ValueError, match=f"^tree 0: {message}"):
+            forest_from_doc(self._doc(**tree))
+
+    def test_bad_tree_of_many_is_named(self):
+        doc = self._doc()
+        doc["trees"] = doc["trees"] * 3
+        doc["trees"][2] = dict(doc["trees"][2], feature=[1, -1, 5])
+        doc["params"] = dict(doc["params"], n_trees=3)
+        with pytest.raises(ValueError, match=r"^tree 2: feature\[2\] is 5"):
+            forest_from_doc(doc)
 
 
 def _entropy_masked(pos, total):
@@ -556,9 +598,9 @@ class TestForestBytesMatchOracle:
         ds = _dataset(decimals)
         params = dict(PRESETS[preset], n_trees=3, seed=7)
         algo = params.pop("algo")
-        got = model_to_json(fit_point(algo, ds, params))
+        got = _json.dumps(fit_point(algo, ds, params).to_doc())
         monkeypatch.setattr(multilabel, "fit_forests", _fit_forests_per_tree)
-        want = model_to_json(fit_point(algo, ds, params))
+        want = _json.dumps(fit_point(algo, ds, params).to_doc())
         assert got == want
 
     @pytest.mark.parametrize("decimals", [None, 1])
@@ -575,8 +617,8 @@ class TestForestBytesMatchOracle:
         ds = _dataset(decimals)
         p = ForestParams(**dict({"n_trees": 3, "seed": 4}, **params))
         y = ds.labels[:, 2]
-        got = forest_to_json(fit_forest(ds.features, y, p))
-        assert got == forest_to_json(_fit_forests_per_tree([(ds.features, y, p)])[0])
+        got = forest_bytes(fit_forest(ds.features, y, p))
+        assert got == forest_bytes(_fit_forests_per_tree([(ds.features, y, p)])[0])
 
     def test_mixed_problems_match_each_alone(self):
         """Forests of different widths, labels and parameters grown together
@@ -590,16 +632,16 @@ class TestForestBytesMatchOracle:
                                               max_features=7, bootstrap=False, seed=3)),
             (X[:40], ds.labels[:40, 3], ForestParams(n_trees=2, seed=4)),
         ]
-        together = [forest_to_json(f) for f in fit_forests(problems)]
-        alone = [forest_to_json(fit_forest(*problem)) for problem in problems]
+        together = [forest_bytes(f) for f in fit_forests(problems)]
+        alone = [forest_bytes(fit_forest(*problem)) for problem in problems]
         assert together == alone
-        assert together == [forest_to_json(f) for f in _fit_forests_per_tree(problems)]
+        assert together == [forest_bytes(f) for f in _fit_forests_per_tree(problems)]
 
     def test_one_cell_blocks_and_one_tree_waves(self, monkeypatch):
         ds = _dataset(1)
         problems = [(ds.features, ds.labels[:, l], ForestParams(n_trees=2, seed=l))
                     for l in range(3)]
-        want = [forest_to_json(f) for f in fit_forests(problems)]
+        want = [forest_bytes(f) for f in fit_forests(problems)]
         blocks, waves = [], []
         split_block, row_slices = forest._split_block, _blocks.row_slices
 
@@ -616,7 +658,7 @@ class TestForestBytesMatchOracle:
         monkeypatch.setattr(_blocks, "_BLOCK_BYTES", 1)
         monkeypatch.setattr(forest, "_split_block", one_node_blocks)
         monkeypatch.setattr(_blocks, "row_slices", one_tree_waves)
-        assert [forest_to_json(f) for f in fit_forests(problems)] == want
+        assert [forest_bytes(f) for f in fit_forests(problems)] == want
         assert blocks and max(blocks) == 1
         assert len(waves) == 6 and all(s.stop - s.start == 1 for s in waves)
 
@@ -669,9 +711,9 @@ class TestInputChecks:
     def test_float_and_bool_labels_fit_as_integers(self):
         X, y = self._data()
         params = ForestParams(n_trees=2, seed=5)
-        want = forest_to_json(fit_forest(X, y, params))
-        assert forest_to_json(fit_forest(X, y.astype(np.float64), params)) == want
-        assert forest_to_json(fit_forest(X, y.astype(bool), params)) == want
+        want = forest_bytes(fit_forest(X, y, params))
+        assert forest_bytes(fit_forest(X, y.astype(np.float64), params)) == want
+        assert forest_bytes(fit_forest(X, y.astype(bool), params)) == want
 
 
 def _node_rows(tree, X):

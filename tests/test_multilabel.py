@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 from scipy.spatial.distance import cdist
 
 from mlshap import (
@@ -12,17 +13,13 @@ from mlshap import (
     fit_cc,
     fit_forest,
     fit_mlknn,
-    forest_to_json,
-    knn_indices,
     load_model,
     make_folds,
-    model_from_json,
-    model_to_json,
-    predict_labels,
     save_model,
     split,
 )
-from mlshap import _blocks, multilabel
+from mlshap import _blocks, _json, multilabel
+from mlshap.forest import forest_to_doc
 from mlshap.cli import main
 from mlshap.multilabel import (
     _loo_order,
@@ -30,6 +27,7 @@ from mlshap.multilabel import (
     _neighbor_statistics,
     _neighbors,
     _positive_counts,
+    check_mlknn_params,
     derive_seed,
     model_from_doc,
     predict_mlknn_grid,
@@ -153,7 +151,7 @@ class TestClassifierChain:
         assert a.chain_order == b.chain_order
         np.testing.assert_array_equal(a.predict_proba(small_dataset.features),
                                       b.predict_proba(small_dataset.features))
-        assert model_to_json(a) == model_to_json(b)
+        assert _json.dumps(a.to_doc()) == _json.dumps(b.to_doc())
 
     def test_invalid_permutation(self, small_dataset):
         with pytest.raises(ValueError, match="permutation"):
@@ -170,7 +168,8 @@ class TestClassifierChain:
         for j, l in enumerate(chain):
             aug = np.column_stack([X] + [Y[:, e].astype(np.float64) for e in chain[:j]])
             link = fit_forest(aug, Y[:, l], replace(params, seed=derive_seed(9, l)))
-            assert forest_to_json(model.chained_models[j]) == forest_to_json(link)
+            assert _json.dumps(forest_to_doc(model.chained_models[j])) == \
+                _json.dumps(forest_to_doc(link))
 
     def test_manual_chain_evaluation(self, small_dataset):
         """predict_proba equals hand-run chaining with hard thresholds,
@@ -273,7 +272,7 @@ class TestMLKNN:
 
     def test_query_on_training_point_includes_self(self, small_dataset):
         model = fit_mlknn(small_dataset, k=1)
-        nn = knn_indices(small_dataset.features, small_dataset.features[7], 1)
+        nn = _neighbors(small_dataset.features[7][None], small_dataset.features, 1)[0]
         assert nn.tolist() == [7]
 
     def test_outputs_strictly_inside_unit_interval(self, small_dataset):
@@ -512,7 +511,7 @@ class TestNeighborBlocks:
             shapes.append(out.shape)
             return out
 
-        monkeypatch.setattr(multilabel, "cdist", spy)
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", spy)
         return shapes
 
     @pytest.fixture()
@@ -630,13 +629,15 @@ def test_mlknn_outputs_byte_equal_to_stable_sort_selection(tmp_path, monkeypatch
 
 
 class TestKnnIndices:
+    """Tie order of ``_neighbors`` for one query row."""
+
     def test_self_match(self, small_dataset):
-        assert knn_indices(small_dataset.features, small_dataset.features[7],
-                           1).tolist() == [7]
+        x = small_dataset.features[7]
+        assert _neighbors(x[None], small_dataset.features, 1)[0].tolist() == [7]
 
     def test_points_on_line(self):
         train = np.array([[1.0], [2.0], [3.0]])
-        assert knn_indices(train, np.array([0.0]), 2).tolist() == [0, 1]
+        assert _neighbors(np.array([[0.0]]), train, 2)[0].tolist() == [0, 1]
 
     def test_matches_exhaustive_sort(self, rng):
         train = rng.normal(size=(40, 5))
@@ -644,11 +645,7 @@ class TestKnnIndices:
             q = rng.normal(size=5)
             d = np.array([math.dist(row, q) for row in train])
             expected = sorted(range(40), key=lambda i: (d[i], i))[:6]
-            assert knn_indices(train, q, 6).tolist() == expected
-
-    def test_k_too_large(self):
-        with pytest.raises(ValueError):
-            knn_indices(np.zeros((3, 1)), np.zeros(1), 4)
+            assert _neighbors(q[None], train, 6)[0].tolist() == expected
 
     @pytest.mark.parametrize("k, message", [
         (0, "at least 1"), (-1, "at least 1"), (2.5, "integer"), (2.0, "integer"),
@@ -656,22 +653,37 @@ class TestKnnIndices:
     ])
     def test_bad_k_rejected(self, k, message):
         with pytest.raises(ValueError, match=f"k must be .*{message}"):
-            knn_indices(np.zeros((3, 1)), np.zeros(1), k)
+            check_mlknn_params(k, 1.0, 3)
 
     def test_k_equal_to_rows_is_the_full_order(self):
         train = np.array([[2.0], [0.0], [1.0], [0.0]])
-        assert knn_indices(train, np.array([0.0]), 4).tolist() == [1, 3, 2, 0]
+        assert _neighbors(np.array([[0.0]]), train, 4)[0].tolist() == [1, 3, 2, 0]
+
+
+class _FixedProba(multilabel.MultiLabelModel):
+    """One feature, and the same probability per label for every row."""
+
+    def __init__(self, probas):
+        super().__init__(1, len(probas))
+        self.probas = np.asarray(probas, dtype=np.float64)
+
+    def _proba_matrix(self, X, labels):
+        return np.tile(self.probas[labels], (X.shape[0], 1))
 
 
 class TestPredictLabels:
     def test_high(self):
-        np.testing.assert_array_equal(predict_labels(np.array([0.9, 0.9])), [1, 1])
+        np.testing.assert_array_equal(_FixedProba([0.9, 0.9]).predict(np.zeros(1)),
+                                      [1, 1])
 
     def test_low(self):
-        np.testing.assert_array_equal(predict_labels(np.array([0.1, 0.1])), [0, 0])
+        np.testing.assert_array_equal(_FixedProba([0.1, 0.1]).predict(np.zeros(1)),
+                                      [0, 0])
 
     def test_boundary_rounds_up(self):
-        np.testing.assert_array_equal(predict_labels(np.array([0.5])), [1])
+        np.testing.assert_array_equal(_FixedProba([0.5]).predict(np.zeros(1)), [1])
+        np.testing.assert_array_equal(_FixedProba([0.5]).predict(np.zeros((2, 1))),
+                                      [[1], [1]])
 
 
 MODEL_MAKERS = [
@@ -696,15 +708,13 @@ class TestModelContract:
     @pytest.mark.parametrize("maker", MODEL_MAKERS)
     def test_json_roundtrip(self, small_dataset, maker, tmp_path, rng):
         model = maker(small_dataset)
-        text = model_to_json(model)
-        restored = model_from_json(text)
-        assert model_to_json(restored) == text
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_model(model, path)
+        restored = load_model(path)
+        save_model(restored, again)
+        assert again.read_bytes() == path.read_bytes()
         Q = rng.normal(size=(6, small_dataset.n_features))
         np.testing.assert_array_equal(restored.predict_proba(Q),
-                                      model.predict_proba(Q))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        np.testing.assert_array_equal(load_model(path).predict_proba(Q),
                                       model.predict_proba(Q))
 
     @pytest.mark.parametrize("maker", MODEL_MAKERS)

@@ -7,7 +7,6 @@ import scipy.sparse.linalg
 from mlshap import (
     EstimationError,
     ExplainTarget,
-    eval_coalition,
     exact_shapley,
     explain_instance,
     explanation_from_doc,
@@ -53,20 +52,24 @@ def forest_target(M, seed, n_trees=5):
 
 
 class TestEvalCoalition:
+    """The coalition values: ``_coalition_values`` per mask, and the empty and
+    full coalitions as ``exact_shapley``'s base value and f(x)."""
+
     def test_full_mask_is_fx_exactly(self, rng):
         target = forest_target(4, seed=1)
         x = rng.normal(size=4)
         bg = rng.normal(size=(7, 4))
-        assert eval_coalition(target, x, np.ones(4, dtype=bool), bg) == \
-            float(target.f(x[None])[0])
+        assert exact_shapley(target, x, bg).fx == float(target.f(x[None])[0])
 
     def test_empty_mask_is_background_mean(self, rng):
         target = forest_target(4, seed=2)
         x = rng.normal(size=4)
         bg = rng.normal(size=(9, 4))
         expected = float(np.mean(target.f(bg)))
-        assert eval_coalition(target, x, np.zeros(4, dtype=bool), bg) == \
+        assert exact_shapley(target, x, bg).base_value == \
             pytest.approx(expected, abs=1e-12)
+        assert _coalition_values(target, x, np.zeros((1, 4), dtype=bool), bg,
+                                 1)[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_linear_single_background_closed_form(self, rng):
         w = rng.normal(size=5)
@@ -75,13 +78,13 @@ class TestEvalCoalition:
         b = rng.normal(size=(1, 5))
         mask = np.array([True, False, True, False, False])
         blended = np.where(mask, x, b[0])
-        assert eval_coalition(target, x, mask, b) == pytest.approx(float(w @ blended))
+        assert _coalition_values(target, x, mask[None], b, 1)[0, 0] == \
+            pytest.approx(float(w @ blended))
 
     def test_width_mismatch(self, rng):
         target = linear_target(rng.normal(size=3))
         with pytest.raises(ValueError):
-            eval_coalition(target, np.zeros(3), np.ones(2, dtype=bool),
-                           np.zeros((1, 3)))
+            exact_shapley(target, np.zeros(2), np.zeros((1, 3)))
 
 
 class TestExactShapley:
