@@ -26,3 +26,14 @@ def write(path, doc) -> None:
 
 def read(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def field(doc, key: str, where: str):
+    """``doc[key]``; a missing or null value, or a ``doc`` that is not an
+    object, raises ValueError naming ``where`` and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    value = doc.get(key)
+    if value is None:
+        raise ValueError(f"{where}: {key} is {'null' if key in doc else 'missing'}")
+    return value

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import _json
 from .data import ParseError, load_arff, load_csv, make_folds
-from .evaluation import METRICS, PRESETS, ParamGrid, fit_point, grid_search
+from .evaluation import _GRID_AXES, METRICS, PRESETS, ParamGrid, fit_point, grid_search
 from .multilabel import load_model, save_model
 from .shapley import (
     ENUMERATION_CAP,
@@ -33,11 +33,9 @@ TRAIN_REPORT_FORMAT = "mlshap-train-report"
 
 CONFIG_KEYS = {
     "data", "format", "labels", "algo", "preset", "seed", "out",
-    "n_trees", "max_depth", "min_samples_leaf", "max_features", "bootstrap",
-    "order", "k", "s",
     "grid", "reps", "folds", "scoring",
     "model", "instance", "label_ids", "estimator", "budget", "background",
-}
+}.union(*(keys for keys, _ in _GRID_AXES.values()))  # and every hyperparameter
 
 
 class UsageError(Exception):
@@ -249,8 +247,9 @@ def _out_dir(cfg) -> Path:
     return out
 
 
-def _hyperparams(cfg, seed):
-    """Flat hyperparameter dict: preset values first, explicit flags on top."""
+def _hyperparams(cfg):
+    """Flat dict of the hyperparameters the algorithm's fit reads, the seed
+    among them for forests: preset values first, explicit flags on top."""
     params = {}
     algo = cfg.get("algo")
     if cfg.get("preset"):
@@ -259,20 +258,19 @@ def _hyperparams(cfg, seed):
         params.update(preset)
     if algo is None:
         raise UsageError("--algo or --preset is required")
-    for key in ("n_trees", "max_depth", "min_samples_leaf", "max_features",
-                "bootstrap", "order", "k", "s"):
-        if cfg.get(key) is not None:
-            params[key] = cfg[key]
+    if algo not in _GRID_AXES:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    params.update({key: cfg[key] for key in _GRID_AXES[algo][0]
+                   if cfg.get(key) is not None})
     if isinstance(params.get("order"), str) and params["order"] != "random":
         params["order"] = [int(v) for v in params["order"].split(",")]
-    params["seed"] = seed
     return algo, params
 
 
 def cmd_train(cfg) -> int:
     seed = _require(cfg, "seed")
     dataset = _load_dataset(cfg)
-    algo, params = _hyperparams(cfg, seed)
+    algo, params = _hyperparams(cfg)
     model = fit_point(algo, dataset, params)
     out = _out_dir(cfg)
     model_path = out / "model.json"
@@ -320,8 +318,7 @@ def cmd_tune(cfg) -> int:
     if not isinstance(axes, dict):
         raise UsageError(f"--grid must be a JSON object of axis -> value list, "
                          f"got {axes!r}")
-    points_need_seed = algo in ("br", "cc")
-    if points_need_seed and "seed" not in axes:
+    if algo in ("br", "cc") and "seed" not in axes:
         axes = dict(axes, seed=[seed])
     try:
         grid = ParamGrid(algorithm=algo, axes=axes)

@@ -78,9 +78,9 @@ PRESETS = {
 _FOREST_KEYS = ("n_trees", "max_depth", "min_samples_leaf", "max_features", "seed",
                 "bootstrap")
 
-# algorithm -> (grid axes it takes, axes a grid must give)
+# algorithm -> (hyperparameters its fit reads, axes a grid must give)
 _GRID_AXES = {
-    "br": (_FOREST_KEYS + ("order",), ()),
+    "br": (_FOREST_KEYS, ()),
     "cc": (_FOREST_KEYS + ("order",), ()),
     "mlknn": (("k", "s"), ("k",)),
 }

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blocks
+from . import _blocks, _json
 
 FOREST_FORMAT = "mlshap-forest"
 FOREST_VERSION = 1
@@ -524,24 +524,23 @@ def _check_arenas(trees: list[DecisionTree], n_features: int) -> None:
                              f"{getattr(trees[t], name)[node[i]]}, must be {rule}")
 
 
+_ARENA_DTYPES = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
+                 "right": np.int64, "value": np.float64}
+
+
 def forest_from_doc(doc: dict) -> RandomForest:
-    """The forest of a ``forest_to_doc`` document; a malformed one raises
-    ValueError naming the field."""
-    if doc.get("format") != FOREST_FORMAT:
-        raise ValueError(f"not a forest document: {doc.get('format')!r}")
+    """The forest of a ``forest_to_doc`` document; a malformed one, or one
+    with a missing or null field, raises ValueError naming the field."""
+    if _json.field(doc, "format", "forest") != FOREST_FORMAT:
+        raise ValueError(f"not a forest document: {doc['format']!r}")
     if doc.get("version") != FOREST_VERSION:
         raise ValueError(f"unsupported forest version {doc.get('version')!r}")
-    params = ForestParams(**doc["params"])
-    n_features = _as_int("n_features", doc["n_features"])
+    params = ForestParams(**_json.field(doc, "params", "forest"))
+    n_features = _as_int("n_features", _json.field(doc, "n_features", "forest"))
     trees = [
-        DecisionTree(
-            feature=np.array(t["feature"], dtype=np.int64),
-            threshold=np.array(t["threshold"], dtype=np.float64),
-            left=np.array(t["left"], dtype=np.int64),
-            right=np.array(t["right"], dtype=np.int64),
-            value=np.array(t["value"], dtype=np.float64),
-        )
-        for t in doc["trees"]
+        DecisionTree(**{name: np.array(_json.field(t, name, f"tree {i}"), dtype=dtype)
+                        for name, dtype in _ARENA_DTYPES.items()})
+        for i, t in enumerate(_json.field(doc, "trees", "forest"))
     ]
     forest = RandomForest(params=params, trees=trees, n_features=n_features)
     _check_arenas(forest.trees, n_features)

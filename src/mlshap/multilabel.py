@@ -10,6 +10,7 @@ neighbors.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -408,24 +409,24 @@ def predict_mlknn_grid(train: Dataset, X, points) -> list[np.ndarray]:
 
 
 def model_from_doc(doc: dict) -> MultiLabelModel:
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a model document: {doc.get('format')!r}")
+    """The model of a ``to_doc`` document; a missing or null field raises ValueError."""
+    if _json.field(doc, "format", "model") != MODEL_FORMAT:
+        raise ValueError(f"not a model document: {doc['format']!r}")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    algorithm = doc["algorithm"]
-    payload = doc["payload"]
-    names = doc["label_names"], doc["feature_names"]
+    algorithm = _json.field(doc, "algorithm", "model")
+    get = partial(_json.field, _json.field(doc, "payload", "model"),
+                  where="model payload")
+    names = doc.get("label_names"), doc.get("feature_names")
     if algorithm == "br":
-        return BRModel([forest_from_doc(f) for f in payload["forests"]], *names)
+        return BRModel([forest_from_doc(f) for f in get("forests")], *names)
     if algorithm == "cc":
-        return CCModel(
-            payload["chain_order"],
-            [forest_from_doc(f) for f in payload["chained_models"]],
-            doc["n_features"], *names,
-        )
+        return CCModel(get("chain_order"),
+                       [forest_from_doc(f) for f in get("chained_models")],
+                       _json.field(doc, "n_features", "model"), *names)
     if algorithm == "mlknn":
-        return MLKNNModel(payload["k"], payload["s"], payload["train_features"],
-                          payload["train_labels"], *names)
+        return MLKNNModel(get("k"), get("s"), get("train_features"),
+                          get("train_labels"), *names)
     raise ValueError(f"unknown algorithm tag {algorithm!r}")
 
 

@@ -16,7 +16,7 @@ bias between a game and its dual. Hidden features are marginalized by
 replacing them with background rows and averaging (interventional
 expectation). ``tree_shap`` computes the same interventional values of a
 forest exactly, in closed form over its leaf paths, without evaluating it on
-any coalition.
+any coalition. Every estimator takes finite values only.
 """
 
 from __future__ import annotations
@@ -99,6 +99,9 @@ def _check_inputs(target: ExplainTarget, x, background):
                          f"width {target.n_features}")
     if background.shape[0] < 1 or background.shape[1] != target.n_features:
         raise ValueError("background must be a non-empty matrix of target width")
+    for name, values in (("instance", x), ("background", background)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, not nan or inf")
     return x, background
 
 
@@ -325,22 +328,6 @@ def _within(values, lower, upper):
     return inside
 
 
-def _columns(keep, feature, lower, upper):
-    """Per leaf (row), the path columns where ``keep`` holds, moved to the
-    front and cut to the widest row, as (columns, leaves) arrays plus the
-    mask of real cells; the other cells are padding (feature 0, bounds -inf
-    and inf), which every finite value meets."""
-    width = int(keep.sum(axis=1).max(initial=0))
-    order = np.argsort(~keep, axis=1, kind="stable")[:, :width]
-    held = np.take_along_axis(keep, order, axis=1)
-
-    def pick(a, fill):
-        return np.ascontiguousarray(
-            np.where(held, np.take_along_axis(a, order, axis=1), fill).T)
-
-    return pick(feature, 0), pick(lower, -np.inf), pick(upper, np.inf), held.T
-
-
 def tree_shap(forests, x, background) -> np.ndarray:
     """Exact interventional Shapley values of each forest's output at ``x``.
 
@@ -358,11 +345,13 @@ def tree_shap(forests, x, background) -> np.ndarray:
     v (|X|-1)! |R|! / (|X|+|R|)! and each r-only one loses
     v |X|! (|R|-1)! / (|X|+|R|)! (Lundberg et al. 2020, arXiv 1905.04610).
 
-    The path features x meets (the x side) are x-only where r misses them;
-    those x misses (the r side) are all r-only on a live leaf, and the leaf
-    is live exactly when r meets every one of them. Work runs in
-    (background, path features, leaves) blocks, cut along the background rows
-    so each stays within the byte budget of ``_blocks``.
+    One masked pass per block of background rows tests each (path column,
+    leaf) cell: the leaf is live when x or r meets each of its cells, its
+    x-only cells are those x meets and r misses, and on a live leaf every
+    cell x misses is r-only. Padding (feature 0, bounds -inf and inf) is met by
+    every finite value. Per row, a block holds 10 bytes a cell (the float64
+    gather and two boolean masks) and 40 a leaf (counts and weights), within
+    the byte budget of ``_blocks``.
     """
     x = np.asarray(x, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
@@ -370,32 +359,29 @@ def tree_shap(forests, x, background) -> np.ndarray:
     trees = [tree for forest in forests for tree in forest.trees]
     n_trees = [len(forest.trees) for forest in forests]
     tree, value, feature, lower, upper = leaf_paths(trees)
-    x_ok = _within(x[feature], lower, upper)  # true on padding (feature -1)
-    x_feat, x_lower, x_upper, _ = _columns(x_ok & (feature >= 0), feature, lower, upper)
-    r_feat, r_lower, r_upper, r_held = _columns(~x_ok, feature, lower, upper)
-    n_r = r_held.sum(axis=0)
-    weights = _path_weights(x_feat.shape[0] + r_feat.shape[0])
-    x_gain = np.zeros(x_feat.shape)
+    feature, lower, upper = (np.ascontiguousarray(a.T)
+                             for a in (np.maximum(feature, 0), lower, upper))
+    x_ok = _within(x[feature], lower, upper)
+    n_r = (~x_ok).sum(axis=0)
+    weights = _path_weights(feature.shape[0])
+    x_gain = np.zeros(feature.shape)
     r_loss = np.zeros(value.shape[0])
-    # 16 bytes per (row, path feature, leaf) cell: the float64 gather beside
-    # the boolean masks.
-    cells = x_feat.size + r_feat.size
-    for rows in _blocks.row_slices(background.shape[0], 16 * cells):
-        block = background[rows]
-        live = _within(np.take(block, r_feat, axis=1), r_lower, r_upper).all(axis=1)
-        miss = ~_within(np.take(block, x_feat, axis=1), x_lower, x_upper)
+    row_bytes = (10 * feature.shape[0] + 40) * value.shape[0]
+    for rows in _blocks.row_slices(background.shape[0], row_bytes):
+        r_ok = _within(np.take(background[rows], feature, axis=1), lower, upper)
+        live = (r_ok | x_ok).all(axis=1)
+        miss = x_ok & ~r_ok
         n_x = miss.sum(axis=1)
         # An index of -1 (no x-only or no r-only feature) reads a real entry
-        # that nothing uses: no cell misses, or the leaf has no r side.
+        # that nothing uses: no cell misses, or no cell is r-only.
         w_x = np.where(live, weights[n_x - 1, n_r], 0.0)
         x_gain += np.einsum("bdk,bk->dk", miss, w_x)
         r_loss += np.where(live, weights[n_x, n_r - 1], 0.0).sum(axis=0)
+        del r_ok, live, miss, n_x, w_x  # the budget counts one block at a time
     scale = value * np.repeat([1.0 / n for n in n_trees], n_trees)[tree]
-    column = np.repeat(np.arange(len(forests)), n_trees)[tree] * M
-    phi = np.bincount((column + x_feat).ravel(), minlength=len(forests) * M,
-                      weights=(x_gain * scale).ravel())
-    phi -= np.bincount((column + r_feat).ravel(), minlength=len(forests) * M,
-                       weights=(r_held * (r_loss * scale)).ravel())
+    column = (np.repeat(np.arange(len(forests)), n_trees)[tree] * M + feature).ravel()
+    gain = np.where(x_ok, x_gain, -r_loss) * scale  # r-only cells lose r_loss
+    phi = np.bincount(column, weights=gain.ravel(), minlength=len(forests) * M)
     return phi.reshape(len(forests), M) / background.shape[0]
 
 
@@ -492,18 +478,22 @@ def explanation_to_doc(explanation: Explanation) -> dict:
 
 
 def explanation_from_doc(doc: dict) -> Explanation:
+    """The Explanation of a document; a missing or null field (but for
+    ``instance`` and ``label``) raises ValueError naming it."""
     if not EXPLANATION_FILE_KEYS.issubset(doc):
         missing = EXPLANATION_FILE_KEYS - set(doc)
         raise ValueError(f"explanation document missing keys: {sorted(missing)}")
+    phi = _json.field(doc, "phi", "explanation")
+    items = {key: [_json.field(item, key, f"phi[{i}]") for i, item in enumerate(phi)]
+             for key in ("feature", "value", "shap")}
     return Explanation(
-        base_value=float(doc["base_value"]),
-        phi=np.array([item["shap"] for item in doc["phi"]], dtype=np.float64),
-        fx=float(doc["fx"]),
-        feature_values=np.array([item["value"] for item in doc["phi"]],
-                                dtype=np.float64),
+        base_value=float(_json.field(doc, "base_value", "explanation")),
+        phi=np.array(items["shap"], dtype=np.float64),
+        fx=float(_json.field(doc, "fx", "explanation")),
+        feature_values=np.array(items["value"], dtype=np.float64),
         instance=doc["instance"],
         label=doc["label"],
-        feature_names=[item["feature"] for item in doc["phi"]],
+        feature_names=items["feature"],
     )
 
 

@@ -34,13 +34,21 @@ def workers(monkeypatch):
     return use
 
 
-def run(n_rows, row_bytes):
+def run(n_rows, row_bytes, pool=False):
     """map_slices over an identity ``fn``, and the thread that ran each slice;
-    each slice sleeps a little, so the pool threads get slices too."""
+    each slice sleeps a little, so the pool threads get slices too. With
+    ``pool``, the calling thread also holds its slices until a pool thread
+    has taken one (10 s at most), so a loaded machine that starts the pool
+    threads late cannot leave every slice to the calling thread."""
     threads = {}
+    caller, helped = threading.get_ident(), threading.Event()
 
     def fn(rows):
         threads[(rows.start, rows.stop)] = threading.get_ident()
+        if threading.get_ident() != caller:
+            helped.set()
+        elif pool:
+            helped.wait(10)
         time.sleep(0.002)
         return rows
     return _blocks.map_slices(fn, n_rows, row_bytes), threads
@@ -60,7 +68,7 @@ def test_slices_split_the_budget(workers, n, n_rows, row_bytes):
     """In order, covering the rows, within one share of the budget each, at
     least n of them, and run on more than the calling thread."""
     workers(n)
-    slices, threads = run(n_rows, row_bytes)
+    slices, threads = run(n_rows, row_bytes, pool=True)
     assert [s.start for s in slices] == [0] + [s.stop for s in slices[:-1]]
     assert slices[-1].stop == n_rows
     assert len(slices) >= n

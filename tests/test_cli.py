@@ -98,6 +98,20 @@ class TestTrain:
         model = load_model(tmp_path / "cfgout" / "model.json")
         assert model.k == 4  # CLI flag overrode the config value
 
+    @pytest.mark.parametrize("flags, params", [
+        (["--preset", "paper-mlknn", "--n-trees", "5", "--order", "random"], {"k": 5}),
+        (["--algo", "br", "--n-trees", "2", "--order", "2,0,1", "--k", "3"],
+         {"n_trees": 2, "seed": 5}),
+        (["--algo", "cc", "--n-trees", "2", "--order", "2,0,1", "--s", "0.5"],
+         {"n_trees": 2, "order": [2, 0, 1], "seed": 5}),
+    ], ids=["mlknn", "br", "cc"])
+    def test_report_lists_only_what_the_fit_read(self, small_arff, tmp_path, flags,
+                                                 params):
+        assert run("train", "--data", small_arff, "--labels", "3", *flags,
+                   "--seed", "5", "--out", tmp_path) == 0
+        report = json.loads((tmp_path / "train_report.json").read_text())
+        assert report["params"] == params
+
     def test_config_bootstrap_must_be_bool(self, small_arff, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"data": str(small_arff), "labels": 3,
@@ -425,9 +439,20 @@ class TestNumericInputs:
 
 
 class TestMalformedModel:
-    """A model.json whose tree arenas the grower could not have written fails
-    to load with ValueError naming the field, so explain exits 1 and neither
-    loops forever nor indexes out of range."""
+    """A model.json whose tree arenas the grower could not have written, or
+    that lacks a field or holds it as null, fails to load with ValueError
+    naming the field, so explain exits 1 and neither loops forever, indexes
+    out of range nor raises KeyError."""
+
+    # corruption -> the start of the message it raises
+    CASES = {
+        "left": "tree 0: left",
+        "feature": "tree 0: feature",
+        "value": "tree 0: value",
+        "value-missing": "tree 0: value is missing",
+        "threshold-null": "tree 0: threshold is null",
+        "forests-missing": "model payload: forests is missing",
+    }
 
     @staticmethod
     def _corrupt(trained, tmp_path, field):
@@ -438,25 +463,31 @@ class TestMalformedModel:
             tree["left"][0] = tree["right"][0] = 0
         elif field == "feature":
             tree["feature"][0] = doc["n_features"]
-        else:
+        elif field == "value":
             tree["value"].pop()
+        elif field == "value-missing":
+            del tree["value"]
+        elif field == "threshold-null":
+            tree["threshold"] = None
+        else:
+            del doc["payload"]["forests"]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         return path
 
-    @pytest.mark.parametrize("field", ["left", "feature", "value"])
+    @pytest.mark.parametrize("field", sorted(CASES))
     def test_load_model_names_the_field(self, trained, tmp_path, field):
         path = self._corrupt(trained, tmp_path, field)
-        with pytest.raises(ValueError, match=f"^tree 0: {field}"):
+        with pytest.raises(ValueError, match=f"^{self.CASES[field]}"):
             load_model(path)
 
-    @pytest.mark.parametrize("field", ["left", "feature", "value"])
+    @pytest.mark.parametrize("field", sorted(CASES))
     def test_explain_exits_1(self, small_arff, trained, tmp_path, capsys, field):
         path = self._corrupt(trained, tmp_path, field)
         out = tmp_path / "out"
         assert run("explain", "--data", small_arff, "--labels", "3", "--model", path,
                    "--instance", "0", "--seed", "1", "--out", out) == 1
-        assert f"error: tree 0: {field}" in capsys.readouterr().err
+        assert f"error: {self.CASES[field]}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -525,6 +556,21 @@ class TestPlot:
             run("plot", "--kind", "pie", "--in", explanation_files[0],
                 "--out", tmp_path)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("drop, message", [
+        (lambda doc: doc["phi"][1].pop("shap"), "phi[1]: shap is missing"),
+        (lambda doc: doc.update(base_value=None), "explanation: base_value is null"),
+    ], ids=["shap-missing", "base-null"])
+    def test_malformed_explanation_exits_1(self, explanation_files, tmp_path, capsys,
+                                           drop, message):
+        doc = json.loads(explanation_files[0].read_text())
+        drop(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run("plot", "--kind", "force", "--in", path,
+                   "--out", tmp_path / "out") == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_plot_outputs_byte_stable(self, explanation_files, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -208,6 +208,7 @@ class TestGridValidation:
         ("mlknn", {"s": [1.0]}, "'k' is required"),
         ("br", {"k": [3]}, "'k'"),
         ("cc", {"max_depth": 3}, "non-empty list"),
+        ("br", {"order": ["random"]}, "'order'"),
     ])
     def test_bad_axes_rejected(self, algorithm, axes, match):
         with pytest.raises(ValueError, match=match):

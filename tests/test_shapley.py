@@ -27,6 +27,7 @@ from mlshap import _blocks, multilabel
 from mlshap.data import Dataset
 from mlshap.evaluation import PRESETS
 from mlshap.shapley import (
+    ESTIMATORS,
     Explanation,
     _coalition_budget,
     _coalition_values,
@@ -409,6 +410,19 @@ class TestExplainInstance:
             assert expl.base_value == ref.base_value
             assert expl.fx == ref.fx == model.predict_proba(x)[l]
 
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("where", ["instance", "background"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+    def test_non_finite_input_rejected(self, small_dataset, estimator, where, bad):
+        """Leaf-path padding (bounds -inf, inf) is met by finite values only,
+        and a NaN meets no threshold, so no estimator takes either."""
+        model = fit_br(small_dataset, ForestParams(n_trees=2, max_depth=3, seed=0))
+        x = small_dataset.features[0].copy()
+        bg = small_dataset.features[1:6].copy()
+        (x if where == "instance" else bg[2])[1] = bad
+        with pytest.raises(ValueError, match=f"^{where} must be finite"):
+            explain_instance(model, x, bg, labels=[0, 1], estimator=estimator)
+
     def test_unknown_estimator(self, small_dataset):
         model = fit_br(small_dataset, ForestParams(n_trees=1, max_depth=2, seed=0))
         with pytest.raises(ValueError, match="estimator"):
@@ -511,11 +525,19 @@ class TestCoalitionBlocks:
 
 
 def _br_case(name, params, n=90, d=8, L=3, seed=0, decimals=None):
-    """A BR model on a planted dataset, its background and one instance."""
+    """A BR model on a planted dataset, its background and one instance.
+
+    A ``positives`` entry in ``params`` keeps only that many positive rows of
+    label 0, so a bootstrap sample may hold none and grow a single leaf."""
+    params = dict(params)
+    positives = params.pop("positives", None)
     ds = planted_dataset(name, n, d, L, seed=seed)
+    features, labels = ds.features, ds.labels.copy()
     if decimals is not None:  # coarse values: repeated features and thresholds
-        ds = Dataset(ds.name, np.round(ds.features, decimals), ds.feature_names,
-                     ds.labels, ds.label_names)
+        features = np.round(features, decimals)
+    if positives is not None:
+        labels[np.flatnonzero(labels[:, 0])[positives:], 0] = 0
+    ds = Dataset(ds.name, features, ds.feature_names, labels, ds.label_names)
     model = fit_br(ds, ForestParams(**params))
     return model, sample_background(ds.features, size=7, seed=seed), ds.features[3]
 
@@ -534,6 +556,9 @@ BR_CASES = {
     "no-bootstrap": dict(n_trees=3, max_depth=6, bootstrap=False, seed=5),
     "stumps": dict(n_trees=6, max_depth=1, seed=6),
     "all-features": dict(n_trees=3, max_depth=10, max_features=8, seed=7),
+    "deep": dict(n_trees=3, max_depth=25, min_samples_leaf=1, seed=9),
+    "rare-label": dict(n_trees=8, max_depth=25, min_samples_leaf=1, seed=0,
+                       positives=2),
 }
 
 
@@ -555,6 +580,18 @@ class TestTreeShap:
             assert t.local_accuracy_gap() <= 1e-12
             assert t.base_value == k.base_value and t.fx == k.fx
             assert t.instance == 3 and t.feature_names == model.feature_names
+
+    @pytest.mark.parametrize("decimals", [None, 0], ids=["continuous", "integer"])
+    def test_rare_label_mixes_single_leaves_and_deep_trees(self, decimals):
+        """The "rare-label" case tests what it is named for."""
+        model, _, _ = _br_case("rare", BR_CASES["rare-label"], decimals=decimals)
+        depths = []
+        for tree in model.per_label_models[0].trees:
+            depth = np.zeros(tree.n_nodes, dtype=np.int64)
+            for i in np.flatnonzero(tree.feature >= 0):  # children follow parents
+                depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+            depths.append(depth.max())
+        assert min(depths) == 0 and max(depths) >= 6
 
     def test_instance_and_background_on_the_thresholds(self):
         """x <= threshold goes left: values equal to a threshold, as predict sends them."""
