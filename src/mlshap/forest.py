@@ -11,9 +11,10 @@ step, and each tree is the one it would be grown on its own.
 
 from __future__ import annotations
 
+import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -85,25 +86,88 @@ class DecisionTree:
         return self.feature.shape[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf probability reached by each row of X."""
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        while True:
-            feat = self.feature[node]
-            live = feat >= 0
-            if not live.any():
-                return self.value[node]
-            rows = np.nonzero(live)[0]
-            at = node[rows]
-            go_left = X[rows, feat[rows]] <= self.threshold[at]
-            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        """Leaf probability reached by each row of the matrix X."""
+        X = np.asarray(X, dtype=np.float64)
+        if self.feature.max() >= X.shape[1]:
+            raise ValueError(f"the tree reads feature {self.feature.max()}, "
+                             f"X has {X.shape[1]} columns")
+        return _Walk([self]).leaf_values(0, *_flat_rows(X))
 
     def max_depth(self) -> int:
-        depth = np.zeros(self.n_nodes, dtype=np.int64)
-        for i in range(self.n_nodes):  # parents precede children (preorder arena)
-            if self.feature[i] >= 0:
-                depth[self.left[i]] = depth[i] + 1
-                depth[self.right[i]] = depth[i] + 1
-        return int(depth.max()) if self.n_nodes else 0
+        return int(_Walk([self]).depth[0])
+
+
+def _flat_rows(X: np.ndarray):
+    """The float64 matrix X as one 1-D buffer and each row's offset into it,
+    so that ``X[i, j]`` is ``flat[offsets[i] + j]``.
+
+    X is read in place when its columns are adjacent and its rows ascend in
+    memory, as in a C-ordered matrix or a column prefix of one; any other
+    layout is copied once.
+    """
+    n, d = X.shape
+    size = X.itemsize
+    if (d > 1 and X.strides[1] != size) or (n > 1 and (X.strides[0] < 0
+                                                      or X.strides[0] % size)):
+        X = np.ascontiguousarray(X)
+    step = X.strides[0] // size if n > 1 else 0
+    length = (n - 1) * step + d if n and d else 0
+    flat = np.lib.stride_tricks.as_strided(X, shape=(length,), strides=(size,),
+                                           writeable=False)
+    return flat, np.arange(n) * step
+
+
+class _Walk:
+    """Walk tables of ``trees``, their arenas laid end to end.
+
+    A leaf loops to itself: both its children are the leaf, and it reads
+    feature 0, which every row has. Node i sends a row to
+    ``child[2 * i + 1]`` (its left child) when ``row[feature[i]] <=
+    threshold[i]``, else to ``child[2 * i]`` (its right child). So tree t
+    takes every row to its leaf in exactly ``depth[t]`` steps from
+    ``roots[t]``, with no row left behind or dropped.
+    """
+
+    def __init__(self, trees: list[DecisionTree]):
+        sizes = np.array([tree.n_nodes for tree in trees], dtype=np.intp)
+        self.roots = np.cumsum(sizes) - sizes
+        feature = np.concatenate([tree.feature for tree in trees])
+        leaf = feature < 0
+        own = np.arange(feature.size)
+        shift = np.repeat(self.roots, sizes)
+        left = np.where(leaf, own, np.concatenate([tree.left for tree in trees]) + shift)
+        right = np.where(leaf, own, np.concatenate([tree.right for tree in trees]) + shift)
+        self.feature = np.where(leaf, 0, feature).astype(np.intp)
+        self.threshold = np.concatenate([tree.threshold for tree in trees])
+        self.child = np.stack([right, left], axis=1).ravel()
+        self.value = np.concatenate([tree.value for tree in trees])
+        # Depth of every tree, all trees one level per step. A root path of
+        # an acyclic arena visits each node once, so a split still reached
+        # after n_nodes steps lies on a cycle.
+        owner = np.repeat(np.arange(len(trees)), sizes)
+        self.depth = np.zeros(len(trees), dtype=np.intp)
+        node = self.roots
+        for level in range(1, sizes.max() + 1):
+            node = node[~leaf[node]]
+            if not node.size:
+                break
+            self.depth[owner[node]] = level
+            node = np.concatenate([left[node], right[node]])
+        else:
+            raise ValueError(f"tree {owner[node[0]]}: a root path revisits a node")
+
+    def leaf_values(self, t: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Value of the leaf of tree t that each row of ``_flat_rows`` reaches."""
+        root = self.roots[t]
+        if not self.depth[t]:
+            return np.full(offsets.size, self.value[root])
+        # Every row starts at the root, so the first step reads its entries once.
+        x = flat.take(offsets + self.feature[root])
+        node = self.child.take(2 * root + (x <= self.threshold[root]))
+        for _ in range(self.depth[t] - 1):
+            x = flat.take(offsets + self.feature.take(node))
+            node = self.child.take(2 * node + (x <= self.threshold.take(node)))
+        return self.value.take(node)
 
 
 @dataclass
@@ -111,10 +175,14 @@ class RandomForest:
     params: ForestParams
     trees: list[DecisionTree]
     n_features: int
+    _walk: _Walk = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.trees) != self.params.n_trees:
             raise ValueError("tree count does not match params.n_trees")
+        # The walk tables are built from arenas that passed the checks.
+        _check_arenas(self.trees, self.n_features)
+        self._walk = _Walk(self.trees)
 
     def predict_proba(self, X):
         """Mean leaf probability over all trees; float for a single vector."""
@@ -126,11 +194,13 @@ class RandomForest:
             raise ValueError(
                 f"input width {X.shape[1]} does not match training width {self.n_features}"
             )
-        # A running total in tree order sums as np.mean over the stacked
-        # per-tree predictions does, without holding them all.
-        total = self.trees[0].predict(X)
-        for tree in self.trees[1:]:
-            total += tree.predict(X)
+        # Every tree reads the rows through one buffer. A running total in
+        # tree order sums as np.mean over the stacked per-tree predictions
+        # does, without holding them all.
+        rows = _flat_rows(X)
+        total = self._walk.leaf_values(0, *rows)
+        for t in range(1, len(self.trees)):
+            total += self._walk.leaf_values(t, *rows)
         out = total / len(self.trees)
         return float(out[0]) if single else out
 
@@ -492,9 +562,12 @@ def forest_to_doc(forest: RandomForest) -> dict:
 def _check_arenas(trees: list[DecisionTree], n_features: int) -> None:
     """Raise ValueError naming the field unless every arena is one the grower
     writes: five arrays of one length, at least one node, features in
-    [-1, n_features), and children in preorder, so that a split node i has
-    both children in (i, n_nodes) and a leaf has -1 for both. Children after
-    their parent rule out cycles, so every walk from the root ends at a leaf.
+    [-1, n_features), finite thresholds at splits, values in [0, 1], and
+    children in preorder, so that a split node i has both children in
+    (i, n_nodes), a leaf has -1 for both, and every node but the root is the
+    child of exactly one split. Children after their parent rule out cycles,
+    so every walk from the root ends at a leaf, and one parent per node makes
+    the arena a tree.
     """
     for t, tree in enumerate(trees):
         for name in ("threshold", "left", "right", "value"):
@@ -505,27 +578,67 @@ def _check_arenas(trees: list[DecisionTree], n_features: int) -> None:
             raise ValueError(f"tree {t}: feature must be a non-empty list")
     sizes = np.array([tree.n_nodes for tree in trees], dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
-    node = np.arange(sizes.sum()) - np.repeat(starts, sizes)  # index within its tree
+    first = np.repeat(starts, sizes)  # each node's root, in the joined arenas
+    node = np.arange(sizes.sum()) - first  # index within its tree
     n_nodes = np.repeat(sizes, sizes)
-    feature = np.concatenate([tree.feature for tree in trees])
+
+    def joined(name):
+        return np.concatenate([getattr(tree, name) for tree in trees])
+
+    def tree_of(i):
+        return int(np.searchsorted(starts, i, side="right")) - 1
+
+    feature, value = joined("feature"), joined("value")
     split = feature >= 0
     checks = [("feature", (feature >= -1) & (feature < n_features),
-               f"in [-1, {n_features})")]
+               f"in [-1, {n_features})"),
+              ("threshold", ~split | np.isfinite(joined("threshold")), "finite at a split"),
+              ("value", (value >= 0.0) & (value <= 1.0), "in [0, 1]")]
+    children = []
     for name in ("left", "right"):
-        child = np.concatenate([getattr(tree, name) for tree in trees])
+        child = joined(name)
+        children.append((child + first)[split])
         checks.append((name, np.where(split, (node < child) & (child < n_nodes),
                                       child == -1),
                        "after its node and inside the tree at a split, -1 at a leaf"))
     for name, ok, rule in checks:
         if not ok.all():
             i = int(np.argmin(ok))
-            t = int(np.searchsorted(starts, i, side="right")) - 1
+            t = tree_of(i)
             raise ValueError(f"tree {t}: {name}[{node[i]}] is "
                              f"{getattr(trees[t], name)[node[i]]}, must be {rule}")
+    parents = np.bincount(np.concatenate(children), minlength=node.size)
+    ok = parents == (node > 0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"tree {tree_of(i)}: node {node[i]} is a child of {parents[i]} "
+                         "splits, must be of exactly 1")
 
 
-_ARENA_DTYPES = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
-                 "right": np.int64, "value": np.float64}
+_INTEGER_FIELDS = ("feature", "left", "right")
+
+
+def _arena_array(tree: dict, name: str, where: str) -> np.ndarray:
+    """Field ``name`` of a tree document as a 1-D array, int64 for
+    ``_INTEGER_FIELDS`` and float64 otherwise; an entry of another JSON type
+    (null, a boolean, a string, a list, or a fraction in an integer field)
+    raises ValueError naming it."""
+    values = _json.field(tree, name, where)
+    integer = name in _INTEGER_FIELDS
+    if not isinstance(values, list):
+        raise ValueError(f"{where}: {name} must be a list, got {type(values).__name__}")
+    try:
+        array = np.array(values)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is not None and array.ndim == 1 and (
+            array.size == 0 or array.dtype.kind in ("i" if integer else "if")):
+        return array.astype(np.int64 if integer else np.float64, copy=False)
+    types, expected = (int, "an integer") if integer else ((int, float), "a number")
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, types):
+            raise ValueError(f"{where}: {name}[{i}] is {json.dumps(v)}, must be {expected}")
+    raise ValueError(f"{where}: {name} holds an integer outside 64 bits")
 
 
 def forest_from_doc(doc: dict) -> RandomForest:
@@ -535,13 +648,16 @@ def forest_from_doc(doc: dict) -> RandomForest:
         raise ValueError(f"not a forest document: {doc['format']!r}")
     if doc.get("version") != FOREST_VERSION:
         raise ValueError(f"unsupported forest version {doc.get('version')!r}")
-    params = ForestParams(**_json.field(doc, "params", "forest"))
+    params = _json.field(doc, "params", "forest")
+    if not isinstance(params, dict):
+        raise ValueError(f"forest: params must be a JSON object, got {type(params).__name__}")
+    known = {f.name for f in fields(ForestParams)}
+    for key in params:
+        if key not in known:
+            raise ValueError(f"forest params: unknown key {key!r}")
+    params = ForestParams(**params)
     n_features = _as_int("n_features", _json.field(doc, "n_features", "forest"))
-    trees = [
-        DecisionTree(**{name: np.array(_json.field(t, name, f"tree {i}"), dtype=dtype)
-                        for name, dtype in _ARENA_DTYPES.items()})
-        for i, t in enumerate(_json.field(doc, "trees", "forest"))
-    ]
-    forest = RandomForest(params=params, trees=trees, n_features=n_features)
-    _check_arenas(forest.trees, n_features)
-    return forest
+    trees = [DecisionTree(**{name: _arena_array(t, name, f"tree {i}")
+                             for name in ("feature", "threshold", "left", "right", "value")})
+             for i, t in enumerate(_json.field(doc, "trees", "forest"))]
+    return RandomForest(params=params, trees=trees, n_features=n_features)

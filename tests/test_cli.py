@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -439,10 +440,11 @@ class TestNumericInputs:
 
 
 class TestMalformedModel:
-    """A model.json whose tree arenas the grower could not have written, or
-    that lacks a field or holds it as null, fails to load with ValueError
-    naming the field, so explain exits 1 and neither loops forever, indexes
-    out of range nor raises KeyError."""
+    """A model.json whose tree arenas the grower could not have written, that
+    lacks a field or holds it or one of its entries as null, or whose forest
+    params hold an unknown key, fails to load with ValueError naming the
+    field, so explain exits 1 and neither loops forever, indexes out of
+    range nor raises KeyError or TypeError."""
 
     # corruption -> the start of the message it raises
     CASES = {
@@ -452,6 +454,13 @@ class TestMalformedModel:
         "value-missing": "tree 0: value is missing",
         "threshold-null": "tree 0: threshold is null",
         "forests-missing": "model payload: forests is missing",
+        "threshold-null-entry": "tree 0: threshold[0] is null, must be a number",
+        "value-null-entry": "tree 0: value[0] is null, must be a number",
+        "value-above-one": "tree 0: value[0] is 7.5, must be in [0, 1]",
+        "feature-null-entry": "tree 0: feature[0] is null, must be an integer",
+        "left-null-entry": "tree 0: left[0] is null, must be an integer",
+        "right-null-entry": "tree 0: right[0] is null, must be an integer",
+        "params-unknown-key": "forest params: unknown key 'bogus'",
     }
 
     @staticmethod
@@ -469,6 +478,12 @@ class TestMalformedModel:
             del tree["value"]
         elif field == "threshold-null":
             tree["threshold"] = None
+        elif field.endswith("-null-entry"):
+            tree[field.split("-")[0]][0] = None
+        elif field == "value-above-one":
+            tree["value"][0] = 7.5
+        elif field == "params-unknown-key":
+            doc["payload"]["forests"][0]["params"]["bogus"] = 1
         else:
             del doc["payload"]["forests"]
         path = tmp_path / "model.json"
@@ -478,7 +493,7 @@ class TestMalformedModel:
     @pytest.mark.parametrize("field", sorted(CASES))
     def test_load_model_names_the_field(self, trained, tmp_path, field):
         path = self._corrupt(trained, tmp_path, field)
-        with pytest.raises(ValueError, match=f"^{self.CASES[field]}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(self.CASES[field])}"):
             load_model(path)
 
     @pytest.mark.parametrize("field", sorted(CASES))

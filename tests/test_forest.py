@@ -196,18 +196,38 @@ def _gain(X, y, feature, threshold):
     return h(y) - (left.size * h(left) + right.size * h(right)) / y.size
 
 
-def _leaf_counts(tree, X):
-    node = np.zeros(X.shape[0], dtype=int)
+def _leaves_compacting(tree, X):
+    """Reference walk: the leaf each row of X reaches, stepping only the rows
+    still at a split (compacted by ``nonzero`` each level) until none is."""
+    node = np.zeros(X.shape[0], dtype=np.intp)
     while True:
         feat = tree.feature[node]
         live = feat >= 0
         if not live.any():
-            break
+            return node
         rows = np.nonzero(live)[0]
         at = node[rows]
         go_left = X[rows, feat[rows]] <= tree.threshold[at]
         node[rows] = np.where(go_left, tree.left[at], tree.right[at])
-    return np.bincount(node)[np.bincount(node) > 0]
+
+
+def _predict_compacting(tree, X):
+    return tree.value[_leaves_compacting(tree, X)]
+
+
+def _proba_compacting(forest, X):
+    """Reference ``RandomForest.predict_proba`` on a matrix: the compacting
+    walk per tree, summed in tree order and divided by the tree count."""
+    X = np.asarray(X, dtype=np.float64)
+    total = _predict_compacting(forest.trees[0], X)
+    for tree in forest.trees[1:]:
+        total = total + _predict_compacting(tree, X)
+    return total / len(forest.trees)
+
+
+def _leaf_counts(tree, X):
+    counts = np.bincount(_leaves_compacting(tree, X))
+    return counts[counts > 0]
 
 
 class TestMonotonePurity:
@@ -333,10 +353,32 @@ class TestForestJson:
         ({"threshold": [0.5]}, "threshold has 1 entries"),
         ({"feature": [], "threshold": [], "left": [], "right": [], "value": []},
          "feature must be a non-empty list"),
+        ({"threshold": [None, 0.0, 0.0]}, r"threshold\[0\] is null, must be a number"),
+        ({"threshold": [float("nan"), 0.0, 0.0]}, r"threshold\[0\] is nan, must be finite"),
+        ({"threshold": [float("-inf"), 0.0, 0.0]}, r"threshold\[0\] is -inf"),
+        ({"threshold": [0.5, 0.0, None]}, r"threshold\[2\] is null"),  # at a leaf
+        ({"threshold": [0.5, "0.5", 0.0]}, r"threshold\[1\] is \"0.5\""),
+        ({"value": [0.5, 0.0, 7.5]}, r"value\[2\] is 7.5, must be in \[0, 1\]"),
+        ({"value": [0.5, -0.25, 1.0]}, r"value\[1\] is -0.25"),
+        ({"value": [0.5, None, 1.0]}, r"value\[1\] is null"),
+        ({"feature": [1, None, -1]}, r"feature\[1\] is null, must be an integer"),
+        ({"left": [1.5, -1, -1]}, r"left\[0\] is 1.5, must be an integer"),
+        ({"right": [[2], -1, -1]}, r"right\[0\] is \[2\]"),
+        ({"value": 0.5}, "value must be a list, got float"),
+        # Node 2 is a child of the root and of node 1, and node 4 of none.
+        ({"feature": [1, 0, -1, -1, -1], "threshold": [0.5, 0.5, 0.0, 0.0, 0.0],
+          "left": [1, 2, -1, -1, -1], "right": [2, 3, -1, -1, -1],
+          "value": [0.5] * 5}, "node 2 is a child of 2 splits, must be of exactly 1"),
     ])
     def test_malformed_arena_rejected(self, tree, message):
         with pytest.raises(ValueError, match=f"^tree 0: {message}"):
             forest_from_doc(self._doc(**tree))
+
+    def test_unknown_params_key_is_named(self):
+        doc = self._doc()
+        doc["params"] = dict(doc["params"], bogus=1)
+        with pytest.raises(ValueError, match="^forest params: unknown key 'bogus'"):
+            forest_from_doc(doc)
 
     def test_bad_tree_of_many_is_named(self):
         doc = self._doc()
@@ -345,6 +387,178 @@ class TestForestJson:
         doc["params"] = dict(doc["params"], n_trees=3)
         with pytest.raises(ValueError, match=r"^tree 2: feature\[2\] is 5"):
             forest_from_doc(doc)
+
+
+def _synthesized_rows(X, n_coalitions, n_background, seed):
+    """Rows shaped like kernel SHAP's: per random coalition and background
+    row, instance 0's features inside the coalition and the background
+    row's elsewhere."""
+    rng = np.random.default_rng(seed)
+    background = X[rng.choice(X.shape[0], size=n_background, replace=False)]
+    inside = rng.random((n_coalitions, X.shape[1])) < rng.random((n_coalitions, 1))
+    return np.where(inside[:, None, :], X[0], background).reshape(-1, X.shape[1])
+
+
+def _on_thresholds(trees, X):
+    """One row per split of ``trees``: a row of X with that split's feature
+    set exactly to its threshold."""
+    rows = []
+    for tree in trees:
+        for k in np.flatnonzero(tree.feature >= 0):
+            row = X[k % X.shape[0]].copy()
+            row[tree.feature[k]] = tree.threshold[k]
+            rows.append(row)
+    return np.array(rows)
+
+
+def _max_depth_preorder(tree):
+    """Reference depth: one pass over a preorder arena, parents first."""
+    depth = np.zeros(tree.n_nodes, dtype=np.int64)
+    for i in range(tree.n_nodes):
+        if tree.feature[i] >= 0:
+            depth[tree.left[i]] = depth[i] + 1
+            depth[tree.right[i]] = depth[i] + 1
+    return int(depth.max())
+
+
+def _assert_walks_match(forest_, Q):
+    for tree in forest_.trees:
+        np.testing.assert_array_equal(tree.predict(Q), _predict_compacting(tree, Q))
+    np.testing.assert_array_equal(forest_.predict_proba(Q), _proba_compacting(forest_, Q))
+
+
+def _model_forests(preset, decimals, n_trees=5):
+    ds = _dataset(decimals)
+    params = dict(PRESETS[preset], n_trees=n_trees, seed=3)
+    model = fit_point(params.pop("algo"), ds, params)
+    return ds, model
+
+
+class TestWalkOracle:
+    """The fixed-depth walk reaches the leaf the compacting walk reaches, so
+    ``predict`` and ``predict_proba`` equal it bit for bit."""
+
+    @pytest.mark.parametrize("preset", ["paper-br", "paper-cc"])
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_fitted_forests(self, preset, decimals):
+        ds, model = _model_forests(preset, decimals)
+        forests = getattr(model, "per_label_models", None) or model.chained_models
+        rng = np.random.default_rng(4)
+        for j, fitted in enumerate(forests):
+            # CC link j reads j chained 0/1 decisions after the features.
+            decisions = rng.integers(0, 2, size=(ds.n_instances, fitted.n_features
+                                                 - ds.features.shape[1]))
+            X = np.column_stack([ds.features, decisions])
+            Q = np.concatenate([X, _synthesized_rows(X, 60, 10, seed=j),
+                                _on_thresholds(fitted.trees, X)])
+            _assert_walks_match(fitted, Q)
+            for tree in fitted.trees:
+                assert tree.max_depth() == _max_depth_preorder(tree)
+
+    def test_rows_on_thresholds_go_left(self):
+        ds, model = _model_forests("paper-br", None)
+        tree = model.per_label_models[0].trees[0]
+        Q = _on_thresholds([tree], ds.features)
+        splits = np.flatnonzero(tree.feature >= 0)
+        _assert_walks_match(RandomForest(ForestParams(n_trees=1), [tree], ds.n_features), Q)
+        # Row i sits on split i: a hair above its threshold it goes right.
+        assert np.all(Q[np.arange(splits.size), tree.feature[splits]]
+                      == tree.threshold[splits])
+        above = Q.copy()
+        above[np.arange(splits.size), tree.feature[splits]] = np.nextafter(
+            tree.threshold[splits], np.inf)
+        assert not np.array_equal(tree.predict(above), tree.predict(Q))
+        np.testing.assert_array_equal(tree.predict(above), _predict_compacting(tree, above))
+
+    def test_a_one_node_tree(self):
+        tree = leaf_tree(0.25)
+        Q = np.arange(12.0).reshape(4, 3)
+        assert tree.max_depth() == 0
+        np.testing.assert_array_equal(tree.predict(Q), [0.25] * 4)
+        assert tree.predict(Q[:0]).shape == (0,)
+        both = RandomForest(ForestParams(n_trees=2), [tree, leaf_tree(0.5)], n_features=3)
+        _assert_walks_match(both, Q)
+        assert both.predict_proba(Q[0]) == 0.375
+
+    # Children out of index order and leaves at depths 2 and 3: node 0 sends
+    # x0 <= 0 to node 5 and the rest to node 1; nodes 1 and 5 split on x1,
+    # node 3 on x0 again.
+    SCRAMBLED = DecisionTree(
+        feature=np.array([0, 1, -1, 0, -1, 1, -1, -1, -1]),
+        threshold=np.array([0.0, 1.0, 0.0, 2.0, 0.0, -1.0, 0.0, 0.0, 0.0]),
+        left=np.array([5, 3, -1, 8, -1, 7, -1, -1, -1]),
+        right=np.array([1, 2, -1, 4, -1, 6, -1, -1, -1]),
+        value=np.array([0.5, 0.5, 0.9, 0.5, 0.7, 0.5, 0.2, 0.1, 0.4]),
+    )
+
+    def test_hand_written_arena_with_scrambled_children(self):
+        tree = self.SCRAMBLED
+        grid = [-np.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, np.inf, np.nan]
+        Q = np.array([[a, b] for a in grid for b in grid])
+        assert tree.max_depth() == 3
+        want = _predict_compacting(tree, Q)
+        assert set(want) == {0.9, 0.7, 0.2, 0.1, 0.4}  # every leaf is reached
+        # nan compares false, so it goes right, as in the compacting walk.
+        assert tree.predict(np.array([[np.nan, np.nan]]))[0] == 0.9
+        forest_ = RandomForest(ForestParams(n_trees=3),
+                               [tree, leaf_tree(0.3), tree], n_features=2)
+        _assert_walks_match(forest_, Q)
+        # One column short: the flat buffer would run into the next row.
+        with pytest.raises(ValueError, match="reads feature 1, X has 1 columns"):
+            tree.predict(Q[:, :1])
+
+    def test_a_cyclic_arena_raises_instead_of_walking_forever(self):
+        cyclic = DecisionTree(feature=np.array([0, -1]), threshold=np.array([0.0, 0.0]),
+                              left=np.array([0, -1]), right=np.array([1, -1]),
+                              value=np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="tree 0: a root path revisits a node"):
+            cyclic.predict(np.zeros((3, 1)))
+
+    def test_column_prefix_views_are_read_in_place(self):
+        ds, model = _model_forests("paper-cc", None)
+        M, links = ds.features.shape[1], model.chained_models
+        aug = np.column_stack([_synthesized_rows(ds.features, 50, 8, seed=1),
+                               np.ones((400, len(links) - 1))])
+        aug[::3, M:] = 0.0
+        for j, link in enumerate(links):
+            view = aug[:, :M + j]
+            flat, offsets = forest._flat_rows(view)
+            assert np.shares_memory(flat, aug)
+            assert np.array_equal(flat[offsets[:, None] + np.arange(M + j)], view)
+            _assert_walks_match(link, view)
+            np.testing.assert_array_equal(link.predict_proba(view),
+                                          link.predict_proba(np.ascontiguousarray(view)))
+
+    @pytest.mark.parametrize("layout", [
+        lambda X: X[::-1],
+        np.asfortranarray,
+        lambda X: X[:0],
+        lambda X: X[::3],
+        lambda X: X[:1],
+        lambda X: np.broadcast_to(X[2], (5, X.shape[1])),
+        lambda X: np.repeat(X, 2, axis=1)[:, ::2],
+        lambda X: X.T.copy().T[::-2],
+    ], ids=["reversed", "fortran", "no-rows", "every-third-row", "one-row",
+            "broadcast-row", "every-other-column", "fortran-reversed"])
+    def test_strided_inputs_equal_a_contiguous_copy(self, layout):
+        ds, model = _model_forests("paper-br", 1)
+        Q = layout(np.concatenate([ds.features[:60], _synthesized_rows(ds.features, 6, 5, 2)]))
+        for fitted in model.per_label_models[:3]:
+            want = fitted.predict_proba(np.ascontiguousarray(Q))
+            np.testing.assert_array_equal(fitted.predict_proba(Q), want)
+            assert want.shape == (Q.shape[0],)
+            _assert_walks_match(fitted, Q)
+
+    @pytest.mark.parametrize("preset", ["paper-br", "paper-cc"])
+    def test_whole_model_on_synthesized_rows(self, monkeypatch, preset):
+        """41 800 rows: 2 090 coalitions by 20 background rows, as in a kernel
+        explanation at the benchmark's budget."""
+        ds, model = _model_forests(preset, None)
+        Q = _synthesized_rows(ds.features, 2090, 20, seed=9)
+        assert Q.shape == (41800, ds.features.shape[1])
+        got = model.predict_proba(Q)
+        monkeypatch.setattr(RandomForest, "predict_proba", _proba_compacting)
+        np.testing.assert_array_equal(got, model.predict_proba(Q))
 
 
 def _entropy_masked(pos, total):
