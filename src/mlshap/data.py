@@ -131,12 +131,10 @@ def _impute_column_means(path, features, missing_mask, names):
     return features
 
 
-def _finish(path, name, cells, missing, names, label_cols):
-    """Assemble a Dataset from parsed text cells, imputing missing feature values."""
-    n_cols = len(names)
-    label_set = set(label_cols)
-    feature_cols = [c for c in range(n_cols) if c not in label_set]
-    values = np.zeros((len(cells), n_cols), dtype=np.float64)
+def _first_bad_cell(path, cells, missing, names, label_set):
+    """Raise the ParseError of the first bad cell in row order: a missing
+    label, a non-numeric cell, a label other than 0 or 1, or a non-finite
+    feature."""
     for r, (line_no, row) in enumerate(cells):
         for c, text in enumerate(row):
             if missing[r][c]:
@@ -144,14 +142,38 @@ def _finish(path, name, cells, missing, names, label_cols):
                     _fail(path, line_no, f"missing value in label column {names[c]!r}")
                 continue
             try:
-                value = values[r, c] = float(text)
+                value = float(text)
             except ValueError:
                 _fail(path, line_no, f"non-numeric value {text!r} in column {names[c]!r}")
             if c in label_set and value not in (0.0, 1.0):
                 _fail(path, line_no, f"label not binary: {names[c]!r} = {text!r}")
             if not math.isfinite(value):
                 _fail(path, line_no, f"non-finite value {text!r} in column {names[c]!r}")
+
+
+def _finish(path, name, cells, missing, names, label_cols):
+    """Assemble a Dataset from parsed text cells, imputing missing feature values.
+
+    Every present cell is read by ``float`` in one pass and checked as a
+    whole; only a file with a bad cell is read again cell by cell, to name
+    the first one.
+    """
+    n_cols = len(names)
+    label_set = set(label_cols)
+    feature_cols = [c for c in range(n_cols) if c not in label_set]
     missing_arr = np.array(missing, dtype=bool).reshape(len(cells), n_cols)
+    texts = [text for _, row in cells for text in row]
+    for i in np.flatnonzero(missing_arr).tolist():
+        texts[i] = "0"  # imputed below, or refused in a label column
+    try:
+        values = np.fromiter(map(float, texts), dtype=np.float64,
+                             count=len(texts)).reshape(missing_arr.shape)
+    except ValueError:
+        values = None
+    if (values is None or missing_arr[:, label_cols].any()
+            or not np.isfinite(values).all()
+            or not np.isin(values[:, label_cols], (0.0, 1.0)).all()):
+        _first_bad_cell(path, cells, missing, names, label_set)
     features = _impute_column_means(
         path, values[:, feature_cols], missing_arr[:, feature_cols],
         [names[c] for c in feature_cols],

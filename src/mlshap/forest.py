@@ -241,30 +241,40 @@ def leaf_paths(trees: list[DecisionTree]):
         seen = feats == f[:, None]
         new = ~seen.any(axis=1)
         col = np.where(new, used, seen.argmax(axis=1))
-        if node.size and col.max() == feats.shape[1]:
-            feats = np.pad(feats, ((0, 0), (0, 1)), constant_values=-1)
-            lower = np.pad(lower, ((0, 0), (0, 1)), constant_values=-np.inf)
-            upper = np.pad(upper, ((0, 0), (0, 1)), constant_values=np.inf)
-        at = np.arange(node.size), col
-        feats[at] = f
-        upper_left = upper.copy()
-        upper_left[at] = np.minimum(upper[at], thr)
-        lower_right = lower.copy()
-        lower_right[at] = np.maximum(lower[at], thr)
+        # Both children copy their parent's columns, one more when a path
+        # starts a column no row has yet.
+        width = max(feats.shape[1], int(col.max(initial=-1)) + 1)
+        feats, lower, upper = (_twice(a, width, fill) for a, fill in
+                               ((feats, -1), (lower, -np.inf), (upper, np.inf)))
+        n = node.size
+        left_at, right_at = (np.arange(n), col), (np.arange(n, 2 * n), col)
+        feats[left_at] = feats[right_at] = f
+        upper[left_at] = np.minimum(upper[left_at], thr)
+        lower[right_at] = np.maximum(lower[right_at], thr)
         node = np.concatenate([left[node], right[node]])
-        feats = np.concatenate([feats, feats])
-        lower = np.concatenate([lower, lower_right])
-        upper = np.concatenate([upper_left, upper])
         used = np.tile(used + new, 2)
 
-    width = max(a[1].shape[1] for a in leaves)
-
-    def gather(i, fill):
-        return np.concatenate([np.pad(a[i], ((0, 0), (0, width - a[i].shape[1])),
-                                      constant_values=fill) for a in leaves])
-
+    # Each level's leaves into the preallocated padded arrays, at their width.
     node = np.concatenate([a[0] for a in leaves])
-    return owner[node], value[node], gather(1, -1), gather(2, -np.inf), gather(3, np.inf)
+    out = [np.full((node.size, feats.shape[1]), fill, dtype=dtype)
+           for fill, dtype in ((-1, np.int64), (-np.inf, np.float64), (np.inf, np.float64))]
+    start = 0
+    for level in leaves:
+        stop = start + level[0].size
+        for whole, part in zip(out, level[1:]):
+            whole[start:stop, :part.shape[1]] = part
+        start = stop
+    return (owner[node], value[node], *out)
+
+
+def _twice(a, width, fill):
+    """Two copies of the rows of ``a`` stacked, widened to ``width`` columns
+    with ``fill``."""
+    twice = np.empty((2 * a.shape[0], width), dtype=a.dtype)
+    twice[:, a.shape[1]:] = fill
+    twice[:a.shape[0], :a.shape[1]] = a
+    twice[a.shape[0]:, :a.shape[1]] = a
+    return twice
 
 
 def _entropy_from_positive(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -631,8 +641,11 @@ def _arena_array(tree: dict, name: str, where: str) -> np.ndarray:
         array = np.array(values)
     except ValueError:  # ragged nesting
         array = None
+    # numpy reads a boolean among numbers as 0 or 1: any boolean takes the
+    # per-entry loop below, which names it.
     if array is not None and array.ndim == 1 and (
-            array.size == 0 or array.dtype.kind in ("i" if integer else "if")):
+            array.size == 0 or array.dtype.kind in ("i" if integer else "if")) and (
+            bool not in map(type, values)):
         return array.astype(np.int64 if integer else np.float64, copy=False)
     types, expected = (int, "an integer") if integer else ((int, float), "a number")
     for i, v in enumerate(values):

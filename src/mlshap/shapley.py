@@ -15,8 +15,8 @@ each added with its complement. Paired coalitions keep the estimate free of
 bias between a game and its dual. Hidden features are marginalized by
 replacing them with background rows and averaging (interventional
 expectation). ``tree_shap`` computes the same interventional values of a
-forest exactly, in closed form over its leaf paths, without evaluating it on
-any coalition. Every estimator takes finite values only.
+forest exactly, in closed form over its leaf paths, without evaluating it at
+all. Every estimator takes finite values only.
 """
 
 from __future__ import annotations
@@ -350,9 +350,37 @@ def tree_shap(forests, x, background) -> np.ndarray:
     x-only cells are those x meets and r misses, and on a live leaf every
     cell x misses is r-only. Padding (feature 0, bounds -inf and inf) is met by
     every finite value. Per row, a block holds 10 bytes a cell (the float64
-    gather and two boolean masks) and 40 a leaf (counts and weights), within
-    the byte budget of ``_blocks``.
+    gather and two boolean masks), 41 a leaf (counts, weights and the mask of
+    the leaves the row reaches) and 24 a slot of a (tree, forest) grid with a
+    row more than the most trees of one forest (the reached leaf value and
+    the two indices that place it, or the forest's running total, mean and
+    output), within the byte budget of ``_blocks``.
     """
+    return _tree_pass(forests, x, background)[0]
+
+
+def _forest_outputs(reached, tree, value, slot, n_trees):
+    """Each forest's output on each row, as ``RandomForest.predict_proba``
+    gives it: a (forests, rows) matrix from the (rows, leaves) mask of the
+    leaf each row reaches in each tree. ``slot`` places each tree in a (tree
+    within its forest, forest) grid; the leaf values are added in tree order
+    and the total divided by the tree count, so the result is bit-equal.
+    """
+    row, leaf = np.nonzero(reached)
+    per_tree = np.zeros((max(n_trees), len(n_trees), reached.shape[0]))
+    per_tree.reshape(-1, reached.shape[0])[slot[tree[leaf]], row] = value[leaf]
+    total = per_tree[0].copy()
+    for values in per_tree[1:]:
+        total += values  # the zeros past a shorter forest's last tree add nothing
+    return total / np.array(n_trees)[:, None]
+
+
+def _tree_pass(forests, x, background):
+    """``tree_shap``'s values with each forest's base value (its mean output
+    over the background rows) and output at ``x``, all from the same leaf
+    paths: a row reaches the one leaf per tree whose every path column it
+    meets. Base value and output are bit-equal to those ``_base_and_fx`` gets
+    from the forests' ``predict_proba``."""
     x = np.asarray(x, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
     M = x.shape[0]
@@ -361,17 +389,26 @@ def tree_shap(forests, x, background) -> np.ndarray:
     tree, value, feature, lower, upper = leaf_paths(trees)
     feature, lower, upper = (np.ascontiguousarray(a.T)
                              for a in (np.maximum(feature, 0), lower, upper))
+    forest_of = np.repeat(np.arange(len(forests)), n_trees)
+    rank = np.arange(len(trees)) - np.repeat(np.cumsum(n_trees) - n_trees, n_trees)
+    slot = rank * len(forests) + forest_of
     x_ok = _within(x[feature], lower, upper)
+    fx = _forest_outputs(x_ok.all(axis=0)[None], tree, value, slot, n_trees)[:, 0]
     n_r = (~x_ok).sum(axis=0)
     weights = _path_weights(feature.shape[0])
     x_gain = np.zeros(feature.shape)
     r_loss = np.zeros(value.shape[0])
-    row_bytes = (10 * feature.shape[0] + 40) * value.shape[0]
+    outputs = np.empty((len(forests), background.shape[0]))
+    row_bytes = ((10 * feature.shape[0] + 41) * value.shape[0]
+                 + 24 * (max(n_trees) + 1) * len(forests))
     for rows in _blocks.row_slices(background.shape[0], row_bytes):
         r_ok = _within(np.take(background[rows], feature, axis=1), lower, upper)
         live = (r_ok | x_ok).all(axis=1)
         miss = x_ok & ~r_ok
         n_x = miss.sum(axis=1)
+        # r reaches a leaf when it is live with no cell that r misses and x meets.
+        outputs[:, rows] = _forest_outputs(live & (n_x == 0), tree, value, slot,
+                                           n_trees)
         # An index of -1 (no x-only or no r-only feature) reads a real entry
         # that nothing uses: no cell misses, or no cell is r-only.
         w_x = np.where(live, weights[n_x - 1, n_r], 0.0)
@@ -379,10 +416,12 @@ def tree_shap(forests, x, background) -> np.ndarray:
         r_loss += np.where(live, weights[n_x, n_r - 1], 0.0).sum(axis=0)
         del r_ok, live, miss, n_x, w_x  # the budget counts one block at a time
     scale = value * np.repeat([1.0 / n for n in n_trees], n_trees)[tree]
-    column = (np.repeat(np.arange(len(forests)), n_trees)[tree] * M + feature).ravel()
+    column = (forest_of[tree] * M + feature).ravel()
     gain = np.where(x_ok, x_gain, -r_loss) * scale  # r-only cells lose r_loss
     phi = np.bincount(column, weights=gain.ravel(), minlength=len(forests) * M)
-    return phi.reshape(len(forests), M) / background.shape[0]
+    # The mean runs along the contiguous background axis, as _coalition_values's.
+    base = outputs.mean(axis=-1)
+    return phi.reshape(len(forests), M) / background.shape[0], base, fx
 
 
 def sample_background(features, size: int = 100, seed: int = 0) -> np.ndarray:
@@ -439,9 +478,10 @@ def explain_instance(model, x, background, labels, estimator: str | None = None,
     Every label is explained from one pass: one set of coalitions, background
     rows and regression for "exact" and "kernel", so each label's phi matches
     a one-label run to within 1e-12; one walk over the leaf paths of every
-    requested forest for "tree". Each label's base value and f(x) come from
-    the same target calls under every estimator and match a one-label run
-    exactly.
+    requested forest for "tree", which evaluates no forest. Each label's
+    base value and f(x) come from the same target calls under "exact" and
+    "kernel", and from the leaf paths, bit-equal to them, under "tree"; they
+    match a one-label run exactly.
     """
     estimator = resolve_estimator(model, estimator)
     labels = [int(l) for l in labels]
@@ -452,9 +492,9 @@ def explain_instance(model, x, background, labels, estimator: str | None = None,
         explanations = kernel_shap(target, x, background, budget=budget, seed=seed)
     else:
         x, background = _check_inputs(target, x, background)
-        base, fx, single = _base_and_fx(target, x, background)
-        phi = tree_shap([model.per_label_models[l] for l in labels], x, background)
-        explanations = _explanations(base, phi, fx, x, single)
+        phi, base, fx = _tree_pass([model.per_label_models[l] for l in labels], x,
+                                   background)
+        explanations = _explanations(base, phi, fx, x, single=False)
     for expl, l in zip(explanations, labels):
         expl.instance = instance
         expl.label = l

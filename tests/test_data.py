@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlshap import Dataset, ParseError, load_arff, load_csv, make_folds, save_csv, split
+from mlshap import Dataset, ParseError, data, load_arff, load_csv, make_folds, save_csv, split
 
-from _synth import planted_dataset, write_arff
+from _synth import foodtruck_like, planted_dataset, write_arff
 
 SMALL_ARFF = """% toy file
 @relation toy
@@ -170,6 +172,132 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     assert loaded.label_names == ds.label_names
     assert np.array_equal(loaded.features, ds.features)  # bit-exact
     assert np.array_equal(loaded.labels, ds.labels)
+
+
+def _finish_per_cell(path, name, cells, missing, names, label_cols):
+    """Reference: ``data._finish`` as a per-cell loop, each cell read by
+    ``float`` and checked as it comes."""
+    n_cols = len(names)
+    label_set = set(label_cols)
+    feature_cols = [c for c in range(n_cols) if c not in label_set]
+    values = np.zeros((len(cells), n_cols), dtype=np.float64)
+    for r, (line_no, row) in enumerate(cells):
+        for c, text in enumerate(row):
+            if missing[r][c]:
+                if c in label_set:
+                    data._fail(path, line_no, f"missing value in label column {names[c]!r}")
+                continue
+            try:
+                value = values[r, c] = float(text)
+            except ValueError:
+                data._fail(path, line_no,
+                           f"non-numeric value {text!r} in column {names[c]!r}")
+            if c in label_set and value not in (0.0, 1.0):
+                data._fail(path, line_no, f"label not binary: {names[c]!r} = {text!r}")
+            if not math.isfinite(value):
+                data._fail(path, line_no,
+                           f"non-finite value {text!r} in column {names[c]!r}")
+    missing_arr = np.array(missing, dtype=bool).reshape(len(cells), n_cols)
+    features = data._impute_column_means(
+        path, values[:, feature_cols], missing_arr[:, feature_cols],
+        [names[c] for c in feature_cols])
+    return Dataset(name=name, features=features,
+                   feature_names=[names[c] for c in feature_cols],
+                   labels=values[:, label_cols].astype(np.int64),
+                   label_names=[names[c] for c in label_cols])
+
+
+def _arff_rows(path):
+    """The header lines and data rows (lists of cells) of an ARFF file."""
+    lines = path.read_text().splitlines()
+    at = lines.index("@data") + 1
+    return lines[:at], [line.split(",") for line in lines[at:]]
+
+
+def _write_rows(path, header, rows):
+    path.write_text("\n".join(header + [r if isinstance(r, str) else ",".join(r)
+                                        for r in rows]) + "\n")
+
+
+def _both_loads(monkeypatch, load, *args):
+    """(bulk result, per-cell result); each is a Dataset or the ParseError text."""
+    out = []
+    for finish in (data._finish, _finish_per_cell):
+        monkeypatch.setattr(data, "_finish", finish)
+        try:
+            out.append(load(*args))
+        except ParseError as err:
+            out.append(str(err))
+    return out
+
+
+def _dirty_rows(rows):
+    """The rows with missing and padded cells, odd number forms and comment
+    lines among them."""
+    rng = np.random.default_rng(5)
+    dirty = []
+    for i, row in enumerate(rows):
+        row = list(row)
+        for c in rng.choice(21, size=3, replace=False):  # feature columns only
+            row[c] = rng.choice(["?", f"  {row[c]} ", f"\t{row[c]}", "1e-3", "+2",
+                                 "-0.0", ".5", "3.", "1_000"])
+        dirty.append(row)
+        if i % 50 == 7:
+            dirty.append("% a comment line")
+    return dirty
+
+
+class TestBulkCellParse:
+    """``_finish`` reads every cell in one pass; the per-cell loop it replaced
+    is the reference, bit for bit and message for message."""
+
+    @pytest.mark.parametrize("form", ["raw", "one-decimal", "dirty"])
+    def test_bit_equal_to_per_cell(self, tmp_path, monkeypatch, form):
+        ds = foodtruck_like(seed=6)
+        if form == "one-decimal":
+            ds = Dataset(ds.name, np.round(ds.features, 1), ds.feature_names,
+                         ds.labels, ds.label_names)
+        path = tmp_path / "standin.arff"
+        write_arff(ds, path)
+        if form == "dirty":
+            header, rows = _arff_rows(path)
+            _write_rows(path, header, _dirty_rows(rows))
+        bulk, ref = _both_loads(monkeypatch, load_arff, path, 12)
+        assert isinstance(bulk, Dataset)
+        assert bulk.features.tobytes() == ref.features.tobytes()
+        assert bulk.labels.tobytes() == ref.labels.tobytes()
+        if form != "dirty":
+            assert bulk.features.tobytes() == ds.features.tobytes()
+        csv_path = tmp_path / "standin.csv"
+        save_csv(ds, csv_path)
+        bulk, ref = _both_loads(monkeypatch, load_csv, csv_path, ds.label_names)
+        assert bulk.features.tobytes() == ref.features.tobytes()
+        assert bulk.labels.tobytes() == ref.labels.tobytes()
+
+    def test_first_bad_cell_in_row_order_wins(self, tmp_path, monkeypatch):
+        ds = foodtruck_like(seed=7)
+        path = tmp_path / "bad.arff"
+        write_arff(ds, path)
+        header, rows = _arff_rows(path)
+        line = len(header) + 1  # the line of data row 0
+        # (row, column, cell, message), in row order; columns 21.. are labels.
+        bad = [(2, 32, "2", "label not binary: 'sweets' = '2'"),
+               (2, 31, "?", "missing value in label column 'mexican_food'"),
+               (5, 4, "inf", "non-finite value 'inf' in column 'marital_status'"),
+               (5, 22, "x", "non-numeric value 'x' in column 'chinese_food'"),
+               (9, 21, "?", "missing value in label column 'snacks'"),
+               (9, 0, "nan", "non-finite value 'nan' in column 'averageincome'"),
+               (11, 3, "1.2.3", "non-numeric value '1.2.3' in column 'gender'")]
+        bad.sort(key=lambda b: (b[0], b[1]))
+        for first in range(len(bad)):
+            broken = [list(row) for row in rows]
+            for r, c, cell, _ in bad[first:]:
+                broken[r][c] = cell
+            _write_rows(path, header, broken)
+            got, want = _both_loads(monkeypatch, load_arff, path, 12)
+            r, _, _, message = bad[first]
+            assert got == want
+            assert got.startswith(f"{path}:{line + r}: {message}")
 
 
 class TestMakeFolds:

@@ -369,6 +369,14 @@ class TestForestJson:
         ({"feature": [1, 0, -1, -1, -1], "threshold": [0.5, 0.5, 0.0, 0.0, 0.0],
           "left": [1, 2, -1, -1, -1], "right": [2, 3, -1, -1, -1],
           "value": [0.5] * 5}, "node 2 is a child of 2 splits, must be of exactly 1"),
+        # numpy reads a boolean among numbers as 0 or 1; each must be refused.
+        ({"right": [True, -1, -1]}, r"right\[0\] is true, must be an integer"),
+        ({"left": [1, -1, False]}, r"left\[2\] is false, must be an integer"),
+        ({"feature": [1, True, -1]}, r"feature\[1\] is true, must be an integer"),
+        ({"threshold": [True, 0.0, 0.0]}, r"threshold\[0\] is true, must be a number"),
+        ({"threshold": [0.5, 0, False]}, r"threshold\[2\] is false, must be a number"),
+        ({"value": [0.5, False, 1.0]}, r"value\[1\] is false, must be a number"),
+        ({"value": [True, True, True]}, r"value\[0\] is true, must be a number"),
     ])
     def test_malformed_arena_rejected(self, tree, message):
         with pytest.raises(ValueError, match=f"^tree 0: {message}"):
@@ -386,6 +394,10 @@ class TestForestJson:
         doc["trees"][2] = dict(doc["trees"][2], feature=[1, -1, 5])
         doc["params"] = dict(doc["params"], n_trees=3)
         with pytest.raises(ValueError, match=r"^tree 2: feature\[2\] is 5"):
+            forest_from_doc(doc)
+        doc["trees"][2] = dict(doc["trees"][0])
+        doc["trees"][1] = dict(doc["trees"][1], value=[0.5, 0.0, True])
+        with pytest.raises(ValueError, match=r"^tree 1: value\[2\] is true, must be"):
             forest_from_doc(doc)
 
 
@@ -1026,3 +1038,90 @@ class TestLeafPaths:
         tree, value, feature, lower, upper = leaf_paths([leaf_tree(0.25)])
         assert tree.tolist() == [0] and value.tolist() == [0.25]
         assert np.all(feature == -1) and np.all(np.isinf(lower) & np.isinf(upper))
+
+
+def _leaf_paths_padded(trees):
+    """Reference: ``leaf_paths`` as it was first written, widening every
+    column array with ``np.pad`` as a level needs a new column and padding
+    each level's leaves to the widest at the end."""
+    sizes = [tree.n_nodes for tree in trees]
+    offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left + o for tree, o in zip(trees, offsets)])
+    right = np.concatenate([tree.right + o for tree, o in zip(trees, offsets)])
+    value = np.concatenate([tree.value for tree in trees])
+    owner = np.repeat(np.arange(len(trees)), sizes)
+    node = offsets
+    feats = np.full((node.size, 1), -1, dtype=np.int64)
+    lower = np.full((node.size, 1), -np.inf)
+    upper = np.full((node.size, 1), np.inf)
+    used = np.zeros(node.size, dtype=np.int64)
+    leaves = []
+    while node.size:
+        split = feature[node] >= 0
+        leaves.append((node[~split], feats[~split], lower[~split], upper[~split]))
+        node, feats, lower, upper, used = (
+            a[split] for a in (node, feats, lower, upper, used))
+        f, thr = feature[node], threshold[node]
+        seen = feats == f[:, None]
+        new = ~seen.any(axis=1)
+        col = np.where(new, used, seen.argmax(axis=1))
+        if node.size and col.max() == feats.shape[1]:
+            feats = np.pad(feats, ((0, 0), (0, 1)), constant_values=-1)
+            lower = np.pad(lower, ((0, 0), (0, 1)), constant_values=-np.inf)
+            upper = np.pad(upper, ((0, 0), (0, 1)), constant_values=np.inf)
+        at = np.arange(node.size), col
+        feats[at] = f
+        upper_left = upper.copy()
+        upper_left[at] = np.minimum(upper[at], thr)
+        lower_right = lower.copy()
+        lower_right[at] = np.maximum(lower[at], thr)
+        node = np.concatenate([left[node], right[node]])
+        feats = np.concatenate([feats, feats])
+        lower = np.concatenate([lower, lower_right])
+        upper = np.concatenate([upper_left, upper])
+        used = np.tile(used + new, 2)
+    width = max(a[1].shape[1] for a in leaves)
+
+    def gather(i, fill):
+        return np.concatenate([np.pad(a[i], ((0, 0), (0, width - a[i].shape[1])),
+                                      constant_values=fill) for a in leaves])
+
+    node = np.concatenate([a[0] for a in leaves])
+    return owner[node], value[node], gather(1, -1), gather(2, -np.inf), gather(3, np.inf)
+
+
+def _assert_same_paths(trees):
+    got, want = leaf_paths(trees), _leaf_paths_padded(trees)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+class TestLeafPathsReference:
+    """``leaf_paths`` grows its columns in place and returns what the padded
+    version returned."""
+
+    @pytest.mark.parametrize("preset", ["paper-br", "paper-cc"])
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_fitted_forests(self, preset, decimals):
+        _, model = _model_forests(preset, decimals)
+        forests = getattr(model, "per_label_models", None) or model.chained_models
+        _assert_same_paths([t for f in forests for t in f.trees])
+        for f in forests[:3]:
+            _assert_same_paths(f.trees)
+
+    def test_hand_written_arenas(self):
+        looser = DecisionTree(
+            feature=np.array([0, 0, -1, -1, 0, -1, -1]),
+            threshold=np.array([1.0, 2.0, 0.0, 0.0, 0.5, 0.0, 0.0]),
+            left=np.array([1, 2, -1, -1, 5, -1, -1]),
+            right=np.array([4, 3, -1, -1, 6, -1, -1]),
+            value=np.array([0.5, 0.5, 0.1, 0.2, 0.5, 0.3, 0.4]),
+        )
+        scrambled = TestWalkOracle.SCRAMBLED
+        for trees in ([leaf_tree(0.25)], [leaf_tree(0.25), leaf_tree(0.5)], [looser],
+                      [scrambled], [leaf_tree(0.1), scrambled, looser, leaf_tree(0.9)],
+                      [looser, scrambled, scrambled]):
+            _assert_same_paths(trees)

@@ -16,6 +16,7 @@ from mlshap import (
     fit_forest,
     fit_mlknn,
     ForestParams,
+    RandomForest,
     kernel_shap,
     kernel_weight,
     load_explanation,
@@ -29,9 +30,11 @@ from mlshap.evaluation import PRESETS
 from mlshap.shapley import (
     ESTIMATORS,
     Explanation,
+    _base_and_fx,
     _coalition_budget,
     _coalition_values,
     _sample_coalitions,
+    _tree_pass,
     resolve_estimator,
     tree_shap,
 )
@@ -580,6 +583,7 @@ class TestTreeShap:
             assert t.local_accuracy_gap() <= 1e-12
             assert t.base_value == k.base_value and t.fx == k.fx
             assert t.instance == 3 and t.feature_names == model.feature_names
+        _assert_base_and_fx_bit_equal(model.per_label_models, x, bg)
 
     @pytest.mark.parametrize("decimals", [None, 0], ids=["continuous", "integer"])
     def test_rare_label_mixes_single_leaves_and_deep_trees(self, decimals):
@@ -619,6 +623,7 @@ class TestTreeShap:
         for t, e in zip(tree, exact):
             np.testing.assert_allclose(t.phi, e.phi, rtol=0, atol=1e-12)
             assert t.base_value == e.base_value
+        _assert_base_and_fx_bit_equal(model.per_label_models, x, b)
 
     def test_constant_forest_gets_zero_phi(self):
         ds = planted_dataset("const", 40, 5, 2, seed=3)
@@ -633,6 +638,8 @@ class TestTreeShap:
         np.testing.assert_allclose(tree[1].phi, exact[0].phi, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(tree_shap(model.per_label_models[1:], ds.features[7], bg),
                                       np.zeros((1, 5)))
+        for forests in (model.per_label_models[1:], model.per_label_models[::-1]):
+            _assert_base_and_fx_bit_equal(forests, ds.features[7], bg)
 
     @pytest.mark.parametrize("budget", [1, 1 << 14])
     def test_blocks_match_one_block(self, monkeypatch, budget):
@@ -642,6 +649,7 @@ class TestTreeShap:
         whole = tree_shap(forests, x, bg)
         monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
         np.testing.assert_allclose(tree_shap(forests, x, bg), whole, rtol=0, atol=1e-14)
+        _assert_base_and_fx_bit_equal(forests, x, bg)
 
     def test_default_on_br_is_tree(self):
         model, bg, x = _br_case("default", BR_CASES["paper-br"])
@@ -673,6 +681,51 @@ class TestTreeShap:
             explain_instance(model, small_dataset.features[0],
                              small_dataset.features[:5], labels=[0], estimator="tree")
         assert resolve_estimator(model) == "kernel"
+
+
+def _assert_base_and_fx_bit_equal(forests, x, background):
+    """The tree pass's base value and f(x) against ``_base_and_fx`` on the
+    forests' ``predict_proba``, byte for byte; and its phi is ``tree_shap``'s."""
+    target = ExplainTarget(
+        f=lambda X: np.column_stack([f.predict_proba(X) for f in forests]),
+        n_features=x.shape[0])
+    x, background = np.asarray(x, dtype=np.float64), np.atleast_2d(background)
+    base, fx, _ = _base_and_fx(target, x, background)
+    phi, tree_base, tree_fx = _tree_pass(forests, x, background)
+    assert tree_base.tobytes() == base.tobytes()
+    assert tree_fx.tobytes() == fx.tobytes()
+    np.testing.assert_array_equal(phi, tree_shap(forests, x, background))
+
+
+class TestTreePassOutputs:
+    """The tree estimator reads each label's base value and f(x) from the leaf
+    paths, bit-equal to the target calls the other estimators make (also
+    checked on every ``BR_CASES`` forest, on one background row, on one-leaf
+    forests and on one-row blocks in ``TestTreeShap``)."""
+
+    def test_forests_of_different_tree_counts(self):
+        """Zeros past a shorter forest's last tree; 300 background rows, so
+        the mean sums pairwise."""
+        ds = planted_dataset("counts", 300, 6, 2, seed=4)
+        forests = [fit_br(ds, ForestParams(n_trees=n, max_depth=9, seed=n)).per_label_models[j]
+                   for n, j in ((7, 0), (1, 1), (3, 0), (7, 1), (2, 1))]
+        _assert_base_and_fx_bit_equal(forests, ds.features[5], ds.features)
+
+    def test_explain_evaluates_no_forest(self, monkeypatch):
+        model, bg, x = _br_case("no-forest", BR_CASES["paper-br"])
+        labels = [2, 0, 1]
+        kernel = explain_instance(model, x, bg, labels, estimator="kernel", budget=20)
+
+        def refuse(self, X):
+            raise AssertionError("a forest was evaluated")
+
+        monkeypatch.setattr(RandomForest, "predict_proba", refuse)
+        tree = explain_instance(model, x, bg, labels)
+        for t, k in zip(tree, kernel):
+            assert (t.label, t.base_value, t.fx) == (k.label, k.base_value, k.fx)
+            assert t.local_accuracy_gap() <= 1e-12
+        with pytest.raises(AssertionError, match="a forest was evaluated"):
+            explain_instance(model, x, bg, labels, estimator="kernel", budget=20)
 
 
 class TestShapleyProperties:
