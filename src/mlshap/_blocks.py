@@ -8,7 +8,10 @@ flight x training row) row ids. Each caller states how many bytes one row of
 its block holds, and :func:`row_slices` cuts the rows so a block holds at
 most ``_BLOCK_BYTES``, but never fewer than one row. Arrays that
 scale with the model rather than the request, such as a forest's leaf paths,
-are outside the budget.
+are outside the budget: they are fixed by the loaded forests, and every
+background block of ``tree_shap`` tests every leaf, so cutting the leaves
+into groups would repeat each block's background gather per group and change
+the order, and so the last bits, of each feature's sum.
 
 :func:`map_slices` runs the slices of a block on the calling thread and one
 pool thread per extra CPU of the process's affinity mask (``_WORKERS`` in

@@ -93,7 +93,11 @@ class FoldPlan:
 
 
 def _resolve_label_columns(path, names, label_spec):
-    """Map a trailing-count or explicit name list onto column indices."""
+    """Map a trailing-count or explicit name list onto column indices; a
+    column name, or a label name, given twice raises ParseError naming it."""
+    if len(set(names)) != len(names):
+        name = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ParseError(f"{path}: column {name!r} is named twice")
     if isinstance(label_spec, int):
         if not 1 <= label_spec < len(names):
             raise ParseError(
@@ -110,6 +114,8 @@ def _resolve_label_columns(path, names, label_spec):
     for name in wanted:
         if name not in names:
             raise ParseError(f"{path}: missing column {name!r}")
+        if names.index(name) in indices:
+            raise ParseError(f"{path}: label {name!r} is named twice")
         indices.append(names.index(name))
     return indices
 

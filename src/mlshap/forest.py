@@ -85,16 +85,8 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf probability reached by each row of the matrix X."""
-        X = np.asarray(X, dtype=np.float64)
-        if self.feature.max() >= X.shape[1]:
-            raise ValueError(f"the tree reads feature {self.feature.max()}, "
-                             f"X has {X.shape[1]} columns")
-        return _Walk([self]).leaf_values(0, *_flat_rows(X))
 
-    def max_depth(self) -> int:
-        return int(_Walk([self]).depth[0])
+_ARENA_FIELDS = ("feature", "threshold", "left", "right", "value")
 
 
 def _flat_rows(X: np.ndarray):
@@ -118,43 +110,49 @@ def _flat_rows(X: np.ndarray):
 
 
 class _Walk:
-    """Walk tables of ``trees``, their arenas laid end to end.
+    """A forest's trees as one checked arena, and its walk tables.
 
-    A leaf loops to itself: both its children are the leaf, and it reads
-    feature 0, which every row has. Node i sends a row to
+    The five arena fields of ``trees`` are laid end to end once, here, and
+    pass ``_check_arenas`` before any table is built from them. ``split``
+    marks the split nodes. A leaf loops to itself: both its children are the
+    leaf, and it reads feature 0, which every row has. Node i sends a row to
     ``child[2 * i + 1]`` (its left child) when ``row[feature[i]] <=
     threshold[i]``, else to ``child[2 * i]`` (its right child). So tree t
     takes every row to its leaf in exactly ``depth[t]`` steps from
     ``roots[t]``, with no row left behind or dropped.
     """
 
-    def __init__(self, trees: list[DecisionTree]):
+    def __init__(self, trees: list[DecisionTree], n_features: int):
+        for t, tree in enumerate(trees):
+            for name in _ARENA_FIELDS[1:]:
+                if getattr(tree, name).shape != tree.feature.shape:
+                    raise ValueError(f"tree {t}: {name} has {getattr(tree, name).size} "
+                                     f"entries, feature has {tree.feature.size}")
+            if tree.feature.ndim != 1 or tree.n_nodes == 0:
+                raise ValueError(f"tree {t}: feature must be a non-empty list")
         sizes = np.array([tree.n_nodes for tree in trees], dtype=np.intp)
         self.roots = np.cumsum(sizes) - sizes
-        feature = np.concatenate([tree.feature for tree in trees])
-        leaf = feature < 0
-        own = np.arange(feature.size)
-        shift = np.repeat(self.roots, sizes)
-        left = np.where(leaf, own, np.concatenate([tree.left for tree in trees]) + shift)
-        right = np.where(leaf, own, np.concatenate([tree.right for tree in trees]) + shift)
-        self.feature = np.where(leaf, 0, feature).astype(np.intp)
-        self.threshold = np.concatenate([tree.threshold for tree in trees])
+        arena = {name: np.concatenate([getattr(tree, name) for tree in trees])
+                 for name in _ARENA_FIELDS}
+        owner = np.repeat(np.arange(len(trees)), sizes)  # each node's tree
+        first = self.roots[owner]  # each node's root
+        _check_arenas(arena, owner, first, sizes, n_features)
+        self.split = arena["feature"] >= 0
+        own = np.arange(self.split.size)
+        left, right = (np.where(self.split, arena[name] + first, own)
+                       for name in ("left", "right"))
+        self.feature = np.where(self.split, arena["feature"], 0).astype(np.intp)
+        self.threshold = arena["threshold"]
         self.child = np.stack([right, left], axis=1).ravel()
-        self.value = np.concatenate([tree.value for tree in trees])
-        # Depth of every tree, all trees one level per step. A root path of
-        # an acyclic arena visits each node once, so a split still reached
-        # after n_nodes steps lies on a cycle.
-        owner = np.repeat(np.arange(len(trees)), sizes)
+        self.value = arena["value"]
+        # Depth of every tree, all trees one level per step; children follow
+        # their node, so every root path ends.
         self.depth = np.zeros(len(trees), dtype=np.intp)
-        node = self.roots
-        for level in range(1, sizes.max() + 1):
-            node = node[~leaf[node]]
-            if not node.size:
-                break
+        node, level = self.roots, 0
+        while (node := node[self.split[node]]).size:
+            level += 1
             self.depth[owner[node]] = level
             node = np.concatenate([left[node], right[node]])
-        else:
-            raise ValueError(f"tree {owner[node[0]]}: a root path revisits a node")
 
     def leaf_values(self, t: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Value of the leaf of tree t that each row of ``_flat_rows`` reaches."""
@@ -180,9 +178,7 @@ class RandomForest:
     def __post_init__(self):
         if len(self.trees) != self.params.n_trees:
             raise ValueError("tree count does not match params.n_trees")
-        # The walk tables are built from arenas that passed the checks.
-        _check_arenas(self.trees, self.n_features)
-        self._walk = _Walk(self.trees)
+        self._walk = _Walk(self.trees, self.n_features)
 
     def predict_proba(self, X):
         """Mean leaf probability over all trees; float for a single vector."""
@@ -205,38 +201,41 @@ class RandomForest:
         return float(out[0]) if single else out
 
 
-def leaf_paths(trees: list[DecisionTree]):
-    """Every leaf of ``trees`` with the conditions its root path puts on a row.
+def leaf_paths(forests: list[RandomForest]):
+    """Every leaf of the trees of ``forests`` with the conditions its root
+    path puts on a row.
 
-    Returns ``(tree, value, feature, lower, upper)``: per leaf, the index of
-    its tree in ``trees``, its value, and one column per distinct feature on
-    its path, where a row reaches the leaf exactly when
-    ``lower < row[feature] <= upper`` in every column (a split sends
-    ``x <= threshold`` left, as ``DecisionTree.predict`` does). A leaf has at
-    most its depth in columns; the rest, up to the widest leaf, are padding:
-    feature -1, with bounds -inf and inf. All trees are walked together, one
-    level per step, and the leaves come out level by level.
+    Returns ``(forest, rank, value, feature, lower, upper)``: per leaf, the
+    index of its forest in ``forests`` and of its tree in that forest, its
+    value, and one column per distinct feature on its path, where a row
+    reaches the leaf exactly when ``lower < row[feature] <= upper`` in every
+    column (a split sends ``x <= threshold`` left, as the walk does). A leaf
+    has at most its depth in columns; the rest, up to the widest leaf, are
+    padding: feature -1, with bounds -inf and inf. The forests' walk tables
+    are read end to end, so all their trees are walked together, in order,
+    one level per step, and the leaves come out level by level.
     """
-    sizes = [tree.n_nodes for tree in trees]
-    offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    left = np.concatenate([tree.left + o for tree, o in zip(trees, offsets)])
-    right = np.concatenate([tree.right + o for tree, o in zip(trees, offsets)])
-    value = np.concatenate([tree.value for tree in trees])
-    owner = np.repeat(np.arange(len(trees)), sizes)
+    walks = [forest._walk for forest in forests]
+    n_nodes = [walk.value.size for walk in walks]
+    n_trees = [walk.roots.size for walk in walks]
+    shift = np.cumsum(n_nodes) - n_nodes
+    split, feature, threshold, value = (
+        np.concatenate([getattr(walk, name) for walk in walks])
+        for name in ("split", "feature", "threshold", "value"))
+    child = np.concatenate([walk.child + s for walk, s in zip(walks, shift)])
+    roots = np.concatenate([walk.roots + s for walk, s in zip(walks, shift)])
 
-    node = offsets  # the roots
+    node = roots
     feats = np.full((node.size, 1), -1, dtype=np.int64)  # -1 marks a free column
     lower = np.full((node.size, 1), -np.inf)
     upper = np.full((node.size, 1), np.inf)
     used = np.zeros(node.size, dtype=np.int64)  # distinct features so far
     leaves = []
     while node.size:
-        split = feature[node] >= 0
-        leaves.append((node[~split], feats[~split], lower[~split], upper[~split]))
+        on = split[node]
+        leaves.append((node[~on], feats[~on], lower[~on], upper[~on]))
         node, feats, lower, upper, used = (
-            a[split] for a in (node, feats, lower, upper, used))
+            a[on] for a in (node, feats, lower, upper, used))
         f, thr = feature[node], threshold[node]
         seen = feats == f[:, None]
         new = ~seen.any(axis=1)
@@ -251,7 +250,7 @@ def leaf_paths(trees: list[DecisionTree]):
         feats[left_at] = feats[right_at] = f
         upper[left_at] = np.minimum(upper[left_at], thr)
         lower[right_at] = np.maximum(lower[right_at], thr)
-        node = np.concatenate([left[node], right[node]])
+        node = np.concatenate([child[2 * node + 1], child[2 * node]])
         used = np.tile(used + new, 2)
 
     # Each level's leaves into the preallocated padded arrays, at their width.
@@ -264,7 +263,10 @@ def leaf_paths(trees: list[DecisionTree]):
         for whole, part in zip(out, level[1:]):
             whole[start:stop, :part.shape[1]] = part
         start = stop
-    return (owner[node], value[node], *out)
+    tree = np.searchsorted(roots, node, side="right") - 1
+    forest = np.repeat(np.arange(len(walks)), n_trees)[tree]
+    rank = tree - (np.cumsum(n_trees) - n_trees)[forest]
+    return (forest, rank, value[node], *out)
 
 
 def _twice(a, width, fill):
@@ -556,22 +558,16 @@ def forest_to_doc(forest: RandomForest) -> dict:
             "bootstrap": forest.params.bootstrap,
         },
         "n_features": forest.n_features,
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "value": tree.value.tolist(),
-            }
-            for tree in forest.trees
-        ],
+        "trees": [{name: getattr(tree, name).tolist() for name in _ARENA_FIELDS}
+                  for tree in forest.trees],
     }
 
 
-def _check_arenas(trees: list[DecisionTree], n_features: int) -> None:
-    """Raise ValueError naming the field unless every arena is one the grower
-    writes: five arrays of one length, at least one node, features in
+def _check_arenas(arena: dict, owner: np.ndarray, first: np.ndarray, sizes: np.ndarray,
+                  n_features: int) -> None:
+    """Raise ValueError naming the tree, field and node unless the joined
+    ``arena``, whose node i is in tree ``owner[i]`` rooted at ``first[i]``,
+    of trees of ``sizes`` nodes, holds arenas the grower writes: features in
     [-1, n_features), finite thresholds at splits, values in [0, 1], and
     children in preorder, so that a split node i has both children in
     (i, n_nodes), a leaf has -1 for both, and every node but the root is the
@@ -579,34 +575,17 @@ def _check_arenas(trees: list[DecisionTree], n_features: int) -> None:
     so every walk from the root ends at a leaf, and one parent per node makes
     the arena a tree.
     """
-    for t, tree in enumerate(trees):
-        for name in ("threshold", "left", "right", "value"):
-            if getattr(tree, name).shape != tree.feature.shape:
-                raise ValueError(f"tree {t}: {name} has {getattr(tree, name).size} "
-                                 f"entries, feature has {tree.feature.size}")
-        if tree.feature.ndim != 1 or tree.n_nodes == 0:
-            raise ValueError(f"tree {t}: feature must be a non-empty list")
-    sizes = np.array([tree.n_nodes for tree in trees], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    first = np.repeat(starts, sizes)  # each node's root, in the joined arenas
-    node = np.arange(sizes.sum()) - first  # index within its tree
-    n_nodes = np.repeat(sizes, sizes)
-
-    def joined(name):
-        return np.concatenate([getattr(tree, name) for tree in trees])
-
-    def tree_of(i):
-        return int(np.searchsorted(starts, i, side="right")) - 1
-
-    feature, value = joined("feature"), joined("value")
+    node = np.arange(first.size) - first  # index within its tree
+    n_nodes = sizes[owner]
+    feature, value = arena["feature"], arena["value"]
     split = feature >= 0
     checks = [("feature", (feature >= -1) & (feature < n_features),
                f"in [-1, {n_features})"),
-              ("threshold", ~split | np.isfinite(joined("threshold")), "finite at a split"),
+              ("threshold", ~split | np.isfinite(arena["threshold"]), "finite at a split"),
               ("value", (value >= 0.0) & (value <= 1.0), "in [0, 1]")]
     children = []
     for name in ("left", "right"):
-        child = joined(name)
+        child = arena[name]
         children.append((child + first)[split])
         checks.append((name, np.where(split, (node < child) & (child < n_nodes),
                                       child == -1),
@@ -614,14 +593,13 @@ def _check_arenas(trees: list[DecisionTree], n_features: int) -> None:
     for name, ok, rule in checks:
         if not ok.all():
             i = int(np.argmin(ok))
-            t = tree_of(i)
-            raise ValueError(f"tree {t}: {name}[{node[i]}] is "
-                             f"{getattr(trees[t], name)[node[i]]}, must be {rule}")
+            raise ValueError(f"tree {owner[i]}: {name}[{node[i]}] is "
+                             f"{arena[name][i]}, must be {rule}")
     parents = np.bincount(np.concatenate(children), minlength=node.size)
     ok = parents == (node > 0)
     if not ok.all():
         i = int(np.argmin(ok))
-        raise ValueError(f"tree {tree_of(i)}: node {node[i]} is a child of {parents[i]} "
+        raise ValueError(f"tree {owner[i]}: node {node[i]} is a child of {parents[i]} "
                          "splits, must be of exactly 1")
 
 
@@ -671,6 +649,6 @@ def forest_from_doc(doc: dict) -> RandomForest:
     params = ForestParams(**params)
     n_features = _as_int("n_features", _json.field(doc, "n_features", "forest"))
     trees = [DecisionTree(**{name: _arena_array(t, name, f"tree {i}")
-                             for name in ("feature", "threshold", "left", "right", "value")})
+                             for name in _ARENA_FIELDS})
              for i, t in enumerate(_json.field(doc, "trees", "forest"))]
     return RandomForest(params=params, trees=trees, n_features=n_features)

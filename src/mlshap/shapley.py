@@ -89,15 +89,17 @@ class Explanation:
         return [f"f{i}" for i in range(self.n_features)]
 
 
-def _check_inputs(target: ExplainTarget, x, background):
+def _check_inputs(n_features: int, x, background):
+    """x as a finite float64 vector of width ``n_features``, and background as
+    a non-empty finite matrix of that width (one vector is one row)."""
     x = np.asarray(x, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
     if background.ndim == 1:
         background = background[None, :]
-    if x.ndim != 1 or x.shape[0] != target.n_features:
+    if x.ndim != 1 or x.shape[0] != n_features:
         raise ValueError(f"instance width {x.shape} does not match target "
-                         f"width {target.n_features}")
-    if background.shape[0] < 1 or background.shape[1] != target.n_features:
+                         f"width {n_features}")
+    if background.ndim != 2 or background.shape[0] < 1 or background.shape[1] != n_features:
         raise ValueError("background must be a non-empty matrix of target width")
     for name, values in (("instance", x), ("background", background)):
         if not np.isfinite(values).all():
@@ -158,7 +160,7 @@ def exact_shapley(target: ExplainTarget, x, background):
     M <= 16 features. Returns one Explanation for a 1-D target, else a list
     with one per output column.
     """
-    x, background = _check_inputs(target, x, background)
+    x, background = _check_inputs(target.n_features, x, background)
     M = target.n_features
     if M > ENUMERATION_CAP:
         raise ValueError(f"exact enumeration capped at {ENUMERATION_CAP} features, "
@@ -294,7 +296,7 @@ def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0
     else a list with one per output column; all outputs share the coalitions
     and one weighted least-squares factorization.
     """
-    x, background = _check_inputs(target, x, background)
+    x, background = _check_inputs(target.n_features, x, background)
     M = target.n_features
     n_budget = _coalition_budget(budget, M)
     base, fx, single = _base_and_fx(target, x, background)
@@ -333,15 +335,17 @@ def tree_shap(forests, x, background) -> np.ndarray:
 
     Returns a (len(forests), M) matrix; row j explains ``forests[j]`` with
     hidden features drawn from the background rows, the value function
-    ``exact_shapley`` and ``kernel_shap`` evaluate. A forest's output is the
-    mean of its trees' leaf values, so its Shapley values are the mean, over
-    trees, leaves and background rows r, of those of the game "the
-    synthesized row reaches this leaf" times the leaf value v. Each feature
-    on the leaf's path is x-only (x meets the path's conditions on it and r
-    does not), r-only (the reverse), both, or neither; the leaf is dead (no
-    coalition reaches it) when some feature is neither. Otherwise, with X
-    and R the x-only and r-only sets, a coalition reaches the leaf exactly
-    when it holds X and none of R, so each x-only feature gains
+    ``exact_shapley`` and ``kernel_shap`` evaluate; x and the background are
+    checked as they check them, against the width all forests must share.
+    A forest's output is the mean of its trees' leaf values, so its Shapley
+    values are the mean, over trees, leaves and background rows r, of those
+    of the game "the synthesized row reaches this leaf" times the leaf value
+    v. Each feature on the leaf's path is x-only (x meets the path's
+    conditions on it and r does not), r-only (the reverse), both, or
+    neither; the leaf is dead (no coalition reaches it) when some feature is
+    neither. Otherwise, with X and R the x-only and r-only sets, a coalition
+    reaches the leaf exactly when it holds X and none of R, so each x-only
+    feature gains
     v (|X|-1)! |R|! / (|X|+|R|)! and each r-only one loses
     v |X|! (|R|-1)! / (|X|+|R|)! (Lundberg et al. 2020, arXiv 1905.04610).
 
@@ -359,16 +363,16 @@ def tree_shap(forests, x, background) -> np.ndarray:
     return _tree_pass(forests, x, background)[0]
 
 
-def _forest_outputs(reached, tree, value, slot, n_trees):
+def _forest_outputs(reached, slot, value, n_trees):
     """Each forest's output on each row, as ``RandomForest.predict_proba``
     gives it: a (forests, rows) matrix from the (rows, leaves) mask of the
-    leaf each row reaches in each tree. ``slot`` places each tree in a (tree
-    within its forest, forest) grid; the leaf values are added in tree order
-    and the total divided by the tree count, so the result is bit-equal.
+    leaf each row reaches in each tree. ``slot`` places each leaf's tree in a
+    (tree within its forest, forest) grid; the leaf values are added in tree
+    order and the total divided by the tree count, so the result is bit-equal.
     """
     row, leaf = np.nonzero(reached)
     per_tree = np.zeros((max(n_trees), len(n_trees), reached.shape[0]))
-    per_tree.reshape(-1, reached.shape[0])[slot[tree[leaf]], row] = value[leaf]
+    per_tree.reshape(-1, reached.shape[0])[slot[leaf], row] = value[leaf]
     total = per_tree[0].copy()
     for values in per_tree[1:]:
         total += values  # the zeros past a shorter forest's last tree add nothing
@@ -381,19 +385,19 @@ def _tree_pass(forests, x, background):
     paths: a row reaches the one leaf per tree whose every path column it
     meets. Base value and output are bit-equal to those ``_base_and_fx`` gets
     from the forests' ``predict_proba``."""
-    x = np.asarray(x, dtype=np.float64)
-    background = np.asarray(background, dtype=np.float64)
+    x, background = _check_inputs(forests[0].n_features, x, background)
     M = x.shape[0]
-    trees = [tree for forest in forests for tree in forest.trees]
+    for j, forest in enumerate(forests):
+        if forest.n_features != M:
+            raise ValueError(f"forest {j} has width {forest.n_features}, "
+                             f"the instance has width {M}")
     n_trees = [len(forest.trees) for forest in forests]
-    tree, value, feature, lower, upper = leaf_paths(trees)
+    forest, rank, value, feature, lower, upper = leaf_paths(forests)
     feature, lower, upper = (np.ascontiguousarray(a.T)
                              for a in (np.maximum(feature, 0), lower, upper))
-    forest_of = np.repeat(np.arange(len(forests)), n_trees)
-    rank = np.arange(len(trees)) - np.repeat(np.cumsum(n_trees) - n_trees, n_trees)
-    slot = rank * len(forests) + forest_of
+    slot = rank * len(forests) + forest
     x_ok = _within(x[feature], lower, upper)
-    fx = _forest_outputs(x_ok.all(axis=0)[None], tree, value, slot, n_trees)[:, 0]
+    fx = _forest_outputs(x_ok.all(axis=0)[None], slot, value, n_trees)[:, 0]
     n_r = (~x_ok).sum(axis=0)
     weights = _path_weights(feature.shape[0])
     x_gain = np.zeros(feature.shape)
@@ -407,16 +411,15 @@ def _tree_pass(forests, x, background):
         miss = x_ok & ~r_ok
         n_x = miss.sum(axis=1)
         # r reaches a leaf when it is live with no cell that r misses and x meets.
-        outputs[:, rows] = _forest_outputs(live & (n_x == 0), tree, value, slot,
-                                           n_trees)
+        outputs[:, rows] = _forest_outputs(live & (n_x == 0), slot, value, n_trees)
         # An index of -1 (no x-only or no r-only feature) reads a real entry
         # that nothing uses: no cell misses, or no cell is r-only.
         w_x = np.where(live, weights[n_x - 1, n_r], 0.0)
         x_gain += np.einsum("bdk,bk->dk", miss, w_x)
         r_loss += np.where(live, weights[n_x, n_r - 1], 0.0).sum(axis=0)
         del r_ok, live, miss, n_x, w_x  # the budget counts one block at a time
-    scale = value * np.repeat([1.0 / n for n in n_trees], n_trees)[tree]
-    column = (forest_of[tree] * M + feature).ravel()
+    scale = value * np.array([1.0 / n for n in n_trees])[forest]
+    column = (forest * M + feature).ravel()
     gain = np.where(x_ok, x_gain, -r_loss) * scale  # r-only cells lose r_loss
     phi = np.bincount(column, weights=gain.ravel(), minlength=len(forests) * M)
     # The mean runs along the contiguous background axis, as _coalition_values's.
@@ -491,10 +494,10 @@ def explain_instance(model, x, background, labels, estimator: str | None = None,
     elif estimator == "kernel":
         explanations = kernel_shap(target, x, background, budget=budget, seed=seed)
     else:
-        x, background = _check_inputs(target, x, background)
         phi, base, fx = _tree_pass([model.per_label_models[l] for l in labels], x,
                                    background)
-        explanations = _explanations(base, phi, fx, x, single=False)
+        explanations = _explanations(base, phi, fx, np.asarray(x, dtype=np.float64),
+                                     single=False)
     for expl, l in zip(explanations, labels):
         expl.instance = instance
         expl.label = l

@@ -81,17 +81,27 @@ class PlotSpec:
                              f"match kind {self.kind!r}")
 
 
+def _shared_names(explanations) -> list[str]:
+    """The feature names all ``explanations`` share; ValueError naming the
+    first explanation whose width or names differ from the first one's."""
+    if not explanations:
+        raise ValueError("at least one explanation is required")
+    names = explanations[0].names()
+    for i, expl in enumerate(explanations):
+        if expl.n_features != explanations[0].n_features or expl.names() != names:
+            raise ValueError(f"explanation {i} (instance {expl.instance}, label "
+                             f"{expl.label}) has features {expl.names()}, "
+                             f"explanation 0 has {names}")
+    return names
+
+
 def feature_importance(explanations) -> ImportanceTable:
     """Mean |phi| per feature and label, summed across labels for the sort key."""
     explanations = list(explanations)
-    if not explanations:
-        raise ValueError("at least one explanation is required")
+    names = _shared_names(explanations)
     M = explanations[0].n_features
-    names = explanations[0].names()
     by_label: dict[int, list[np.ndarray]] = {}
     for expl in explanations:
-        if expl.n_features != M:
-            raise ValueError("explanations have inconsistent feature widths")
         by_label.setdefault(expl.label if expl.label is not None else 0, []).append(
             np.abs(expl.phi)
         )
@@ -117,8 +127,7 @@ def _stack_offsets(count: int) -> list[int]:
 def summary_points(explanations) -> SummaryPoints:
     """Beeswarm data for one label: shap, color from the feature value, jitter."""
     explanations = list(explanations)
-    if not explanations:
-        raise ValueError("at least one explanation is required")
+    names = _shared_names(explanations)
     labels = {expl.label for expl in explanations}
     if len(labels) != 1:
         raise ValueError(f"explanations span several labels: {sorted(labels)}")
@@ -159,7 +168,7 @@ def summary_points(explanations) -> SummaryPoints:
     point_jitter = jitter.T.reshape(-1)
     return SummaryPoints(
         label=label if label is not None else 0,
-        feature_names=explanations[0].names(),
+        feature_names=names,
         feature_order=order,
         point_feature=point_feature,
         point_shap=point_shap,

@@ -71,6 +71,21 @@ class TestTrain:
         assert "bad.arff:6: non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.json").exists()
 
+    @pytest.mark.parametrize("name, text, labels, message", [
+        ("twice.arff", "@relation r\n@attribute a numeric\n@attribute a numeric\n"
+         "@attribute l1 {0,1}\n@data\n1,2,0\n", "1", "column 'a' is named twice"),
+        ("twice.csv", "a,b,a,l1\n1,2,3,0\n", "l1", "column 'a' is named twice"),
+        ("labels.csv", "a,l1,l2\n1,0,1\n", "l1,l1", "label 'l1' is named twice"),
+    ], ids=["arff-attribute", "csv-header", "labels-flag"])
+    def test_repeated_name_exits_2(self, tmp_path, capsys, name, text, labels, message):
+        data = tmp_path / name
+        data.write_text(text)
+        code = run("train", "--data", data, "--labels", labels, "--algo", "br",
+                   "--n-trees", "1", "--seed", "1", "--out", tmp_path / "out")
+        assert code == 2
+        assert f"{name}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_seed_exits_2(self, small_arff, tmp_path, capsys):
         code = run("train", "--data", small_arff, "--labels", "3", "--algo", "br",
                    "--out", tmp_path)
@@ -586,6 +601,23 @@ class TestPlot:
                    "--out", tmp_path / "out") == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["importance", "summary"])
+    def test_explanations_of_other_features_exit_1(self, explanation_files, tmp_path,
+                                                   capsys, kind):
+        """Widths 2 and 3 once gave numpy's "inhomogeneous shape" under
+        summary; both views now name the explanation that differs."""
+        doc = json.loads(explanation_files[0].read_text())
+        names = [item["feature"] for item in doc["phi"]]
+        doc["phi"] = doc["phi"][:-1]
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(doc))
+        assert run("plot", "--kind", kind, "--in", explanation_files[0], path,
+                   "--out", tmp_path / "out") == 1
+        assert (f"error: explanation 1 (instance {doc['instance']}, label {doc['label']}) "
+                f"has features {names[:-1]}, explanation 0 has {names}"
+                ) in capsys.readouterr().err
+        assert not (tmp_path / "out" / f"{kind}.svg").exists()
 
     def test_plot_outputs_byte_stable(self, explanation_files, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -163,6 +163,37 @@ class TestLoadCsv:
             load_csv(path, ["y"])
 
 
+class TestRepeatedNames:
+    """A name given twice is a parse error naming the file and the name, not
+    a Dataset error."""
+
+    def test_arff_attribute(self, tmp_path):
+        path = tmp_path / "twice.arff"
+        path.write_text("@relation r\n@attribute a numeric\n@attribute a numeric\n"
+                        "@attribute y {0,1}\n@data\n1,2,0\n")
+        with pytest.raises(ParseError, match=r"twice\.arff: column 'a' is named twice"):
+            load_arff(path, 1)
+
+    def test_csv_header(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("a,b,a,y\n1,2,3,0\n")
+        with pytest.raises(ParseError, match=r"twice\.csv: column 'a' is named twice"):
+            load_csv(path, ["y"])
+
+    @pytest.mark.parametrize("form", ["arff", "csv"])
+    def test_label_named_twice(self, tmp_path, form):
+        path = tmp_path / f"t.{form}"
+        if form == "arff":
+            path.write_text("@relation r\n@attribute a numeric\n@attribute l1 {0,1}\n"
+                            "@attribute l2 {0,1}\n@data\n1,0,1\n")
+        else:
+            path.write_text("a,l1,l2\n1,0,1\n")
+        load = load_arff if form == "arff" else load_csv
+        assert load(path, ["l1", "l2"]).label_names == ["l1", "l2"]
+        with pytest.raises(ParseError, match=rf"t\.{form}: label 'l1' is named twice"):
+            load(path, ["l1", "l1"])
+
+
 def test_csv_roundtrip_bit_exact(tmp_path):
     ds = planted_dataset("round", 30, 4, 2, seed=7)
     path = tmp_path / "round.csv"

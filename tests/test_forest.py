@@ -39,6 +39,12 @@ def leaf_tree(p):
     )
 
 
+def one_tree(tree, n_features):
+    """A one-tree forest: its ``predict_proba`` is the tree's leaf value, bit
+    for bit, and ``_walk.depth[0]`` the tree's depth."""
+    return RandomForest(ForestParams(n_trees=1), [tree], n_features=n_features)
+
+
 def _entropy_pair(neg, pos):
     """Shannon entropy, in bits, of a two-class count pair (scalar reference)."""
     h = 0.0
@@ -145,7 +151,7 @@ class TestFitTree:
         tree = fit_tree(X, y, params, tree_rng(0, 0))
         assert tree.n_nodes == 3
         assert 1.0 < tree.threshold[0] < 5.0
-        preds = tree.predict(X)
+        preds = one_tree(tree, 1).predict_proba(X)
         np.testing.assert_array_equal((preds >= 0.5).astype(int), y)
         # chosen gain is the maximum over every candidate threshold
         chosen_gain = _gain(X, y, 0, tree.threshold[0])
@@ -169,7 +175,7 @@ class TestFitTree:
         y = rng.integers(0, 2, size=200)
         params = ForestParams(n_trees=1, max_depth=3, max_features=3)
         tree = fit_tree(X, y, params, tree_rng(0, 0))
-        assert tree.max_depth() <= 3
+        assert one_tree(tree, 3)._walk.depth[0] <= 3
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(5)
@@ -291,7 +297,7 @@ class TestFitForest:
         y = rng.integers(0, 2, size=50)
         forest = fit_forest(X, y, ForestParams(n_trees=n_trees, seed=3))
         Q = rng.normal(size=(20, 4))
-        expected = np.mean([t.predict(Q) for t in forest.trees], axis=0)
+        expected = np.mean([one_tree(t, 4).predict_proba(Q) for t in forest.trees], axis=0)
         np.testing.assert_array_equal(forest.predict_proba(Q), expected)
 
     def test_probability_range(self):
@@ -435,7 +441,8 @@ def _max_depth_preorder(tree):
 
 def _assert_walks_match(forest_, Q):
     for tree in forest_.trees:
-        np.testing.assert_array_equal(tree.predict(Q), _predict_compacting(tree, Q))
+        np.testing.assert_array_equal(one_tree(tree, forest_.n_features).predict_proba(Q),
+                                      _predict_compacting(tree, Q))
     np.testing.assert_array_equal(forest_.predict_proba(Q), _proba_compacting(forest_, Q))
 
 
@@ -448,7 +455,8 @@ def _model_forests(preset, decimals, n_trees=5):
 
 class TestWalkOracle:
     """The fixed-depth walk reaches the leaf the compacting walk reaches, so
-    ``predict`` and ``predict_proba`` equal it bit for bit."""
+    ``predict_proba`` of a forest and of each of its trees alone equals it
+    bit for bit."""
 
     @pytest.mark.parametrize("preset", ["paper-br", "paper-cc"])
     @pytest.mark.parametrize("decimals", [None, 1])
@@ -464,30 +472,33 @@ class TestWalkOracle:
             Q = np.concatenate([X, _synthesized_rows(X, 60, 10, seed=j),
                                 _on_thresholds(fitted.trees, X)])
             _assert_walks_match(fitted, Q)
-            for tree in fitted.trees:
-                assert tree.max_depth() == _max_depth_preorder(tree)
+            np.testing.assert_array_equal(fitted._walk.depth,
+                                          [_max_depth_preorder(t) for t in fitted.trees])
 
     def test_rows_on_thresholds_go_left(self):
         ds, model = _model_forests("paper-br", None)
         tree = model.per_label_models[0].trees[0]
         Q = _on_thresholds([tree], ds.features)
         splits = np.flatnonzero(tree.feature >= 0)
-        _assert_walks_match(RandomForest(ForestParams(n_trees=1), [tree], ds.n_features), Q)
+        alone = one_tree(tree, ds.n_features)
+        _assert_walks_match(alone, Q)
         # Row i sits on split i: a hair above its threshold it goes right.
         assert np.all(Q[np.arange(splits.size), tree.feature[splits]]
                       == tree.threshold[splits])
         above = Q.copy()
         above[np.arange(splits.size), tree.feature[splits]] = np.nextafter(
             tree.threshold[splits], np.inf)
-        assert not np.array_equal(tree.predict(above), tree.predict(Q))
-        np.testing.assert_array_equal(tree.predict(above), _predict_compacting(tree, above))
+        assert not np.array_equal(alone.predict_proba(above), alone.predict_proba(Q))
+        np.testing.assert_array_equal(alone.predict_proba(above),
+                                      _predict_compacting(tree, above))
 
     def test_a_one_node_tree(self):
         tree = leaf_tree(0.25)
         Q = np.arange(12.0).reshape(4, 3)
-        assert tree.max_depth() == 0
-        np.testing.assert_array_equal(tree.predict(Q), [0.25] * 4)
-        assert tree.predict(Q[:0]).shape == (0,)
+        alone = one_tree(tree, 3)
+        assert alone._walk.depth[0] == 0
+        np.testing.assert_array_equal(alone.predict_proba(Q), [0.25] * 4)
+        assert alone.predict_proba(Q[:0]).shape == (0,)
         both = RandomForest(ForestParams(n_trees=2), [tree, leaf_tree(0.5)], n_features=3)
         _assert_walks_match(both, Q)
         assert both.predict_proba(Q[0]) == 0.375
@@ -507,24 +518,26 @@ class TestWalkOracle:
         tree = self.SCRAMBLED
         grid = [-np.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, np.inf, np.nan]
         Q = np.array([[a, b] for a in grid for b in grid])
-        assert tree.max_depth() == 3
+        alone = one_tree(tree, 2)
+        assert alone._walk.depth[0] == 3
         want = _predict_compacting(tree, Q)
         assert set(want) == {0.9, 0.7, 0.2, 0.1, 0.4}  # every leaf is reached
         # nan compares false, so it goes right, as in the compacting walk.
-        assert tree.predict(np.array([[np.nan, np.nan]]))[0] == 0.9
+        assert alone.predict_proba(np.array([np.nan, np.nan])) == 0.9
         forest_ = RandomForest(ForestParams(n_trees=3),
                                [tree, leaf_tree(0.3), tree], n_features=2)
         _assert_walks_match(forest_, Q)
-        # One column short: the flat buffer would run into the next row.
-        with pytest.raises(ValueError, match="reads feature 1, X has 1 columns"):
-            tree.predict(Q[:, :1])
+        # One column short: the flat buffer would run into the next row, so
+        # the arena check refuses the forest before any walk.
+        with pytest.raises(ValueError, match=r"^tree 0: feature\[1\] is 1, must be in \[-1, 1\)"):
+            one_tree(tree, 1)
 
     def test_a_cyclic_arena_raises_instead_of_walking_forever(self):
         cyclic = DecisionTree(feature=np.array([0, -1]), threshold=np.array([0.0, 0.0]),
                               left=np.array([0, -1]), right=np.array([1, -1]),
                               value=np.array([0.5, 1.0]))
-        with pytest.raises(ValueError, match="tree 0: a root path revisits a node"):
-            cyclic.predict(np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=r"^tree 0: left\[0\] is 0, must be after its node"):
+            one_tree(cyclic, 1)
 
     def test_column_prefix_views_are_read_in_place(self):
         ds, model = _model_forests("paper-cc", None)
@@ -979,18 +992,19 @@ class TestNodeValues:
             assert tree.value[node] == y[rows].mean()
 
 
-def _assert_routes(trees, Q):
+def _assert_routes(forest_, Q):
     """Each row of Q meets the intervals of exactly one leaf per tree, the one
-    ``predict`` reaches."""
-    tree, value, feature, lower, upper = leaf_paths(trees)
-    for t, fitted in enumerate(trees):
-        mine = tree == t
+    the walk reaches."""
+    forest, rank, value, feature, lower, upper = leaf_paths([forest_])
+    assert np.all(forest == 0)
+    for t, fitted in enumerate(forest_.trees):
+        mine = rank == t
         assert mine.sum() == np.count_nonzero(fitted.feature < 0)
         f = np.where(feature[mine] >= 0, feature[mine], 0)
         inside = ((lower[mine] < Q[:, f]) & (Q[:, f] <= upper[mine])).all(axis=2)
         assert np.all(inside.sum(axis=1) == 1)
         np.testing.assert_array_equal(value[mine][inside.argmax(axis=1)],
-                                      fitted.predict(Q))
+                                      one_tree(fitted, forest_.n_features).predict_proba(Q))
 
 
 class TestLeafPaths:
@@ -1001,9 +1015,9 @@ class TestLeafPaths:
         if decimals is not None:
             X = np.round(X, decimals)
         y = (X[:, 0] * X[:, 1] + X[:, 2] > 0).astype(int)
-        trees = fit_forest(X, y, ForestParams(n_trees=6, max_depth=7, seed=2)).trees
+        fitted = fit_forest(X, y, ForestParams(n_trees=6, max_depth=7, seed=2))
         Q = np.concatenate([rng.normal(size=(300, 6)), np.round(X[:50]), X[:50]])
-        _assert_routes(trees, Q)
+        _assert_routes(fitted, Q)
 
     def test_a_looser_repeated_split_keeps_the_tighter_bound(self):
         """Hand-written arena: below x0 <= 1 a split at 2 (never false), and
@@ -1017,14 +1031,14 @@ class TestLeafPaths:
             value=np.array([0.5, 0.5, 0.1, 0.2, 0.5, 0.3, 0.4]),
         )
         Q = np.linspace(-1.0, 3.0, 81)[:, None]  # 0.5, 1 and 2 among them
-        _assert_routes([tree], Q)
+        _assert_routes(one_tree(tree, 1), Q)
 
     def test_columns_are_distinct_path_features(self):
         rng = np.random.default_rng(14)
         X = np.round(rng.normal(size=(200, 3)), 1)  # few features: many repeats
         y = (X[:, 0] * X[:, 1] > 0).astype(int)
-        trees = fit_forest(X, y, ForestParams(n_trees=3, max_depth=10, seed=1)).trees
-        tree, value, feature, lower, upper = leaf_paths(trees)
+        fitted = fit_forest(X, y, ForestParams(n_trees=3, max_depth=10, seed=1))
+        _, _, value, feature, lower, upper = leaf_paths([fitted])
         assert feature.shape[1] <= 3
         for row in feature:
             real = row[row >= 0]
@@ -1035,8 +1049,8 @@ class TestLeafPaths:
         assert np.all(lower[~pad] < upper[~pad])
 
     def test_a_single_leaf_tree(self):
-        tree, value, feature, lower, upper = leaf_paths([leaf_tree(0.25)])
-        assert tree.tolist() == [0] and value.tolist() == [0.25]
+        forest, rank, value, feature, lower, upper = leaf_paths([one_tree(leaf_tree(0.25), 1)])
+        assert forest.tolist() == rank.tolist() == [0] and value.tolist() == [0.25]
         assert np.all(feature == -1) and np.all(np.isinf(lower) & np.isinf(upper))
 
 
@@ -1092,8 +1106,14 @@ def _leaf_paths_padded(trees):
     return owner[node], value[node], gather(1, -1), gather(2, -np.inf), gather(3, np.inf)
 
 
-def _assert_same_paths(trees):
-    got, want = leaf_paths(trees), _leaf_paths_padded(trees)
+def _assert_same_paths(forests):
+    """``leaf_paths(forests)`` against the reference over their trees in
+    order: each leaf's forest and rank name the reference's flat tree index."""
+    (forest, rank, *got), (tree, *want) = leaf_paths(forests), _leaf_paths_padded(
+        [t for f in forests for t in f.trees])
+    n_trees = np.array([len(f.trees) for f in forests])
+    np.testing.assert_array_equal((np.cumsum(n_trees) - n_trees)[forest] + rank, tree)
+    assert np.all((0 <= rank) & (rank < n_trees[forest]))
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         np.testing.assert_array_equal(g, w)
@@ -1108,9 +1128,9 @@ class TestLeafPathsReference:
     def test_fitted_forests(self, preset, decimals):
         _, model = _model_forests(preset, decimals)
         forests = getattr(model, "per_label_models", None) or model.chained_models
-        _assert_same_paths([t for f in forests for t in f.trees])
+        _assert_same_paths(forests)
         for f in forests[:3]:
-            _assert_same_paths(f.trees)
+            _assert_same_paths([f])
 
     def test_hand_written_arenas(self):
         looser = DecisionTree(
@@ -1124,4 +1144,19 @@ class TestLeafPathsReference:
         for trees in ([leaf_tree(0.25)], [leaf_tree(0.25), leaf_tree(0.5)], [looser],
                       [scrambled], [leaf_tree(0.1), scrambled, looser, leaf_tree(0.9)],
                       [looser, scrambled, scrambled]):
-            _assert_same_paths(trees)
+            _assert_same_paths([RandomForest(ForestParams(n_trees=len(trees)), trees,
+                                             n_features=2)])
+
+    def test_forests_of_different_widths_and_depths_in_one_call(self):
+        """BR forests, CC links of growing width and a one-leaf forest, joined
+        in one call in an order that mixes widths, depths and tree counts."""
+        _, br = _model_forests("paper-br", None, n_trees=3)
+        _, cc = _model_forests("paper-cc", 1, n_trees=4)
+        stump = RandomForest(ForestParams(n_trees=2, max_depth=1), [
+            leaf_tree(0.5), leaf_tree(0.25)], n_features=1)
+        links = cc.chained_models
+        assert links[0].n_features < links[1].n_features < links[-1].n_features
+        forests = [links[3], br.per_label_models[0], stump, links[0],
+                   br.per_label_models[5], links[-1], links[1]]
+        _assert_same_paths(forests)
+        _assert_same_paths(forests[::-1])

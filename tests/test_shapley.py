@@ -413,18 +413,48 @@ class TestExplainInstance:
             assert expl.base_value == ref.base_value
             assert expl.fx == ref.fx == model.predict_proba(x)[l]
 
-    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    @pytest.mark.parametrize("estimator", [*ESTIMATORS, "tree_shap"])
     @pytest.mark.parametrize("where", ["instance", "background"])
     @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
     def test_non_finite_input_rejected(self, small_dataset, estimator, where, bad):
         """Leaf-path padding (bounds -inf, inf) is met by finite values only,
-        and a NaN meets no threshold, so no estimator takes either."""
+        and a NaN meets no threshold, so no estimator takes either, nor a
+        direct ``tree_shap`` call."""
         model = fit_br(small_dataset, ForestParams(n_trees=2, max_depth=3, seed=0))
         x = small_dataset.features[0].copy()
         bg = small_dataset.features[1:6].copy()
         (x if where == "instance" else bg[2])[1] = bad
         with pytest.raises(ValueError, match=f"^{where} must be finite"):
-            explain_instance(model, x, bg, labels=[0, 1], estimator=estimator)
+            if estimator == "tree_shap":
+                tree_shap(model.per_label_models[:2], x, bg)
+            else:
+                explain_instance(model, x, bg, labels=[0, 1], estimator=estimator)
+
+    @pytest.mark.parametrize("x, bg, message", [
+        (lambda x: x, lambda bg: bg[:0], "background must be a non-empty matrix"),
+        (lambda x: x, lambda bg: np.column_stack([bg, bg[:, :1]]),
+         "background must be a non-empty matrix of target width"),
+        (lambda x: x[:-1], lambda bg: bg, r"instance width \(5,\) does not match"),
+        (lambda x: x[None], lambda bg: bg, r"instance width \(1, 6\) does not match"),
+    ], ids=["empty-background", "wide-background", "short-x", "matrix-x"])
+    def test_tree_shap_checks_shapes_as_exact_shapley(self, small_dataset, x, bg, message):
+        model = fit_br(small_dataset, ForestParams(n_trees=2, max_depth=3, seed=0))
+        forests = model.per_label_models
+        target = ExplainTarget(f=model.label_proba_fn([0, 1, 2]), n_features=6)
+        x, bg = x(small_dataset.features[0]), bg(small_dataset.features[1:6])
+        for call in (lambda: tree_shap(forests, x, bg),
+                     lambda: exact_shapley(target, x, bg)):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                call()
+
+    def test_tree_shap_forests_share_the_instance_width(self, small_dataset):
+        model = fit_br(small_dataset, ForestParams(n_trees=2, max_depth=3, seed=0))
+        narrow = fit_forest(small_dataset.features[:, :5], small_dataset.labels[:, 0],
+                            ForestParams(n_trees=2, max_depth=3, seed=0))
+        forests = [*model.per_label_models[:2], narrow]
+        x, bg = small_dataset.features[0], small_dataset.features[1:6]
+        with pytest.raises(ValueError, match="^forest 2 has width 5, the instance has width 6"):
+            tree_shap(forests, x, bg)
 
     def test_unknown_estimator(self, small_dataset):
         model = fit_br(small_dataset, ForestParams(n_trees=1, max_depth=2, seed=0))
@@ -623,6 +653,8 @@ class TestTreeShap:
         for t, e in zip(tree, exact):
             np.testing.assert_allclose(t.phi, e.phi, rtol=0, atol=1e-12)
             assert t.base_value == e.base_value
+        np.testing.assert_array_equal(tree_shap(model.per_label_models[:3], x, b),
+                                      [t.phi for t in tree])
         _assert_base_and_fx_bit_equal(model.per_label_models, x, b)
 
     def test_constant_forest_gets_zero_phi(self):

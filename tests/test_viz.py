@@ -105,6 +105,38 @@ class TestSummaryPoints:
             summary_points([make_expl([0.0], label=0), make_expl([0.0], label=1)])
 
 
+@pytest.mark.parametrize("view", [feature_importance, summary_points],
+                         ids=["importance", "summary"])
+class TestFeaturesAgree:
+    """Both views refuse explanations that disagree on the features, naming
+    the first that differs."""
+
+    def test_widths(self, view):
+        expls = [make_expl([0.1, 0.2], instance=0), make_expl([0.1, 0.2], instance=1),
+                 make_expl([0.1, 0.2, 0.3], instance=2)]
+        with pytest.raises(ValueError, match=r"^explanation 2 \(instance 2, label 0\) has "
+                                             r"features \['f0', 'f1', 'f2'\], explanation 0 "
+                                             r"has \['f0', 'f1'\]$"):
+            view(expls)
+
+    def test_names(self, view):
+        expls = [make_expl([0.1, 0.2], instance=i, names=["a", "b"]) for i in range(3)]
+        expls[1] = make_expl([0.1, 0.2], instance=7, names=["a", "c"])
+        with pytest.raises(ValueError, match=r"^explanation 1 \(instance 7, label 0\) has "
+                                             r"features \['a', 'c'\], explanation 0 "
+                                             r"has \['a', 'b'\]$"):
+            view(expls)
+        # Unnamed features are f0, f1, ...: they agree with those names only.
+        with pytest.raises(ValueError, match=r"^explanation 1 \(instance 3, label 0\)"):
+            view([expls[0], make_expl([0.1, 0.2], instance=3)])
+        assert view([make_expl([0.1, 0.2]), make_expl([0.3, 0.4], instance=1,
+                                                      names=["f0", "f1"])])
+
+    def test_agreeing_names_label_the_view(self, view):
+        expls = [make_expl([0.1, 0.2], instance=i, names=["a", "b"]) for i in range(3)]
+        assert view(expls).feature_names == ["a", "b"]
+
+
 class TestForceData:
     def test_zero_phi_empty_lists(self):
         expl = make_expl([0.0, 0.0])
