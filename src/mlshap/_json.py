@@ -37,3 +37,11 @@ def field(doc, key: str, where: str):
     if value is None:
         raise ValueError(f"{where}: {key} is {'null' if key in doc else 'missing'}")
     return value
+
+
+def check_version(doc: dict, version: int, where: str) -> None:
+    """Raise ValueError unless ``doc["version"]`` is the integer ``version``;
+    JSON ``true`` is not 1."""
+    found = doc.get("version")
+    if isinstance(found, bool) or not isinstance(found, int) or found != version:
+        raise ValueError(f"unsupported {where} version {json.dumps(found)}")

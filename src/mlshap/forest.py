@@ -637,8 +637,7 @@ def forest_from_doc(doc: dict) -> RandomForest:
     with a missing or null field, raises ValueError naming the field."""
     if _json.field(doc, "format", "forest") != FOREST_FORMAT:
         raise ValueError(f"not a forest document: {doc['format']!r}")
-    if doc.get("version") != FOREST_VERSION:
-        raise ValueError(f"unsupported forest version {doc.get('version')!r}")
+    _json.check_version(doc, FOREST_VERSION, "forest")
     params = _json.field(doc, "params", "forest")
     if not isinstance(params, dict):
         raise ValueError(f"forest: params must be a JSON object, got {type(params).__name__}")

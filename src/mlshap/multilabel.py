@@ -63,7 +63,8 @@ class MultiLabelModel:
 
         BR and CC run only the forests the requested labels need; ML-kNN makes
         one neighbor query for all of them. Each column is bit-identical to
-        the same column of the all-label matrix.
+        the same column of the all-label matrix. A row holding nan or inf
+        raises ValueError.
         """
         X = np.asarray(X, dtype=np.float64)
         single = X.ndim == 1
@@ -73,6 +74,8 @@ class MultiLabelModel:
             raise ValueError(
                 f"input width {X.shape[1]} does not match training width {self.n_features}"
             )
+        if not np.isfinite(X).all():
+            raise ValueError("input rows must be finite, not nan or inf")
         out = self._proba_matrix(X, self._label_ids(labels))
         return out[0] if single else out
 
@@ -179,15 +182,17 @@ class MLKNNModel(MultiLabelModel):
         counts = _positive_counts(train_labels, _loo_order(train_features, self.k))
         self.cond_counts_pos, self.cond_counts_neg = _neighbor_statistics(
             train_labels, counts, self.k)
+        self._ranking = _ranking_rhs(train_features)
 
     def _posterior(self, nn):
-        """(n, L) label probabilities of rows whose k nearest training rows are ``nn``."""
+        """(n, L) label probabilities of rows whose k nearest training rows are
+        ``nn``, in any order: the counts are integer sums over each row."""
         return _map_posterior(_positive_counts(self.train_labels, nn), self.priors,
                               self.cond_counts_pos, self.cond_counts_neg, self.s)
 
     def _proba_matrix(self, X, labels):
-        return self._posterior(_neighbors(X, self.train_features, self.k)).take(
-            labels, axis=1)
+        return self._posterior(_neighbor_sets(X, self.train_features, self._ranking,
+                                              self.k)).take(labels, axis=1)
 
     def _payload(self):
         return {
@@ -268,6 +273,11 @@ def _nearest(d2, k: int):
     the stable sort's prefix as a set, and orders those k stably by distance.
     Only rows whose k-th distance is NaN (fewer than k comparable entries), and
     k >= n, go through the full sort.
+
+    Beside ``d2``, it holds at most 12 bytes per entry of rows with no NaN:
+    the partition's copy (8), or on rows tied at v the mask, the masks below
+    and at v, and the running count of entries at v (int32, 4, and 4 for
+    ``cumsum``'s cast of its input).
     """
     n, n_train = d2.shape
     if k >= n_train:
@@ -276,10 +286,12 @@ def _nearest(d2, k: int):
     keep = d2 <= kth
     tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
     if tied.size:
-        rows, v = d2[tied], kth[tied]
-        at_v = rows == v
-        room = k - np.count_nonzero(rows < v, axis=1, keepdims=True)
-        keep[tied] = (rows < v) | (at_v & (np.cumsum(at_v, axis=1) <= room))
+        v = kth[tied]
+        below = d2[tied] < v
+        at_v = d2[tied] == v
+        room = k - np.count_nonzero(below, axis=1, keepdims=True)
+        at_v &= np.cumsum(at_v, axis=1, dtype=np.int32) <= room  # counts <= n_train
+        keep[tied] = below | at_v
     nan = np.isnan(kth[:, 0])
     keep[nan, :k] = True  # placeholder columns, replaced below
     nn = np.nonzero(keep)[1].reshape(n, k)
@@ -294,11 +306,17 @@ def _neighbors(X, train_features, k: int, *, exclude_self: bool = False):
     """``_nearest`` of each row of ``X`` among ``train_features`` (squared
     Euclidean), in blocks of rows within the byte budget of ``_blocks``, run
     by the threads of ``_blocks.map_slices``: per row, the float64 distances
-    to every training row and their partition.
+    to every training row and ``_nearest``'s copies, 20 bytes per training
+    row.
 
     ``cdist`` computes every row on its own, so the blocks change no distance
     and no index. With ``exclude_self``, ``X`` is ``train_features`` and each
     row's own entry is set to inf.
+
+    This is the ordered path: ``_loo_order`` and ``predict_mlknn_grid`` read
+    the first k columns for every k up to the widest, so they need the order,
+    not only the set, and their queries are only training and fold rows.
+    Prediction takes the sets from ``_neighbor_sets``.
     """
     # Imported here, so a run that never measures a distance never loads scipy.
     from scipy.spatial.distance import cdist
@@ -313,7 +331,122 @@ def _neighbors(X, train_features, k: int, *, exclude_self: bool = False):
             d2[own, rows.start + own] = np.inf
         nn[rows] = _nearest(d2, k)
 
-    _blocks.map_slices(select, X.shape[0], 16 * n_train)
+    _blocks.map_slices(select, X.shape[0], 20 * n_train)
+    return nn
+
+
+# OpenBLAS runs an (m, k) @ (k, n) product on the calling thread when
+# m·n·k <= 2**18 (its SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD).
+_ONE_THREAD_GEMM = 2**18
+
+
+def _ranking_rhs(train_features):
+    """The (M + 1, n_train) right-hand side ``[-2 Tᵀ; |t|²]`` of
+    ``_neighbor_sets``' product: ``[q, 1] @ rhs`` is ``|q - t|² - |q|²`` per
+    training row t."""
+    rhs = np.empty((train_features.shape[1] + 1, train_features.shape[0]))
+    with np.errstate(over="ignore"):  # an inf here makes every bound inf
+        np.multiply(train_features.T, -2.0, out=rhs[:-1])
+        np.einsum("ij,ij->i", train_features, train_features, out=rhs[-1])
+    return rhs
+
+
+def _neighbor_sets(X, train_features, rhs, k: int):
+    """Each row of ``X``'s k nearest rows of ``train_features``, as a set in
+    no particular order: the set of the first k columns of ``_neighbors``,
+    which is all the posterior reads. ``rhs`` is ``_ranking_rhs(train_features)``
+    and k < n_train. Rows run in blocks within the byte budget, on the
+    threads of ``_blocks.map_slices``, and per block:
+
+    1. One product ``d = [q, 1] @ rhs``. Each row of d is the row's squared
+       distances less |q|², the same for the whole row, so d ranks as the
+       distances do.
+    2. One ``argpartition`` at k: the first k columns hold the k smallest
+       entries of d, the k-th smallest being their max, and column k holds
+       the (k+1)-th.
+    3. A row is certified when its gap, the (k+1)-th entry less the k-th,
+       exceeds ``τ = 4·γ_{2M+2}·(|q| + T)² + (3M + 2)·2**-1074``, with T the
+       largest training-row norm and γ_n = n·u / (1 - n·u), u = 2**-53, the
+       relative error bound of n rounded operations. Its first k columns are
+       its set.
+    4. Every other row goes through ``cdist`` and ``_nearest``, as in
+       ``_neighbors``. Rows with nan, inf or overflowing values have a nan or
+       inf τ or gap, so they land here too.
+
+    Why a certified set is the one ``cdist`` and ``_nearest`` select. Let
+    D_j = |q - t_j|² exactly, s_j the computed |t_j|², and c_j ``cdist``'s
+    value. Each bound below holds in any summation order, with or without
+    fused multiply-adds, so BLAS blocking and threads cannot move it.
+
+    - E_gemm: d_j is a dot product of length M + 1 of [q, 1] and
+      [-2 t_j, s_j], and |s_j - |t_j|²| <= γ_M·|t_j|². So |d_j - (D_j - |q|²)|
+      <= γ_{M+1}·(2|q|·|t_j| + s_j) + γ_M·|t_j|² <= γ_{2M+1}·(2|q|·T + T²).
+    - E_cdist: c_j sums M squared differences, each rounded twice, so
+      |c_j - D_j| <= γ_{M+2}·D_j <= γ_{M+2}·(|q| + T)². The error scales with
+      the whole distance, |q|² included.
+
+    For j in the first k columns and i not, d_i - d_j >= gap, so c_i - c_j
+    >= gap - 2·(E_gemm + E_cdist) > 0 once gap > 2·(E_gemm + E_cdist):
+    ``cdist`` puts the whole set strictly below every other row, and
+    ``_nearest`` has no tie to break. 2·(E_gemm + E_cdist) <=
+    4·γ_{2M+1}·(|q| + T)², since 2|q|·T + T² <= (|q| + T)² and M + 2 <=
+    2M + 1. τ takes γ_{2M+2}, a relative margin of 1/(2M + 1), far above
+    the (M + 10)·2**-53 or less lost in rounding |q|, T, τ and the gap.
+    Underflow adds at most 2**-1075 to each of the 2M + 1 products behind
+    d_j and the M squares behind c_j, twice over: the second term of τ. The
+    bounds need every partial sum finite; each is below 2·(|q| + T)², which
+    τ is computed from, so τ is inf wherever one could overflow.
+
+    The product runs on the thread that runs the block. Where
+    ``_ONE_THREAD_GEMM`` holds at least two rows, it runs in chunks of that
+    many rows, which OpenBLAS keeps on the calling thread, so no BLAS thread
+    spins beside the ``map_slices`` threads while they partition: 29 rows
+    at 407 × 21 training rows (foodtruck-like). Where it holds one row or
+    none, a chunk would be a matrix-vector product that reads all of
+    ``rhs`` per row, so each block is one product on BLAS's threads:
+    2417 × 103 (yeast-like).
+
+    Per row, the product phase holds d and the argpartition indices, 16
+    bytes per training row. Both are freed before the fallback, which holds
+    the ``cdist`` block and ``_nearest``'s copies, 20, the worst case, where
+    every row falls back. Add 8·(M + 1) for the row and its constant column.
+    """
+    # Imported here, so a run that never measures a distance never loads scipy.
+    from scipy.spatial.distance import cdist
+
+    n_train, M = train_features.shape
+    nn = np.empty((X.shape[0], k), dtype=np.intp)
+    u = np.finfo(np.float64).eps / 2
+    coefficient = 2 * (2 * M + 2) * u / (1 - (2 * M + 2) * u)  # 2·γ_{2M+2}
+    floor = (3 * M + 2) * np.finfo(np.float64).smallest_subnormal
+    reach = np.sqrt(rhs[-1].max())
+    chunk = _ONE_THREAD_GEMM // ((M + 1) * n_train)
+
+    def select(rows):
+        q = X[rows]
+        n = q.shape[0]
+        lhs = np.empty((n, M + 1))
+        lhs[:, :M] = q
+        lhs[:, M] = 1.0
+        d = np.empty((n, n_train))
+        step = chunk if chunk > 1 else n
+        # Non-finite or overflowing rows come out with a nan or inf bound.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, step):
+                np.matmul(lhs[start:start + step], rhs, out=d[start:start + step])
+            part = np.argpartition(d, k, axis=1)
+            top = np.take_along_axis(d, part[:, :k + 1], axis=1)
+            gap = top[:, k] - top[:, :k].max(axis=1)
+            norm = np.sqrt(np.einsum("ij,ij->i", q, q))
+            sure = gap > coefficient * (2 * (norm + reach) ** 2) + floor  # gap > τ
+        out = nn[rows]
+        out[sure] = part[sure, :k]
+        del lhs, d, part
+        unsure = np.flatnonzero(~sure)
+        if unsure.size:
+            out[unsure] = _nearest(cdist(q[unsure], train_features, "sqeuclidean"), k)
+
+    _blocks.map_slices(select, X.shape[0], 20 * n_train + 8 * (M + 1))
     return nn
 
 
@@ -412,8 +545,7 @@ def model_from_doc(doc: dict) -> MultiLabelModel:
     """The model of a ``to_doc`` document; a missing or null field raises ValueError."""
     if _json.field(doc, "format", "model") != MODEL_FORMAT:
         raise ValueError(f"not a model document: {doc['format']!r}")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')!r}")
+    _json.check_version(doc, MODEL_VERSION, "model")
     algorithm = _json.field(doc, "algorithm", "model")
     get = partial(_json.field, _json.field(doc, "payload", "model"),
                   where="model payload")

@@ -74,6 +74,9 @@ class Explanation:
         self.feature_values = np.asarray(self.feature_values, dtype=np.float64)
         if self.phi.shape != self.feature_values.shape or self.phi.ndim != 1:
             raise ValueError("phi and feature_values must be equal-length vectors")
+        if self.feature_names is not None and len(self.feature_names) != self.n_features:
+            raise ValueError(f"feature_names must have {self.n_features} entries, one "
+                             f"per feature, got {len(self.feature_names)}")
 
     @property
     def n_features(self) -> int:

@@ -332,6 +332,13 @@ class TestForestJson:
         with pytest.raises(ValueError, match="not a forest"):
             forest_from_doc({"format": "other"})
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
+    def test_rejects_a_version_that_is_not_the_integer_1(self, version):
+        doc = self._doc()
+        doc["version"] = version
+        with pytest.raises(ValueError, match="unsupported forest version"):
+            forest_from_doc(doc)
+
     @staticmethod
     def _doc(**tree):
         """A one-tree forest over 2 features: a root split on feature 1 with

@@ -25,15 +25,17 @@ from mlshap.multilabel import (
     _loo_order,
     _nearest,
     _neighbor_statistics,
+    _neighbor_sets,
     _neighbors,
     _positive_counts,
+    _ranking_rhs,
     check_mlknn_params,
     derive_seed,
     model_from_doc,
     predict_mlknn_grid,
 )
 
-from _synth import foodtruck_like, planted_dataset, write_arff
+from _synth import CORPUS_SHAPES, foodtruck_like, planted_dataset, write_arff
 
 
 # rng-free forest configuration: no bootstrap, full feature scan, so outputs
@@ -492,7 +494,10 @@ class TestNearest:
 
 class TestNeighborBlocks:
     """Queries split into row blocks within ``_blocks._BLOCK_BYTES`` equal the
-    unblocked query bit for bit. Here the blocks run on one thread, in order;
+    unblocked query bit for bit, on both paths: prediction's neighbour sets
+    (one product and one ``argpartition`` per block, ``cdist`` on the rows it
+    does not certify) and the ordered ``cdist`` blocks of the leave-one-out
+    order and the tune. Here the blocks run on one thread, in order;
     ``TestNeighborBlocksOnTwoThreads`` runs the same cases on two."""
 
     workers = 1
@@ -503,46 +508,68 @@ class TestNeighborBlocks:
 
     @pytest.fixture()
     def blocks(self, monkeypatch):
-        """Records the (rows, n_train) shape of every distance block."""
-        shapes = []
+        """Records the (rows, n_train) shape of every distance block:
+        ``blocks["sets"]`` each product block that ``argpartition`` ranks,
+        ``blocks["cdist"]`` each ``cdist`` call."""
+        shapes = {"sets": [], "cdist": []}
+        argpartition = np.argpartition
 
-        def spy(XA, XB, metric):
+        def cdist_spy(XA, XB, metric):
             out = cdist(XA, XB, metric)
-            shapes.append(out.shape)
+            shapes["cdist"].append(out.shape)
             return out
 
-        monkeypatch.setattr(scipy.spatial.distance, "cdist", spy)
+        def argpartition_spy(a, kth, axis):
+            shapes["sets"].append(a.shape)
+            return argpartition(a, kth, axis=axis)
+
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", cdist_spy)
+        monkeypatch.setattr(np, "argpartition", argpartition_spy)
         return shapes
 
     @pytest.fixture()
-    def starts(self, monkeypatch):
-        """Records the row slice of every block, from whichever thread runs it."""
-        slices = []
+    def calls(self, monkeypatch):
+        """Records every ``map_slices`` call as (bytes per row, the row slice
+        of each block, from whichever thread runs it)."""
+        calls = []
         map_slices = _blocks.map_slices
 
         def spy(fn, n_rows, row_bytes):
+            slices = []
+            calls.append((row_bytes, slices))
+
             def recorded(rows):
                 slices.append(rows)
                 return fn(rows)
             return map_slices(recorded, n_rows, row_bytes)
 
         monkeypatch.setattr(_blocks, "map_slices", spy)
-        return slices
+        return calls
 
-    def assert_shared(self, blocks, starts, n_rows, budget):
-        """Two threads: each block is within half the budget (or one row),
-        and the blocks, sorted by start, cover the rows."""
-        assert all(rows == 1 or rows * cols * 16 <= budget // 2 for rows, cols in blocks)
-        starts = sorted((rows.start, rows.stop) for rows in starts)
+    def assert_shared(self, shapes, call, n_rows, budget):
+        """Two threads: each block of one ``map_slices`` call is within half
+        the budget (or one row), and its blocks, sorted by start, cover the
+        rows."""
+        row_bytes, slices = call
+        assert all(rows == 1 or rows * row_bytes <= budget // 2 for rows, _ in shapes)
+        starts = sorted((rows.start, rows.stop) for rows in slices)
         assert [a for a, _ in starts] == [0] + [b for _, b in starts[:-1]]
         assert starts[-1][1] == n_rows
 
+    @staticmethod
+    def set_row_bytes(n_train, n_features):
+        """Bytes per query row of a neighbour-set block: 20 per training row
+        (the fallback's ``cdist`` block and ``_nearest``'s copies) plus the
+        row with its constant column."""
+        return 20 * n_train + 8 * (n_features + 1)
+
     @pytest.mark.parametrize("rows_per_block", [1, 7, 64])
     def test_blocked_query_equals_unblocked(self, foodtruck_dataset, monkeypatch,
-                                            blocks, starts, rows_per_block):
+                                            blocks, calls, rows_per_block):
         train, X_test = _fold(foodtruck_dataset, rounding=0)
         n_train = train.n_instances
-        budget = 16 * n_train * (rows_per_block + 1) - 1
+        row_bytes = self.set_row_bytes(n_train, train.n_features)
+        budget = row_bytes * (rows_per_block + 1) - 1
         model = fit_mlknn(train, 5)
         X = np.vstack([X_test, X_test[:3] + 0.5])  # 85 rows: a last block not full
         d2 = cdist(X, train.features, "sqeuclidean")
@@ -554,54 +581,222 @@ class TestNeighborBlocks:
             expected_grid = predict_mlknn_grid(train, X, points)
 
         monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
-        blocks.clear()
-        starts.clear()
+        for shapes in blocks.values():
+            shapes.clear()
+        calls.clear()
         proba = model.predict_proba(X)
+        assert [b for b, _ in calls] == [row_bytes]
         if self.workers == 1:
-            assert [r for r, _ in blocks] == (
+            assert [r for r, _ in blocks["sets"]] == (
                 [rows_per_block] * (len(X) // rows_per_block)
                 + [len(X) % rows_per_block] * (len(X) % rows_per_block > 0))
         else:
-            self.assert_shared(blocks, starts, len(X), budget)
+            self.assert_shared(blocks["sets"], calls[0], len(X), budget)
+        # Rounded to whole numbers, many rows tie at the k-th distance: the
+        # fallback runs, on at most the rows of each block.
+        assert 0 < len(blocks["cdist"]) <= len(blocks["sets"])
+        assert all(r * row_bytes <= budget for r, _ in blocks["cdist"] + blocks["sets"])
         assert np.array_equal(proba, model._posterior(stable_nearest(d2, 5)))
+
+        blocks["cdist"].clear()
         np.testing.assert_array_equal(_loo_order(train.features, 20),
                                       stable_nearest(loo_d2, 20))
         for got, want in zip(predict_mlknn_grid(train, X, points), expected_grid):
             np.testing.assert_array_equal(got, want)
-        assert len(blocks) > 3
-        assert all(rows * cols * 16 <= budget for rows, cols in blocks)
+        assert len(blocks["cdist"]) > 3
+        assert all(rows * cols * 20 <= budget for rows, cols in blocks["cdist"])
 
     def test_a_block_holds_at_least_one_row(self, monkeypatch, blocks, rng):
         train = rng.normal(size=(20, 3))
         X = rng.normal(size=(4, 3))
         monkeypatch.setattr(_blocks, "_BLOCK_BYTES", 16)
         nn = _neighbors(X, train, 3)
-        assert blocks == [(1, 20)] * 4
-        np.testing.assert_array_equal(
-            nn, stable_nearest(cdist(X, train, "sqeuclidean"), 3))
+        assert blocks["cdist"] == [(1, 20)] * 4
+        expected = stable_nearest(cdist(X, train, "sqeuclidean"), 3)
+        np.testing.assert_array_equal(nn, expected)
+        sets = _neighbor_sets(X, train, _ranking_rhs(train), 3)
+        assert blocks["sets"] == [(1, 20)] * 4
+        np.testing.assert_array_equal(np.sort(sets, axis=1), np.sort(expected, axis=1))
 
-    def test_default_budget_bounds_every_block(self, blocks, starts, rng):
+    def test_default_budget_bounds_every_block(self, blocks, calls, rng):
         train = rng.normal(size=(3000, 2))
-        _neighbors(rng.normal(size=(3000, 2)), train, 5)
+        X = rng.normal(size=(3000, 2))
+        _neighbors(X, train, 5)
+        _neighbor_sets(X, train, _ranking_rhs(train), 5)
+        row_bytes = self.set_row_bytes(3000, 2)
         if self.workers == 1:
-            assert len(blocks) == 5
+            assert len(blocks["cdist"]) == 6
+            assert len(blocks["sets"]) == 6
         else:
-            self.assert_shared(blocks, starts, 3000, _blocks._BLOCK_BYTES)
-        assert all(r * c * 16 <= _blocks._BLOCK_BYTES for r, c in blocks)
+            self.assert_shared(blocks["cdist"], calls[0], 3000, _blocks._BLOCK_BYTES)
+            self.assert_shared(blocks["sets"], calls[1], 3000, _blocks._BLOCK_BYTES)
+        assert [b for b, _ in calls] == [20 * 3000, row_bytes]
+        assert all(r * c * 20 <= _blocks._BLOCK_BYTES for r, c in blocks["cdist"])
+        assert all(r * row_bytes <= _blocks._BLOCK_BYTES for r, _ in blocks["sets"])
 
     def test_empty_query(self, rng):
-        assert _neighbors(np.empty((0, 3)), rng.normal(size=(5, 3)), 2).shape == (0, 2)
+        train = rng.normal(size=(5, 3))
+        assert _neighbors(np.empty((0, 3)), train, 2).shape == (0, 2)
+        assert _neighbor_sets(np.empty((0, 3)), train, _ranking_rhs(train), 2).shape == (0, 2)
 
 
 class TestNeighborBlocksOnTwoThreads(TestNeighborBlocks):
     workers = 2
 
 
+def _kernel_rows(dataset, seed, n_masks=200, background=20):
+    """Synthesized rows as the kernel estimator builds them: instance 3 of
+    ``dataset`` on random masks, completed by ``background`` of its rows."""
+    rng = np.random.default_rng(seed)
+    X = dataset.features
+    rows = X[rng.choice(len(X), background, replace=False)]
+    masks = rng.uniform(size=(n_masks, X.shape[1])) < 0.5
+    return np.where(masks[:, None, :], X[3], rows[None]).reshape(-1, X.shape[1])
+
+
+class TestNeighborSets:
+    """Prediction's neighbour sets (``_neighbor_sets``: one product, one
+    ``argpartition``, a certified gap, and ``cdist`` with ``_nearest`` on
+    every other row) equal the first k columns of ``cdist`` and ``_nearest``
+    as sets."""
+
+    @pytest.fixture()
+    def fallback(self, monkeypatch):
+        """The number of query rows of each ``cdist`` call."""
+        rows = []
+
+        def spy(XA, XB, metric):
+            rows.append(XA.shape[0])
+            return cdist(XA, XB, metric)
+
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", spy)
+        return rows
+
+    @pytest.fixture(params=["numpy", "reversed"])
+    def partition_order(self, request, monkeypatch):
+        """``np.argpartition`` as numpy orders it, and with each side of the
+        k-th position reversed, which its contract (no order within either
+        side) allows: then column k - 1 holds the smallest of the first k, not
+        the k-th smallest."""
+        if request.param == "reversed":
+            argpartition = np.argpartition
+
+            def reversed_sides(a, kth, axis):
+                part = argpartition(a, kth, axis=axis)
+                part[:, :kth] = part[:, kth - 1::-1]
+                part[:, kth + 1:] = part[:, :kth:-1]
+                return part
+
+            monkeypatch.setattr(np, "argpartition", reversed_sides)
+        return request.param
+
+    @staticmethod
+    def fallback_rows(X, train, k, fallback):
+        """Asserts the sets are ``cdist`` and ``_nearest``'s; returns how many
+        rows fell back."""
+        fallback.clear()
+        got = _neighbor_sets(X, train, _ranking_rhs(train), k)
+        rows = sum(fallback)
+        want = _nearest(cdist(X, train, "sqeuclidean"), k)
+        np.testing.assert_array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+        return rows
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("rounding, low, high", [
+        (None, 0, 0), (1, 1, 200), (0, 1000, 3000)], ids=["raw", "1-decimal", "0-decimal"])
+    def test_stand_ins(self, seed, rounding, low, high, fallback):
+        """4 000 kernel rows against the 407 rows of a foodtruck-like
+        stand-in. Raw features never tie; rounded ones tie at the k-th
+        distance, more the coarser the rounding, and those rows fall back:
+        on seeds 1-3, 24-36 rows at one decimal and 1 823-1 944 at none."""
+        ds = foodtruck_like(seed)
+        if rounding is not None:
+            ds = Dataset(ds.name, np.round(ds.features, rounding), ds.feature_names,
+                         ds.labels, ds.label_names)
+        X = _kernel_rows(ds, seed)
+        assert low <= self.fallback_rows(X, ds.features, 5, fallback) <= high
+
+    @pytest.mark.parametrize("k", [3, 5, 9])
+    def test_duplicated_integer_rows_all_fall_back(self, k, fallback, partition_order,
+                                                   rng):
+        """Every training row twice: the distances come in equal pairs, so at
+        odd k the k-th and (k+1)-th tie for every row, and only ``_nearest``
+        knows which of the two ``cdist`` takes (the lower index)."""
+        base = rng.integers(0, 3, size=(40, 4)).astype(np.float64)
+        train = np.vstack([base, base[rng.permutation(40)]])
+        X = rng.integers(0, 3, size=(500, 4)).astype(np.float64)
+        assert self.fallback_rows(X, train, k, fallback) == len(X)
+
+    @pytest.mark.parametrize("levels", [None, 3], ids=["untied", "tied"])
+    def test_k_is_one_below_the_training_rows(self, levels, fallback, partition_order,
+                                              rng):
+        train = (rng.normal(size=(12, 3)) if levels is None
+                 else rng.integers(0, levels, size=(12, 3)).astype(np.float64))
+        X = np.vstack([rng.normal(size=(30, 3)), train])
+        self.fallback_rows(X, train, 11, fallback)
+
+    def test_huge_norms(self, fallback, rng):
+        """Scaled together by 1e100, rows still certify. Queries far from
+        every training row sit at nearly equal distances from all of them,
+        and the bound swamps every gap. From about 1e154 on, 2(|q| + T)²
+        overflows and the bound is inf. Either way every row falls back, also
+        where ``cdist`` itself overflows to inf."""
+        train = rng.normal(size=(30, 3))
+        X = rng.normal(size=(50, 3))
+        assert self.fallback_rows(X * 1e100, train * 1e100, 4, fallback) == 0
+        assert self.fallback_rows(X * 1e100, train, 4, fallback) == len(X)
+        assert self.fallback_rows(X * 1e154, train * 1e154, 4, fallback) == len(X)
+        for scale in (1e155, 1e200):
+            assert self.fallback_rows(X * scale, train, 4, fallback) == len(X)
+            assert self.fallback_rows(X, train * scale, 4, fallback) == len(X)
+
+    def test_non_finite_rows_fall_back(self, fallback, rng):
+        train = rng.normal(size=(10, 3))
+        X = rng.normal(size=(6, 3))
+        X[1, 0], X[4, 2], X[5, 1] = math.nan, math.inf, -math.inf
+        assert self.fallback_rows(X, train, 3, fallback) == 3
+
+    @pytest.mark.parametrize("corpus, products", [("foodtruck", 11), ("yeast", 1)])
+    def test_product_chunks_at_the_corpus_shapes(self, corpus, products, fallback,
+                                                 monkeypatch, rng):
+        """29-row products at the foodtruck shape, which OpenBLAS keeps on the
+        calling thread; one product per block at the yeast shape, where a
+        chunk that small would hold one row."""
+        n, d, _ = CORPUS_SHAPES[corpus]
+        train = rng.normal(size=(n, d))
+        X = rng.normal(size=(300, d))
+        calls = []
+        matmul = np.matmul
+
+        def spy(a, b, out):
+            calls.append(a.shape[0])
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(_blocks, "_WORKERS", 1)
+        monkeypatch.setattr(np, "matmul", spy)
+        self.fallback_rows(X, train, 5, fallback)
+        assert len(calls) == products and sum(calls) == len(X)
+
+    @pytest.mark.parametrize("reach, falls_back", [(1536.0, True), (1024.0, False)])
+    def test_bound_is_the_documented_one(self, reach, falls_back, fallback):
+        """At q = 0 the product is exact (d_j = |t_j|²), so the gap between
+        the nearest two rows is 2**-28. With M = 2 the bound is τ = 4·γ_6·T²:
+        at T = 1536 the gap is 0.59 τ and falls back, at T = 1024 it is
+        1.33 τ and is certified. A bound half as large, or twice, fails one
+        of the two."""
+        u = 2.0 ** -53
+        tau = 4 * (6 * u / (1 - 6 * u)) * reach ** 2
+        assert (2.0 ** -28 < tau) == falls_back
+        train = np.array([[reach, 0.0], [1.0, 0.0], [1.0, 2.0 ** -14]])
+        assert self.fallback_rows(np.zeros((1, 2)), train, 1, fallback) == falls_back
+
+
 @pytest.mark.parametrize("rounding", [None, 1])
 def test_mlknn_outputs_byte_equal_to_stable_sort_selection(tmp_path, monkeypatch,
                                                            rounding):
     """Whole-model gate: explain JSON and cv_report.json of ML-kNN are the same
-    bytes with the stable full sort as the selection."""
+    bytes with the stable full sort of ``cdist`` as the selection, in place of
+    both prediction's neighbour sets and ``_nearest``."""
     ds = foodtruck_like()
     if rounding is not None:
         ds = Dataset(ds.name, np.round(ds.features, rounding), ds.feature_names,
@@ -625,6 +820,8 @@ def test_mlknn_outputs_byte_equal_to_stable_sort_selection(tmp_path, monkeypatch
 
     fast = outputs(tmp_path / "fast")
     monkeypatch.setattr(multilabel, "_nearest", stable_nearest)
+    monkeypatch.setattr(multilabel, "_neighbor_sets", lambda X, train, rhs, k:
+                        stable_nearest(cdist(X, train, "sqeuclidean"), k))
     assert outputs(tmp_path / "oracle") == fast
 
 
@@ -705,6 +902,18 @@ class TestModelContract:
         assert one.shape == (small_dataset.n_labels,)
         np.testing.assert_array_equal(one, proba[0])
 
+    @pytest.mark.parametrize("maker", MODEL_MAKERS, ids=["br", "cc", "mlknn"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rows_rejected(self, small_dataset, maker, value, rng):
+        model = maker(small_dataset)
+        Q = rng.normal(size=(4, small_dataset.n_features))
+        Q[2, 1] = value
+        for X in (Q, Q[2]):
+            with pytest.raises(ValueError, match="must be finite"):
+                model.predict_proba(X)
+        with pytest.raises(ValueError, match="must be finite"):
+            model.label_proba_fn([0])(Q)
+
     @pytest.mark.parametrize("maker", MODEL_MAKERS)
     def test_json_roundtrip(self, small_dataset, maker, tmp_path, rng):
         model = maker(small_dataset)
@@ -730,6 +939,15 @@ class TestModelContract:
         for bad in ([5], [-1], []):
             with pytest.raises(ValueError, match="label"):
                 model.label_proba_fn(bad)
+
+    @pytest.mark.parametrize("maker", MODEL_MAKERS, ids=["br", "cc", "mlknn"])
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
+    def test_model_document_rejects_a_version_that_is_not_the_integer_1(
+            self, small_dataset, maker, version):
+        doc = maker(small_dataset).to_doc()
+        doc["version"] = version
+        with pytest.raises(ValueError, match="unsupported model version"):
+            model_from_doc(doc)
 
     @pytest.mark.parametrize("maker", MODEL_MAKERS, ids=["br", "cc", "mlknn"])
     @pytest.mark.parametrize("field, names", [

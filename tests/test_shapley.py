@@ -847,6 +847,12 @@ class TestExplanationJson:
         with pytest.raises(ValueError, match="missing keys"):
             explanation_from_doc({"phi": []})
 
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"], []])
+    def test_feature_names_of_another_length_rejected(self, names):
+        with pytest.raises(ValueError, match="feature_names must have 2 entries"):
+            Explanation(base_value=0.0, phi=[1.0, 2.0], fx=3.0,
+                        feature_values=[0.0, 0.0], feature_names=names)
+
     def test_non_finite_value_is_refused_not_written(self, tmp_path):
         expl = Explanation(base_value=0.25, phi=[np.nan, 1.0], fx=np.inf,
                            feature_values=[0.0, 1.0])
