@@ -54,10 +54,12 @@ def _cut(n_rows: int, rows: int) -> list[slice]:
     return [slice(start, min(start + rows, n_rows)) for start in range(0, n_rows, rows)]
 
 
-def row_slices(n_rows: int, row_bytes: int) -> list[slice]:
+def row_slices(n_rows: int, row_bytes: int, budget: int | None = None) -> list[slice]:
     """Consecutive slices covering ``range(n_rows)``, each at most
-    ``_BLOCK_BYTES // row_bytes`` rows long and at least one row long."""
-    return _cut(n_rows, _rows(_BLOCK_BYTES, row_bytes))
+    ``budget // row_bytes`` rows long and at least one row long. ``budget``
+    is ``_BLOCK_BYTES`` by default, or what a caller's fixed share leaves of
+    it."""
+    return _cut(n_rows, _rows(_BLOCK_BYTES if budget is None else budget, row_bytes))
 
 
 @functools.cache

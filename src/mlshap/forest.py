@@ -294,7 +294,9 @@ def _entropy_from_positive(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
 # Cells (node rows x candidate features) in one block of the batched split
 # search: 128 KiB per float64 array of the block, so its arrays stay in cache.
 # Caps from 4 096 to 32 768 timed alike on the foodtruck- and yeast-shaped
-# stand-ins, and 2 048 and 262 144 were slower (measurements in ROADMAP.md).
+# stand-ins, and 2 048 and 262 144 were slower; scored from the entropy table,
+# neither 8 192 nor 32 768 beat it on both (measurements in CHANGES.md, in the
+# entries of the lockstep grower and of the entropy table).
 _SPLIT_CELLS = 16384
 
 # Bytes a tree in flight holds per training row: the row ids of its pending
@@ -303,7 +305,35 @@ _SPLIT_CELLS = 16384
 _TREE_ROW_BYTES = 16
 
 
-def _best_splits(nodes):
+def _table_totals(budget: int) -> int:
+    """The largest total N whose :func:`_entropy_table`, 8·(N+1)(N+2)/2
+    bytes, fits in half of ``budget``; -1 when none does."""
+    # (N+1)(N+2) <= K exactly when (2N+3)^2 = 4(N+1)(N+2) + 1 <= 4K + 1.
+    return (math.isqrt(4 * (budget // 8) + 1) - 3) // 2
+
+
+def _entropy_table(n_max: int) -> np.ndarray:
+    """Entry ``t(t+1)/2 + p`` is ``_entropy_from_positive(p, t)`` for every
+    ``0 <= p <= t <= n_max`` with ``t > 0``; entry 0, total 0, is 0.0.
+
+    Each entry is the same function of the same two integers as in a direct
+    call, so a lookup is the same bits. The entries are computed in slices of
+    at most ``_SPLIT_CELLS``, so the build holds a split block's worth of
+    temporaries at a time.
+    """
+    table = np.zeros((n_max + 1) * (n_max + 2) // 2)
+    step = max(1, _SPLIT_CELLS // (n_max + 2))
+    for first in range(1, n_max + 1, step):
+        totals = np.arange(first, min(first + step, n_max + 1))
+        total = np.repeat(totals, totals + 1)
+        start = first * (first + 1) // 2
+        entry = np.arange(start, start + total.size)
+        table[start:start + total.size] = _entropy_from_positive(
+            entry - total * (total + 1) // 2, total)
+    return table
+
+
+def _best_splits(nodes, table=None):
     """Highest-entropy-gain split of each node of ``nodes``, scored in blocks.
 
     A node is ``(X, y, rows, feats, min_leaf)``. Returns, per node, None when
@@ -320,9 +350,15 @@ def _best_splits(nodes):
     arithmetic as a node on its own would be, so the result does not depend
     on how the nodes are grouped. Ties resolve to the lowest feature index,
     then the lowest threshold.
+
+    ``table`` is an :func:`_entropy_table`; a block of nodes larger than it
+    covers computes its entropies directly, to the same bits. By default one
+    covering every node is built.
     """
     out = [None] * len(nodes)
     sizes = np.array([node[2].size for node in nodes], dtype=np.int64)
+    if table is None:
+        table = _entropy_table(int(sizes.max(initial=0)))
     min_leaf = np.array([node[4] for node in nodes], dtype=np.int64)
     widths = np.array([node[3].size for node in nodes], dtype=np.int64)
     order = np.argsort(-sizes, kind="stable")
@@ -339,13 +375,13 @@ def _best_splits(nodes):
             width, end = wider, end + 1
         block = order[start:end]
         for b, found in zip(block, _split_block([nodes[b] for b in block],
-                                                int(height), int(width))):
+                                                int(height), int(width), table)):
             out[b] = found
         start = end
     return out
 
 
-def _split_block(nodes, height, width):
+def _split_block(nodes, height, width, table):
     """:func:`_best_splits` over one block: ``width`` lines of ``height``
     cells per node, the lines past a node's own candidate features all
     padding."""
@@ -355,33 +391,43 @@ def _split_block(nodes, height, width):
     for b, (X, y, rows, feats, _) in enumerate(nodes):
         vals[b * width:b * width + feats.size, :rows.size] = X[rows, feats[:, None]]
         ys[b * width:(b + 1) * width, :rows.size] = y[rows]
-    n = np.repeat([node[2].size for node in nodes], width)[:, None]
-    min_leaf = np.repeat([node[4] for node in nodes], width)[:, None]
+    # Per node, broadcast over its lines: its size, positives and min_leaf.
+    n = np.array([node[2].size for node in nodes], dtype=np.int64)[:, None, None]
+    pos = ys[::width].sum(axis=1)[:, None, None]
+    min_leaf = np.array([node[4] for node in nodes], dtype=np.int64)[:, None, None]
     # Ties sort in any order: a valid split ends a run of equal values, so the
     # rows before it, and their positive count, do not depend on that order.
     order = np.argsort(vals, axis=1)
     vs = np.take_along_axis(vals, order, axis=1)
-    # One entropy call scores every cell: cell i of a line is the split after
-    # sorted position i, with its left child in column i, its right child in
-    # column height - 1 + i, and the node itself in the last column.
-    pos = np.empty((k * width, 2 * height - 1), dtype=np.int64)
-    total = np.empty_like(pos)
-    left, right = slice(0, height - 1), slice(height - 1, -1)
-    np.cumsum(np.take_along_axis(ys, order, axis=1)[:, :-1], axis=1, out=pos[:, left])
-    pos[:, -1] = ys.sum(axis=1)
-    np.subtract(pos[:, -1:], pos[:, left], out=pos[:, right])
+    # Cell i of a line is the split after sorted position i: n_left rows and
+    # pos_left positives go left, the rest right. Past the rows of a line's
+    # node n_right is not positive, and on a padding line the counts of a cell
+    # need not be those of a split; all those cells are masked below. 1 keeps
+    # their entropy finite, and as no count exceeds n, every table index they
+    # read stays below that of (0, n + 1).
+    pos_left = np.cumsum(np.take_along_axis(ys, order, axis=1)[:, :-1], axis=1)
+    pos_left = pos_left.reshape(k, width, height - 1)
     n_left = np.arange(1, height)
-    total[:, left] = n_left
-    # Past the rows of a line's node n_right is not positive; those cells are
-    # masked below, and 1 keeps their division finite.
-    np.maximum(n - n_left, 1, out=total[:, right])
-    total[:, -1:] = n
-    h = _entropy_from_positive(pos, total)
-    gains = h[:, -1:] - (n_left * h[:, left] + total[:, right] * h[:, right]) / n
-    valid = vs[:, :-1] != vs[:, 1:]
-    valid &= n_left >= min_leaf
-    valid &= n_left <= n - min_leaf
-    gains[~valid] = -np.inf
+    n_right = np.maximum(n - n_left, 1)
+    if (height + 1) * (height + 2) // 2 <= table.size:  # covers every total <= height
+        h_left = table.take(n_left * (n_left + 1) // 2 + pos_left)
+        h_right = table.take(n_right * (n_right + 1) // 2 + pos - pos_left)
+        h_node = table.take(n * (n + 1) // 2 + pos)
+    else:
+        h_left = _entropy_from_positive(pos_left, n_left)
+        h_right = _entropy_from_positive(pos - pos_left, n_right)
+        h_node = _entropy_from_positive(pos, n)
+    # h_node - (n_left * h_left + n_right * h_right) / n, in place.
+    h_left *= n_left
+    h_right *= n_right
+    h_left += h_right
+    h_left /= n
+    gains = np.subtract(h_node, h_left, out=h_left)
+    invalid = (vs[:, :-1] == vs[:, 1:]).reshape(k, width, height - 1)
+    invalid |= n_left < min_leaf
+    invalid |= n_left > n - min_leaf
+    np.copyto(gains, -np.inf, where=invalid)
+    gains = gains.reshape(k * width, height - 1)
     at = np.argmax(gains, axis=1)  # first max -> lowest threshold on ties
     col_gain = gains[np.arange(k * width), at].reshape(k, width)
     j = np.argmax(col_gain, axis=1)  # first max -> lowest feature on ties
@@ -472,20 +518,24 @@ def _grow(jobs) -> list[DecisionTree]:
     """One greedy entropy tree per ``(X, y, params, rng, bootstrap)`` job.
 
     The trees grow in lockstep: each step, every tree pops its next node that
-    may split, and one :func:`_best_splits` call scores them all. The jobs are
-    cut into waves by :func:`_blocks.row_slices`, at ``_TREE_ROW_BYTES`` per
-    training row of a tree, so the trees in flight hold at most
-    ``_blocks._BLOCK_BYTES`` of row ids.
+    may split, and one :func:`_best_splits` call scores them all, from one
+    :func:`_entropy_table` built here. The table covers every node size of
+    the jobs, or as many as fit in half of ``_blocks._BLOCK_BYTES``. The jobs
+    are cut into waves by :func:`_blocks.row_slices`, at ``_TREE_ROW_BYTES``
+    per training row of a tree, so the trees in flight hold at most the rest
+    of the budget in row ids.
     """
     trees = []
     n_rows = max((job[0].shape[0] for job in jobs), default=1)
-    for wave in _blocks.row_slices(len(jobs), _TREE_ROW_BYTES * n_rows):
+    table = _entropy_table(min(n_rows, _table_totals(_blocks._BLOCK_BYTES)))
+    for wave in _blocks.row_slices(len(jobs), _TREE_ROW_BYTES * n_rows,
+                                   _blocks._BLOCK_BYTES - table.nbytes):
         growing = [_Growing(*job) for job in jobs[wave]]
         live = growing
         while live:
             popped = [(tree, node) for tree in live
                       if (node := tree.next_node()) is not None]
-            searched = _best_splits([node[-1] for _, node in popped])
+            searched = _best_splits([node[-1] for _, node in popped], table)
             for (tree, node), found in zip(popped, searched):
                 if found is not None:
                     tree.split(*node[:-1], found)
@@ -647,7 +697,10 @@ def forest_from_doc(doc: dict) -> RandomForest:
             raise ValueError(f"forest params: unknown key {key!r}")
     params = ForestParams(**params)
     n_features = _as_int("n_features", _json.field(doc, "n_features", "forest"))
+    docs = _json.field(doc, "trees", "forest")
+    if not isinstance(docs, list):
+        raise ValueError(f"forest: trees must be a list, got {docs!r}")
     trees = [DecisionTree(**{name: _arena_array(t, name, f"tree {i}")
                              for name in _ARENA_FIELDS})
-             for i, t in enumerate(_json.field(doc, "trees", "forest"))]
+             for i, t in enumerate(docs)]
     return RandomForest(params=params, trees=trees, n_features=n_features)

@@ -33,18 +33,14 @@ class MultiLabelModel:
     algorithm = "base"
 
     def __init__(self, n_features, n_labels, label_names=None, feature_names=None):
+        if n_labels < 1:
+            raise ValueError("a model needs at least one label, got none")
         self.n_features = n_features
         self.n_labels = n_labels
-        self.label_names = list(label_names) if label_names else [
-            f"label_{i}" for i in range(n_labels)
-        ]
-        self.feature_names = list(feature_names) if feature_names else None
-        if len(self.label_names) != n_labels:
-            raise ValueError(f"label_names must have {n_labels} entries, one per "
-                             f"label, got {len(self.label_names)}")
-        if self.feature_names is not None and len(self.feature_names) != n_features:
-            raise ValueError(f"feature_names must have {n_features} entries, one per "
-                             f"feature, got {len(self.feature_names)}")
+        self.label_names = _names(label_names, n_labels, "label")
+        if self.label_names is None:
+            self.label_names = [f"label_{i}" for i in range(n_labels)]
+        self.feature_names = _names(feature_names, n_features, "feature")
 
     def _proba_matrix(self, X: np.ndarray, labels: list[int]) -> np.ndarray:
         """(n, len(labels)) probabilities of the requested labels, in that order,
@@ -104,14 +100,33 @@ class MultiLabelModel:
         }
 
 
+def _names(names, count: int, kind: str):
+    """``names`` as a list of ``count`` strings, or None when None; anything
+    else raises ValueError naming ``{kind}_names``."""
+    if names is None:
+        return None
+    if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"{kind}_names must be a list of strings, got {names!r}")
+    if len(names) != count:
+        raise ValueError(f"{kind}_names must have {count} entries, one per {kind}, "
+                         f"got {len(names)}")
+    return list(names)
+
+
 class BRModel(MultiLabelModel):
     """One independent forest per label."""
 
     algorithm = "br"
 
     def __init__(self, forests, label_names=None, feature_names=None):
+        if not forests:
+            raise ValueError("forests must hold one forest per label, got none")
         super().__init__(forests[0].n_features, len(forests), label_names, feature_names)
         self.per_label_models = list(forests)
+        for l, forest in enumerate(self.per_label_models):
+            if forest.n_features != self.n_features:
+                raise ValueError(f"forest {l} has width {forest.n_features}, "
+                                 f"forest 0 has {self.n_features}")
 
     def _proba_matrix(self, X, labels):
         return np.column_stack([self.per_label_models[l].predict_proba(X) for l in labels])
@@ -127,11 +142,16 @@ class CCModel(MultiLabelModel):
 
     def __init__(self, chain_order, chained_models, n_features, label_names=None,
                  feature_names=None):
+        if not isinstance(chain_order, (list, tuple)):
+            raise ValueError(f"chain_order must be a list, got {chain_order!r}")
         super().__init__(n_features, len(chain_order), label_names, feature_names)
-        self.chain_order = [int(i) for i in chain_order]
+        self.chain_order = [_as_int("chain_order entries", i) for i in chain_order]
         self.chained_models = list(chained_models)
         if sorted(self.chain_order) != list(range(self.n_labels)):
             raise ValueError("chain_order is not a permutation of the label indices")
+        if len(self.chained_models) != self.n_labels:
+            raise ValueError(f"chained_models must hold one forest per label "
+                             f"({self.n_labels}), got {len(self.chained_models)}")
         for j, forest in enumerate(self.chained_models):
             if forest.n_features != n_features + j:
                 raise ValueError(f"chain link {j} has width {forest.n_features}, "
@@ -206,9 +226,13 @@ class MLKNNModel(MultiLabelModel):
 def _train_rows(train_features, train_labels):
     """ML-kNN's training rows as float64 features and int64 0/1 labels, or
     ValueError."""
-    train_features = np.asarray(train_features, dtype=np.float64)
+    message = "train_features must be a 2-D matrix of finite numbers"
+    try:
+        train_features = np.asarray(train_features, dtype=np.float64)
+    except (TypeError, ValueError):  # an object, or ragged or non-numeric rows
+        raise ValueError(message) from None
     if train_features.ndim != 2 or not np.isfinite(train_features).all():
-        raise ValueError("train_features must be a 2-D matrix of finite numbers")
+        raise ValueError(message)
     raw_labels = np.asarray(train_labels)
     if raw_labels.ndim != 2 or raw_labels.shape[0] != train_features.shape[0]:
         raise ValueError(f"train_labels must have one row per train_features row "
@@ -542,24 +566,41 @@ def predict_mlknn_grid(train: Dataset, X, points) -> list[np.ndarray]:
 
 
 def model_from_doc(doc: dict) -> MultiLabelModel:
-    """The model of a ``to_doc`` document; a missing or null field raises ValueError."""
+    """The model of a ``to_doc`` document; a missing or null field, or an
+    ``n_features`` or ``n_labels`` that is not the payload's, raises ValueError."""
     if _json.field(doc, "format", "model") != MODEL_FORMAT:
         raise ValueError(f"not a model document: {doc['format']!r}")
     _json.check_version(doc, MODEL_VERSION, "model")
     algorithm = _json.field(doc, "algorithm", "model")
     get = partial(_json.field, _json.field(doc, "payload", "model"),
                   where="model payload")
+    counts = {name: _as_int(name, _json.field(doc, name, "model"))
+              for name in ("n_features", "n_labels")}
     names = doc.get("label_names"), doc.get("feature_names")
+
+    def forests(key):
+        docs = get(key)
+        if not isinstance(docs, list):
+            raise ValueError(f"model payload: {key} must be a list, got {docs!r}")
+        return [forest_from_doc(f) for f in docs]
+
     if algorithm == "br":
-        return BRModel([forest_from_doc(f) for f in get("forests")], *names)
-    if algorithm == "cc":
-        return CCModel(get("chain_order"),
-                       [forest_from_doc(f) for f in get("chained_models")],
-                       _json.field(doc, "n_features", "model"), *names)
-    if algorithm == "mlknn":
-        return MLKNNModel(get("k"), get("s"), get("train_features"),
-                          get("train_labels"), *names)
-    raise ValueError(f"unknown algorithm tag {algorithm!r}")
+        model = BRModel(forests("forests"), *names)
+    elif algorithm == "cc":
+        links = forests("chained_models")
+        # The payload's width is link 0's, which reads no earlier label.
+        model = CCModel(get("chain_order"), links,
+                        links[0].n_features if links else counts["n_features"], *names)
+    elif algorithm == "mlknn":
+        model = MLKNNModel(get("k"), get("s"), get("train_features"),
+                           get("train_labels"), *names)
+    else:
+        raise ValueError(f"unknown algorithm tag {algorithm!r}")
+    for name, count in counts.items():
+        if getattr(model, name) != count:
+            raise ValueError(f"model: {name} is {count}, the payload has "
+                             f"{getattr(model, name)}")
+    return model
 
 
 def save_model(model: MultiLabelModel, path) -> None:

@@ -24,7 +24,7 @@ from mlshap.forest import (
     leaf_paths,
 )
 
-from _synth import foodtruck_like
+from _synth import corpus_like, foodtruck_like
 
 
 def forest_bytes(f):
@@ -399,6 +399,13 @@ class TestForestJson:
         doc = self._doc()
         doc["params"] = dict(doc["params"], bogus=1)
         with pytest.raises(ValueError, match="^forest params: unknown key 'bogus'"):
+            forest_from_doc(doc)
+
+    @pytest.mark.parametrize("trees", [True, 3, {}])
+    def test_trees_must_be_a_list(self, trees):
+        doc = self._doc()
+        doc["trees"] = trees
+        with pytest.raises(ValueError, match="^forest: trees must be a list"):
             forest_from_doc(doc)
 
     def test_bad_tree_of_many_is_named(self):
@@ -883,30 +890,114 @@ class TestForestBytesMatchOracle:
         assert together == alone
         assert together == [forest_bytes(f) for f in _fit_forests_per_tree(problems)]
 
-    def test_one_cell_blocks_and_one_tree_waves(self, monkeypatch):
+    # A budget of 1 byte holds no entropy table and one tree a wave. 64 KiB
+    # holds the table up to 89 rows, 32 760 bytes, and the trees in flight
+    # share the rest, 5 of 407 rows at 16 bytes a row.
+    @pytest.mark.parametrize("budget, totals, waves", [(1, -1, [1] * 6),
+                                                       (2**16, 89, [5, 1])],
+                             ids=["no-table", "small-table"])
+    def test_one_cell_blocks_and_one_tree_waves(self, monkeypatch, budget, totals, waves):
         ds = _dataset(1)
         problems = [(ds.features, ds.labels[:, l], ForestParams(n_trees=2, seed=l))
                     for l in range(3)]
         want = [forest_bytes(f) for f in fit_forests(problems)]
-        blocks, waves = [], []
+        blocks, cut_waves, tables = [], [], []
         split_block, row_slices = forest._split_block, _blocks.row_slices
+        entropy_table = forest._entropy_table
 
-        def one_node_blocks(nodes, height, width):
-            blocks.append(len(nodes))
-            return split_block(nodes, height, width)
+        def one_node_blocks(nodes, height, width, table):
+            blocks.append((len(nodes), height))
+            return split_block(nodes, height, width, table)
 
-        def one_tree_waves(n_rows, row_bytes):
-            cut = row_slices(n_rows, row_bytes)
-            waves.extend(cut)
+        def one_tree_waves(n_rows, row_bytes, budget=None):
+            cut = row_slices(n_rows, row_bytes, budget)
+            cut_waves.extend(cut)
             return cut
 
+        def recorded_table(n_max):
+            tables.append(n_max)
+            return entropy_table(n_max)
+
         monkeypatch.setattr(forest, "_SPLIT_CELLS", 1)
-        monkeypatch.setattr(_blocks, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
         monkeypatch.setattr(forest, "_split_block", one_node_blocks)
         monkeypatch.setattr(_blocks, "row_slices", one_tree_waves)
+        monkeypatch.setattr(forest, "_entropy_table", recorded_table)
         assert [forest_bytes(f) for f in fit_forests(problems)] == want
-        assert blocks and max(blocks) == 1
-        assert len(waves) == 6 and all(s.stop - s.start == 1 for s in waves)
+        assert blocks and max(n for n, _ in blocks) == 1
+        assert [s.stop - s.start for s in cut_waves] == waves
+        assert tables == [totals]
+        # Blocks taller than the table's totals score directly, the rest from it.
+        from_table = {height <= totals for _, height in blocks}
+        assert from_table == ({False, True} if totals > 0 else {False})
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestEntropyTable:
+    def test_every_entry_is_the_direct_entropy_up_to_the_cap(self):
+        cap = forest._table_totals(_blocks._BLOCK_BYTES)
+        assert cap == 2046
+        table = forest._entropy_table(cap)
+        assert table.size == (cap + 1) * (cap + 2) // 2
+        assert table[0] == 0.0
+        for t in range(1, cap + 1):
+            start = t * (t + 1) // 2
+            np.testing.assert_array_equal(
+                _bits(table[start:start + t + 1]),
+                _bits(_entropy_from_positive(np.arange(t + 1), t)))
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_slices_build_the_same_table(self, monkeypatch, cells):
+        want = forest._entropy_table(60)
+        monkeypatch.setattr(forest, "_SPLIT_CELLS", cells)
+        np.testing.assert_array_equal(_bits(forest._entropy_table(60)), _bits(want))
+
+    @pytest.mark.parametrize("budget", [0, 7, 8, 47, 48, 96, 2**16, 32 * 2**20 - 1,
+                                        32 * 2**20])
+    def test_cap_is_the_largest_table_in_half_the_budget(self, budget):
+        def table_bytes(n):
+            return 8 * ((n + 1) * (n + 2) // 2)
+
+        cap = forest._table_totals(budget)
+        assert cap >= -1
+        assert table_bytes(cap) <= budget // 2 < table_bytes(cap + 1)
+
+    def test_foodtruck_table_bytes(self):
+        assert forest._entropy_table(407).nbytes == 667_488
+
+    def test_random_nodes_split_alike_with_any_table(self):
+        rng = np.random.default_rng(17)
+        nodes, _ = _random_nodes(rng, 300)
+        wants = [_best_split_per_feature(*node) for node in nodes]
+        for n_max in (-1, 0, 1, 20, 99):
+            table = forest._entropy_table(n_max)
+            for start in range(0, len(nodes), 30):
+                batch = nodes[start:start + 30]
+                for node, found, want in zip(batch, _best_splits(batch, table),
+                                             wants[start:start + 30]):
+                    _assert_split_matches(node, found, want)
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_yeast_roots_above_the_cap_match_each_tree_alone(self, monkeypatch, decimals):
+        ds = corpus_like("yeast")
+        X = ds.features if decimals is None else np.round(ds.features, decimals)
+        problems = [(X, ds.labels[:, l], ForestParams(n_trees=2, max_depth=3, seed=l))
+                    for l in range(2)]
+        heights = []
+        split_block = forest._split_block
+
+        def recorded(nodes, height, width, table):
+            heights.append(height)
+            return split_block(nodes, height, width, table)
+
+        monkeypatch.setattr(forest, "_split_block", recorded)
+        got = [forest_bytes(f) for f in fit_forests(problems)]
+        cap = forest._table_totals(_blocks._BLOCK_BYTES)
+        assert max(heights) > cap >= min(heights)
+        assert got == [forest_bytes(f) for f in _fit_forests_per_tree(problems)]
 
 
 class TestInputChecks:

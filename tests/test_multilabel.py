@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -348,6 +349,9 @@ class TestMLKNN:
         ("train_features", lambda p: p["train_features"][3].__setitem__(1, math.nan)),
         ("train_features", lambda p: p["train_features"][3].__setitem__(1, math.inf)),
         ("train_features", lambda p: p.__setitem__("train_features", [1.0] * 30)),
+        ("train_features", lambda p: p.__setitem__("train_features", {})),
+        ("train_features", lambda p: p["train_features"][3].__setitem__(1, "x")),
+        ("train_features", lambda p: p["train_features"][3].pop()),
         ("train_labels", lambda p: p["train_labels"][4].__setitem__(0, 2)),
         ("train_labels", lambda p: p["train_labels"][4].__setitem__(0, 0.5)),
         ("train_labels", lambda p: p["train_labels"].pop()),
@@ -976,4 +980,104 @@ class TestModelContract:
                                       "--out", tmp_path]])
         assert code == 1
         assert f"error: {field} must have" in capsys.readouterr().err
+        assert not list(tmp_path.glob("explanation_*.json"))
+
+
+def _set(field, value, payload=False):
+    def edit(doc):
+        (doc["payload"] if payload else doc)[field] = value
+    return edit
+
+
+# A bad model document field -> the start of the message loading it raises.
+# The small dataset has 6 features and 3 labels.
+BAD_FIELDS = {
+    "label_names-true": (_set("label_names", True), "label_names must be a list of strings"),
+    "feature_names-true": (_set("feature_names", True),
+                           "feature_names must be a list of strings"),
+    "label_names-number": (_set("label_names", ["a", 2, "c"]),
+                           "label_names must be a list of strings"),
+    "feature_names-text": (_set("feature_names", "abcdef"),
+                           "feature_names must be a list of strings"),
+    "n_features-text": (_set("n_features", "x"), "n_features must be an integer"),
+    "n_features-true": (_set("n_features", True), "n_features must be an integer"),
+    "n_features-float": (_set("n_features", 6.0), "n_features must be an integer"),
+    "n_features-99": (_set("n_features", 99), "model: n_features is 99, the payload has 6"),
+    "n_features-5": (_set("n_features", 5), "model: n_features is 5, the payload has 6"),
+    "n_features-null": (_set("n_features", None), "model: n_features is null"),
+    "n_labels-text": (_set("n_labels", "x"), "n_labels must be an integer"),
+    "n_labels-true": (_set("n_labels", True), "n_labels must be an integer"),
+    "n_labels-99": (_set("n_labels", 99), "model: n_labels is 99, the payload has 3"),
+    "n_labels-2": (_set("n_labels", 2), "model: n_labels is 2, the payload has 3"),
+}
+
+# Per algorithm, an empty or mistyped payload list -> the start of its message.
+BAD_PAYLOADS = {
+    "br": (_set("forests", [], payload=True),
+           "forests must hold one forest per label, got none"),
+    "br-true": (_set("forests", True, payload=True),
+                "model payload: forests must be a list, got True"),
+    "cc": (_set("chained_models", [], payload=True),
+           "chained_models must hold one forest per label (3), got 0"),
+    "cc-number": (_set("chained_models", 3, payload=True),
+                  "model payload: chained_models must be a list, got 3"),
+    "cc-no-labels": (lambda doc: doc["payload"].update(chain_order=[], chained_models=[]),
+                     "a model needs at least one label, got none"),
+}
+
+
+class TestModelDocumentChecks:
+    """A model document whose names, counts or payload lists are malformed
+    fails to load with ValueError, so explain exits 1 with an error line."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+    @pytest.mark.parametrize("maker", MODEL_MAKERS, ids=["br", "cc", "mlknn"])
+    def test_bad_field_raises_value_error(self, small_dataset, maker, case):
+        edit, message = BAD_FIELDS[case]
+        doc = maker(small_dataset).to_doc()
+        edit(doc)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize("case", sorted(BAD_PAYLOADS))
+    def test_bad_payload_list_raises_value_error(self, small_dataset, case):
+        edit, message = BAD_PAYLOADS[case]
+        maker = MODEL_MAKERS[0 if case.startswith("br") else 1]
+        doc = maker(small_dataset).to_doc()
+        edit(doc)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize("entry", [1.5, "0", True])
+    def test_chain_order_entries_must_be_integers(self, small_dataset, entry):
+        doc = MODEL_MAKERS[1](small_dataset).to_doc()
+        doc["payload"]["chain_order"][0] = entry
+        with pytest.raises(ValueError, match="chain_order entries must be an integer"):
+            model_from_doc(doc)
+
+    def test_br_forests_of_different_widths(self, small_dataset):
+        doc = MODEL_MAKERS[0](small_dataset).to_doc()
+        narrow = planted_dataset("narrow", 80, 5, 1, seed=3)
+        doc["payload"]["forests"][2] = forest_to_doc(fit_br(
+            narrow, ForestParams(n_trees=2, max_depth=3, seed=1)).per_label_models[0])
+        with pytest.raises(ValueError, match="^forest 2 has width 5, forest 0 has 6"):
+            model_from_doc(doc)
+
+    @pytest.mark.parametrize("case", ["label_names-true", "feature_names-true",
+                                      "n_features-text", "n_features-99", "n_labels-99",
+                                      "br", "cc"])
+    def test_explain_exits_1_with_an_error_line(self, tmp_path, capsys, case):
+        ds = planted_dataset("doc", 30, 6, 3, seed=1)
+        data = tmp_path / "doc.arff"
+        write_arff(ds, data)
+        edit, message = BAD_FIELDS.get(case) or BAD_PAYLOADS[case]
+        doc = MODEL_MAKERS[1 if case == "cc" else 0](ds).to_doc()
+        edit(doc)
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        code = main([str(a) for a in ["explain", "--data", data, "--labels", "3",
+                                      "--model", tmp_path / "model.json",
+                                      "--instance", "0", "--seed", "1",
+                                      "--out", tmp_path]])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not list(tmp_path.glob("explanation_*.json"))
