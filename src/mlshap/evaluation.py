@@ -200,11 +200,14 @@ def grid_search(dataset: Dataset, grid: ParamGrid, foldplan: FoldPlan,
                 scoring: str = "hamming_loss") -> CVReport:
     """Evaluate every grid point on every (train, test) pair of the fold plan.
 
-    Every point is checked before the first fit. Each pair's train split is
-    built once; ML-kNN points share one neighbor order per pair (see
-    ``predict_mlknn_grid``), and forest points are fitted one by one. Best is
-    the highest mean score, or the lowest for loss metrics; ties go to the
-    first point in grid order.
+    Every point is checked before the first fit. ML-kNN points share one
+    neighbor order over all rows, computed once for the whole plan (see
+    ``predict_mlknn_grid``), so each pair's train rows must be strictly
+    increasing and disjoint from its test rows, as ``make_folds`` gives
+    them; any other pair raises ValueError naming it. Forest points are
+    fitted one by one on each pair's train split, built once per pair. Best
+    is the highest mean score, or the lowest for loss metrics; ties go to
+    the first point in grid order.
     """
     if scoring not in METRICS:
         raise ValueError(f"unknown metric {scoring!r}, expected one of {sorted(METRICS)}")
@@ -218,18 +221,17 @@ def grid_search(dataset: Dataset, grid: ParamGrid, foldplan: FoldPlan,
                   for train_idx, _ in rep_pairs)
     for params in points:
         _check_point(grid.algorithm, params, n_train)
+    pairs = [pair for rep_pairs in foldplan.assignments for pair in rep_pairs]
+    if grid.algorithm == "mlknn":
+        per_pair = predict_mlknn_grid(dataset, foldplan.assignments, points)
+    else:
+        per_pair = ([fit_point(grid.algorithm, split(dataset, train_idx), params)
+                     .predict(dataset.features[test_idx]) for params in points]
+                    for train_idx, test_idx in pairs)
     all_scores = [[] for _ in points]
-    for rep_pairs in foldplan.assignments:
-        for train_idx, test_idx in rep_pairs:
-            train = split(dataset, train_idx)
-            X_test = dataset.features[test_idx]
-            if grid.algorithm == "mlknn":
-                predictions = predict_mlknn_grid(train, X_test, points)
-            else:
-                predictions = [fit_point(grid.algorithm, train, params).predict(X_test)
-                               for params in points]
-            for point_scores, predicted in zip(all_scores, predictions):
-                point_scores.append(metric(dataset.labels[test_idx], predicted))
+    for (_, test_idx), predictions in zip(pairs, per_pair):
+        for point_scores, predicted in zip(all_scores, predictions):
+            point_scores.append(metric(dataset.labels[test_idx], predicted))
     means = [np.mean(s) for s in all_scores]
     best = int(np.argmax(means)) if higher else int(np.argmin(means))
     return CVReport(

@@ -300,9 +300,10 @@ def _entropy_from_positive(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
 _SPLIT_CELLS = 16384
 
 # Bytes a tree in flight holds per training row: the row ids of its pending
-# nodes (disjoint parts of its n bootstrap rows, so at most n of them) and,
-# while a node splits, its children's copies; 8 bytes each.
-_TREE_ROW_BYTES = 16
+# nodes (disjoint parts of its n bootstrap rows, so at most n of them),
+# while a node splits, its children's copies, and its batch of candidate
+# draws (at most n feature ids, see ``_Growing``); 8 bytes each.
+_TREE_ROW_BYTES = 24
 
 
 def _table_totals(budget: int) -> int:
@@ -449,15 +450,61 @@ def _split_block(nodes, height, width, table):
     return found
 
 
+def _candidate_draws(rng, n: int, m: int, count: int) -> np.ndarray:
+    """``count`` rows of m candidate features out of n: row i is what the
+    i-th of ``count`` calls to ``np.sort(rng.choice(n, m, replace=False))``
+    would return, and ``rng`` is left in the state those calls leave it in.
+
+    Where ``n > 10000`` and ``m > n // 50``, ``choice`` shuffles a tail of
+    ``arange(n)``, and each row here is one such call. Elsewhere ``choice``
+    runs Floyd's algorithm: for j = n - m, ..., n - 1 it draws v in [0, j]
+    and takes v, or j when v is taken already (j never is, as every earlier
+    pick is below it); then it shuffles its m picks with draws in [0, i]
+    for i = m - 1, ..., 1. Each draw is one bounded integer of the
+    generator's stream, as is each entry of ``rng.integers`` over an array
+    of bounds, so one ``integers`` call over ``count`` copies of the bounds
+    draws the same stream. The shuffle only orders a row, which the sort
+    undoes, so its draws are taken and dropped. The m Floyd steps run on all
+    rows at once, over a (count, n) mask of the features taken, so a step
+    costs the same for any m; the taken entries of a row, in column order,
+    are the sorted row.
+    """
+    if n > 10000 and m > n // 50:
+        return np.array([np.sort(rng.choice(n, m, replace=False))
+                         for _ in range(count)]).reshape(count, m)
+    bounds = np.concatenate([np.arange(n - m, n), np.arange(m - 1, 0, -1)])
+    draws = rng.integers(0, np.tile(bounds, count), endpoint=True)
+    draws = draws.reshape(count, bounds.size)
+    taken = np.zeros(count * n, dtype=bool)
+    row = np.arange(0, count * n, n)  # each row's first cell
+    for step, j in enumerate(range(n - m, n)):
+        cell = row + draws[:, step]
+        taken[np.where(taken[cell], row + j, cell)] = True
+    return np.nonzero(taken)[0].reshape(count, m) - row[:, None]
+
+
 class _Growing:
     """One tree in flight: its training data, rng stream, node arena and the
-    stack of nodes still to visit, each with its row ids into ``X``."""
+    stack of nodes still to visit, each with its row ids into ``X``.
+
+    The tree draws its nodes' candidate features in batches of
+    :func:`_candidate_draws`, the first of 8 rows and each next one twice
+    as large, capped at the 2**max_depth - 1 nodes a tree of that depth can
+    split and at n // m rows, so a batch holds at most one feature id per
+    training row. The rows are the draws the nodes would make one by one,
+    in the same order. A tree may draw past its last node; that leaves its
+    rng in another state, which is harmless, as nothing reads a tree's rng
+    after its last node.
+    """
 
     def __init__(self, X, y, params: ForestParams, rng, bootstrap: bool):
         n = X.shape[0]
         self.X, self.y, self.rng = X, y, rng
         self.n_features = X.shape[1]
         self.m = params.resolve_max_features(self.n_features)
+        self.max_batch = min(2**min(params.max_depth, 63) - 1, max(1, n // self.m))
+        self.batch = 0
+        self.draws = iter(())
         self.max_depth = params.max_depth
         self.min_leaf = params.min_samples_leaf
         # Typed arrays hold 8 bytes a field; a Python list holds an object.
@@ -489,10 +536,20 @@ class _Growing:
             node, rows, pos, depth = self.stack.pop()
             if (depth < self.max_depth and 0 < pos < rows.size
                     and rows.size >= 2 * self.min_leaf):
-                feats = np.sort(self.rng.choice(self.n_features, size=self.m,
-                                                replace=False))
-                return node, pos, depth, (self.X, self.y, rows, feats, self.min_leaf)
+                return node, pos, depth, (self.X, self.y, rows, self.candidates(),
+                                          self.min_leaf)
         return None
+
+    def candidates(self) -> np.ndarray:
+        """The next row of the tree's batch of candidate draws, drawing the
+        next batch when this one is used up."""
+        feats = next(self.draws, None)
+        if feats is None:
+            self.batch = min(max(8, 2 * self.batch), self.max_batch)
+            self.draws = iter(_candidate_draws(self.rng, self.n_features, self.m,
+                                               self.batch))
+            feats = next(self.draws)
+        return feats
 
     def split(self, node, pos, depth, found) -> None:
         f, thr, left_rows, right_rows, pos_left = found

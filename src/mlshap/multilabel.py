@@ -337,26 +337,34 @@ def _neighbors(X, train_features, k: int, *, exclude_self: bool = False):
     and no index. With ``exclude_self``, ``X`` is ``train_features`` and each
     row's own entry is set to inf.
 
-    This is the ordered path: ``_loo_order`` and ``predict_mlknn_grid`` read
-    the first k columns for every k up to the widest, so they need the order,
-    not only the set, and their queries are only training and fold rows.
-    Prediction takes the sets from ``_neighbor_sets``.
+    This is the ordered path, which ``_loo_order`` reads, as
+    ``predict_mlknn_grid`` reads the ``_block_order`` of its blocks: both
+    take the first k entries for every k up to the widest, so they need the
+    order, not only the set, and their queries are only rows of the data
+    they order. Prediction takes the sets from ``_neighbor_sets``.
     """
-    # Imported here, so a run that never measures a distance never loads scipy.
-    from scipy.spatial.distance import cdist
-
     n_train = train_features.shape[0]
     nn = np.empty((X.shape[0], min(k, n_train)), dtype=np.intp)
 
     def select(rows):
-        d2 = cdist(X[rows], train_features, "sqeuclidean")
-        if exclude_self:
-            own = np.arange(d2.shape[0])
-            d2[own, rows.start + own] = np.inf
-        nn[rows] = _nearest(d2, k)
+        nn[rows] = _block_order(X, train_features, rows, k, exclude_self)
 
     _blocks.map_slices(select, X.shape[0], 20 * n_train)
     return nn
+
+
+def _block_order(X, train_features, rows, k: int, exclude_self: bool):
+    """``_nearest`` of the rows ``rows`` of ``X`` among ``train_features``,
+    from one ``cdist`` block; with ``exclude_self``, ``X`` is
+    ``train_features`` and each row's own entry is inf."""
+    # Imported here, so a run that never measures a distance never loads scipy.
+    from scipy.spatial.distance import cdist
+
+    d2 = cdist(X[rows], train_features, "sqeuclidean")
+    if exclude_self:
+        own = np.arange(d2.shape[0])
+        d2[own, rows.start + own] = np.inf
+    return _nearest(d2, k)
 
 
 # OpenBLAS runs an (m, k) @ (k, n) product on the calling thread when
@@ -532,37 +540,163 @@ def fit_mlknn(train: Dataset, k: int, s: float = 1.0) -> MLKNNModel:
                       train.feature_names)
 
 
-def predict_mlknn_grid(train: Dataset, X, points) -> list[np.ndarray]:
-    """Hard 0/1 labels of ``X`` under ML-kNN at each ``{"k", "s"}`` point, in order.
+def predict_mlknn_grid(dataset: Dataset, assignments, points):
+    """Hard 0/1 labels of the test rows of every (train, test) pair of a fold
+    plan under ML-kNN at each ``{"k", "s"}`` point.
 
-    Each equals ``fit_mlknn(train, k, s).predict(X)`` bit for bit, but the
-    train rows are checked once, the leave-one-out order of the train rows
-    and the neighbor order of ``X`` are computed once, at the widest k (every
-    k takes their first k columns, see ``_nearest``), and the positive counts
-    of both run on from one k to the next. Integer counts add exactly, and
-    each point's posterior is ``_map_posterior``, as in ``_posterior``.
+    ``assignments`` is a ``FoldPlan.assignments``: per repetition, a list of
+    (train, test) pairs of row indices into ``dataset``. Each pair's train
+    rows must be strictly increasing and disjoint from its test rows, and
+    its test rows distinct; any other pair raises ValueError naming it. The
+    result is an iterator over the pairs in plan order (repetition by
+    repetition), each a list with one (n_test, L) matrix per point, equal bit
+    for bit to ``fit_mlknn(split(dataset, train), k, s).predict(
+    dataset.features[test])``.
+
+    The rows are checked once, and one leave-one-out order of all n rows is
+    computed at K = k_max + the most rows any pair leaves out of its train
+    rows (< n, as every k is below every pair's train size). A pair's
+    leave-one-out and test neighbours are, per row, the first k_max entries
+    of that order that are its train rows. ``cdist`` computes every distance
+    on its own, and a stable order restricted to a subset is the subset's
+    stable order, ties still to the lower index, which is the lower position
+    among increasing train rows; at most n - n_train of the first K entries
+    lie outside the train rows, so every row keeps k_max. Every k takes the
+    first k of them (see ``_nearest``), and the positive counts run on from
+    one k to the next. The order is consumed block by block, within the
+    byte budget of ``_blocks``: each block adds its rows' integer statistics
+    per pair and k, which add exactly, and keeps the k_max test neighbours
+    of its test rows, 8·k_max bytes per row and repetition. Each point's
+    posterior is ``_map_posterior``, as in ``MLKNNModel._posterior``.
     """
-    features, labels = _train_rows(train.features, train.labels)
+    features, labels = _train_rows(dataset.features, dataset.labels)
+    n = features.shape[0]
+    pairs = [_plan_pair(train, test, n, r, f)
+             for r, rep_pairs in enumerate(assignments)
+             for f, (train, test) in enumerate(rep_pairs)]
     for p in points:
-        check_mlknn_params(p["k"], p.get("s", 1.0), features.shape[0])
+        check_mlknn_params(p["k"], p.get("s", 1.0), min(t.size for t, _ in pairs))
     ks = sorted({int(p["k"]) for p in points})
-    loo = _loo_order(features, ks[-1])
-    nn = _neighbors(X, features, ks[-1])
-    at_k = {}
-    loo_counts = nn_counts = 0
-    done = 0
+    statistics, test_nn = _plan_statistics(features, labels, pairs, ks)
+    at_k = {k: i for i, k in enumerate(ks)}
+
+    def predict(pair, tables, nn):
+        train_labels = labels[pair[0]]
+        at_each = list(_counts_by_k(labels, nn, ks))
+        predictions = []
+        for p in points:
+            s = float(p.get("s", 1.0))
+            i = at_k[int(p["k"])]
+            c_pos, c_neg = tables[i]
+            proba = _map_posterior(at_each[i], _priors(train_labels, s), c_pos, c_neg, s)
+            predictions.append((proba >= 0.5).astype(np.int64))
+        return predictions
+
+    return map(predict, pairs, statistics, test_nn)
+
+
+def _plan_pair(train, test, n: int, rep: int, fold: int):
+    """A fold plan's (train, test) pair as intp arrays, or ValueError naming
+    it unless its train rows are strictly increasing, its test rows
+    distinct, both within the n rows, and the two disjoint."""
+    where = f"fold plan pair (repetition {rep}, fold {fold})"
+    train, test = np.asarray(train), np.asarray(test)
+    for name, rows in (("train", train), ("test", test)):
+        if rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu":
+            raise ValueError(f"{where}: {name} rows must be a non-empty list of "
+                             "row indices")
+        if rows.min() < 0 or rows.max() >= n:
+            raise ValueError(f"{where}: {name} rows must be indices into the "
+                             f"{n} rows")
+    if not (np.diff(train) > 0).all():
+        raise ValueError(f"{where}: train rows must be strictly increasing")
+    if np.unique(test).size != test.size:
+        raise ValueError(f"{where}: test rows must be distinct")
+    if np.isin(test, train).any():
+        raise ValueError(f"{where}: train and test rows must be disjoint")
+    return train.astype(np.intp), test.astype(np.intp)
+
+
+# Distance cells (row x row) the tune orders at a time: 256 KiB per float64
+# array, so a chunk's distances and ``_nearest``'s copy of them stay in
+# cache. On the foodtruck-like stand-in (407 rows, K = 102 on a 2 x 5
+# plan), 80-row chunks ordered all rows in 5.6 ms and one 407-row block in
+# 6.4 ms (minimum of 40), and the fit benchmark's peak RSS read about 1 MB
+# less than with one block.
+_ORDER_CELLS = 2**15
+
+
+def _plan_statistics(features, labels, pairs, ks):
+    """Per pair, ``_neighbor_statistics`` (c_pos, c_neg) of its train rows
+    at each k of ``ks``, and its test rows' first ``ks[-1]`` train
+    neighbours, nearest first, as ``predict_mlknn_grid`` describes.
+
+    The rows are taken in blocks that hold their order and each pair's work
+    on it within half the byte budget of ``_blocks``: per row, the K-entry
+    order and, per pair, its mask of train entries and running count of
+    them, 24 bytes per order entry. The order of a block is computed on the
+    threads of ``_blocks.map_slices``, in chunks of at most ``_ORDER_CELLS``
+    distances; each chunk holds the ``cdist`` block and ``_nearest``'s
+    copies (20 bytes per row of ``features``) and index arrays (24 per order
+    entry), counted twice, so the chunks in flight hold at most the other
+    half. The pairs' work runs on this thread, once per block: per pair and
+    per k, a few small numpy calls, which threads would only contend for.
+    Each block adds its statistics into one (2, L, k + 1) table per pair
+    and k; integers add exactly, so the tables do not depend on the blocks.
+    """
+    n, L = labels.shape
+    k_max = ks[-1]
+    K = k_max + max(n - train.size for train, _ in pairs)
+    in_train = []
+    test_at = []  # per pair, each row's position among its test rows, or -1
+    for train, test in pairs:
+        mask = np.zeros(n, dtype=bool)
+        mask[train] = True
+        in_train.append(mask)
+        at = np.full(n, -1, dtype=np.intp)
+        at[test] = np.arange(test.size)
+        test_at.append(at)
+    test_nn = [np.empty((test.size, k_max), dtype=np.intp) for _, test in pairs]
+    tables = [[np.zeros((2, L, k + 1), dtype=np.int64) for k in ks] for _ in pairs]
+    step = max(1, _ORDER_CELLS // n)
+    for rows in _blocks.row_slices(n, 24 * K, _blocks._BLOCK_BYTES // 2):
+        order = np.empty((rows.stop - rows.start, K), dtype=np.intp)
+
+        def select(part):
+            for start in range(part.start, part.stop, step):
+                stop = min(start + step, part.stop)
+                order[start:stop] = _block_order(
+                    features, features, slice(rows.start + start, rows.start + stop), K,
+                    exclude_self=True)
+
+        _blocks.map_slices(select, order.shape[0], 2 * (20 * n + 24 * K))
+        own_labels = labels[rows]
+        for mask, at, nn, pair_tables in zip(in_train, test_at, test_nn, tables):
+            keep = mask[order]
+            keep &= np.cumsum(keep, axis=1, dtype=np.int32) <= k_max
+            nearest = order[keep].reshape(-1, k_max)
+            tested = at[rows]
+            nn[tested[tested >= 0]] = nearest[tested >= 0]
+            trained = mask[rows]
+            own = own_labels[trained]
+            for table, k, counts in zip(pair_tables, ks,
+                                        _counts_by_k(labels, nearest[trained], ks)):
+                c_pos, c_neg = _neighbor_statistics(own, counts, k)
+                table[1] += c_pos
+                table[0] += c_neg
+    statistics = [[(table[1], table[0]) for table in pair_tables] for pair_tables in tables]
+    return statistics, test_nn
+
+
+def _counts_by_k(labels, nn, ks):
+    """``_positive_counts`` of the first k columns of ``nn`` at each k of
+    ``ks`` (increasing), each running on from the last: integer counts add
+    exactly."""
+    counts, done = 0, 0
     for k in ks:
-        loo_counts = loo_counts + _positive_counts(labels, loo[:, done:k])
-        nn_counts = nn_counts + _positive_counts(labels, nn[:, done:k])
-        at_k[k] = _neighbor_statistics(labels, loo_counts, k), nn_counts
+        counts = counts + _positive_counts(labels, nn[:, done:k])
         done = k
-    predictions = []
-    for p in points:
-        s = float(p.get("s", 1.0))
-        (c_pos, c_neg), counts = at_k[int(p["k"])]
-        proba = _map_posterior(counts, _priors(labels, s), c_pos, c_neg, s)
-        predictions.append((proba >= 0.5).astype(np.int64))
-    return predictions
+        yield counts
 
 
 def model_from_doc(doc: dict) -> MultiLabelModel:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -524,23 +525,47 @@ def explanation_to_doc(explanation: Explanation) -> dict:
 
 
 def explanation_from_doc(doc: dict) -> Explanation:
-    """The Explanation of a document; a missing or null field (but for
-    ``instance`` and ``label``) raises ValueError naming it."""
+    """The Explanation of a document; a missing field, a null one (but for
+    ``instance`` and ``label``), or one of the wrong type raises ValueError
+    naming it. ``base_value``, ``fx`` and each ``phi`` item's ``value`` and
+    ``shap`` are finite numbers, a ``feature`` is a string, and
+    ``instance`` and ``label`` are null or integers."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"explanation must be a JSON object, got {type(doc).__name__}")
     if not EXPLANATION_FILE_KEYS.issubset(doc):
         missing = EXPLANATION_FILE_KEYS - set(doc)
         raise ValueError(f"explanation document missing keys: {sorted(missing)}")
     phi = _json.field(doc, "phi", "explanation")
-    items = {key: [_json.field(item, key, f"phi[{i}]") for i, item in enumerate(phi)]
-             for key in ("feature", "value", "shap")}
+    if not isinstance(phi, list):
+        raise ValueError(f"explanation: phi must be a list, got {phi!r}")
+    for i, item in enumerate(phi):
+        feature = _json.field(item, "feature", f"phi[{i}]")
+        if not isinstance(feature, str):
+            raise ValueError(f"phi[{i}]: feature must be a string, got {feature!r}")
+    ids = {key: None if doc[key] is None else
+           _as_int(f"explanation: {key}", doc[key], "null or an integer")
+           for key in ("instance", "label")}
     return Explanation(
-        base_value=float(_json.field(doc, "base_value", "explanation")),
-        phi=np.array(items["shap"], dtype=np.float64),
-        fx=float(_json.field(doc, "fx", "explanation")),
-        feature_values=np.array(items["value"], dtype=np.float64),
-        instance=doc["instance"],
-        label=doc["label"],
-        feature_names=items["feature"],
+        base_value=_finite(doc, "base_value", "explanation"),
+        phi=np.array([_finite(item, "shap", f"phi[{i}]") for i, item in enumerate(phi)]),
+        fx=_finite(doc, "fx", "explanation"),
+        feature_values=np.array([_finite(item, "value", f"phi[{i}]")
+                                 for i, item in enumerate(phi)]),
+        feature_names=[item["feature"] for item in phi],
+        **ids,
     )
+
+
+def _finite(doc: dict, key: str, where: str) -> float:
+    """``doc[key]`` as a float; a missing or null value, or one that is not a
+    finite JSON number, raises ValueError naming ``where`` and the key."""
+    value = _json.field(doc, key, where)
+    # Python compares an int with a float exactly, so an integer too large
+    # for a float fails here too, without an OverflowError.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{where}: {key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def save_explanation(explanation: Explanation, path) -> None:

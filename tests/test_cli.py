@@ -590,7 +590,29 @@ class TestPlot:
     @pytest.mark.parametrize("drop, message", [
         (lambda doc: doc["phi"][1].pop("shap"), "phi[1]: shap is missing"),
         (lambda doc: doc.update(base_value=None), "explanation: base_value is null"),
-    ], ids=["shap-missing", "base-null"])
+        (lambda doc: doc.update(base_value=[]),
+         "explanation: base_value must be a finite number, got []"),
+        (lambda doc: doc.update(fx="0.5"),
+         "explanation: fx must be a finite number, got '0.5'"),
+        (lambda doc: doc.update(fx=10**400),
+         "explanation: fx must be a finite number, got 1000"),
+        (lambda doc: doc.update(phi=5), "explanation: phi must be a list, got 5"),
+        (lambda doc: doc["phi"].__setitem__(0, 5), "phi[0] must be a JSON object"),
+        (lambda doc: doc["phi"][2].update(value=True),
+         "phi[2]: value must be a finite number, got True"),
+        (lambda doc: doc["phi"][0].update(feature=3),
+         "phi[0]: feature must be a string, got 3"),
+        (lambda doc: doc.update(instance="x"),
+         "explanation: instance must be null or an integer, got 'x'"),
+        (lambda doc: doc.update(label="x"),
+         "explanation: label must be null or an integer, got 'x'"),
+        (lambda doc: doc.update(label=1.0),
+         "explanation: label must be null or an integer, got 1.0"),
+        (lambda doc: doc.update(instance=True),
+         "explanation: instance must be null or an integer, got True"),
+    ], ids=["shap-missing", "base-null", "base-list", "fx-string", "fx-huge", "phi-number",
+            "phi-item-number", "value-bool", "feature-number", "instance-string",
+            "label-string", "label-float", "instance-bool"])
     def test_malformed_explanation_exits_1(self, explanation_files, tmp_path, capsys,
                                            drop, message):
         doc = json.loads(explanation_files[0].read_text())
@@ -599,8 +621,23 @@ class TestPlot:
         path.write_text(json.dumps(doc))
         assert run("plot", "--kind", "force", "--in", path,
                    "--out", tmp_path / "out") == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_mistyped_explanation_fails_without_traceback(self, explanation_files,
+                                                          tmp_path):
+        """``base_value: []`` once escaped as a raw TypeError traceback."""
+        doc = json.loads(explanation_files[0].read_text())
+        doc["base_value"] = []
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        done = run_python("-m", "mlshap.cli", "plot", "--kind", "force", "--in",
+                          str(path), "--out", "out", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr == ("error: explanation: base_value must be a finite "
+                               "number, got []\n")
 
     @pytest.mark.parametrize("kind", ["importance", "summary"])
     def test_explanations_of_other_features_exit_1(self, explanation_files, tmp_path,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from hypothesis.extra import numpy as hnp
 from mlshap import (
     METRICS,
     CVReport,
+    Dataset,
     ParamGrid,
+    fit_mlknn,
     fit_point,
     grid_search,
     hamming_loss,
@@ -16,8 +20,10 @@ from mlshap import (
     split,
     subset_accuracy,
 )
+from mlshap import _blocks, multilabel
+from mlshap.multilabel import predict_mlknn_grid
 
-from _synth import planted_dataset
+from _synth import foodtruck_like, planted_dataset
 
 label_matrices = hnp.arrays(np.int64, st.tuples(st.integers(1, 8), st.integers(1, 6)),
                             elements=st.integers(0, 1))
@@ -198,6 +204,110 @@ class TestGridSearch:
         plan.assignments[1][0] = (train, test[1:])  # row test[0] is never tested
         with pytest.raises(ValueError, match="fold plan"):
             grid_search(small_dataset, ParamGrid("mlknn", {"k": [3]}), plan)
+
+
+class TestMlknnTune:
+    """The ML-kNN tune orders every row's neighbours once, for the whole plan,
+    and restricts that order to each pair's train rows."""
+
+    @pytest.mark.parametrize("decimals", [None, 1, 0], ids=["raw", "1dp", "whole"])
+    @pytest.mark.parametrize("rows, reps, folds", [(407, 2, 5), (43, 1, 2)],
+                             ids=["2x5", "1x2"])
+    def test_equals_one_fit_per_point_and_pair(self, monkeypatch, decimals, rows, reps,
+                                               folds):
+        """Whole-number and 1-decimal features tie at the k-th distance. On
+        43 rows the 1 x 2 plan has train rows of 21 and 22, so the order is
+        K = 20 + 22 = n - 1 wide."""
+        ds = foodtruck_like(seed=4)
+        features = ds.features[:rows]
+        if decimals is not None:
+            features = np.round(features, decimals)
+        ds = Dataset(ds.name, features, ds.feature_names, ds.labels[:rows],
+                     ds.label_names)
+        plan = make_folds(rows, reps, folds, seed=5)
+        pairs = [pair for rep_pairs in plan.assignments for pair in rep_pairs]
+        grid = ParamGrid("mlknn", {"k": list(range(1, 21)), "s": [0.75]})
+        widths = []
+        block_order = multilabel._block_order
+
+        def recorded(X, train_features, block, k, exclude_self):
+            widths.append(k)
+            return block_order(X, train_features, block, k, exclude_self)
+
+        with monkeypatch.context() as spy:
+            spy.setattr(multilabel, "_block_order", recorded)
+            per_pair = list(predict_mlknn_grid(ds, plan.assignments, grid.points))
+        K = 20 + max(rows - train.size for train, _ in pairs)
+        assert set(widths) == {K}
+        assert (K == rows - 1) == (reps == 1)
+        assert len(per_pair) == len(pairs)
+        scores = [[] for _ in grid.points]
+        for (train, test), predictions in zip(pairs, per_pair):
+            for point, predicted, point_scores in zip(grid.points, predictions, scores):
+                want = fit_mlknn(split(ds, train), point["k"], point["s"]).predict(
+                    ds.features[test])
+                assert predicted.dtype == want.dtype
+                np.testing.assert_array_equal(predicted, want)
+                point_scores.append(micro_f1(ds.labels[test], want))
+        best = int(np.argmax([np.mean(s) for s in scores]))
+        want_report = CVReport("mlknn", "micro_f1", True, grid.points, scores, reps, folds,
+                               best)
+        assert grid_search(ds, grid, plan, "micro_f1").to_json() == want_report.to_json()
+
+    # 64 KiB holds one block of all 43 rows (K = 28), its order computed in
+    # slices of 10 rows on two threads; 1 byte holds one-row blocks.
+    @pytest.mark.parametrize("budget", [2**16, 1], ids=["threads", "one-row-blocks"])
+    def test_blocks_and_chunks_change_no_prediction(self, monkeypatch, budget):
+        """Blocks and one-row distance chunks predict what the default
+        blocks do."""
+        ds = planted_dataset("chunks", 43, 5, 3, seed=2)
+        plan = make_folds(43, 2, 3, seed=1)
+        points = [{"k": k, "s": 1.0} for k in (1, 4, 13)]
+        want = list(predict_mlknn_grid(ds, plan.assignments, points))
+        chunks = []
+        block_order = multilabel._block_order
+
+        def recorded(X, train_features, block, k, exclude_self):
+            chunks.append(block.stop - block.start)
+            return block_order(X, train_features, block, k, exclude_self)
+
+        monkeypatch.setattr(multilabel, "_block_order", recorded)
+        monkeypatch.setattr(multilabel, "_ORDER_CELLS", 1)
+        monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(_blocks, "_WORKERS", 2)
+        slices = []
+        map_slices = _blocks.map_slices
+
+        def recorded_slices(fn, n_rows, row_bytes):
+            slices.append(n_rows)
+            return map_slices(fn, n_rows, row_bytes)
+
+        monkeypatch.setattr(_blocks, "map_slices", recorded_slices)
+        got = list(predict_mlknn_grid(ds, plan.assignments, points))
+        assert chunks == [1] * 43
+        assert slices == ([43] if budget > 1 else [1] * 43)
+        for got_pair, want_pair in zip(got, want, strict=True):
+            for g, w in zip(got_pair, want_pair, strict=True):
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda train, test: (train[::-1], test), "train rows must be strictly increasing"),
+        (lambda train, test: (np.sort(np.append(train, train[3])), test),
+         "train rows must be strictly increasing"),
+        (lambda train, test: (np.sort(np.append(train, test[0])), test),
+         "train and test rows must be disjoint"),
+        (lambda train, test: (train, test), None),
+    ], ids=["decreasing", "repeated", "overlapping", "as-planned"])
+    def test_plans_one_order_cannot_serve_raise(self, small_dataset, change, message):
+        plan = make_folds(small_dataset.n_instances, 2, 4, seed=0)
+        plan.assignments[1][2] = change(*plan.assignments[1][2])
+        grid = ParamGrid("mlknn", {"k": [3]})
+        if message is None:
+            grid_search(small_dataset, grid, plan)
+            return
+        with pytest.raises(ValueError, match=re.escape(
+                f"fold plan pair (repetition 1, fold 2): {message}")):
+            grid_search(small_dataset, grid, plan)
 
 
 class TestGridValidation:

@@ -892,9 +892,9 @@ class TestForestBytesMatchOracle:
 
     # A budget of 1 byte holds no entropy table and one tree a wave. 64 KiB
     # holds the table up to 89 rows, 32 760 bytes, and the trees in flight
-    # share the rest, 5 of 407 rows at 16 bytes a row.
+    # share the rest, 3 of 407 rows at 24 bytes a row.
     @pytest.mark.parametrize("budget, totals, waves", [(1, -1, [1] * 6),
-                                                       (2**16, 89, [5, 1])],
+                                                       (2**16, 89, [3, 3])],
                              ids=["no-table", "small-table"])
     def test_one_cell_blocks_and_one_tree_waves(self, monkeypatch, budget, totals, waves):
         ds = _dataset(1)
@@ -930,6 +930,70 @@ class TestForestBytesMatchOracle:
         # Blocks taller than the table's totals score directly, the rest from it.
         from_table = {height <= totals for _, height in blocks}
         assert from_table == ({False, True} if totals > 0 else {False})
+
+
+class TestCandidateDraws:
+    """``_candidate_draws`` rows against one ``np.sort(rng.choice(n, m,
+    replace=False))`` call per row, from the same stream."""
+
+    # (10001, 200) runs Floyd's algorithm; (10001, 201) is past numpy's cutoff,
+    # where ``choice`` shuffles a tail instead.
+    @pytest.mark.parametrize("n, m", [(21, 4), (103, 10), (22, 4), (5, 5), (2, 1),
+                                      (200, 14), (10001, 200), (10001, 201)])
+    def test_rows_and_next_draw_equal_sequential_choice(self, n, m):
+        for seed in range(40 if n < 10000 else 6):
+            for count in (1, 3, 8):
+                want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                # A bootstrap draws first; an odd count of 32-bit draws leaves
+                # half a 64-bit word buffered in the generator.
+                for rng in (want_rng, got_rng):
+                    rng.integers(0, 407, size=seed % 3)
+                want = [np.sort(want_rng.choice(n, m, replace=False))
+                        for _ in range(count)]
+                got = forest._candidate_draws(got_rng, n, m, count)
+                assert got.shape == (count, m)
+                np.testing.assert_array_equal(got, want)
+                assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 15])
+    def test_forest_equals_per_node_grower(self, max_depth):
+        ds = _dataset(1)
+        p = ForestParams(n_trees=3, max_depth=max_depth, seed=5)
+        y = ds.labels[:, 0]
+        got = forest_bytes(fit_forest(ds.features, y, p))
+        assert got == forest_bytes(_fit_forests_per_tree([(ds.features, y, p)])[0])
+
+    # Caps: 2**max_depth - 1 nodes, and n // m rows: 407 // 4 = 101, which
+    # these trees of at most about 60 nodes never reach, and 60 // 10 = 6.
+    @pytest.mark.parametrize("rows, params, cap", [
+        (407, {"max_depth": 1}, 1), (407, {"max_depth": 3}, 7),
+        (407, {"max_depth": 15}, 101), (60, {"max_features": 10}, 6),
+    ], ids=["depth-1", "depth-3", "depth-15", "rows-cap"])
+    def test_batches_double_from_8_up_to_the_caps(self, monkeypatch, rows, params, cap):
+        ds = _dataset(1)
+        p = ForestParams(n_trees=4, seed=2, **params)
+        batches, used = {}, {}
+        candidate_draws, candidates = forest._candidate_draws, forest._Growing.candidates
+
+        def recorded_draws(rng, n, m, count):
+            batches.setdefault(id(rng), []).append(count)
+            return candidate_draws(rng, n, m, count)
+
+        def counted(self):
+            used[id(self.rng)] = used.get(id(self.rng), 0) + 1
+            return candidates(self)
+
+        monkeypatch.setattr(forest, "_candidate_draws", recorded_draws)
+        monkeypatch.setattr(forest._Growing, "candidates", counted)
+        fit_forest(ds.features[:rows], ds.labels[:rows, 0], p)
+        assert len(batches) == 4
+        for tree, sizes in batches.items():
+            assert sizes[0] == min(8, cap)
+            assert all(b == min(2 * a, cap) for a, b in zip(sizes, sizes[1:]))
+            # A batch is drawn only when the last one is used up.
+            assert sum(sizes[:-1]) < used[tree] <= sum(sizes)
+        sizes = {size for sizes in batches.values() for size in sizes}
+        assert (cap in sizes) == (cap < 101)
 
 
 def _bits(a):

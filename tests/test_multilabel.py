@@ -378,13 +378,19 @@ class TestMLKNN:
         assert "error: train_features must be" in capsys.readouterr().err
 
 
-def _fold(dataset, rounding=None):
-    """Train split and test rows of the first fold of a 1 x 5 plan; ``rounding``
-    coarsens the features so that many neighbor distances tie."""
+def _first_pair(dataset, rounding=None):
+    """``dataset`` and the (train, test) rows of the first fold of a 1 x 5
+    plan; ``rounding`` coarsens the features so that many neighbor distances
+    tie."""
     if rounding is not None:
         dataset = Dataset(dataset.name, np.round(dataset.features, rounding),
                           dataset.feature_names, dataset.labels, dataset.label_names)
-    train_idx, test_idx = make_folds(dataset.n_instances, 1, 5, seed=2).assignments[0][0]
+    return (dataset, *make_folds(dataset.n_instances, 1, 5, seed=2).assignments[0][0])
+
+
+def _fold(dataset, rounding=None):
+    """Train split and test rows of ``_first_pair``."""
+    dataset, train_idx, test_idx = _first_pair(dataset, rounding)
     return split(dataset, train_idx), dataset.features[test_idx]
 
 
@@ -407,10 +413,12 @@ class TestSharedNeighborOrder:
                                   fitted.predict_proba(X_test))
 
     def test_grid_predictions_equal_per_point_fits(self, foodtruck_dataset):
-        train, X_test = _fold(foodtruck_dataset, rounding=0)
+        dataset, train_idx, test_idx = _first_pair(foodtruck_dataset, rounding=0)
+        train, X_test = split(dataset, train_idx), dataset.features[test_idx]
         points = [{"k": k, "s": s} for k in (7, 2, 5, 5, 20) for s in (0.5, 1.0)]
         points.append({"k": 3})
-        for point, predicted in zip(points, predict_mlknn_grid(train, X_test, points)):
+        (predictions,) = predict_mlknn_grid(dataset, [[(train_idx, test_idx)]], points)
+        for point, predicted in zip(points, predictions):
             expected = fit_mlknn(train, point["k"], point.get("s", 1.0)).predict(X_test)
             np.testing.assert_array_equal(predicted, expected)
 
@@ -570,7 +578,8 @@ class TestNeighborBlocks:
     @pytest.mark.parametrize("rows_per_block", [1, 7, 64])
     def test_blocked_query_equals_unblocked(self, foodtruck_dataset, monkeypatch,
                                             blocks, calls, rows_per_block):
-        train, X_test = _fold(foodtruck_dataset, rounding=0)
+        dataset, train_idx, test_idx = _first_pair(foodtruck_dataset, rounding=0)
+        train, X_test = split(dataset, train_idx), dataset.features[test_idx]
         n_train = train.n_instances
         row_bytes = self.set_row_bytes(n_train, train.n_features)
         budget = row_bytes * (rows_per_block + 1) - 1
@@ -580,9 +589,10 @@ class TestNeighborBlocks:
         loo_d2 = cdist(train.features, train.features, "sqeuclidean")
         np.fill_diagonal(loo_d2, np.inf)
         points = [{"k": k, "s": 0.5} for k in (1, 5, 20)]
+        plan = [[(train_idx, test_idx)]]
         with monkeypatch.context() as oracle:
             oracle.setattr(multilabel, "_nearest", stable_nearest)
-            expected_grid = predict_mlknn_grid(train, X, points)
+            (expected_grid,) = predict_mlknn_grid(dataset, plan, points)
 
         monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
         for shapes in blocks.values():
@@ -605,10 +615,15 @@ class TestNeighborBlocks:
         blocks["cdist"].clear()
         np.testing.assert_array_equal(_loo_order(train.features, 20),
                                       stable_nearest(loo_d2, 20))
-        for got, want in zip(predict_mlknn_grid(train, X, points), expected_grid):
+        (grid,) = predict_mlknn_grid(dataset, plan, points)
+        for got, want in zip(grid, expected_grid):
             np.testing.assert_array_equal(got, want)
         assert len(blocks["cdist"]) > 3
         assert all(rows * cols * 20 <= budget for rows, cols in blocks["cdist"])
+        # The tune orders all n rows, K = 20 + (n - n_train) deep; its
+        # distance blocks also hold 24 bytes per order entry, and count twice.
+        n = dataset.n_instances
+        assert calls[-1][0] == 2 * (20 * n + 24 * (20 + n - n_train))
 
     def test_a_block_holds_at_least_one_row(self, monkeypatch, blocks, rng):
         train = rng.normal(size=(20, 3))
