@@ -181,13 +181,18 @@ def _check_values(cfg) -> None:
         raise UsageError(f'--budget must be an integer or "full", got {budget!r}')
 
 
+def _input_file(path, kind: str) -> Path:
+    """``path`` as a Path, or UsageError unless it names a regular file."""
+    if not Path(path).is_file():
+        raise UsageError(f"{kind} file not found or not a regular file: {path}")
+    return Path(path)
+
+
 def _merge_config(ns) -> dict:
     """Config file values overridden by any flag given on the command line."""
     merged = {}
     if getattr(ns, "config", None):
-        path = Path(ns.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
+        path = _input_file(ns.config, "config")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as err:
@@ -227,9 +232,7 @@ def _require(cfg, key):
 
 
 def _load_dataset(cfg):
-    path = Path(_require(cfg, "data"))
-    if not path.exists():
-        raise UsageError(f"data file not found: {path}")
+    path = _input_file(_require(cfg, "data"), "data")
     fmt = _get(cfg, "format", path.suffix.lstrip(".").lower())
     labels = _require(cfg, "labels")
     if fmt == "arff":
@@ -347,10 +350,7 @@ def cmd_tune(cfg) -> int:
 def cmd_explain(cfg) -> int:
     seed = _require(cfg, "seed")
     dataset = _load_dataset(cfg)
-    model_path = Path(_require(cfg, "model"))
-    if not model_path.exists():
-        raise UsageError(f"model file not found: {model_path}")
-    model = load_model(model_path)
+    model = load_model(_input_file(_require(cfg, "model"), "model"))
     if model.n_features != dataset.n_features:
         raise UsageError(f"model width {model.n_features} does not match dataset "
                          f"width {dataset.n_features}")
@@ -391,11 +391,7 @@ def cmd_explain(cfg) -> int:
 
 
 def cmd_plot(ns) -> int:
-    paths = [Path(p) for p in ns.inputs]
-    for path in paths:
-        if not path.exists():
-            raise UsageError(f"explanation file not found: {path}")
-    explanations = [load_explanation(p) for p in paths]
+    explanations = [load_explanation(_input_file(p, "explanation")) for p in ns.inputs]
     out = Path(ns.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     if ns.kind == "importance":

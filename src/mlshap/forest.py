@@ -11,10 +11,9 @@ step, and each tree is the one it would be grown on its own.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -710,54 +709,21 @@ def _check_arenas(arena: dict, owner: np.ndarray, first: np.ndarray, sizes: np.n
                          "splits, must be of exactly 1")
 
 
-_INTEGER_FIELDS = ("feature", "left", "right")
+FOREST_DOC = {"format": FOREST_FORMAT, "version": FOREST_VERSION,
+              "params": {"n_trees": int, "max_depth": int, "min_samples_leaf": int,
+                         "max_features": ("sqrt", int), "seed": int, "bootstrap": bool},
+              "n_features": int,
+              "trees": [{name: _json.Array(int if name in ("feature", "left", "right")
+                                           else float) for name in _ARENA_FIELDS}]}
 
 
-def _arena_array(tree: dict, name: str, where: str) -> np.ndarray:
-    """Field ``name`` of a tree document as a 1-D array, int64 for
-    ``_INTEGER_FIELDS`` and float64 otherwise; an entry of another JSON type
-    (null, a boolean, a string, a list, or a fraction in an integer field)
-    raises ValueError naming it."""
-    values = _json.field(tree, name, where)
-    integer = name in _INTEGER_FIELDS
-    if not isinstance(values, list):
-        raise ValueError(f"{where}: {name} must be a list, got {type(values).__name__}")
-    try:
-        array = np.array(values)
-    except ValueError:  # ragged nesting
-        array = None
-    # numpy reads a boolean among numbers as 0 or 1: any boolean takes the
-    # per-entry loop below, which names it.
-    if array is not None and array.ndim == 1 and (
-            array.size == 0 or array.dtype.kind in ("i" if integer else "if")) and (
-            bool not in map(type, values)):
-        return array.astype(np.int64 if integer else np.float64, copy=False)
-    types, expected = (int, "an integer") if integer else ((int, float), "a number")
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, types):
-            raise ValueError(f"{where}: {name}[{i}] is {json.dumps(v)}, must be {expected}")
-    raise ValueError(f"{where}: {name} holds an integer outside 64 bits")
+def _forest(doc: dict) -> RandomForest:
+    """The forest of a document ``FOREST_DOC`` has read."""
+    return RandomForest(ForestParams(**doc["params"]),
+                        [DecisionTree(**tree) for tree in doc["trees"]], doc["n_features"])
 
 
 def forest_from_doc(doc: dict) -> RandomForest:
-    """The forest of a ``forest_to_doc`` document; a malformed one, or one
-    with a missing or null field, raises ValueError naming the field."""
-    if _json.field(doc, "format", "forest") != FOREST_FORMAT:
-        raise ValueError(f"not a forest document: {doc['format']!r}")
-    _json.check_version(doc, FOREST_VERSION, "forest")
-    params = _json.field(doc, "params", "forest")
-    if not isinstance(params, dict):
-        raise ValueError(f"forest: params must be a JSON object, got {type(params).__name__}")
-    known = {f.name for f in fields(ForestParams)}
-    for key in params:
-        if key not in known:
-            raise ValueError(f"forest params: unknown key {key!r}")
-    params = ForestParams(**params)
-    n_features = _as_int("n_features", _json.field(doc, "n_features", "forest"))
-    docs = _json.field(doc, "trees", "forest")
-    if not isinstance(docs, list):
-        raise ValueError(f"forest: trees must be a list, got {docs!r}")
-    trees = [DecisionTree(**{name: _arena_array(t, name, f"tree {i}")
-                             for name in _ARENA_FIELDS})
-             for i, t in enumerate(docs)]
-    return RandomForest(params=params, trees=trees, n_features=n_features)
+    """The forest of a ``forest_to_doc`` document; one that breaks ``FOREST_DOC``,
+    or whose arenas or params the grower could not write, raises ValueError."""
+    return _forest(_json.parse(doc, FOREST_DOC, "forest"))

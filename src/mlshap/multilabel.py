@@ -10,13 +10,12 @@ neighbors.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
 from . import _blocks, _json
 from .data import Dataset
-from .forest import ForestParams, _as_int, fit_forests, forest_from_doc, forest_to_doc
+from .forest import FOREST_DOC, ForestParams, _as_int, _forest, fit_forests, forest_to_doc
 
 MODEL_FORMAT = "mlshap-model"
 MODEL_VERSION = 1
@@ -699,40 +698,35 @@ def _counts_by_k(labels, nn, ks):
         yield counts
 
 
+_PAYLOADS = {"br": {"forests": [FOREST_DOC]},
+             "cc": {"chain_order": [int], "chained_models": [FOREST_DOC]},
+             "mlknn": {"k": int, "s": float, "train_features": _json.Array(float, ndim=2),
+                       "train_labels": _json.Array(int, ndim=2)}}
+MODEL_DOC = {"format": MODEL_FORMAT, "version": MODEL_VERSION,
+             "algorithm": tuple(_PAYLOADS), "n_features": int, "n_labels": int,
+             "label_names": [str], "feature_names": (None, [str]),
+             "payload": lambda doc: _PAYLOADS[doc["algorithm"]]}
+
+
 def model_from_doc(doc: dict) -> MultiLabelModel:
-    """The model of a ``to_doc`` document; a missing or null field, or an
-    ``n_features`` or ``n_labels`` that is not the payload's, raises ValueError."""
-    if _json.field(doc, "format", "model") != MODEL_FORMAT:
-        raise ValueError(f"not a model document: {doc['format']!r}")
-    _json.check_version(doc, MODEL_VERSION, "model")
-    algorithm = _json.field(doc, "algorithm", "model")
-    get = partial(_json.field, _json.field(doc, "payload", "model"),
-                  where="model payload")
-    counts = {name: _as_int(name, _json.field(doc, name, "model"))
-              for name in ("n_features", "n_labels")}
-    names = doc.get("label_names"), doc.get("feature_names")
-
-    def forests(key):
-        docs = get(key)
-        if not isinstance(docs, list):
-            raise ValueError(f"model payload: {key} must be a list, got {docs!r}")
-        return [forest_from_doc(f) for f in docs]
-
-    if algorithm == "br":
-        model = BRModel(forests("forests"), *names)
-    elif algorithm == "cc":
-        links = forests("chained_models")
+    """The model of a ``to_doc`` document; one that breaks ``MODEL_DOC``, or whose
+    ``n_features`` or ``n_labels`` is not the payload's, raises ValueError."""
+    doc = _json.parse(doc, MODEL_DOC, "model")
+    names = doc["label_names"], doc["feature_names"]
+    payload = doc["payload"]
+    if doc["algorithm"] == "br":
+        model = BRModel([_forest(f) for f in payload["forests"]], *names)
+    elif doc["algorithm"] == "cc":
+        links = [_forest(f) for f in payload["chained_models"]]
         # The payload's width is link 0's, which reads no earlier label.
-        model = CCModel(get("chain_order"), links,
-                        links[0].n_features if links else counts["n_features"], *names)
-    elif algorithm == "mlknn":
-        model = MLKNNModel(get("k"), get("s"), get("train_features"),
-                           get("train_labels"), *names)
+        model = CCModel(payload["chain_order"], links,
+                        links[0].n_features if links else doc["n_features"], *names)
     else:
-        raise ValueError(f"unknown algorithm tag {algorithm!r}")
-    for name, count in counts.items():
-        if getattr(model, name) != count:
-            raise ValueError(f"model: {name} is {count}, the payload has "
+        model = MLKNNModel(payload["k"], payload["s"], payload["train_features"],
+                           payload["train_labels"], *names)
+    for name in ("n_features", "n_labels"):
+        if getattr(model, name) != doc[name]:
+            raise ValueError(f"model: {name} is {doc[name]}, the payload has "
                              f"{getattr(model, name)}")
     return model
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,8 +33,6 @@ from .forest import _as_int, leaf_paths
 
 ENUMERATION_CAP = 16  # exact enumeration and budget="full" refuse beyond this
 DEFAULT_BUDGET_EXTRA = 2048  # default kernel budget is 2*M + this
-
-EXPLANATION_FILE_KEYS = {"instance", "label", "base_value", "fx", "phi"}
 
 ESTIMATORS = ("exact", "kernel", "tree")
 
@@ -73,8 +70,9 @@ class Explanation:
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=np.float64)
         self.feature_values = np.asarray(self.feature_values, dtype=np.float64)
-        if self.phi.shape != self.feature_values.shape or self.phi.ndim != 1:
-            raise ValueError("phi and feature_values must be equal-length vectors")
+        if (self.phi.shape != self.feature_values.shape or self.phi.ndim != 1
+                or self.phi.size == 0):
+            raise ValueError("phi must be a non-empty vector as long as feature_values")
         if self.feature_names is not None and len(self.feature_names) != self.n_features:
             raise ValueError(f"feature_names must have {self.n_features} entries, one "
                              f"per feature, got {len(self.feature_names)}")
@@ -524,48 +522,18 @@ def explanation_to_doc(explanation: Explanation) -> dict:
     }
 
 
+EXPLANATION_DOC = {"instance": (None, int), "label": (None, int), "base_value": float,
+                   "fx": float, "phi": [{"feature": str, "value": float, "shap": float}]}
+
+
 def explanation_from_doc(doc: dict) -> Explanation:
-    """The Explanation of a document; a missing field, a null one (but for
-    ``instance`` and ``label``), or one of the wrong type raises ValueError
-    naming it. ``base_value``, ``fx`` and each ``phi`` item's ``value`` and
-    ``shap`` are finite numbers, a ``feature`` is a string, and
-    ``instance`` and ``label`` are null or integers."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"explanation must be a JSON object, got {type(doc).__name__}")
-    if not EXPLANATION_FILE_KEYS.issubset(doc):
-        missing = EXPLANATION_FILE_KEYS - set(doc)
-        raise ValueError(f"explanation document missing keys: {sorted(missing)}")
-    phi = _json.field(doc, "phi", "explanation")
-    if not isinstance(phi, list):
-        raise ValueError(f"explanation: phi must be a list, got {phi!r}")
-    for i, item in enumerate(phi):
-        feature = _json.field(item, "feature", f"phi[{i}]")
-        if not isinstance(feature, str):
-            raise ValueError(f"phi[{i}]: feature must be a string, got {feature!r}")
-    ids = {key: None if doc[key] is None else
-           _as_int(f"explanation: {key}", doc[key], "null or an integer")
-           for key in ("instance", "label")}
-    return Explanation(
-        base_value=_finite(doc, "base_value", "explanation"),
-        phi=np.array([_finite(item, "shap", f"phi[{i}]") for i, item in enumerate(phi)]),
-        fx=_finite(doc, "fx", "explanation"),
-        feature_values=np.array([_finite(item, "value", f"phi[{i}]")
-                                 for i, item in enumerate(phi)]),
-        feature_names=[item["feature"] for item in phi],
-        **ids,
-    )
-
-
-def _finite(doc: dict, key: str, where: str) -> float:
-    """``doc[key]`` as a float; a missing or null value, or one that is not a
-    finite JSON number, raises ValueError naming ``where`` and the key."""
-    value = _json.field(doc, key, where)
-    # Python compares an int with a float exactly, so an integer too large
-    # for a float fails here too, without an OverflowError.
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"{where}: {key} must be a finite number, got {value!r}")
-    return float(value)
+    """The Explanation of an ``explanation_to_doc`` document; one that breaks
+    ``EXPLANATION_DOC``, or whose ``phi`` is empty, raises ValueError."""
+    doc = _json.parse(doc, EXPLANATION_DOC, "explanation")
+    phi = doc.pop("phi")
+    return Explanation(**doc, phi=[item["shap"] for item in phi],
+                       feature_values=[item["value"] for item in phi],
+                       feature_names=[item["feature"] for item in phi])
 
 
 def save_explanation(explanation: Explanation, path) -> None:

@@ -7,6 +7,7 @@ the spec: identical specs produce identical bytes.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,34 +236,19 @@ def _payload_doc(payload):
     }
 
 
-def _payload_from_doc(kind, doc):
-    if kind == "importance":
-        return ImportanceTable(
-            feature_names=list(doc["feature_names"]),
-            label_ids=list(doc["label_ids"]),
-            values=np.array(doc["values"], dtype=np.float64),
-            totals=np.array(doc["totals"], dtype=np.float64),
-            order=np.array(doc["order"], dtype=np.int64),
-        )
-    if kind == "summary":
-        points = doc["points"]
-        return SummaryPoints(
-            label=doc["label"],
-            feature_names=list(doc["feature_names"]),
-            feature_order=np.array(doc["feature_order"], dtype=np.int64),
-            point_feature=np.array([p["feature"] for p in points], dtype=np.int64),
-            point_shap=np.array([p["shap"] for p in points], dtype=np.float64),
-            point_color=np.array([p["color"] for p in points], dtype=np.float64),
-            point_jitter=np.array([p["jitter"] for p in points], dtype=np.float64),
-        )
-    if kind == "force":
-        return ForceData(
-            base_value=float(doc["base_value"]),
-            fx=float(doc["fx"]),
-            up=[(p["feature"], p["value"], p["phi"]) for p in doc["up"]],
-            down=[(p["feature"], p["value"], p["phi"]) for p in doc["down"]],
-        )
-    raise ValueError(f"unknown plot kind {kind!r}")
+_FORCE_ITEMS = [{"feature": str, "value": float, "phi": float}]
+_PAYLOADS = {
+    "importance": {"feature_names": [str], "label_ids": [int],
+                   "values": _json.Array(float, ndim=2), "totals": _json.Array(float),
+                   "order": _json.Array(int)},
+    "summary": {"label": int, "feature_names": [str], "feature_order": _json.Array(int),
+                "points": [{"feature": int, "shap": float, "color": float,
+                            "jitter": float}]},
+    "force": {"base_value": float, "fx": float, "up": _FORCE_ITEMS, "down": _FORCE_ITEMS},
+}
+PLOTSPEC_DOC = {"format": PLOTSPEC_FORMAT, "version": PLOTSPEC_VERSION,
+                "kind": tuple(_PAYLOADS), "title": str, "width": int, "height": int,
+                "payload": lambda doc: _PAYLOADS[doc["kind"]]}
 
 
 def write_json(spec: PlotSpec) -> str:
@@ -279,12 +265,23 @@ def write_json(spec: PlotSpec) -> str:
 
 
 def spec_from_json(text: str) -> PlotSpec:
-    doc = _json.loads(text)
-    if doc.get("format") != PLOTSPEC_FORMAT:
-        raise ValueError(f"not a plot spec document: {doc.get('format')!r}")
-    return PlotSpec(kind=doc["kind"], payload=_payload_from_doc(doc["kind"],
-                                                                doc["payload"]),
-                    title=doc["title"], width=doc["width"], height=doc["height"])
+    """The spec of a ``write_json`` text; one that breaks ``PLOTSPEC_DOC``
+    raises ValueError naming the node."""
+    doc = _json.parse(json.loads(text), PLOTSPEC_DOC, "plot spec")
+    kind, payload = doc["kind"], doc["payload"]
+    if kind == "importance":
+        payload = ImportanceTable(**payload)
+    elif kind == "summary":
+        points = payload.pop("points")
+        payload = SummaryPoints(**payload, **{
+            f"point_{key}": np.array([p[key] for p in points],
+                                     dtype=np.int64 if key == "feature" else np.float64)
+            for key in ("feature", "shap", "color", "jitter")})
+    else:
+        up, down = ([(p["feature"], p["value"], p["phi"]) for p in payload[key]]
+                    for key in ("up", "down"))
+        payload = ForceData(payload["base_value"], payload["fx"], up, down)
+    return PlotSpec(kind, payload, doc["title"], doc["width"], doc["height"])
 
 
 # --- SVG rendering ------------------------------------------------------------

@@ -466,16 +466,16 @@ class TestMalformedModel:
         "left": "tree 0: left",
         "feature": "tree 0: feature",
         "value": "tree 0: value",
-        "value-missing": "tree 0: value is missing",
-        "threshold-null": "tree 0: threshold is null",
-        "forests-missing": "model payload: forests is missing",
-        "threshold-null-entry": "tree 0: threshold[0] is null, must be a number",
-        "value-null-entry": "tree 0: value[0] is null, must be a number",
+        "value-missing": "model: payload.forests[0].trees[0].value is missing",
+        "threshold-null": "model: payload.forests[0].trees[0].threshold is null, must be a list",
+        "forests-missing": "model: payload.forests is missing",
+        "threshold-null-entry": "model: payload.forests[0].trees[0].threshold[0] is null, must be a finite number",
+        "value-null-entry": "model: payload.forests[0].trees[0].value[0] is null, must be a finite number",
         "value-above-one": "tree 0: value[0] is 7.5, must be in [0, 1]",
-        "feature-null-entry": "tree 0: feature[0] is null, must be an integer",
-        "left-null-entry": "tree 0: left[0] is null, must be an integer",
-        "right-null-entry": "tree 0: right[0] is null, must be an integer",
-        "params-unknown-key": "forest params: unknown key 'bogus'",
+        "feature-null-entry": "model: payload.forests[0].trees[0].feature[0] is null, must be an integer",
+        "left-null-entry": "model: payload.forests[0].trees[0].left[0] is null, must be an integer",
+        "right-null-entry": "model: payload.forests[0].trees[0].right[0] is null, must be an integer",
+        "params-unknown-key": "model: payload.forests[0].params.bogus is not a known key",
     }
 
     @staticmethod
@@ -519,6 +519,30 @@ class TestMalformedModel:
                    "--instance", "0", "--seed", "1", "--out", out) == 1
         assert f"error: {self.CASES[field]}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestDirectoryForAFile:
+    """A directory where a file is expected is a usage error (exit 2) naming
+    the flag's file, not an IsADirectoryError traceback."""
+
+    @pytest.mark.parametrize("kind", ["model", "explanation", "data", "config"])
+    def test_exits_2(self, small_arff, trained, tmp_path, capsys, kind):
+        folder = tmp_path / "folder.arff"
+        folder.mkdir()
+        common = ["--labels", "3", "--seed", "1", "--out", tmp_path / "out"]
+        argv = {
+            "model": ["explain", "--data", small_arff, "--model", folder,
+                      "--instance", "0", *common],
+            "explanation": ["plot", "--kind", "force", "--in", folder,
+                            "--out", tmp_path / "out"],
+            "data": ["train", "--data", folder, "--algo", "br", *common],
+            "config": ["train", "--config", folder, "--data", small_arff, "--algo", "br",
+                       *common],
+        }[kind]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (f"error: {kind} file not found or not a "
+                                           f"regular file: {folder}\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestModuleEntry:
@@ -588,28 +612,28 @@ class TestPlot:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("drop, message", [
-        (lambda doc: doc["phi"][1].pop("shap"), "phi[1]: shap is missing"),
+        (lambda doc: doc["phi"][1].pop("shap"), "explanation: phi[1].shap is missing"),
         (lambda doc: doc.update(base_value=None), "explanation: base_value is null"),
         (lambda doc: doc.update(base_value=[]),
-         "explanation: base_value must be a finite number, got []"),
+         "explanation: base_value is [], must be a finite number"),
         (lambda doc: doc.update(fx="0.5"),
-         "explanation: fx must be a finite number, got '0.5'"),
+         'explanation: fx is "0.5", must be a finite number'),
         (lambda doc: doc.update(fx=10**400),
-         "explanation: fx must be a finite number, got 1000"),
-        (lambda doc: doc.update(phi=5), "explanation: phi must be a list, got 5"),
-        (lambda doc: doc["phi"].__setitem__(0, 5), "phi[0] must be a JSON object"),
+         "explanation: fx is 1" + "0" * 36 + "..., must be a finite number"),
+        (lambda doc: doc.update(phi=5), "explanation: phi is 5, must be a list"),
+        (lambda doc: doc["phi"].__setitem__(0, 5), "explanation: phi[0] is 5, must be an object"),
         (lambda doc: doc["phi"][2].update(value=True),
-         "phi[2]: value must be a finite number, got True"),
+         "explanation: phi[2].value is true, must be a finite number"),
         (lambda doc: doc["phi"][0].update(feature=3),
-         "phi[0]: feature must be a string, got 3"),
+         "explanation: phi[0].feature is 3, must be a string"),
         (lambda doc: doc.update(instance="x"),
-         "explanation: instance must be null or an integer, got 'x'"),
+         'explanation: instance is "x", must be null or an integer'),
         (lambda doc: doc.update(label="x"),
-         "explanation: label must be null or an integer, got 'x'"),
+         'explanation: label is "x", must be null or an integer'),
         (lambda doc: doc.update(label=1.0),
-         "explanation: label must be null or an integer, got 1.0"),
+         "explanation: label is 1.0, must be null or an integer"),
         (lambda doc: doc.update(instance=True),
-         "explanation: instance must be null or an integer, got True"),
+         "explanation: instance is true, must be null or an integer"),
     ], ids=["shap-missing", "base-null", "base-list", "fx-string", "fx-huge", "phi-number",
             "phi-item-number", "value-bool", "feature-number", "instance-string",
             "label-string", "label-float", "instance-bool"])
@@ -636,8 +660,8 @@ class TestPlot:
         done = run_python("-m", "mlshap.cli", "plot", "--kind", "force", "--in",
                           str(path), "--out", "out", cwd=tmp_path)
         assert done.returncode == 1
-        assert done.stderr == ("error: explanation: base_value must be a finite "
-                               "number, got []\n")
+        assert done.stderr == ("error: explanation: base_value is [], must be a "
+                               "finite number\n")
 
     @pytest.mark.parametrize("kind", ["importance", "summary"])
     def test_explanations_of_other_features_exit_1(self, explanation_files, tmp_path,
@@ -655,6 +679,20 @@ class TestPlot:
                 f"has features {names[:-1]}, explanation 0 has {names}"
                 ) in capsys.readouterr().err
         assert not (tmp_path / "out" / f"{kind}.svg").exists()
+
+    @pytest.mark.parametrize("kind", ["importance", "summary", "force"])
+    def test_zero_feature_explanation_exits_1(self, explanation_files, tmp_path, capsys,
+                                              kind):
+        """``"phi": []`` once loaded: summary then failed inside numpy, and
+        importance and force wrote empty plots."""
+        doc = dict(json.loads(explanation_files[0].read_text()), phi=[])
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert run("plot", "--kind", kind, "--in", path, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: phi must be a non-empty vector")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_plot_outputs_byte_stable(self, explanation_files, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +317,11 @@ class TestFitForest:
             forest.predict_proba(np.zeros(3))
 
 
+# The reader names a mistyped arena entry by its JSON path; the arena check
+# names a tree and node the grower could not have written.
+_TREE0 = r"forest: trees\[0\]\."
+
+
 class TestForestJson:
     def test_roundtrip_identical(self):
         rng = np.random.default_rng(10)
@@ -322,21 +329,24 @@ class TestForestJson:
         y = (X[:, 2] > 0.3).astype(int)
         forest = fit_forest(X, y, ForestParams(n_trees=3, seed=5))
         text = forest_bytes(forest)
-        restored = forest_from_doc(_json.loads(text))
+        restored = forest_from_doc(json.loads(text))
         assert forest_bytes(restored) == text
         Q = rng.normal(size=(15, 4))
         np.testing.assert_array_equal(restored.predict_proba(Q),
                                       forest.predict_proba(Q))
 
     def test_rejects_wrong_format(self):
-        with pytest.raises(ValueError, match="not a forest"):
+        with pytest.raises(ValueError, match='^forest: format is "other", must be '
+                                             '"mlshap-forest"$'):
             forest_from_doc({"format": "other"})
 
     @pytest.mark.parametrize("version", [True, 1.0, "1", None, 2])
     def test_rejects_a_version_that_is_not_the_integer_1(self, version):
         doc = self._doc()
         doc["version"] = version
-        with pytest.raises(ValueError, match="unsupported forest version"):
+        with pytest.raises(ValueError, match=rf"^forest: version is "
+                                             rf"{re.escape(json.dumps(version))}, "
+                                             "must be 1$"):
             forest_from_doc(doc)
 
     @staticmethod
@@ -356,56 +366,57 @@ class TestForestJson:
                                       [0.0, 1.0])
 
     @pytest.mark.parametrize("tree, message", [
-        ({"left": [0, -1, -1], "right": [0, -1, -1]}, r"left\[0\] is 0"),
-        ({"right": [2, -1, 1]}, r"right\[2\] is 1, .*-1 at a leaf"),
-        ({"left": [3, -1, -1]}, r"left\[0\] is 3, .*inside the tree"),
-        ({"left": [-1, -1, -1]}, r"left\[0\] is -1"),
-        ({"feature": [2, -1, -1]}, r"feature\[0\] is 2, must be in \[-1, 2\)"),
-        ({"feature": [1, -2, -1]}, r"feature\[1\] is -2"),
-        ({"value": [0.5, 0.0]}, "value has 2 entries, feature has 3"),
-        ({"threshold": [0.5]}, "threshold has 1 entries"),
+        ({"left": [0, -1, -1], "right": [0, -1, -1]}, r"tree 0: left\[0\] is 0"),
+        ({"right": [2, -1, 1]}, r"tree 0: right\[2\] is 1, .*-1 at a leaf"),
+        ({"left": [3, -1, -1]}, r"tree 0: left\[0\] is 3, .*inside the tree"),
+        ({"left": [-1, -1, -1]}, r"tree 0: left\[0\] is -1"),
+        ({"feature": [2, -1, -1]}, r"tree 0: feature\[0\] is 2, must be in \[-1, 2\)"),
+        ({"feature": [1, -2, -1]}, r"tree 0: feature\[1\] is -2"),
+        ({"value": [0.5, 0.0]}, "tree 0: value has 2 entries, feature has 3"),
+        ({"threshold": [0.5]}, "tree 0: threshold has 1 entries"),
         ({"feature": [], "threshold": [], "left": [], "right": [], "value": []},
-         "feature must be a non-empty list"),
-        ({"threshold": [None, 0.0, 0.0]}, r"threshold\[0\] is null, must be a number"),
-        ({"threshold": [float("nan"), 0.0, 0.0]}, r"threshold\[0\] is nan, must be finite"),
-        ({"threshold": [float("-inf"), 0.0, 0.0]}, r"threshold\[0\] is -inf"),
-        ({"threshold": [0.5, 0.0, None]}, r"threshold\[2\] is null"),  # at a leaf
-        ({"threshold": [0.5, "0.5", 0.0]}, r"threshold\[1\] is \"0.5\""),
-        ({"value": [0.5, 0.0, 7.5]}, r"value\[2\] is 7.5, must be in \[0, 1\]"),
-        ({"value": [0.5, -0.25, 1.0]}, r"value\[1\] is -0.25"),
-        ({"value": [0.5, None, 1.0]}, r"value\[1\] is null"),
-        ({"feature": [1, None, -1]}, r"feature\[1\] is null, must be an integer"),
-        ({"left": [1.5, -1, -1]}, r"left\[0\] is 1.5, must be an integer"),
-        ({"right": [[2], -1, -1]}, r"right\[0\] is \[2\]"),
-        ({"value": 0.5}, "value must be a list, got float"),
+         "tree 0: feature must be a non-empty list"),
+        ({"threshold": [None, 0.0, 0.0]}, _TREE0 + r"threshold\[0\] is null, must be a finite"),
+        ({"threshold": [float("nan"), 0.0, 0.0]},
+         _TREE0 + r"threshold\[0\] is NaN, must be a finite number"),
+        ({"threshold": [float("-inf"), 0.0, 0.0]}, _TREE0 + r"threshold\[0\] is -Infinity"),
+        ({"threshold": [0.5, 0.0, None]}, _TREE0 + r"threshold\[2\] is null"),  # at a leaf
+        ({"threshold": [0.5, "0.5", 0.0]}, _TREE0 + r"threshold\[1\] is \"0.5\""),
+        ({"value": [0.5, 0.0, 7.5]}, r"tree 0: value\[2\] is 7.5, must be in \[0, 1\]"),
+        ({"value": [0.5, -0.25, 1.0]}, r"tree 0: value\[1\] is -0.25"),
+        ({"value": [0.5, None, 1.0]}, _TREE0 + r"value\[1\] is null"),
+        ({"feature": [1, None, -1]}, _TREE0 + r"feature\[1\] is null, must be an integer"),
+        ({"left": [1.5, -1, -1]}, _TREE0 + r"left\[0\] is 1.5, must be an integer"),
+        ({"right": [[2], -1, -1]}, _TREE0 + r"right\[0\] is \[2\]"),
+        ({"value": 0.5}, _TREE0 + "value is 0.5, must be a list"),
         # Node 2 is a child of the root and of node 1, and node 4 of none.
         ({"feature": [1, 0, -1, -1, -1], "threshold": [0.5, 0.5, 0.0, 0.0, 0.0],
           "left": [1, 2, -1, -1, -1], "right": [2, 3, -1, -1, -1],
-          "value": [0.5] * 5}, "node 2 is a child of 2 splits, must be of exactly 1"),
+          "value": [0.5] * 5}, "tree 0: node 2 is a child of 2 splits, must be of exactly 1"),
         # numpy reads a boolean among numbers as 0 or 1; each must be refused.
-        ({"right": [True, -1, -1]}, r"right\[0\] is true, must be an integer"),
-        ({"left": [1, -1, False]}, r"left\[2\] is false, must be an integer"),
-        ({"feature": [1, True, -1]}, r"feature\[1\] is true, must be an integer"),
-        ({"threshold": [True, 0.0, 0.0]}, r"threshold\[0\] is true, must be a number"),
-        ({"threshold": [0.5, 0, False]}, r"threshold\[2\] is false, must be a number"),
-        ({"value": [0.5, False, 1.0]}, r"value\[1\] is false, must be a number"),
-        ({"value": [True, True, True]}, r"value\[0\] is true, must be a number"),
+        ({"right": [True, -1, -1]}, _TREE0 + r"right\[0\] is true, must be an integer"),
+        ({"left": [1, -1, False]}, _TREE0 + r"left\[2\] is false, must be an integer"),
+        ({"feature": [1, True, -1]}, _TREE0 + r"feature\[1\] is true, must be an integer"),
+        ({"threshold": [True, 0.0, 0.0]}, _TREE0 + r"threshold\[0\] is true, must be a finite"),
+        ({"threshold": [0.5, 0, False]}, _TREE0 + r"threshold\[2\] is false, must be a finite"),
+        ({"value": [0.5, False, 1.0]}, _TREE0 + r"value\[1\] is false, must be a finite"),
+        ({"value": [True, True, True]}, _TREE0 + r"value\[0\] is true, must be a finite"),
     ])
     def test_malformed_arena_rejected(self, tree, message):
-        with pytest.raises(ValueError, match=f"^tree 0: {message}"):
+        with pytest.raises(ValueError, match=f"^{message}"):
             forest_from_doc(self._doc(**tree))
 
     def test_unknown_params_key_is_named(self):
         doc = self._doc()
         doc["params"] = dict(doc["params"], bogus=1)
-        with pytest.raises(ValueError, match="^forest params: unknown key 'bogus'"):
+        with pytest.raises(ValueError, match=r"^forest: params\.bogus is not a known key"):
             forest_from_doc(doc)
 
     @pytest.mark.parametrize("trees", [True, 3, {}])
     def test_trees_must_be_a_list(self, trees):
         doc = self._doc()
         doc["trees"] = trees
-        with pytest.raises(ValueError, match="^forest: trees must be a list"):
+        with pytest.raises(ValueError, match=r"^forest: trees is .*, must be a list$"):
             forest_from_doc(doc)
 
     def test_bad_tree_of_many_is_named(self):
@@ -417,7 +428,8 @@ class TestForestJson:
             forest_from_doc(doc)
         doc["trees"][2] = dict(doc["trees"][0])
         doc["trees"][1] = dict(doc["trees"][1], value=[0.5, 0.0, True])
-        with pytest.raises(ValueError, match=r"^tree 1: value\[2\] is true, must be"):
+        with pytest.raises(ValueError,
+                           match=r"^forest: trees\[1\]\.value\[2\] is true, must be"):
             forest_from_doc(doc)
 
 

@@ -334,10 +334,12 @@ class TestMLKNN:
         assert fit_mlknn(small_dataset, k=np.int64(3)).k == 3
 
     @pytest.mark.parametrize("field, value, message", [
-        ("k", 0, "k must be at least 1"), ("k", 2.5, "k must be an integer"),
+        ("k", 0, "k must be at least 1"),
+        ("k", 2.5, r"^model: payload\.k is 2\.5, must be an integer$"),
         ("k", 30, "k=30 must be smaller"), ("k", 100, "k=100 must be smaller"),
-        ("k", True, "k must be an integer"), ("s", -1, "smoothing s must be positive"),
-        ("s", 0, "smoothing s must be positive"), ("s", "1", "smoothing s must be a number"),
+        ("k", True, r"^model: payload\.k is true, must be an integer$"),
+        ("s", -1, "smoothing s must be positive"), ("s", 0, "smoothing s must be positive"),
+        ("s", "1", r'^model: payload\.s is "1", must be a finite number$'),
     ])
     def test_model_document_rejects_bad_params(self, field, value, message):
         doc = fit_mlknn(planted_dataset("doc", 30, 4, 3, seed=1), k=5).to_doc()
@@ -375,7 +377,8 @@ class TestMLKNN:
                                       "--instance", "0", "--seed", "1",
                                       "--out", tmp_path]])
         assert code == 1
-        assert "error: train_features must be" in capsys.readouterr().err
+        assert ("error: model: payload.train_features[0][0] is NaN, must be a finite "
+                "number") in capsys.readouterr().err
 
 
 def _first_pair(dataset, rounding=None):
@@ -965,7 +968,9 @@ class TestModelContract:
             self, small_dataset, maker, version):
         doc = maker(small_dataset).to_doc()
         doc["version"] = version
-        with pytest.raises(ValueError, match="unsupported model version"):
+        with pytest.raises(ValueError, match=rf"^model: version is "
+                                             rf"{re.escape(json.dumps(version))}, "
+                                             "must be 1$"):
             model_from_doc(doc)
 
     @pytest.mark.parametrize("maker", MODEL_MAKERS, ids=["br", "cc", "mlknn"])
@@ -1007,21 +1012,25 @@ def _set(field, value, payload=False):
 # A bad model document field -> the start of the message loading it raises.
 # The small dataset has 6 features and 3 labels.
 BAD_FIELDS = {
-    "label_names-true": (_set("label_names", True), "label_names must be a list of strings"),
+    "label_names-true": (_set("label_names", True),
+                         "model: label_names is true, must be a list"),
     "feature_names-true": (_set("feature_names", True),
-                           "feature_names must be a list of strings"),
+                           "model: feature_names is true, must be null or a list"),
     "label_names-number": (_set("label_names", ["a", 2, "c"]),
-                           "label_names must be a list of strings"),
+                           "model: label_names[1] is 2, must be a string"),
     "feature_names-text": (_set("feature_names", "abcdef"),
-                           "feature_names must be a list of strings"),
-    "n_features-text": (_set("n_features", "x"), "n_features must be an integer"),
-    "n_features-true": (_set("n_features", True), "n_features must be an integer"),
-    "n_features-float": (_set("n_features", 6.0), "n_features must be an integer"),
+                           'model: feature_names is "abcdef", must be null or a list'),
+    "n_features-text": (_set("n_features", "x"),
+                        'model: n_features is "x", must be an integer'),
+    "n_features-true": (_set("n_features", True),
+                        "model: n_features is true, must be an integer"),
+    "n_features-float": (_set("n_features", 6.0),
+                         "model: n_features is 6.0, must be an integer"),
     "n_features-99": (_set("n_features", 99), "model: n_features is 99, the payload has 6"),
     "n_features-5": (_set("n_features", 5), "model: n_features is 5, the payload has 6"),
     "n_features-null": (_set("n_features", None), "model: n_features is null"),
-    "n_labels-text": (_set("n_labels", "x"), "n_labels must be an integer"),
-    "n_labels-true": (_set("n_labels", True), "n_labels must be an integer"),
+    "n_labels-text": (_set("n_labels", "x"), 'model: n_labels is "x", must be an integer'),
+    "n_labels-true": (_set("n_labels", True), "model: n_labels is true, must be an integer"),
     "n_labels-99": (_set("n_labels", 99), "model: n_labels is 99, the payload has 3"),
     "n_labels-2": (_set("n_labels", 2), "model: n_labels is 2, the payload has 3"),
 }
@@ -1031,11 +1040,11 @@ BAD_PAYLOADS = {
     "br": (_set("forests", [], payload=True),
            "forests must hold one forest per label, got none"),
     "br-true": (_set("forests", True, payload=True),
-                "model payload: forests must be a list, got True"),
+                "model: payload.forests is true, must be a list"),
     "cc": (_set("chained_models", [], payload=True),
            "chained_models must hold one forest per label (3), got 0"),
     "cc-number": (_set("chained_models", 3, payload=True),
-                  "model payload: chained_models must be a list, got 3"),
+                  "model: payload.chained_models is 3, must be a list"),
     "cc-no-labels": (lambda doc: doc["payload"].update(chain_order=[], chained_models=[]),
                      "a model needs at least one label, got none"),
 }
@@ -1067,7 +1076,9 @@ class TestModelDocumentChecks:
     def test_chain_order_entries_must_be_integers(self, small_dataset, entry):
         doc = MODEL_MAKERS[1](small_dataset).to_doc()
         doc["payload"]["chain_order"][0] = entry
-        with pytest.raises(ValueError, match="chain_order entries must be an integer"):
+        with pytest.raises(ValueError, match=rf"^model: payload\.chain_order\[0\] is "
+                                             rf"{re.escape(json.dumps(entry))}, "
+                                             "must be an integer$"):
             model_from_doc(doc)
 
     def test_br_forests_of_different_widths(self, small_dataset):

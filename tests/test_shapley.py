@@ -844,8 +844,15 @@ class TestExplanationJson:
         np.testing.assert_array_equal(loaded.phi, expl.phi)
 
     def test_missing_keys_rejected(self):
-        with pytest.raises(ValueError, match="missing keys"):
+        with pytest.raises(ValueError, match="^explanation: instance is missing$"):
             explanation_from_doc({"phi": []})
+
+    def test_zero_features_rejected(self):
+        with pytest.raises(ValueError, match="^phi must be a non-empty vector"):
+            Explanation(base_value=0.5, phi=[], fx=0.5, feature_values=[])
+        doc = {"instance": 0, "label": 0, "base_value": 0.5, "fx": 0.5, "phi": []}
+        with pytest.raises(ValueError, match="^phi must be a non-empty vector"):
+            explanation_from_doc(doc)
 
     @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"], []])
     def test_feature_names_of_another_length_rejected(self, names):
