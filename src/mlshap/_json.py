@@ -26,8 +26,13 @@ def write(path, doc) -> None:
     Path(path).write_text(dumps(doc), encoding="utf-8")
 
 
-def read(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def read(path, where: str):
+    """The JSON value in the file at ``path``, or ValueError naming ``where``
+    and the path if the file is not UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"{where} file {path} is not valid JSON: {err}") from None
 
 
 # An int from json.loads is never a bool. Python compares an int with a float

@@ -194,9 +194,9 @@ def _merge_config(ns) -> dict:
     if getattr(ns, "config", None):
         path = _input_file(ns.config, "config")
         try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as err:
-            raise UsageError(f"config file {path} is not valid JSON: {err}")
+            loaded = _json.read(path, "config")
+        except ValueError as err:
+            raise UsageError(str(err))
         if not isinstance(loaded, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
         unknown = set(loaded) - CONFIG_KEYS
@@ -244,9 +244,14 @@ def _load_dataset(cfg):
     raise UsageError(f"unknown dataset format {fmt!r}")
 
 
-def _out_dir(cfg) -> Path:
-    out = Path(_get(cfg, "out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(out) -> Path:
+    """The output directory ``out`` (default: .), made if missing, or
+    UsageError naming --out if it cannot be."""
+    out = Path(out or ".")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise UsageError(f"--out {out} cannot be made a directory: {err.strerror}")
     return out
 
 
@@ -275,7 +280,7 @@ def cmd_train(cfg) -> int:
     dataset = _load_dataset(cfg)
     algo, params = _hyperparams(cfg)
     model = fit_point(algo, dataset, params)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.get("out"))
     model_path = out / "model.json"
     save_model(model, model_path)
     train_predictions = model.predict(dataset.features)
@@ -331,7 +336,7 @@ def cmd_tune(cfg) -> int:
                           _get(cfg, "folds", 5), seed)
     report = grid_search(dataset, grid, foldplan,
                          scoring=_get(cfg, "scoring", "hamming_loss"))
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.get("out"))
     report_path = out / "cv_report.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
     ranked = sorted(range(len(report.points)),
@@ -382,7 +387,7 @@ def cmd_explain(cfg) -> int:
         model, dataset.features[instance], background, label_ids,
         estimator=estimator, budget=cfg.get("budget"), seed=seed, instance=instance,
     )
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.get("out"))
     for expl in explanations:
         path = out / f"explanation_i{instance}_l{expl.label}.json"
         save_explanation(expl, path)
@@ -392,8 +397,7 @@ def cmd_explain(cfg) -> int:
 
 def cmd_plot(ns) -> int:
     explanations = [load_explanation(_input_file(p, "explanation")) for p in ns.inputs]
-    out = Path(ns.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(ns.out)
     if ns.kind == "importance":
         payload = feature_importance(explanations)
         title = ns.title or "Mean |SHAP value| per feature"

@@ -198,9 +198,10 @@ class MLKNNModel(MultiLabelModel):
         self.train_features = train_features
         self.train_labels = train_labels
         self.priors = _priors(train_labels, self.s)
-        counts = _positive_counts(train_labels, _loo_order(train_features, self.k))
-        self.cond_counts_pos, self.cond_counts_neg = _neighbor_statistics(
-            train_labels, counts, self.k)
+        n = train_features.shape[0]
+        statistics, _ = _plan_statistics(
+            train_features, train_labels, [(np.arange(n), np.arange(0))], [self.k])
+        self.cond_counts_pos, self.cond_counts_neg = statistics[0][0]
         self._ranking = _ranking_rhs(train_features)
 
     def _posterior(self, nn):
@@ -295,7 +296,8 @@ def _nearest(d2, k: int):
     below v and the lowest-index entries equal to v up to k in all, which is
     the stable sort's prefix as a set, and orders those k stably by distance.
     Only rows whose k-th distance is NaN (fewer than k comparable entries), and
-    k >= n, go through the full sort.
+    k >= n, go through the full sort. The fit and the tune read such prefixes
+    (``_plan_statistics``); prediction reads only the set (``_neighbor_sets``).
 
     Beside ``d2``, it holds at most 12 bytes per entry of rows with no NaN:
     the partition's copy (8), or on rows tied at v the mask, the masks below
@@ -325,44 +327,15 @@ def _nearest(d2, k: int):
     return nn
 
 
-def _neighbors(X, train_features, k: int, *, exclude_self: bool = False):
-    """``_nearest`` of each row of ``X`` among ``train_features`` (squared
-    Euclidean), in blocks of rows within the byte budget of ``_blocks``, run
-    by the threads of ``_blocks.map_slices``: per row, the float64 distances
-    to every training row and ``_nearest``'s copies, 20 bytes per training
-    row.
-
-    ``cdist`` computes every row on its own, so the blocks change no distance
-    and no index. With ``exclude_self``, ``X`` is ``train_features`` and each
-    row's own entry is set to inf.
-
-    This is the ordered path, which ``_loo_order`` reads, as
-    ``predict_mlknn_grid`` reads the ``_block_order`` of its blocks: both
-    take the first k entries for every k up to the widest, so they need the
-    order, not only the set, and their queries are only rows of the data
-    they order. Prediction takes the sets from ``_neighbor_sets``.
-    """
-    n_train = train_features.shape[0]
-    nn = np.empty((X.shape[0], min(k, n_train)), dtype=np.intp)
-
-    def select(rows):
-        nn[rows] = _block_order(X, train_features, rows, k, exclude_self)
-
-    _blocks.map_slices(select, X.shape[0], 20 * n_train)
-    return nn
-
-
-def _block_order(X, train_features, rows, k: int, exclude_self: bool):
-    """``_nearest`` of the rows ``rows`` of ``X`` among ``train_features``,
-    from one ``cdist`` block; with ``exclude_self``, ``X`` is
-    ``train_features`` and each row's own entry is inf."""
+def _block_order(features, rows, k: int):
+    """``_nearest`` of the rows ``rows`` of ``features`` among all of them,
+    each row's own entry set to inf, from one ``cdist`` block."""
     # Imported here, so a run that never measures a distance never loads scipy.
     from scipy.spatial.distance import cdist
 
-    d2 = cdist(X[rows], train_features, "sqeuclidean")
-    if exclude_self:
-        own = np.arange(d2.shape[0])
-        d2[own, rows.start + own] = np.inf
+    d2 = cdist(features[rows], features, "sqeuclidean")
+    own = np.arange(d2.shape[0])
+    d2[own, rows.start + own] = np.inf
     return _nearest(d2, k)
 
 
@@ -384,9 +357,9 @@ def _ranking_rhs(train_features):
 
 def _neighbor_sets(X, train_features, rhs, k: int):
     """Each row of ``X``'s k nearest rows of ``train_features``, as a set in
-    no particular order: the set of the first k columns of ``_neighbors``,
-    which is all the posterior reads. ``rhs`` is ``_ranking_rhs(train_features)``
-    and k < n_train. Rows run in blocks within the byte budget, on the
+    no particular order: the set ``_nearest`` selects from their ``cdist``
+    distances, which is all the posterior reads. ``rhs`` is
+    ``_ranking_rhs(train_features)`` and k < n_train. Rows run in blocks within the byte budget, on the
     threads of ``_blocks.map_slices``, and per block:
 
     1. One product ``d = [q, 1] @ rhs``. Each row of d is the row's squared
@@ -400,9 +373,9 @@ def _neighbor_sets(X, train_features, rhs, k: int):
        largest training-row norm and γ_n = n·u / (1 - n·u), u = 2**-53, the
        relative error bound of n rounded operations. Its first k columns are
        its set.
-    4. Every other row goes through ``cdist`` and ``_nearest``, as in
-       ``_neighbors``. Rows with nan, inf or overflowing values have a nan or
-       inf τ or gap, so they land here too.
+    4. Every other row goes through ``cdist`` and ``_nearest``, as a fit's
+       rows do in ``_block_order``. Rows with nan, inf or overflowing values
+       have a nan or inf τ or gap, so they land here too.
 
     Why a certified set is the one ``cdist`` and ``_nearest`` select. Let
     D_j = |q - t_j|² exactly, s_j the computed |t_j|², and c_j ``cdist``'s
@@ -479,11 +452,6 @@ def _neighbor_sets(X, train_features, rhs, k: int):
 
     _blocks.map_slices(select, X.shape[0], 20 * n_train + 8 * (M + 1))
     return nn
-
-
-def _loo_order(features, k: int):
-    """Each row's k nearest other rows of ``features`` (self excluded)."""
-    return _neighbors(features, features, k, exclude_self=True)
 
 
 def fit_br(train: Dataset, forest_params: ForestParams) -> BRModel:
@@ -629,6 +597,7 @@ def _plan_statistics(features, labels, pairs, ks):
     """Per pair, ``_neighbor_statistics`` (c_pos, c_neg) of its train rows
     at each k of ``ks``, and its test rows' first ``ks[-1]`` train
     neighbours, nearest first, as ``predict_mlknn_grid`` describes.
+    A fit is the one pair of all n rows and no test rows, at one k (K = k).
 
     The rows are taken in blocks that hold their order and each pair's work
     on it within half the byte budget of ``_blocks``: per row, the K-entry
@@ -665,8 +634,7 @@ def _plan_statistics(features, labels, pairs, ks):
             for start in range(part.start, part.stop, step):
                 stop = min(start + step, part.stop)
                 order[start:stop] = _block_order(
-                    features, features, slice(rows.start + start, rows.start + stop), K,
-                    exclude_self=True)
+                    features, slice(rows.start + start, rows.start + stop), K)
 
         _blocks.map_slices(select, order.shape[0], 2 * (20 * n + 24 * K))
         own_labels = labels[rows]
@@ -736,4 +704,4 @@ def save_model(model: MultiLabelModel, path) -> None:
 
 
 def load_model(path) -> MultiLabelModel:
-    return model_from_doc(_json.read(path))
+    return model_from_doc(_json.read(path, "model"))

@@ -541,4 +541,4 @@ def save_explanation(explanation: Explanation, path) -> None:
 
 
 def load_explanation(path) -> Explanation:
-    return explanation_from_doc(_json.read(path))
+    return explanation_from_doc(_json.read(path, "explanation"))

@@ -545,6 +545,55 @@ class TestDirectoryForAFile:
         assert not (tmp_path / "out").exists()
 
 
+class TestOutNamesAFile:
+    """An --out that names an existing file is a usage error (exit 2) naming
+    --out, not a FileExistsError traceback, and the file is left as it was."""
+
+    @pytest.mark.parametrize("command", ["train", "tune", "explain", "plot"])
+    def test_exits_2(self, small_arff, trained, explanation_files, tmp_path, capsys,
+                     command):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        common = ["--data", small_arff, "--labels", "3", "--seed", "1", "--out", taken]
+        argv = {
+            "train": ["train", *common, "--algo", "mlknn", "--k", "3"],
+            "tune": ["tune", *common, "--algo", "mlknn", "--grid", '{"k": [1, 2]}',
+                     "--reps", "1", "--folds", "2"],
+            "explain": ["explain", *common, "--model", trained, "--instance", "0",
+                        "--background", "5"],
+            "plot": ["plot", "--kind", "force", "--in", explanation_files[0],
+                     "--out", taken],
+        }[command]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (f"error: --out {taken} cannot be made a "
+                                           "directory: File exists\n")
+        assert taken.read_text() == "keep"
+
+
+class TestNotJson:
+    """A --model or --in file that is not JSON exits 1 naming the document
+    kind and the file."""
+
+    def test_model(self, small_arff, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_text("nope")
+        assert run("explain", "--data", small_arff, "--labels", "3", "--seed", "1",
+                   "--model", bad, "--instance", "0", "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (f"error: model file {bad} is not valid JSON: "
+                                           "Expecting value: line 1 column 1 (char 0)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_second_of_two_explanations(self, explanation_files, tmp_path, capsys):
+        bad = tmp_path / "explanation.json"
+        bad.write_text("nope")
+        assert run("plot", "--kind", "importance", "--in", explanation_files[0], bad,
+                   "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            f"error: explanation file {bad} is not valid JSON: "
+            "Expecting value: line 1 column 1 (char 0)\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestModuleEntry:
     def test_python_m_runs_the_cli(self, tmp_path):
         done = run_python("-m", "mlshap.cli", "--help", cwd=tmp_path)

@@ -230,9 +230,9 @@ class TestMlknnTune:
         widths = []
         block_order = multilabel._block_order
 
-        def recorded(X, train_features, block, k, exclude_self):
+        def recorded(features, block, k):
             widths.append(k)
-            return block_order(X, train_features, block, k, exclude_self)
+            return block_order(features, block, k)
 
         with monkeypatch.context() as spy:
             spy.setattr(multilabel, "_block_order", recorded)
@@ -267,9 +267,9 @@ class TestMlknnTune:
         chunks = []
         block_order = multilabel._block_order
 
-        def recorded(X, train_features, block, k, exclude_self):
+        def recorded(features, block, k):
             chunks.append(block.stop - block.start)
-            return block_order(X, train_features, block, k, exclude_self)
+            return block_order(features, block, k)
 
         monkeypatch.setattr(multilabel, "_block_order", recorded)
         monkeypatch.setattr(multilabel, "_ORDER_CELLS", 1)

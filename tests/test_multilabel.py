@@ -23,11 +23,11 @@ from mlshap import _blocks, _json, multilabel
 from mlshap.forest import forest_to_doc
 from mlshap.cli import main
 from mlshap.multilabel import (
-    _loo_order,
+    MLKNNModel,
+    _block_order,
     _nearest,
     _neighbor_statistics,
     _neighbor_sets,
-    _neighbors,
     _positive_counts,
     _ranking_rhs,
     check_mlknn_params,
@@ -275,7 +275,8 @@ class TestMLKNN:
 
     def test_query_on_training_point_includes_self(self, small_dataset):
         model = fit_mlknn(small_dataset, k=1)
-        nn = _neighbors(small_dataset.features[7][None], small_dataset.features, 1)[0]
+        nn = _neighbor_sets(small_dataset.features[7][None], model.train_features,
+                            model._ranking, 1)[0]
         assert nn.tolist() == [7]
 
     def test_outputs_strictly_inside_unit_interval(self, small_dataset):
@@ -403,7 +404,7 @@ class TestSharedNeighborOrder:
     @pytest.mark.parametrize("rounding", [None, 0])
     def test_prefix_statistics_equal_refit_for_every_k(self, foodtruck_dataset, rounding):
         train, X_test = _fold(foodtruck_dataset, rounding)
-        loo = _loo_order(train.features, 20)
+        loo = _block_order(train.features, slice(0, train.n_instances), 20)
         nn = _nearest(cdist(X_test, train.features, "sqeuclidean"), 20)
         labels = train.labels.astype(np.int64)
         for k in range(1, 21):
@@ -429,6 +430,41 @@ class TestSharedNeighborOrder:
 def stable_nearest(d2, k):
     """Reference selection: the first k columns of a stable full-row sort."""
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def loo_statistics(features, labels, k):
+    """Reference fit statistics (c_pos, c_neg): each row's k nearest other
+    rows by a stable sort of ``cdist`` with an inf diagonal, and per label
+    the number of rows with and without it that saw j positive neighbours,
+    j in 0..k."""
+    d2 = cdist(features, features, "sqeuclidean")
+    np.fill_diagonal(d2, np.inf)
+    counts = labels[stable_nearest(d2, k)].sum(axis=1)
+    return tuple(np.array([np.bincount(counts[labels[:, l] == value, l], minlength=k + 1)
+                           for l in range(labels.shape[1])])
+                 for value in (1, 0))
+
+
+def assert_loo_statistics(model, features, labels):
+    c_pos, c_neg = loo_statistics(features, labels, model.k)
+    np.testing.assert_array_equal(model.cond_counts_pos, c_pos)
+    np.testing.assert_array_equal(model.cond_counts_neg, c_neg)
+
+
+class TestFitStatistics:
+    """The fit's statistics, from ``_plan_statistics`` on the one pair of all
+    rows, equal the counts of a stable sort of ``cdist`` with an inf
+    diagonal, where rounded features tie at the k-th distance too."""
+
+    @pytest.mark.parametrize("rounding", [None, 1, 0], ids=["raw", "1-decimal", "0-decimal"])
+    @pytest.mark.parametrize("k", [1, 5, -1], ids=["1", "5", "n-1"])
+    def test_equal_the_stable_sort_oracle(self, foodtruck_dataset, rounding, k):
+        features = foodtruck_dataset.features
+        if rounding is not None:
+            features = np.round(features, rounding)
+        labels = foodtruck_dataset.labels
+        model = MLKNNModel(k % len(features), 1.0, features, labels)
+        assert_loo_statistics(model, features, labels)
 
 
 class TestNearest:
@@ -462,7 +498,8 @@ class TestNearest:
         np.fill_diagonal(d2, np.inf)
         for k in range(1, 26):
             np.testing.assert_array_equal(_nearest(d2, k), stable_nearest(d2, k))
-            np.testing.assert_array_equal(_loo_order(X, k), stable_nearest(d2, k))
+            np.testing.assert_array_equal(_block_order(X, slice(0, 25), k),
+                                          stable_nearest(d2, k))
 
     def test_tie_straddling_position_k(self):
         d2 = np.array([[3.0, 1.0, 2.0, 2.0, 2.0, 0.0, 2.0],
@@ -512,7 +549,7 @@ class TestNeighborBlocks:
     unblocked query bit for bit, on both paths: prediction's neighbour sets
     (one product and one ``argpartition`` per block, ``cdist`` on the rows it
     does not certify) and the ordered ``cdist`` blocks of the leave-one-out
-    order and the tune. Here the blocks run on one thread, in order;
+    order of a fit and of a tune. Here the blocks run on one thread, in order;
     ``TestNeighborBlocksOnTwoThreads`` runs the same cases on two."""
 
     workers = 1
@@ -616,8 +653,19 @@ class TestNeighborBlocks:
         assert np.array_equal(proba, model._posterior(stable_nearest(d2, 5)))
 
         blocks["cdist"].clear()
-        np.testing.assert_array_equal(_loo_order(train.features, 20),
+        orders = {}
+        block_order = multilabel._block_order
+
+        def recorded(features, rows, k):
+            orders[rows.start] = block_order(features, rows, k)
+            return orders[rows.start]
+
+        with monkeypatch.context() as spy:
+            spy.setattr(multilabel, "_block_order", recorded)
+            fitted = fit_mlknn(train, 20)
+        np.testing.assert_array_equal(np.vstack([orders[r] for r in sorted(orders)]),
                                       stable_nearest(loo_d2, 20))
+        assert_loo_statistics(fitted, train.features, train.labels)
         (grid,) = predict_mlknn_grid(dataset, plan, points)
         for got, want in zip(grid, expected_grid):
             np.testing.assert_array_equal(got, want)
@@ -630,35 +678,41 @@ class TestNeighborBlocks:
 
     def test_a_block_holds_at_least_one_row(self, monkeypatch, blocks, rng):
         train = rng.normal(size=(20, 3))
+        labels = (rng.uniform(size=(20, 2)) < 0.5).astype(np.int64)
         X = rng.normal(size=(4, 3))
         monkeypatch.setattr(_blocks, "_BLOCK_BYTES", 16)
-        nn = _neighbors(X, train, 3)
-        assert blocks["cdist"] == [(1, 20)] * 4
+        model = MLKNNModel(3, 1.0, train, labels)
+        assert blocks["cdist"] == [(1, 20)] * 20
+        assert_loo_statistics(model, train, labels)
         expected = stable_nearest(cdist(X, train, "sqeuclidean"), 3)
-        np.testing.assert_array_equal(nn, expected)
         sets = _neighbor_sets(X, train, _ranking_rhs(train), 3)
         assert blocks["sets"] == [(1, 20)] * 4
         np.testing.assert_array_equal(np.sort(sets, axis=1), np.sort(expected, axis=1))
 
     def test_default_budget_bounds_every_block(self, blocks, calls, rng):
         train = rng.normal(size=(3000, 2))
+        labels = (rng.uniform(size=(3000, 2)) < 0.5).astype(np.int64)
         X = rng.normal(size=(3000, 2))
-        _neighbors(X, train, 5)
+        MLKNNModel(5, 1.0, train, labels)
         _neighbor_sets(X, train, _ranking_rhs(train), 5)
+        order_bytes = 2 * (20 * 3000 + 24 * 5)
         row_bytes = self.set_row_bytes(3000, 2)
         if self.workers == 1:
-            assert len(blocks["cdist"]) == 6
+            # 279 rows per block, each ordered in chunks of 10 rows.
+            assert len(calls[0][1]) == 11
+            assert len(blocks["cdist"]) == 10 * 28 + 21
             assert len(blocks["sets"]) == 6
         else:
             self.assert_shared(blocks["cdist"], calls[0], 3000, _blocks._BLOCK_BYTES)
             self.assert_shared(blocks["sets"], calls[1], 3000, _blocks._BLOCK_BYTES)
-        assert [b for b, _ in calls] == [20 * 3000, row_bytes]
-        assert all(r * c * 20 <= _blocks._BLOCK_BYTES for r, c in blocks["cdist"])
+        assert [b for b, _ in calls] == [order_bytes, row_bytes]
+        assert sum(r for r, _ in blocks["cdist"]) == 3000
+        assert all(r * c <= multilabel._ORDER_CELLS for r, c in blocks["cdist"])
         assert all(r * row_bytes <= _blocks._BLOCK_BYTES for r, _ in blocks["sets"])
 
     def test_empty_query(self, rng):
         train = rng.normal(size=(5, 3))
-        assert _neighbors(np.empty((0, 3)), train, 2).shape == (0, 2)
+        assert _block_order(train, slice(0, 0), 2).shape == (0, 2)
         assert _neighbor_sets(np.empty((0, 3)), train, _ranking_rhs(train), 2).shape == (0, 2)
 
 
@@ -847,16 +901,22 @@ def test_mlknn_outputs_byte_equal_to_stable_sort_selection(tmp_path, monkeypatch
     assert outputs(tmp_path / "oracle") == fast
 
 
+def _nearest_rows(X, train, k):
+    """``_nearest`` of the rows of ``X`` among ``train``, as prediction's
+    fallback selects them."""
+    return _nearest(cdist(X, train, "sqeuclidean"), k)
+
+
 class TestKnnIndices:
-    """Tie order of ``_neighbors`` for one query row."""
+    """Tie order of ``_nearest`` over ``cdist`` for one query row."""
 
     def test_self_match(self, small_dataset):
         x = small_dataset.features[7]
-        assert _neighbors(x[None], small_dataset.features, 1)[0].tolist() == [7]
+        assert _nearest_rows(x[None], small_dataset.features, 1)[0].tolist() == [7]
 
     def test_points_on_line(self):
         train = np.array([[1.0], [2.0], [3.0]])
-        assert _neighbors(np.array([[0.0]]), train, 2)[0].tolist() == [0, 1]
+        assert _nearest_rows(np.array([[0.0]]), train, 2)[0].tolist() == [0, 1]
 
     def test_matches_exhaustive_sort(self, rng):
         train = rng.normal(size=(40, 5))
@@ -864,7 +924,7 @@ class TestKnnIndices:
             q = rng.normal(size=5)
             d = np.array([math.dist(row, q) for row in train])
             expected = sorted(range(40), key=lambda i: (d[i], i))[:6]
-            assert _neighbors(q[None], train, 6)[0].tolist() == expected
+            assert _nearest_rows(q[None], train, 6)[0].tolist() == expected
 
     @pytest.mark.parametrize("k, message", [
         (0, "at least 1"), (-1, "at least 1"), (2.5, "integer"), (2.0, "integer"),
@@ -876,7 +936,7 @@ class TestKnnIndices:
 
     def test_k_equal_to_rows_is_the_full_order(self):
         train = np.array([[2.0], [0.0], [1.0], [0.0]])
-        assert _neighbors(np.array([[0.0]]), train, 4)[0].tolist() == [1, 3, 2, 0]
+        assert _nearest_rows(np.array([[0.0]]), train, 4)[0].tolist() == [1, 3, 2, 0]
 
 
 class _FixedProba(multilabel.MultiLabelModel):
