@@ -29,7 +29,6 @@ from .evaluation import (
     subset_accuracy,
 )
 from .forest import (
-    DecisionTree,
     ForestParams,
     RandomForest,
     fit_forest,

@@ -8,7 +8,9 @@ estimation error, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -52,22 +54,17 @@ def _parse_labels_flag(text):
 
 # argparse turns only ValueError, TypeError and ArgumentTypeError from a
 # type= function into a usage message (exit 2); anything else escapes it.
-def _parse_budget_flag(text):
-    if text == "full":
-        return "full"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f'must be an integer or "full", got {text!r}')
-
-
-def _parse_max_features_flag(text):
-    if text == "sqrt":
-        return "sqrt"
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f'must be an integer or "sqrt", got {text!r}')
+def _int_or(word: str):
+    """An argparse type that reads ``word`` as itself and anything else as an
+    integer."""
+    def parse(text):
+        if text == word:
+            return word
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f'must be an integer or "{word}", got {text!r}')
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--n-trees", type=int, dest="n_trees")
     train.add_argument("--max-depth", type=int, dest="max_depth")
     train.add_argument("--min-samples-leaf", type=int, dest="min_samples_leaf")
-    train.add_argument("--max-features", type=_parse_max_features_flag,
+    train.add_argument("--max-features", type=_int_or("sqrt"),
                        dest="max_features")
     train.add_argument("--order", help="cc chain order: 'random' or i,j,k,...")
     train.add_argument("--k", type=int, help="mlknn neighbor count")
@@ -114,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated label indices (default: all)")
     explain.add_argument("--estimator", choices=ESTIMATORS,
                          help="default: tree for br models, kernel otherwise")
-    explain.add_argument("--budget", type=_parse_budget_flag,
+    explain.add_argument("--budget", type=_int_or("full"),
                          help='kernel coalition budget or "full" (kernel only)')
     explain.add_argument("--background", type=int,
                          help="background sample size (default 100)")
@@ -245,9 +242,20 @@ def _load_dataset(cfg):
 
 
 def _out_dir(out) -> Path:
-    """The output directory ``out`` (default: .), made if missing, or
-    UsageError naming --out if it cannot be."""
+    """The output directory ``out`` (default: .), or UsageError naming --out
+    when it exists and is not a directory, or its nearest existing ancestor
+    is not one. Each command calls this before its work and ``_made`` after
+    it, so a failed run makes no directory."""
     out = Path(out or ".")
+    found = next(p for p in (out, *out.absolute().parents) if p.exists())
+    if not found.is_dir():
+        code = errno.EEXIST if found is out else errno.ENOTDIR
+        raise UsageError(f"--out {out} cannot be made a directory: {os.strerror(code)}")
+    return out
+
+
+def _made(out: Path) -> Path:
+    """``out``, made if missing, or UsageError naming --out if it cannot be."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -277,11 +285,11 @@ def _hyperparams(cfg):
 
 def cmd_train(cfg) -> int:
     seed = _require(cfg, "seed")
+    out = _out_dir(cfg.get("out"))
     dataset = _load_dataset(cfg)
     algo, params = _hyperparams(cfg)
     model = fit_point(algo, dataset, params)
-    out = _out_dir(cfg.get("out"))
-    model_path = out / "model.json"
+    model_path = _made(out) / "model.json"
     save_model(model, model_path)
     train_predictions = model.predict(dataset.features)
     report = {
@@ -309,6 +317,7 @@ DEFAULT_MLKNN_GRID = {"k": list(range(1, 21))}
 
 def cmd_tune(cfg) -> int:
     seed = _require(cfg, "seed")
+    out = _out_dir(cfg.get("out"))
     dataset = _load_dataset(cfg)
     algo = cfg.get("algo")
     if algo is None:
@@ -336,8 +345,7 @@ def cmd_tune(cfg) -> int:
                           _get(cfg, "folds", 5), seed)
     report = grid_search(dataset, grid, foldplan,
                          scoring=_get(cfg, "scoring", "hamming_loss"))
-    out = _out_dir(cfg.get("out"))
-    report_path = out / "cv_report.json"
+    report_path = _made(out) / "cv_report.json"
     report_path.write_text(report.to_json(), encoding="utf-8")
     ranked = sorted(range(len(report.points)),
                     key=lambda i: (-report.means[i] if report.higher_is_better
@@ -354,6 +362,7 @@ def cmd_tune(cfg) -> int:
 
 def cmd_explain(cfg) -> int:
     seed = _require(cfg, "seed")
+    out = _out_dir(cfg.get("out"))
     dataset = _load_dataset(cfg)
     model = load_model(_input_file(_require(cfg, "model"), "model"))
     if model.n_features != dataset.n_features:
@@ -387,7 +396,7 @@ def cmd_explain(cfg) -> int:
         model, dataset.features[instance], background, label_ids,
         estimator=estimator, budget=cfg.get("budget"), seed=seed, instance=instance,
     )
-    out = _out_dir(cfg.get("out"))
+    _made(out)
     for expl in explanations:
         path = out / f"explanation_i{instance}_l{expl.label}.json"
         save_explanation(expl, path)
@@ -396,8 +405,8 @@ def cmd_explain(cfg) -> int:
 
 
 def cmd_plot(ns) -> int:
-    explanations = [load_explanation(_input_file(p, "explanation")) for p in ns.inputs]
     out = _out_dir(ns.out)
+    explanations = [load_explanation(_input_file(p, "explanation")) for p in ns.inputs]
     if ns.kind == "importance":
         payload = feature_importance(explanations)
         title = ns.title or "Mean |SHAP value| per feature"
@@ -418,7 +427,7 @@ def cmd_plot(ns) -> int:
         payload = force_data(explanations[0])
         title = ns.title or "Prediction forces"
     spec = plot_spec(payload, title=title)
-    svg_path = out / f"{ns.kind}.svg"
+    svg_path = _made(out) / f"{ns.kind}.svg"
     json_path = out / f"{ns.kind}.json"
     svg_path.write_text(render_svg(spec), encoding="utf-8")
     json_path.write_text(write_json(spec), encoding="utf-8")

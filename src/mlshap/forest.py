@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -66,25 +66,6 @@ class ForestParams:
         return min(self.max_features, n_features)
 
 
-@dataclass
-class DecisionTree:
-    """Flat node arena; ``feature[i] == -1`` marks a leaf.
-
-    ``value[i]`` is the positive fraction of training rows reaching node i
-    (the prediction at leaves).
-    """
-
-    feature: np.ndarray  # (n_nodes,) int64
-    threshold: np.ndarray  # (n_nodes,) float64
-    left: np.ndarray  # (n_nodes,) int64, -1 at leaves
-    right: np.ndarray  # (n_nodes,) int64, -1 at leaves
-    value: np.ndarray  # (n_nodes,) float64 in [0, 1]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.shape[0]
-
-
 _ARENA_FIELDS = ("feature", "threshold", "left", "right", "value")
 
 
@@ -108,33 +89,44 @@ def _flat_rows(X: np.ndarray):
     return flat, np.arange(n) * step
 
 
-class _Walk:
-    """A forest's trees as one checked arena, and its walk tables.
+class RandomForest:
+    """A forest as the walk tables of its trees, laid end to end.
 
-    The five arena fields of ``trees`` are laid end to end once, here, and
-    pass ``_check_arenas`` before any table is built from them. ``split``
-    marks the split nodes. A leaf loops to itself: both its children are the
-    leaf, and it reads feature 0, which every row has. Node i sends a row to
+    ``trees`` holds each tree's five arena fields, as the grower writes them
+    or a forest document holds them: ``feature[i] == -1`` marks a leaf,
+    ``value[i]`` is the positive fraction of the training rows reaching node
+    i, and a split's ``left`` and ``right`` are its children's indices in
+    its tree, -1 at a leaf. The fields are joined once and pass
+    ``_check_arenas`` before any table is built; no per-tree array is kept.
+
+    ``self.trees`` is the arena index of each tree's root, so ``len(trees)``
+    is the tree count (``perfbench/layers.py`` reads it). ``split`` marks
+    the split nodes. A leaf loops to itself: both its children are the leaf,
+    and it reads feature 0, which every row has. Node i sends a row to
     ``child[2 * i + 1]`` (its left child) when ``row[feature[i]] <=
     threshold[i]``, else to ``child[2 * i]`` (its right child). So tree t
     takes every row to its leaf in exactly ``depth[t]`` steps from
-    ``roots[t]``, with no row left behind or dropped.
+    ``trees[t]``, with no row left behind or dropped.
     """
 
-    def __init__(self, trees: list[DecisionTree], n_features: int):
+    def __init__(self, params: ForestParams, n_features: int, trees):
+        if len(trees) != params.n_trees:
+            raise ValueError("tree count does not match params.n_trees")
+        self.params, self.n_features = params, n_features
+        trees = [{name: np.asarray(tree[name]) for name in _ARENA_FIELDS} for tree in trees]
         for t, tree in enumerate(trees):
             for name in _ARENA_FIELDS[1:]:
-                if getattr(tree, name).shape != tree.feature.shape:
-                    raise ValueError(f"tree {t}: {name} has {getattr(tree, name).size} "
-                                     f"entries, feature has {tree.feature.size}")
-            if tree.feature.ndim != 1 or tree.n_nodes == 0:
+                if tree[name].shape != tree["feature"].shape:
+                    raise ValueError(f"tree {t}: {name} has {tree[name].size} "
+                                     f"entries, feature has {tree['feature'].size}")
+            if tree["feature"].ndim != 1 or tree["feature"].size == 0:
                 raise ValueError(f"tree {t}: feature must be a non-empty list")
-        sizes = np.array([tree.n_nodes for tree in trees], dtype=np.intp)
-        self.roots = np.cumsum(sizes) - sizes
-        arena = {name: np.concatenate([getattr(tree, name) for tree in trees])
+        sizes = np.array([tree["feature"].size for tree in trees], dtype=np.intp)
+        self.trees = np.cumsum(sizes) - sizes
+        arena = {name: np.concatenate([tree[name] for tree in trees])
                  for name in _ARENA_FIELDS}
         owner = np.repeat(np.arange(len(trees)), sizes)  # each node's tree
-        first = self.roots[owner]  # each node's root
+        first = self.trees[owner]  # each node's root
         _check_arenas(arena, owner, first, sizes, n_features)
         self.split = arena["feature"] >= 0
         own = np.arange(self.split.size)
@@ -147,15 +139,21 @@ class _Walk:
         # Depth of every tree, all trees one level per step; children follow
         # their node, so every root path ends.
         self.depth = np.zeros(len(trees), dtype=np.intp)
-        node, level = self.roots, 0
+        node, level = self.trees, 0
         while (node := node[self.split[node]]).size:
             level += 1
             self.depth[owner[node]] = level
             node = np.concatenate([left[node], right[node]])
 
-    def leaf_values(self, t: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    @property
+    def n_nodes(self) -> int:
+        """Nodes in all the trees (``perfbench/layers.py`` reads it of
+        ``fit_tree``'s forest)."""
+        return self.value.size
+
+    def _leaf_values(self, t: int, flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Value of the leaf of tree t that each row of ``_flat_rows`` reaches."""
-        root = self.roots[t]
+        root = self.trees[t]
         if not self.depth[t]:
             return np.full(offsets.size, self.value[root])
         # Every row starts at the root, so the first step reads its entries once.
@@ -165,19 +163,6 @@ class _Walk:
             x = flat.take(offsets + self.feature.take(node))
             node = self.child.take(2 * node + (x <= self.threshold.take(node)))
         return self.value.take(node)
-
-
-@dataclass
-class RandomForest:
-    params: ForestParams
-    trees: list[DecisionTree]
-    n_features: int
-    _walk: _Walk = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.trees) != self.params.n_trees:
-            raise ValueError("tree count does not match params.n_trees")
-        self._walk = _Walk(self.trees, self.n_features)
 
     def predict_proba(self, X):
         """Mean leaf probability over all trees; float for a single vector."""
@@ -193,10 +178,10 @@ class RandomForest:
         # tree order sums as np.mean over the stacked per-tree predictions
         # does, without holding them all.
         rows = _flat_rows(X)
-        total = self._walk.leaf_values(0, *rows)
-        for t in range(1, len(self.trees)):
-            total += self._walk.leaf_values(t, *rows)
-        out = total / len(self.trees)
+        total = self._leaf_values(0, *rows)
+        for t in range(1, self.trees.size):
+            total += self._leaf_values(t, *rows)
+        out = total / self.trees.size
         return float(out[0]) if single else out
 
 
@@ -214,15 +199,14 @@ def leaf_paths(forests: list[RandomForest]):
     are read end to end, so all their trees are walked together, in order,
     one level per step, and the leaves come out level by level.
     """
-    walks = [forest._walk for forest in forests]
-    n_nodes = [walk.value.size for walk in walks]
-    n_trees = [walk.roots.size for walk in walks]
+    n_nodes = [forest.n_nodes for forest in forests]
+    n_trees = [forest.trees.size for forest in forests]
     shift = np.cumsum(n_nodes) - n_nodes
     split, feature, threshold, value = (
-        np.concatenate([getattr(walk, name) for walk in walks])
+        np.concatenate([getattr(forest, name) for forest in forests])
         for name in ("split", "feature", "threshold", "value"))
-    child = np.concatenate([walk.child + s for walk, s in zip(walks, shift)])
-    roots = np.concatenate([walk.roots + s for walk, s in zip(walks, shift)])
+    child = np.concatenate([forest.child + s for forest, s in zip(forests, shift)])
+    roots = np.concatenate([forest.trees + s for forest, s in zip(forests, shift)])
 
     node = roots
     feats = np.full((node.size, 1), -1, dtype=np.int64)  # -1 marks a free column
@@ -263,7 +247,7 @@ def leaf_paths(forests: list[RandomForest]):
             whole[start:stop, :part.shape[1]] = part
         start = stop
     tree = np.searchsorted(roots, node, side="right") - 1
-    forest = np.repeat(np.arange(len(walks)), n_trees)[tree]
+    forest = np.repeat(np.arange(len(forests)), n_trees)[tree]
     rank = tree - (np.cumsum(n_trees) - n_trees)[forest]
     return (forest, rank, value[node], *out)
 
@@ -560,18 +544,10 @@ class _Growing:
         self.stack.append((self.right[node], right_rows, pos - pos_left, depth + 1))
         self.stack.append((self.left[node], left_rows, pos_left, depth + 1))
 
-    def tree(self) -> DecisionTree:
-        return DecisionTree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            value=np.array(self.value, dtype=np.float64),
-        )
 
-
-def _grow(jobs) -> list[DecisionTree]:
-    """One greedy entropy tree per ``(X, y, params, rng, bootstrap)`` job.
+def _grow(jobs) -> list[dict]:
+    """One greedy entropy tree per ``(X, y, params, rng, bootstrap)`` job, as
+    its arena fields.
 
     The trees grow in lockstep: each step, every tree pops its next node that
     may split, and one :func:`_best_splits` call scores them all, from one
@@ -596,7 +572,8 @@ def _grow(jobs) -> list[DecisionTree]:
                 if found is not None:
                     tree.split(*node[:-1], found)
             live = [tree for tree in live if tree.stack]
-        trees.extend(tree.tree() for tree in growing)
+        trees.extend({name: getattr(tree, name) for name in _ARENA_FIELDS}
+                     for tree in growing)
     return trees
 
 
@@ -618,11 +595,13 @@ def _training_pair(X, y):
     return X, y.astype(np.int64)
 
 
-def fit_tree(X, y, params: ForestParams, rng: np.random.Generator) -> DecisionTree:
+def fit_tree(X, y, params: ForestParams, rng: np.random.Generator) -> RandomForest:
     """Grow one greedy entropy tree over per-node random feature subsets, on
-    every row of X (no bootstrap)."""
+    every row of X (no bootstrap), as a one-tree forest. Nothing in mlshap
+    calls it; ``perfbench/layers.py`` hooks this name."""
     X, y = _training_pair(X, y)
-    return _grow([(X, y, params, rng, False)])[0]
+    return RandomForest(replace(params, n_trees=1, bootstrap=False), X.shape[1],
+                        _grow([(X, y, params, rng, False)]))
 
 
 def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -641,8 +620,7 @@ def fit_forests(problems) -> list[RandomForest]:
     checked = [(*_training_pair(X, y), params) for X, y, params in problems]
     trees = iter(_grow([(X, y, params, tree_rng(params.seed, t), params.bootstrap)
                         for X, y, params in checked for t in range(params.n_trees)]))
-    return [RandomForest(params=params, trees=[next(trees) for _ in range(params.n_trees)],
-                         n_features=X.shape[1])
+    return [RandomForest(params, X.shape[1], [next(trees) for _ in range(params.n_trees)])
             for X, _, params in checked]
 
 
@@ -652,21 +630,18 @@ def fit_forest(X, y, params: ForestParams) -> RandomForest:
 
 
 def forest_to_doc(forest: RandomForest) -> dict:
-    return {
-        "format": FOREST_FORMAT,
-        "version": FOREST_VERSION,
-        "params": {
-            "n_trees": forest.params.n_trees,
-            "max_depth": forest.params.max_depth,
-            "min_samples_leaf": forest.params.min_samples_leaf,
-            "max_features": forest.params.max_features,
-            "seed": forest.params.seed,
-            "bootstrap": forest.params.bootstrap,
-        },
-        "n_features": forest.n_features,
-        "trees": [{name: getattr(tree, name).tolist() for name in _ARENA_FIELDS}
-                  for tree in forest.trees],
-    }
+    """The forest's document, each tree's arena fields read back from the
+    walk tables: -1 for the feature and children of a leaf, and a split's
+    children as indices in its tree."""
+    root = np.repeat(forest.trees, np.diff(forest.trees, append=forest.n_nodes))
+    left, right = (np.where(forest.split, forest.child[side::2] - root, -1) for side in (1, 0))
+    arena = (np.where(forest.split, forest.feature, -1), forest.threshold, left, right,
+             forest.value)
+    pieces = [np.split(field, forest.trees[1:]) for field in arena]
+    return {"format": FOREST_FORMAT, "version": FOREST_VERSION,
+            "params": asdict(forest.params), "n_features": forest.n_features,
+            "trees": [{name: piece[t].tolist() for name, piece in zip(_ARENA_FIELDS, pieces)}
+                      for t in range(forest.trees.size)]}
 
 
 def _check_arenas(arena: dict, owner: np.ndarray, first: np.ndarray, sizes: np.ndarray,
@@ -719,8 +694,7 @@ FOREST_DOC = {"format": FOREST_FORMAT, "version": FOREST_VERSION,
 
 def _forest(doc: dict) -> RandomForest:
     """The forest of a document ``FOREST_DOC`` has read."""
-    return RandomForest(ForestParams(**doc["params"]),
-                        [DecisionTree(**tree) for tree in doc["trees"]], doc["n_features"])
+    return RandomForest(ForestParams(**doc["params"]), doc["n_features"], doc["trees"])
 
 
 def forest_from_doc(doc: dict) -> RandomForest:

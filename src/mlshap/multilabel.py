@@ -257,17 +257,6 @@ def _positive_counts(train_labels, nn):
     return counts
 
 
-def _neighbor_statistics(train_labels, counts, k: int):
-    """Count, per label and per neighbor-positive count j in 0..k, how many
-    training instances with (first) and without (second) the label saw
-    exactly j positive neighbors; ``counts`` is their ``_positive_counts``.
-    Both are (L, k + 1), from one ``bincount`` over (label value, label, j)."""
-    L = train_labels.shape[1]
-    cell = (train_labels * L + np.arange(L)) * (k + 1) + counts
-    table = np.bincount(cell.ravel(), minlength=2 * L * (k + 1)).reshape(2, L, k + 1)
-    return table[1], table[0]
-
-
 def _map_posterior(counts, priors, c_pos, c_neg, s: float):
     """(n, L) MAP label probabilities of rows with ``counts`` positive
     neighbors, from the statistics of a fit at k = ``c_pos.shape[1] - 1``:
@@ -594,10 +583,13 @@ _ORDER_CELLS = 2**15
 
 
 def _plan_statistics(features, labels, pairs, ks):
-    """Per pair, ``_neighbor_statistics`` (c_pos, c_neg) of its train rows
-    at each k of ``ks``, and its test rows' first ``ks[-1]`` train
-    neighbours, nearest first, as ``predict_mlknn_grid`` describes.
-    A fit is the one pair of all n rows and no test rows, at one k (K = k).
+    """Per pair, the statistics (c_pos, c_neg) of its train rows at each k
+    of ``ks``, and its test rows' first ``ks[-1]`` train neighbours, nearest
+    first, as ``predict_mlknn_grid`` describes. A fit is the one pair of all
+    n rows and no test rows, at one k (K = k). c_pos and c_neg are (L, k +
+    1): per label and per neighbour-positive count j in 0..k, how many train
+    rows with (c_pos) and without (c_neg) the label saw exactly j positive
+    neighbours among their k nearest.
 
     The rows are taken in blocks that hold their order and each pair's work
     on it within half the byte budget of ``_blocks``: per row, the K-entry
@@ -607,10 +599,12 @@ def _plan_statistics(features, labels, pairs, ks):
     distances; each chunk holds the ``cdist`` block and ``_nearest``'s
     copies (20 bytes per row of ``features``) and index arrays (24 per order
     entry), counted twice, so the chunks in flight hold at most the other
-    half. The pairs' work runs on this thread, once per block: per pair and
-    per k, a few small numpy calls, which threads would only contend for.
-    Each block adds its statistics into one (2, L, k + 1) table per pair
-    and k; integers add exactly, so the tables do not depend on the blocks.
+    half. The pairs' work runs on this thread, once per block: per pair,
+    each train row's (label value, label) index once, then per k one
+    ``bincount`` of the cells (label value, label, j) into the pair's
+    (2, L, k + 1) table. Those are small numpy calls, which threads would
+    only contend for; integers add exactly, so the tables do not depend on
+    the blocks.
     """
     n, L = labels.shape
     k_max = ks[-1]
@@ -645,12 +639,11 @@ def _plan_statistics(features, labels, pairs, ks):
             tested = at[rows]
             nn[tested[tested >= 0]] = nearest[tested >= 0]
             trained = mask[rows]
-            own = own_labels[trained]
+            own = own_labels[trained] * L + np.arange(L)  # (label value, label)
             for table, k, counts in zip(pair_tables, ks,
                                         _counts_by_k(labels, nearest[trained], ks)):
-                c_pos, c_neg = _neighbor_statistics(own, counts, k)
-                table[1] += c_pos
-                table[0] += c_neg
+                cells = own * (k + 1) + counts
+                table += np.bincount(cells.ravel(), minlength=table.size).reshape(table.shape)
     statistics = [[(table[1], table[0]) for table in pair_tables] for pair_tables in tables]
     return statistics, test_nn
 

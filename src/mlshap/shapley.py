@@ -393,7 +393,7 @@ def _tree_pass(forests, x, background):
         if forest.n_features != M:
             raise ValueError(f"forest {j} has width {forest.n_features}, "
                              f"the instance has width {M}")
-    n_trees = [len(forest.trees) for forest in forests]
+    n_trees = [forest.params.n_trees for forest in forests]
     forest, rank, value, feature, lower, upper = leaf_paths(forests)
     feature, lower, upper = (np.ascontiguousarray(a.T)
                              for a in (np.maximum(feature, 0), lower, upper))

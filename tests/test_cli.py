@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mlshap
-from mlshap import load_model
+from mlshap import cli, load_model
 from mlshap.cli import main
 
 from _synth import foodtruck_like, planted_dataset, write_arff
@@ -568,6 +568,42 @@ class TestOutNamesAFile:
         assert capsys.readouterr().err == (f"error: --out {taken} cannot be made a "
                                            "directory: File exists\n")
         assert taken.read_text() == "keep"
+
+
+class TestOutCheckedFirst:
+    """An --out that cannot be a directory is refused before the fit, tune or
+    explanation runs, and a run that fails after the check makes no
+    directory."""
+
+    WORK = {"train": "fit_point", "tune": "grid_search", "explain": "explain_instance"}
+
+    @pytest.mark.parametrize("command", sorted(WORK))
+    def test_refused_before_the_work(self, small_arff, trained, tmp_path, capsys,
+                                     monkeypatch, command):
+        def fail(*args, **kwargs):
+            raise ValueError("the work ran")
+
+        monkeypatch.setattr(cli, self.WORK[command], fail)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+
+        def argv(out):
+            common = ["--data", small_arff, "--labels", "3", "--seed", "1", "--out", out]
+            return {
+                "train": ["train", *common, "--algo", "mlknn", "--k", "3"],
+                "tune": ["tune", *common, "--algo", "mlknn", "--grid", '{"k": [1, 2]}'],
+                "explain": ["explain", *common, "--model", trained, "--instance", "0"],
+            }[command]
+
+        for out, reason in ((taken, "File exists"), (taken / "sub" / "dir", "Not a directory")):
+            assert run(*argv(out)) == 2
+            assert capsys.readouterr().err == (f"error: --out {out} cannot be made a "
+                                               f"directory: {reason}\n")
+        assert taken.read_text() == "keep"
+        fresh = tmp_path / "fresh" / "dir"
+        assert run(*argv(fresh)) == 1
+        assert capsys.readouterr().err == "error: the work ran\n"
+        assert not (tmp_path / "fresh").exists()
 
 
 class TestNotJson:

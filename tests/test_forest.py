@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from mlshap import (
     PRESETS,
     Dataset,
-    DecisionTree,
     ForestParams,
     RandomForest,
     fit_forest,
@@ -35,16 +35,28 @@ def forest_bytes(f):
 
 
 def leaf_tree(p):
-    return DecisionTree(
-        feature=np.array([-1]), threshold=np.array([0.0]),
-        left=np.array([-1]), right=np.array([-1]), value=np.array([p]),
-    )
+    return dict(feature=[-1], threshold=[0.0], left=[-1], right=[-1], value=[p])
 
 
-def one_tree(tree, n_features):
-    """A one-tree forest: its ``predict_proba`` is the tree's leaf value, bit
-    for bit, and ``_walk.depth[0]`` the tree's depth."""
-    return RandomForest(ForestParams(n_trees=1), [tree], n_features=n_features)
+def forest_of(trees, n_features):
+    """The forest of the arenas ``trees``, one dict of five lists per tree, read
+    as a model file is. One tree gives a forest whose ``predict_proba`` is the
+    tree's leaf value, bit for bit, and ``depth[0]`` the tree's depth."""
+    return forest_from_doc({"format": forest.FOREST_FORMAT, "version": forest.FOREST_VERSION,
+                            "params": asdict(ForestParams(n_trees=len(trees))),
+                            "n_features": n_features, "trees": trees})
+
+
+def arenas(f):
+    """Each tree of the forest ``f`` as its document's arena, a dict of five
+    lists."""
+    return forest_to_doc(f)["trees"]
+
+
+def _fields(tree):
+    """The five arena fields of ``tree`` as arrays."""
+    return (np.asarray(tree[name]) for name in ("feature", "threshold", "left", "right",
+                                                "value"))
 
 
 def _entropy_pair(neg, pos):
@@ -153,7 +165,7 @@ class TestFitTree:
         tree = fit_tree(X, y, params, tree_rng(0, 0))
         assert tree.n_nodes == 3
         assert 1.0 < tree.threshold[0] < 5.0
-        preds = one_tree(tree, 1).predict_proba(X)
+        preds = tree.predict_proba(X)
         np.testing.assert_array_equal((preds >= 0.5).astype(int), y)
         # chosen gain is the maximum over every candidate threshold
         chosen_gain = _gain(X, y, 0, tree.threshold[0])
@@ -167,9 +179,7 @@ class TestFitTree:
         params = ForestParams(n_trees=1, max_depth=5, max_features=2)
         a = fit_tree(X, y, params, tree_rng(9, 0))
         b = fit_tree(X, y, params, tree_rng(9, 0))
-        np.testing.assert_array_equal(a.feature, b.feature)
-        np.testing.assert_array_equal(a.threshold, b.threshold)
-        np.testing.assert_array_equal(a.value, b.value)
+        assert forest_bytes(a) == forest_bytes(b)
 
     def test_depth_budget_respected(self):
         rng = np.random.default_rng(4)
@@ -177,7 +187,7 @@ class TestFitTree:
         y = rng.integers(0, 2, size=200)
         params = ForestParams(n_trees=1, max_depth=3, max_features=3)
         tree = fit_tree(X, y, params, tree_rng(0, 0))
-        assert one_tree(tree, 3)._walk.depth[0] <= 3
+        assert tree.depth[0] <= 3
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(5)
@@ -186,7 +196,7 @@ class TestFitTree:
         params = ForestParams(n_trees=1, max_depth=10, min_samples_leaf=5,
                               max_features=2)
         tree = fit_tree(X, y, params, tree_rng(0, 0))
-        counts = _leaf_counts(tree, X)
+        counts = _leaf_counts(arenas(tree)[0], X)
         assert min(counts) >= 5
 
     def test_empty_input_rejected(self):
@@ -207,30 +217,32 @@ def _gain(X, y, feature, threshold):
 def _leaves_compacting(tree, X):
     """Reference walk: the leaf each row of X reaches, stepping only the rows
     still at a split (compacted by ``nonzero`` each level) until none is."""
+    feature, threshold, left, right, _ = _fields(tree)
     node = np.zeros(X.shape[0], dtype=np.intp)
     while True:
-        feat = tree.feature[node]
+        feat = feature[node]
         live = feat >= 0
         if not live.any():
             return node
         rows = np.nonzero(live)[0]
         at = node[rows]
-        go_left = X[rows, feat[rows]] <= tree.threshold[at]
-        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+        go_left = X[rows, feat[rows]] <= threshold[at]
+        node[rows] = np.where(go_left, left[at], right[at])
 
 
 def _predict_compacting(tree, X):
-    return tree.value[_leaves_compacting(tree, X)]
+    return np.asarray(tree["value"])[_leaves_compacting(tree, X)]
 
 
 def _proba_compacting(forest, X):
     """Reference ``RandomForest.predict_proba`` on a matrix: the compacting
     walk per tree, summed in tree order and divided by the tree count."""
     X = np.asarray(X, dtype=np.float64)
-    total = _predict_compacting(forest.trees[0], X)
-    for tree in forest.trees[1:]:
+    trees = arenas(forest)
+    total = _predict_compacting(trees[0], X)
+    for tree in trees[1:]:
         total = total + _predict_compacting(tree, X)
-    return total / len(forest.trees)
+    return total / len(trees)
 
 
 def _leaf_counts(tree, X):
@@ -265,8 +277,7 @@ class TestFitForest:
         params = ForestParams(n_trees=1, max_depth=4, bootstrap=False, seed=21)
         forest = fit_forest(X, y, params)
         tree = fit_tree(X, y, params, tree_rng(21, 0))
-        np.testing.assert_array_equal(forest.trees[0].feature, tree.feature)
-        np.testing.assert_array_equal(forest.trees[0].threshold, tree.threshold)
+        assert forest_bytes(forest) == forest_bytes(tree)
 
     def test_all_negative_labels(self):
         rng = np.random.default_rng(2)
@@ -285,10 +296,7 @@ class TestFitForest:
         assert a == b
 
     def test_mean_contract(self):
-        forest = RandomForest(
-            params=ForestParams(n_trees=2), trees=[leaf_tree(0.2), leaf_tree(0.6)],
-            n_features=3,
-        )
+        forest = forest_of([leaf_tree(0.2), leaf_tree(0.6)], 3)
         assert forest.predict_proba(np.zeros(3)) == 0.4
 
     @pytest.mark.parametrize("n_trees", [1, 2, 3, 5, 7, 100])
@@ -299,7 +307,8 @@ class TestFitForest:
         y = rng.integers(0, 2, size=50)
         forest = fit_forest(X, y, ForestParams(n_trees=n_trees, seed=3))
         Q = rng.normal(size=(20, 4))
-        expected = np.mean([one_tree(t, 4).predict_proba(Q) for t in forest.trees], axis=0)
+        expected = np.mean([forest_of([t], 4).predict_proba(Q) for t in arenas(forest)],
+                           axis=0)
         np.testing.assert_array_equal(forest.predict_proba(Q), expected)
 
     def test_probability_range(self):
@@ -312,7 +321,7 @@ class TestFitForest:
             assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
     def test_width_mismatch(self):
-        forest = RandomForest(ForestParams(n_trees=1), [leaf_tree(0.5)], n_features=4)
+        forest = forest_of([leaf_tree(0.5)], 4)
         with pytest.raises(ValueError, match="width"):
             forest.predict_proba(np.zeros(3))
 
@@ -355,8 +364,7 @@ class TestForestJson:
         two leaves, with any array replaced by ``tree``."""
         arena = dict(feature=[1, -1, -1], threshold=[0.5, 0.0, 0.0],
                      left=[1, -1, -1], right=[2, -1, -1], value=[0.5, 0.0, 1.0])
-        return dict(forest_to_doc(RandomForest(ForestParams(n_trees=1),
-                                               [leaf_tree(0.5)], n_features=2)),
+        return dict(forest_to_doc(forest_of([leaf_tree(0.5)], 2)),
                     trees=[dict(arena, **tree)])
 
     def test_well_formed_arena_loads(self):
@@ -448,26 +456,28 @@ def _on_thresholds(trees, X):
     set exactly to its threshold."""
     rows = []
     for tree in trees:
-        for k in np.flatnonzero(tree.feature >= 0):
+        feature, threshold, *_ = _fields(tree)
+        for k in np.flatnonzero(feature >= 0):
             row = X[k % X.shape[0]].copy()
-            row[tree.feature[k]] = tree.threshold[k]
+            row[feature[k]] = threshold[k]
             rows.append(row)
     return np.array(rows)
 
 
 def _max_depth_preorder(tree):
     """Reference depth: one pass over a preorder arena, parents first."""
-    depth = np.zeros(tree.n_nodes, dtype=np.int64)
-    for i in range(tree.n_nodes):
-        if tree.feature[i] >= 0:
-            depth[tree.left[i]] = depth[i] + 1
-            depth[tree.right[i]] = depth[i] + 1
+    feature, _, left, right, _ = _fields(tree)
+    depth = np.zeros(feature.size, dtype=np.int64)
+    for i in range(feature.size):
+        if feature[i] >= 0:
+            depth[left[i]] = depth[i] + 1
+            depth[right[i]] = depth[i] + 1
     return int(depth.max())
 
 
 def _assert_walks_match(forest_, Q):
-    for tree in forest_.trees:
-        np.testing.assert_array_equal(one_tree(tree, forest_.n_features).predict_proba(Q),
+    for tree in arenas(forest_):
+        np.testing.assert_array_equal(forest_of([tree], forest_.n_features).predict_proba(Q),
                                       _predict_compacting(tree, Q))
     np.testing.assert_array_equal(forest_.predict_proba(Q), _proba_compacting(forest_, Q))
 
@@ -496,24 +506,25 @@ class TestWalkOracle:
                                                  - ds.features.shape[1]))
             X = np.column_stack([ds.features, decisions])
             Q = np.concatenate([X, _synthesized_rows(X, 60, 10, seed=j),
-                                _on_thresholds(fitted.trees, X)])
+                                _on_thresholds(arenas(fitted), X)])
             _assert_walks_match(fitted, Q)
-            np.testing.assert_array_equal(fitted._walk.depth,
-                                          [_max_depth_preorder(t) for t in fitted.trees])
+            np.testing.assert_array_equal(fitted.depth,
+                                          [_max_depth_preorder(t) for t in arenas(fitted)])
 
     def test_rows_on_thresholds_go_left(self):
         ds, model = _model_forests("paper-br", None)
-        tree = model.per_label_models[0].trees[0]
+        tree = arenas(model.per_label_models[0])[0]
+        feature, threshold, *_ = _fields(tree)
         Q = _on_thresholds([tree], ds.features)
-        splits = np.flatnonzero(tree.feature >= 0)
-        alone = one_tree(tree, ds.n_features)
+        splits = np.flatnonzero(feature >= 0)
+        alone = forest_of([tree], ds.n_features)
         _assert_walks_match(alone, Q)
         # Row i sits on split i: a hair above its threshold it goes right.
-        assert np.all(Q[np.arange(splits.size), tree.feature[splits]]
-                      == tree.threshold[splits])
+        assert np.all(Q[np.arange(splits.size), feature[splits]]
+                      == threshold[splits])
         above = Q.copy()
-        above[np.arange(splits.size), tree.feature[splits]] = np.nextafter(
-            tree.threshold[splits], np.inf)
+        above[np.arange(splits.size), feature[splits]] = np.nextafter(
+            threshold[splits], np.inf)
         assert not np.array_equal(alone.predict_proba(above), alone.predict_proba(Q))
         np.testing.assert_array_equal(alone.predict_proba(above),
                                       _predict_compacting(tree, above))
@@ -521,49 +532,47 @@ class TestWalkOracle:
     def test_a_one_node_tree(self):
         tree = leaf_tree(0.25)
         Q = np.arange(12.0).reshape(4, 3)
-        alone = one_tree(tree, 3)
-        assert alone._walk.depth[0] == 0
+        alone = forest_of([tree], 3)
+        assert alone.depth[0] == 0
         np.testing.assert_array_equal(alone.predict_proba(Q), [0.25] * 4)
         assert alone.predict_proba(Q[:0]).shape == (0,)
-        both = RandomForest(ForestParams(n_trees=2), [tree, leaf_tree(0.5)], n_features=3)
+        both = forest_of([tree, leaf_tree(0.5)], 3)
         _assert_walks_match(both, Q)
         assert both.predict_proba(Q[0]) == 0.375
 
     # Children out of index order and leaves at depths 2 and 3: node 0 sends
     # x0 <= 0 to node 5 and the rest to node 1; nodes 1 and 5 split on x1,
     # node 3 on x0 again.
-    SCRAMBLED = DecisionTree(
-        feature=np.array([0, 1, -1, 0, -1, 1, -1, -1, -1]),
-        threshold=np.array([0.0, 1.0, 0.0, 2.0, 0.0, -1.0, 0.0, 0.0, 0.0]),
-        left=np.array([5, 3, -1, 8, -1, 7, -1, -1, -1]),
-        right=np.array([1, 2, -1, 4, -1, 6, -1, -1, -1]),
-        value=np.array([0.5, 0.5, 0.9, 0.5, 0.7, 0.5, 0.2, 0.1, 0.4]),
+    SCRAMBLED = dict(
+        feature=[0, 1, -1, 0, -1, 1, -1, -1, -1],
+        threshold=[0.0, 1.0, 0.0, 2.0, 0.0, -1.0, 0.0, 0.0, 0.0],
+        left=[5, 3, -1, 8, -1, 7, -1, -1, -1],
+        right=[1, 2, -1, 4, -1, 6, -1, -1, -1],
+        value=[0.5, 0.5, 0.9, 0.5, 0.7, 0.5, 0.2, 0.1, 0.4],
     )
 
     def test_hand_written_arena_with_scrambled_children(self):
         tree = self.SCRAMBLED
         grid = [-np.inf, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, np.inf, np.nan]
         Q = np.array([[a, b] for a in grid for b in grid])
-        alone = one_tree(tree, 2)
-        assert alone._walk.depth[0] == 3
+        alone = forest_of([tree], 2)
+        assert alone.depth[0] == 3
         want = _predict_compacting(tree, Q)
         assert set(want) == {0.9, 0.7, 0.2, 0.1, 0.4}  # every leaf is reached
         # nan compares false, so it goes right, as in the compacting walk.
         assert alone.predict_proba(np.array([np.nan, np.nan])) == 0.9
-        forest_ = RandomForest(ForestParams(n_trees=3),
-                               [tree, leaf_tree(0.3), tree], n_features=2)
+        forest_ = forest_of([tree, leaf_tree(0.3), tree], 2)
         _assert_walks_match(forest_, Q)
         # One column short: the flat buffer would run into the next row, so
         # the arena check refuses the forest before any walk.
         with pytest.raises(ValueError, match=r"^tree 0: feature\[1\] is 1, must be in \[-1, 1\)"):
-            one_tree(tree, 1)
+            forest_of([tree], 1)
 
     def test_a_cyclic_arena_raises_instead_of_walking_forever(self):
-        cyclic = DecisionTree(feature=np.array([0, -1]), threshold=np.array([0.0, 0.0]),
-                              left=np.array([0, -1]), right=np.array([1, -1]),
-                              value=np.array([0.5, 1.0]))
+        cyclic = dict(feature=[0, -1], threshold=[0.0, 0.0], left=[0, -1], right=[1, -1],
+                      value=[0.5, 1.0])
         with pytest.raises(ValueError, match=r"^tree 0: left\[0\] is 0, must be after its node"):
-            one_tree(cyclic, 1)
+            forest_of([cyclic], 1)
 
     def test_column_prefix_views_are_read_in_place(self):
         ds, model = _model_forests("paper-cc", None)
@@ -738,13 +747,7 @@ def _fit_tree_per_node(X, y, params, rng):
         right[node] = new_node(pos - pos_left, right_rows.size)
         stack.append((right[node], right_rows, pos - pos_left, depth + 1))
         stack.append((left[node], left_rows, pos_left, depth + 1))
-    return DecisionTree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        value=np.array(value, dtype=np.float64),
-    )
+    return dict(feature=feature, threshold=threshold, left=left, right=right, value=value)
 
 
 def _fit_forests_per_tree(problems):
@@ -760,7 +763,7 @@ def _fit_forests_per_tree(problems):
             rng = tree_rng(params.seed, t)
             rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
             trees.append(_fit_tree_per_node(X[rows], y[rows], params, rng))
-        forests.append(RandomForest(params=params, trees=trees, n_features=X.shape[1]))
+        forests.append(RandomForest(params, X.shape[1], trees))
     return forests
 
 
@@ -1131,12 +1134,13 @@ class TestInputChecks:
 
 def _node_rows(tree, X):
     """The rows of X that reach each node, by walking the arena in preorder."""
+    feature, threshold, left, right, _ = _fields(tree)
     rows = {0: np.arange(X.shape[0])}
-    for i in range(tree.n_nodes):
-        if tree.feature[i] >= 0:
-            go_left = X[rows[i], tree.feature[i]] <= tree.threshold[i]
-            rows[tree.left[i]] = rows[i][go_left]
-            rows[tree.right[i]] = rows[i][~go_left]
+    for i in range(feature.size):
+        if feature[i] >= 0:
+            go_left = X[rows[i], feature[i]] <= threshold[i]
+            rows[left[i]] = rows[i][go_left]
+            rows[right[i]] = rows[i][~go_left]
     return rows
 
 
@@ -1150,7 +1154,7 @@ class TestNodeValues:
         y = (X[:, 0] + X[:, 1] * X[:, 2] > 0).astype(np.int64)
         params = ForestParams(n_trees=1, max_depth=9, min_samples_leaf=2)
         tree = fit_tree(X, y, params, tree_rng(3, 0))
-        for node, rows in _node_rows(tree, X).items():
+        for node, rows in _node_rows(arenas(tree)[0], X).items():
             assert tree.value[node] == y[rows].mean()
 
     def test_split_between_adjacent_floats(self):
@@ -1162,7 +1166,7 @@ class TestNodeValues:
         y = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 1])
         tree = fit_tree(X, y, ForestParams(n_trees=1, max_features=1), tree_rng(0, 0))
         assert tree.n_nodes == 3 and tree.threshold[0] == a
-        for node, rows in _node_rows(tree, X).items():
+        for node, rows in _node_rows(arenas(tree)[0], X).items():
             assert tree.value[node] == y[rows].mean()
 
 
@@ -1171,14 +1175,14 @@ def _assert_routes(forest_, Q):
     the walk reaches."""
     forest, rank, value, feature, lower, upper = leaf_paths([forest_])
     assert np.all(forest == 0)
-    for t, fitted in enumerate(forest_.trees):
+    for t, fitted in enumerate(arenas(forest_)):
         mine = rank == t
-        assert mine.sum() == np.count_nonzero(fitted.feature < 0)
+        assert mine.sum() == np.count_nonzero(np.asarray(fitted["feature"]) < 0)
         f = np.where(feature[mine] >= 0, feature[mine], 0)
         inside = ((lower[mine] < Q[:, f]) & (Q[:, f] <= upper[mine])).all(axis=2)
         assert np.all(inside.sum(axis=1) == 1)
         np.testing.assert_array_equal(value[mine][inside.argmax(axis=1)],
-                                      one_tree(fitted, forest_.n_features).predict_proba(Q))
+                                      forest_of([fitted], forest_.n_features).predict_proba(Q))
 
 
 class TestLeafPaths:
@@ -1197,15 +1201,15 @@ class TestLeafPaths:
         """Hand-written arena: below x0 <= 1 a split at 2 (never false), and
         above it one at 0.5 (never true); the unreachable leaves get empty
         intervals."""
-        tree = DecisionTree(
-            feature=np.array([0, 0, -1, -1, 0, -1, -1]),
-            threshold=np.array([1.0, 2.0, 0.0, 0.0, 0.5, 0.0, 0.0]),
-            left=np.array([1, 2, -1, -1, 5, -1, -1]),
-            right=np.array([4, 3, -1, -1, 6, -1, -1]),
-            value=np.array([0.5, 0.5, 0.1, 0.2, 0.5, 0.3, 0.4]),
+        tree = dict(
+            feature=[0, 0, -1, -1, 0, -1, -1],
+            threshold=[1.0, 2.0, 0.0, 0.0, 0.5, 0.0, 0.0],
+            left=[1, 2, -1, -1, 5, -1, -1],
+            right=[4, 3, -1, -1, 6, -1, -1],
+            value=[0.5, 0.5, 0.1, 0.2, 0.5, 0.3, 0.4],
         )
         Q = np.linspace(-1.0, 3.0, 81)[:, None]  # 0.5, 1 and 2 among them
-        _assert_routes(one_tree(tree, 1), Q)
+        _assert_routes(forest_of([tree], 1), Q)
 
     def test_columns_are_distinct_path_features(self):
         rng = np.random.default_rng(14)
@@ -1223,7 +1227,7 @@ class TestLeafPaths:
         assert np.all(lower[~pad] < upper[~pad])
 
     def test_a_single_leaf_tree(self):
-        forest, rank, value, feature, lower, upper = leaf_paths([one_tree(leaf_tree(0.25), 1)])
+        forest, rank, value, feature, lower, upper = leaf_paths([forest_of([leaf_tree(0.25)], 1)])
         assert forest.tolist() == rank.tolist() == [0] and value.tolist() == [0.25]
         assert np.all(feature == -1) and np.all(np.isinf(lower) & np.isinf(upper))
 
@@ -1232,13 +1236,11 @@ def _leaf_paths_padded(trees):
     """Reference: ``leaf_paths`` as it was first written, widening every
     column array with ``np.pad`` as a level needs a new column and padding
     each level's leaves to the widest at the end."""
-    sizes = [tree.n_nodes for tree in trees]
+    sizes = [len(tree["feature"]) for tree in trees]
     offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    left = np.concatenate([tree.left + o for tree, o in zip(trees, offsets)])
-    right = np.concatenate([tree.right + o for tree, o in zip(trees, offsets)])
-    value = np.concatenate([tree.value for tree in trees])
+    feature, threshold, left, right, value = (
+        np.concatenate(field) for field in zip(*map(_fields, trees)))
+    left, right = (child + np.repeat(offsets, sizes) for child in (left, right))
     owner = np.repeat(np.arange(len(trees)), sizes)
     node = offsets
     feats = np.full((node.size, 1), -1, dtype=np.int64)
@@ -1284,7 +1286,7 @@ def _assert_same_paths(forests):
     """``leaf_paths(forests)`` against the reference over their trees in
     order: each leaf's forest and rank name the reference's flat tree index."""
     (forest, rank, *got), (tree, *want) = leaf_paths(forests), _leaf_paths_padded(
-        [t for f in forests for t in f.trees])
+        [t for f in forests for t in arenas(f)])
     n_trees = np.array([len(f.trees) for f in forests])
     np.testing.assert_array_equal((np.cumsum(n_trees) - n_trees)[forest] + rank, tree)
     assert np.all((0 <= rank) & (rank < n_trees[forest]))
@@ -1307,27 +1309,25 @@ class TestLeafPathsReference:
             _assert_same_paths([f])
 
     def test_hand_written_arenas(self):
-        looser = DecisionTree(
-            feature=np.array([0, 0, -1, -1, 0, -1, -1]),
-            threshold=np.array([1.0, 2.0, 0.0, 0.0, 0.5, 0.0, 0.0]),
-            left=np.array([1, 2, -1, -1, 5, -1, -1]),
-            right=np.array([4, 3, -1, -1, 6, -1, -1]),
-            value=np.array([0.5, 0.5, 0.1, 0.2, 0.5, 0.3, 0.4]),
+        looser = dict(
+            feature=[0, 0, -1, -1, 0, -1, -1],
+            threshold=[1.0, 2.0, 0.0, 0.0, 0.5, 0.0, 0.0],
+            left=[1, 2, -1, -1, 5, -1, -1],
+            right=[4, 3, -1, -1, 6, -1, -1],
+            value=[0.5, 0.5, 0.1, 0.2, 0.5, 0.3, 0.4],
         )
         scrambled = TestWalkOracle.SCRAMBLED
         for trees in ([leaf_tree(0.25)], [leaf_tree(0.25), leaf_tree(0.5)], [looser],
                       [scrambled], [leaf_tree(0.1), scrambled, looser, leaf_tree(0.9)],
                       [looser, scrambled, scrambled]):
-            _assert_same_paths([RandomForest(ForestParams(n_trees=len(trees)), trees,
-                                             n_features=2)])
+            _assert_same_paths([forest_of(trees, 2)])
 
     def test_forests_of_different_widths_and_depths_in_one_call(self):
         """BR forests, CC links of growing width and a one-leaf forest, joined
         in one call in an order that mixes widths, depths and tree counts."""
         _, br = _model_forests("paper-br", None, n_trees=3)
         _, cc = _model_forests("paper-cc", 1, n_trees=4)
-        stump = RandomForest(ForestParams(n_trees=2, max_depth=1), [
-            leaf_tree(0.5), leaf_tree(0.25)], n_features=1)
+        stump = forest_of([leaf_tree(0.5), leaf_tree(0.25)], 1)
         links = cc.chained_models
         assert links[0].n_features < links[1].n_features < links[-1].n_features
         forests = [links[3], br.per_label_models[0], stump, links[0],

@@ -26,7 +26,6 @@ from mlshap.multilabel import (
     MLKNNModel,
     _block_order,
     _nearest,
-    _neighbor_statistics,
     _neighbor_sets,
     _positive_counts,
     _ranking_rhs,
@@ -409,7 +408,7 @@ class TestSharedNeighborOrder:
         labels = train.labels.astype(np.int64)
         for k in range(1, 21):
             fitted = fit_mlknn(train, k)
-            c_pos, c_neg = _neighbor_statistics(
+            c_pos, c_neg = count_statistics(
                 labels, _positive_counts(labels, loo[:, :k]), k)
             np.testing.assert_array_equal(c_pos, fitted.cond_counts_pos)
             np.testing.assert_array_equal(c_neg, fitted.cond_counts_neg)
@@ -439,7 +438,13 @@ def loo_statistics(features, labels, k):
     j in 0..k."""
     d2 = cdist(features, features, "sqeuclidean")
     np.fill_diagonal(d2, np.inf)
-    counts = labels[stable_nearest(d2, k)].sum(axis=1)
+    return count_statistics(labels, labels[stable_nearest(d2, k)].sum(axis=1), k)
+
+
+def count_statistics(labels, counts, k):
+    """Reference (c_pos, c_neg) of rows whose k nearest hold ``counts``
+    positives of each label: per label, the rows with and without it that
+    saw j positive neighbours, j in 0..k."""
     return tuple(np.array([np.bincount(counts[labels[:, l] == value, l], minlength=k + 1)
                            for l in range(labels.shape[1])])
                  for value in (1, 0))

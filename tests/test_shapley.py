@@ -27,6 +27,7 @@ from mlshap import (
 from mlshap import _blocks, multilabel
 from mlshap.data import Dataset
 from mlshap.evaluation import PRESETS
+from mlshap.forest import forest_to_doc
 from mlshap.shapley import (
     ESTIMATORS,
     Explanation,
@@ -620,20 +621,20 @@ class TestTreeShap:
         """The "rare-label" case tests what it is named for."""
         model, _, _ = _br_case("rare", BR_CASES["rare-label"], decimals=decimals)
         depths = []
-        for tree in model.per_label_models[0].trees:
-            depth = np.zeros(tree.n_nodes, dtype=np.int64)
-            for i in np.flatnonzero(tree.feature >= 0):  # children follow parents
-                depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+        for tree in forest_to_doc(model.per_label_models[0])["trees"]:
+            depth = np.zeros(len(tree["feature"]), dtype=np.int64)
+            for i in np.flatnonzero(np.array(tree["feature"]) >= 0):  # children follow parents
+                depth[[tree["left"][i], tree["right"][i]]] = depth[i] + 1
             depths.append(depth.max())
         assert min(depths) == 0 and max(depths) >= 6
 
     def test_instance_and_background_on_the_thresholds(self):
         """x <= threshold goes left: values equal to a threshold, as predict sends them."""
         model, bg, x = _br_case("ties", BR_CASES["defaults"], decimals=0)
-        trees = [t for f in model.per_label_models for t in f.trees]
-        split = np.concatenate([t.feature for t in trees]) >= 0
-        feats = np.concatenate([t.feature for t in trees])[split]
-        thresholds = np.concatenate([t.threshold for t in trees])[split]
+        trees = [t for f in model.per_label_models for t in forest_to_doc(f)["trees"]]
+        split = np.concatenate([t["feature"] for t in trees]) >= 0
+        feats = np.concatenate([t["feature"] for t in trees])[split]
+        thresholds = np.concatenate([t["threshold"] for t in trees])[split]
         rng = np.random.default_rng(0)
         x, bg = x.copy(), bg.copy()
         for row in (x, *bg):
@@ -697,8 +698,8 @@ class TestTreeShap:
         model, bg, x = _br_case("wide", dict(n_trees=3, max_depth=12, seed=8), d=40)
         for expl in explain_instance(model, x, bg, [0, 1, 2]):
             assert expl.local_accuracy_gap() <= 1e-12
-            used = {int(f) for t in model.per_label_models[expl.label].trees
-                    for f in t.feature if f >= 0}
+            used = {f for t in forest_to_doc(model.per_label_models[expl.label])["trees"]
+                    for f in t["feature"] if f >= 0}
             unused = sorted(set(range(40)) - used)
             assert np.all(expl.phi[unused] == 0.0)
 
