@@ -67,30 +67,32 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(threads, thread_name_prefix="mlshap-blocks")
 
 
-def map_slices(fn, n_rows: int, row_bytes: int) -> list:
+def map_slices(fn, n_rows: int, row_bytes: int, budget: int | None = None) -> list:
     """``[fn(s) for s in slices]``, the slices covering ``range(n_rows)`` in
     order, run on up to ``_WORKERS`` threads.
 
     ``fn`` must compute the rows of its slice independently of the other
     slices, and write nothing the other slices read. The calling thread and
-    ``_WORKERS - 1`` pool threads take slices in turn. Each slice holds at
-    most ``_BLOCK_BYTES // (_WORKERS * row_bytes)`` rows and at least one,
-    and there are at least ``_WORKERS`` slices (or one per row). Work below an
-    eighth of the budget, or with one CPU, runs on the calling thread as
-    :func:`row_slices` cuts it. A call made from inside a slice runs on that
-    slice's thread, within the thread's share of the budget, so pools never
-    nest (a pool thread waiting on its own pool could wait forever). An
-    exception in a slice stops the threads taking more slices and is
-    re-raised here; of several, the one from the lowest slice, which is the
-    one a serial loop would raise.
+    ``_WORKERS - 1`` pool threads take slices in turn. ``budget`` is
+    ``_BLOCK_BYTES`` by default, or what a caller's fixed share leaves of
+    it. Each slice holds at most ``budget // (_WORKERS * row_bytes)`` rows
+    and at least one, and there are at least ``_WORKERS`` slices (or one
+    per row). Work below an eighth of the budget, or with one CPU, runs on
+    the calling thread as :func:`row_slices` cuts it. A call made from
+    inside a slice runs on that slice's thread, within the thread's share
+    of the budget, so pools never nest (a pool thread waiting on its own
+    pool could wait forever). An exception in a slice stops the threads
+    taking more slices and is re-raised here; of several, the one from the
+    lowest slice, which is the one a serial loop would raise.
     """
+    budget = _BLOCK_BYTES if budget is None else budget
     workers = _WORKERS
-    share = _rows(_BLOCK_BYTES // workers, row_bytes)
+    share = _rows(budget // workers, row_bytes)
     if _in_slice.get():
         return [fn(s) for s in _cut(n_rows, share)]
-    if workers > 1 and n_rows > 1 and n_rows * row_bytes >= _BLOCK_BYTES // 8:
+    if workers > 1 and n_rows > 1 and n_rows * row_bytes >= budget // 8:
         return _run_shared(fn, _cut(n_rows, min(share, -(-n_rows // workers))), workers)
-    return [fn(s) for s in row_slices(n_rows, row_bytes)]
+    return [fn(s) for s in row_slices(n_rows, row_bytes, budget)]
 
 
 def _run_shared(fn, slices: list[slice], workers: int) -> list:

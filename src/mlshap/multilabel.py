@@ -15,7 +15,8 @@ import numpy as np
 
 from . import _blocks, _json
 from .data import Dataset
-from .forest import FOREST_DOC, ForestParams, _as_int, _forest, fit_forests, forest_to_doc
+from .forest import (FOREST_DOC, CoalitionForest, ForestParams, _as_int, _flat_rows, _forest,
+                     fit_forests, forest_to_doc)
 
 MODEL_FORMAT = "mlshap-model"
 MODEL_VERSION = 1
@@ -83,6 +84,12 @@ class MultiLabelModel:
         labels = self._label_ids(labels)
         return lambda X: self.predict_proba(X, labels)
 
+    def coalition_fn(self, labels):
+        """The ``ExplainTarget.coalitions`` of ``label_proba_fn(labels)``, or
+        None where the explainers synthesize the rows and call that target
+        (ML-kNN: its output is no sum of values that one table could hold)."""
+        return None
+
     def _payload(self) -> dict:
         raise NotImplementedError
 
@@ -130,6 +137,11 @@ class BRModel(MultiLabelModel):
     def _proba_matrix(self, X, labels):
         return np.column_stack([self.per_label_models[l].predict_proba(X) for l in labels])
 
+    def coalition_fn(self, labels):
+        labels = self._label_ids(labels)
+        return _coalitions([self.per_label_models[l] for l in labels], range(len(labels)),
+                           chained=False)
+
     def _payload(self):
         return {"forests": [forest_to_doc(f) for f in self.per_label_models]}
 
@@ -175,11 +187,68 @@ class CCModel(MultiLabelModel):
                 aug[:, M + j] = probas[:, j] >= 0.5
         return probas.take(positions, axis=1)
 
+    def coalition_fn(self, labels):
+        """Runs links 0..p only, as ``_proba_matrix`` does."""
+        positions = [self.chain_order.index(l) for l in self._label_ids(labels)]
+        return _coalitions(self.chained_models[:max(positions) + 1], positions, chained=True)
+
     def _payload(self):
         return {
             "chain_order": self.chain_order,
             "chained_models": [forest_to_doc(f) for f in self.chained_models],
         }
+
+
+def _coalitions(forests, columns, chained: bool):
+    """The ``ExplainTarget.coalitions`` whose output i is that of forest
+    ``columns[i]`` of ``forests``; with ``chained``, forest j is link j of a
+    classifier chain, reading after the M features the 0/1 decisions of
+    links 0..j-1 on the same row, as ``CCModel._proba_matrix`` writes them.
+
+    Each forest is a ``CoalitionForest`` over the same (x, background), so
+    every tree with a table holds it for the whole call, and each tree's
+    share of the byte budget is half of it over the trees of all the
+    forests. Only when some tree walks are the rows synthesized, at the
+    width of the widest forest: the features, then one column per decision.
+    The blocks run within what the tables leave of the budget, and per mask
+    a block holds 8·B bytes per synthesized column, per forest (its output
+    and its decision), per output, and five more (the running total, and a
+    tree's key and gathered values or the walk's offsets, values and nodes).
+    """
+    n_trees = sum(forest.trees.size for forest in forests)
+
+    def coalitions(x, background, n_masks):
+        B, M = background.shape
+        share = _blocks._BLOCK_BYTES // (2 * n_trees)
+        links = [CoalitionForest(forest, x, background, n_masks, share) for forest in forests]
+        width = max(forest.n_features for forest in forests) if any(
+            link.walks for link in links) else 0
+
+        def outputs(masks):
+            n = masks.shape[0]
+            rows = None
+            if width:
+                synth = np.empty((n, B, width))
+                np.copyto(synth[:, :, :M], background)
+                np.copyto(synth[:, :, :M], x, where=masks[:, None, :])
+                rows = _flat_rows(synth.reshape(n * B, width))
+            values, decisions = [], []
+            for j, link in enumerate(links):
+                values.append(link(masks, decisions, rows))
+                if chained and j + 1 < len(links):
+                    decided = values[-1] >= 0.5
+                    decisions.append(decided.astype(np.intp))
+                    if width:
+                        synth[:, :, M + j] = decided
+            out = np.empty((n, len(columns), B))
+            for i, c in enumerate(columns):
+                out[:, i] = values[c]
+            return out
+
+        row_bytes = 8 * B * (width + 2 * len(forests) + len(columns) + 5)
+        return outputs, row_bytes, _blocks._BLOCK_BYTES - sum(link.nbytes for link in links)
+
+    return coalitions
 
 
 class MLKNNModel(MultiLabelModel):
@@ -523,7 +592,8 @@ def predict_mlknn_grid(dataset: Dataset, assignments, points):
     byte budget of ``_blocks``: each block adds its rows' integer statistics
     per pair and k, which add exactly, and keeps the k_max test neighbours
     of its test rows, 8·k_max bytes per row and repetition. Each point's
-    posterior is ``_map_posterior``, as in ``MLKNNModel._posterior``.
+    posterior is ``_map_posterior``, as in ``MLKNNModel._posterior``, from
+    the pair's priors at its s, computed once per pair and s.
     """
     features, labels = _train_rows(dataset.features, dataset.labels)
     n = features.shape[0]
@@ -533,18 +603,20 @@ def predict_mlknn_grid(dataset: Dataset, assignments, points):
     for p in points:
         check_mlknn_params(p["k"], p.get("s", 1.0), min(t.size for t, _ in pairs))
     ks = sorted({int(p["k"]) for p in points})
+    smoothing = {float(p.get("s", 1.0)) for p in points}
     statistics, test_nn = _plan_statistics(features, labels, pairs, ks)
     at_k = {k: i for i, k in enumerate(ks)}
 
     def predict(pair, tables, nn):
         train_labels = labels[pair[0]]
         at_each = list(_counts_by_k(labels, nn, ks))
+        priors = {s: _priors(train_labels, s) for s in smoothing}
         predictions = []
         for p in points:
             s = float(p.get("s", 1.0))
             i = at_k[int(p["k"])]
             c_pos, c_neg = tables[i]
-            proba = _map_posterior(at_each[i], _priors(train_labels, s), c_pos, c_neg, s)
+            proba = _map_posterior(at_each[i], priors[s], c_pos, c_neg, s)
             predictions.append((proba >= 0.5).astype(np.int64))
         return predictions
 

@@ -21,6 +21,7 @@ all. Every estimator takes finite values only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,10 +50,20 @@ class ExplainTarget:
     (n,) vector for one output, or an (n, L) matrix for L outputs (such as L
     labels of one multi-label model). The estimators explain all L outputs
     from one pass over the coalitions.
+
+    ``coalitions``, when given, evaluates f on the rows that complete
+    coalitions of x with the background rows without those rows being
+    built: ``coalitions(x, background, n_masks)`` returns ``(outputs,
+    row_bytes, budget)``, where ``outputs(masks)`` is the C-ordered
+    (n, L, B) array of f on row (mask, b) at [mask, :, b], the same bits as
+    f gives, holding at most ``row_bytes`` bytes per mask, and its blocks
+    run within ``budget`` bytes. When it is None the rows are synthesized
+    and f is called on them.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     n_features: int
+    coalitions: Callable | None = None
 
 
 @dataclass
@@ -115,26 +126,43 @@ def _at_instance(target, x):
     return out.reshape(-1), out.ndim == 1
 
 
+def _synthesized(f, n_outputs, x, background, n_masks):
+    """``ExplainTarget.coalitions`` by synthesis: per mask, its B rows of
+    width M, and f's (B, L) output with its transposed copy."""
+    B, M = background.shape
+
+    def outputs(masks):
+        synth = np.where(masks[:, None, :], x[None, None, :], background[None, :, :])
+        out = np.asarray(f(synth.reshape(-1, M)), dtype=np.float64)
+        return np.ascontiguousarray(out.reshape(masks.shape[0], B, -1).transpose(0, 2, 1))
+
+    return outputs, 8 * B * (M + 2 * n_outputs), _blocks._BLOCK_BYTES
+
+
 def _coalition_values(target, x, masks, background, n_outputs):
     """Mean model output over background-completed rows: (n_masks, L).
 
-    Masks run in blocks within the byte budget, shared by the threads of
-    ``_blocks.map_slices``: per mask, the B synthesized rows of width M and
-    the target's (B, L) output with its transposed copy. Each mean runs along
-    a contiguous axis of length B, so it sums in the same order whatever L is,
-    however the masks are blocked and whichever thread runs the block.
+    The target's ``coalitions`` (or synthesis, without one) is set up once
+    for (x, background) and the masks, and its outputs computed in blocks
+    of masks within its byte budget, shared by the threads of
+    ``_blocks.map_slices``. For a forest model, a block holds per mask the
+    B values of each forest and output, and the B synthesized rows only if
+    some tree walks them; each (tree, background row) table, 8·2^k bytes
+    for a tree reading k features, is held for the whole call, out of the
+    budget, and a tree walks where 2^k exceeds the number of masks or its
+    table its share of the budget (``multilabel._coalitions``). Each mean
+    runs along a contiguous axis of length B, so it sums in the same order
+    whatever L is, however the masks are blocked, whichever thread runs the
+    block and whether the outputs came from tables or from rows.
     """
-    B, M = background.shape
+    coalitions = target.coalitions or functools.partial(_synthesized, target.f, n_outputs)
+    outputs, row_bytes, budget = coalitions(x, background, masks.shape[0])
 
     def block_values(rows):
-        block = masks[rows]
-        synth = np.where(block[:, None, :], x[None, None, :], background[None, :, :])
-        out = np.asarray(target.f(synth.reshape(-1, M)), dtype=np.float64)
-        out = out.reshape(block.shape[0], B, -1)
-        return np.ascontiguousarray(out.transpose(0, 2, 1)).mean(axis=-1)
+        return outputs(masks[rows]).mean(axis=-1)
 
-    return np.concatenate(_blocks.map_slices(block_values, masks.shape[0],
-                                             8 * B * (M + 2 * n_outputs)))
+    return np.concatenate(_blocks.map_slices(block_values, masks.shape[0], row_bytes,
+                                             budget))
 
 
 def _base_and_fx(target, x, background):
@@ -476,9 +504,11 @@ def explain_instance(model, x, background, labels, estimator: str | None = None,
 
     ``model`` must expose ``label_proba_fn(labels)`` returning a batched
     target that maps an (n, M) matrix to (n, len(labels)) probabilities (all
-    mlshap models do). ``estimator`` is "exact", "kernel" or "tree", and
-    defaults by ``resolve_estimator``: "tree" for binary relevance, "kernel"
-    otherwise. ``budget`` and ``seed`` are read by "kernel" only.
+    mlshap models do), and may expose ``coalition_fn(labels)``, the
+    target's ``ExplainTarget.coalitions`` (BR and CC forests have one).
+    ``estimator`` is "exact", "kernel" or "tree", and defaults by
+    ``resolve_estimator``: "tree" for binary relevance, "kernel" otherwise.
+    ``budget`` and ``seed`` are read by "kernel" only.
 
     Every label is explained from one pass: one set of coalitions, background
     rows and regression for "exact" and "kernel", so each label's phi matches
@@ -490,7 +520,9 @@ def explain_instance(model, x, background, labels, estimator: str | None = None,
     """
     estimator = resolve_estimator(model, estimator)
     labels = [int(l) for l in labels]
-    target = ExplainTarget(f=model.label_proba_fn(labels), n_features=model.n_features)
+    coalition_fn = getattr(model, "coalition_fn", None)
+    target = ExplainTarget(f=model.label_proba_fn(labels), n_features=model.n_features,
+                           coalitions=coalition_fn(labels) if coalition_fn else None)
     if estimator == "exact":
         explanations = exact_shapley(target, x, background)
     elif estimator == "kernel":

@@ -77,6 +77,19 @@ def test_slices_split_the_budget(workers, n, n_rows, row_bytes):
     assert len(set(threads.values())) > 1
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_caller_budget_cuts_the_slices(workers, n):
+    """A caller's ``budget`` takes the place of ``_BLOCK_BYTES``: each slice
+    holds at most its share of it, and work below an eighth of it stays on
+    the calling thread."""
+    workers(n)
+    slices = _blocks.map_slices(lambda rows: rows, 1000, 4096, BUDGET // 4)
+    assert slices[-1].stop == 1000 and len(slices) >= 4 * n
+    assert all((s.stop - s.start) * 4096 <= BUDGET // 4 // n for s in slices)
+    below = _blocks.map_slices(lambda rows: threading.get_ident(), 7, 4096, BUDGET // 4)
+    assert below == [threading.get_ident()]
+
+
 def test_work_below_the_floor_stays_on_the_calling_thread(workers):
     workers(4)
     slices, threads = run(100, BUDGET // 8 // 100 - 1)

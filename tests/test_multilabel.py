@@ -425,6 +425,19 @@ class TestSharedNeighborOrder:
             expected = fit_mlknn(train, point["k"], point.get("s", 1.0)).predict(X_test)
             np.testing.assert_array_equal(predicted, expected)
 
+    def test_grid_priors_once_per_pair_and_smoothing(self, foodtruck_dataset, monkeypatch):
+        """Points that share an s share its priors: two pairs, three values
+        of s (1.0 twice, once by default), eleven points."""
+        plan = make_folds(foodtruck_dataset.n_instances, 1, 2, seed=2).assignments
+        points = [{"k": k, "s": s} for k in (7, 2, 5) for s in (0.5, 1.0, 2.0)]
+        points += [{"k": 4}, {"k": 9, "s": 1.0}]
+        calls = []
+        priors = multilabel._priors
+        monkeypatch.setattr(multilabel, "_priors",
+                            lambda labels, s: calls.append(s) or priors(labels, s))
+        assert len(list(predict_mlknn_grid(foodtruck_dataset, plan, points))) == 2
+        assert sorted(calls) == [0.5, 0.5, 1.0, 1.0, 2.0, 2.0]
+
 
 def stable_nearest(d2, k):
     """Reference selection: the first k columns of a stable full-row sort."""

@@ -27,7 +27,7 @@ from mlshap import (
 from mlshap import _blocks, multilabel
 from mlshap.data import Dataset
 from mlshap.evaluation import PRESETS
-from mlshap.forest import forest_to_doc
+from mlshap.forest import CoalitionForest, forest_to_doc
 from mlshap.shapley import (
     ESTIMATORS,
     Explanation,
@@ -35,6 +35,7 @@ from mlshap.shapley import (
     _coalition_budget,
     _coalition_values,
     _sample_coalitions,
+    _synthesized,
     _tree_pass,
     resolve_estimator,
     tree_shap,
@@ -533,6 +534,44 @@ class TestCoalitionBlocks:
             assert (got.base_value, got.fx, got.label) == \
                 (want.base_value, want.fx, want.label)
 
+    @pytest.mark.parametrize("fit", [
+        lambda ds: fit_br(ds, ForestParams(n_trees=3, max_depth=4, seed=1)),
+        lambda ds: fit_cc(ds, ForestParams(n_trees=3, max_depth=3, seed=1), seed=2),
+    ], ids=["br", "cc"])
+    def test_tables_past_their_share(self, monkeypatch, fit):
+        """A budget whose share per tree holds the smaller tables only, and a
+        few masks per block: the larger tables' trees walk, in many blocks,
+        and every bit of the explanations stays."""
+        ds = planted_dataset("shares", 120, 6, 4, seed=5)
+        model = fit(ds)
+        bg = sample_background(ds.features, size=8, seed=0)
+        x, labels = ds.features[9], [3, 0, 2]
+
+        def run():
+            return explain_instance(model, x, bg, labels, estimator="kernel", budget=40,
+                                    seed=2)
+
+        whole = run()
+        n_trees = sum(forest.trees.size for forest in _links(model, labels))
+        sizes = [8 * 8 << k for forest in _links(model, labels) for k in _ks(forest)]
+        share = sorted(sizes)[len(sizes) // 2]
+        assert min(sizes) <= share < max(sizes)
+        monkeypatch.setattr(_blocks, "_BLOCK_BYTES", 2 * n_trees * share)
+        tables = _tables(model, labels, x, bg, 40, share)
+        assert any(entry is None for link in tables for entry in link)
+        blocks = []
+        map_slices = _blocks.map_slices
+
+        def spy(fn, n_rows, row_bytes, budget=None):
+            return map_slices(lambda rows: blocks.append(n_rows) or fn(rows), n_rows,
+                              row_bytes, budget)
+
+        monkeypatch.setattr(_blocks, "map_slices", spy)
+        for got, want in zip(run(), whole):
+            np.testing.assert_array_equal(got.phi, want.phi)
+            assert (got.base_value, got.fx) == (want.base_value, want.fx)
+        assert blocks.count(40) > 4
+
     @pytest.mark.parametrize("budget", [None, 7 * _mask_bytes(50, 20, 12) + 1])
     def test_every_block_fits_the_budget(self, monkeypatch, rng, budget):
         """A target spy sees each block's masks x bytes per mask within the
@@ -556,6 +595,187 @@ class TestCoalitionBlocks:
         assert sum(blocks) == 2 * M + 2048 and len(blocks) > 1
         assert all(n * _mask_bytes(B, M, L) <= _blocks._BLOCK_BYTES
                    for n in blocks if n > 1)
+
+
+def _links(model, labels):
+    """The forests a BR or CC model evaluates for ``labels``."""
+    if isinstance(model, multilabel.CCModel):
+        return model.chained_models[:max(model.chain_order.index(l) for l in labels) + 1]
+    return [model.per_label_models[l] for l in labels]
+
+
+def _ks(forest):
+    """Per tree, the number of distinct features it splits on."""
+    stops = np.append(forest.trees[1:], forest.n_nodes)
+    return [np.unique(forest.feature[a:b][forest.split[a:b]]).size
+            for a, b in zip(forest.trees, stops)]
+
+
+def _tables(model, labels, x, bg, n_masks, share=None):
+    """Per forest of ``_links``, its ``CoalitionForest`` tables (None where a
+    tree walks), at ``share`` bytes a tree (the whole budget by default)."""
+    share = _blocks._BLOCK_BYTES if share is None else share
+    return [CoalitionForest(f, x, bg, n_masks, share).tables for f in _links(model, labels)]
+
+
+def _targets(model, labels):
+    """The model's target with its coalition tables, and without them."""
+    f = model.label_proba_fn(labels)
+    return (ExplainTarget(f=f, n_features=model.n_features,
+                          coalitions=model.coalition_fn(labels)),
+            ExplainTarget(f=f, n_features=model.n_features))
+
+
+def _assert_tables_match_rows(model, labels, x, bg, masks):
+    """Per (mask, background row), and as ``_coalition_values`` means, the
+    tables give exactly what the synthesized rows give."""
+    tables, rows = _targets(model, labels)
+    outputs, _, budget = tables.coalitions(x, bg, masks.shape[0])
+    got = outputs(masks)
+    want = _synthesized(rows.f, len(labels), x, bg, masks.shape[0])[0](masks)
+    assert got.shape == (masks.shape[0], len(labels), bg.shape[0]) and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert 0 < budget <= _blocks._BLOCK_BYTES
+    assert np.array_equal(_coalition_values(tables, x, masks, bg, len(labels)),
+                          _coalition_values(rows, x, masks, bg, len(labels)))
+
+
+def _masks(rng, n, M):
+    """n random masks, the empty and the full one among them."""
+    masks = rng.random((n, M)) < 0.5
+    masks[0], masks[-1] = False, True
+    return masks
+
+
+_CC_PARAMS = ForestParams(n_trees=3, max_depth=3, seed=1)
+
+
+class TestCoalitionTables:
+    """BR and CC forests evaluate coalitions from one table of leaf values per
+    (tree, background row); every output is the bits the synthesized rows
+    give, wherever the tables and the walks split the trees."""
+
+    @pytest.fixture(scope="class")
+    def cc(self):
+        ds = planted_dataset("tables", 150, 6, 4, seed=7)
+        return ds, fit_cc(ds, _CC_PARAMS, seed=3)
+
+    def test_cc_links_read_chain_columns(self, cc, rng):
+        ds, model = cc
+        labels = [0, 1, 2, 3]
+        bg = ds.features[:9]
+        tables = _tables(model, labels, ds.features[20], bg, 50)
+        assert any(entry is not None and entry[1] for link in tables for entry in link)
+        _assert_tables_match_rows(model, labels, ds.features[20], bg, _masks(rng, 50, 6))
+
+    def test_deepest_position_below_the_last_link(self, cc, rng):
+        ds, model = cc
+        labels = [model.chain_order[1], model.chain_order[0]]
+        assert len(_links(model, labels)) == 2 < model.n_labels
+        _assert_tables_match_rows(model, labels, ds.features[31], ds.features[40:47],
+                                  _masks(rng, 30, 6))
+
+    @pytest.mark.parametrize("fit", [
+        lambda ds: fit_br(ds, _CC_PARAMS),
+        lambda ds: fit_cc(ds, _CC_PARAMS, seed=3),
+    ], ids=["br", "cc"])
+    def test_single_leaf_trees(self, fit, rng):
+        """A label no row holds grows one-leaf forests; in the others, tree 1
+        is made a single leaf, beside trees that split."""
+        ds = planted_dataset("leaves", 120, 6, 3, seed=2)
+        labels = ds.labels.copy()
+        labels[:, 1] = 0
+        ds = Dataset(ds.name, ds.features, ds.feature_names, labels, ds.label_names)
+        doc = fit(ds).to_doc()
+        payload = doc["payload"]
+        for forest in payload.get("forests") or payload["chained_models"]:
+            forest["trees"][1] = {"feature": [-1], "threshold": [0.0], "left": [-1],
+                                  "right": [-1], "value": [0.25]}
+        model = multilabel.model_from_doc(doc)
+        leaves = [forest.depth == 0 for forest in _links(model, [0, 1, 2])]
+        assert any(all(leaf) for leaf in leaves) and any(not all(leaf) for leaf in leaves)
+        tables = _tables(model, [0, 1, 2], ds.features[3], ds.features[10:16], 1)
+        assert [[entry is not None for entry in link] for link in tables] == \
+            [list(leaf) for leaf in leaves]
+        _assert_tables_match_rows(model, [0, 1, 2], ds.features[3], ds.features[10:16],
+                                  _masks(rng, 25, 6))
+
+    def test_values_on_a_split_threshold(self, cc, rng):
+        """x and a background row sit exactly on split thresholds, which send
+        them left (``<=``) both in the table walk and in the row walk."""
+        ds, model = cc
+        x, bg = ds.features[11].copy(), ds.features[50:56].copy()
+        link = model.chained_models[0]
+        roots = link.trees
+        x[link.feature[roots[0]]] = link.threshold[roots[0]]
+        bg[2, link.feature[roots[1]]] = link.threshold[roots[1]]
+        second = model.chained_models[1]
+        split = np.flatnonzero(second.split & (second.feature < 6))[-1]
+        x[second.feature[split]] = second.threshold[split]
+        _assert_tables_match_rows(model, [0, 1, 2, 3], x, bg, _masks(rng, 40, 6))
+
+    def test_link_output_of_one_half_decides_one(self, cc, rng):
+        """Every leaf of link 0 set to 0.5: its output is exactly 0.5, a 1 in
+        the later links' keys as in ``CCModel._proba_matrix``."""
+        ds, model = cc
+        doc = model.to_doc()
+        for tree in doc["payload"]["chained_models"][0]["trees"]:
+            tree["value"] = [0.5] * len(tree["value"])
+        model = multilabel.model_from_doc(doc)
+        tables = _tables(model, [0, 1, 2, 3], ds.features[5], ds.features[70:76], 30)
+        assert any(entry is not None and any(column == 0 for column, _ in entry[1])
+                   for link in tables[1:] for entry in link)
+        _assert_tables_match_rows(model, [0, 1, 2, 3], ds.features[5], ds.features[70:76],
+                                  _masks(rng, 30, 6))
+
+    def test_deep_forest_mixes_tables_and_walks(self, rng):
+        """Trees reading more features than log2 of the masks walk; the
+        others use their tables, in the same sum."""
+        ds = planted_dataset("deep", 200, 10, 2, seed=9)
+        model = fit_br(ds, ForestParams(n_trees=6, max_depth=4, seed=4))
+        x, bg = ds.features[0], ds.features[100:108]
+        tables = _tables(model, [0, 1], x, bg, 64)
+        uses = [entry is not None for link in tables for entry in link]
+        assert any(uses) and not all(uses)
+        _assert_tables_match_rows(model, [0, 1], x, bg, _masks(rng, 64, 10))
+
+    @pytest.mark.parametrize("algo", ["br", "cc"])
+    def test_one_mask_base_value(self, cc, algo):
+        """With one mask only one-leaf trees could use a table: the base
+        value call walks, as ``predict_proba`` does."""
+        ds, model = cc
+        if algo == "br":
+            model = fit_br(ds, _CC_PARAMS)
+        x, bg = ds.features[4], ds.features[60:70]
+        tables = _tables(model, [3, 1], x, bg, 1)
+        assert all(entry is None for link in tables for entry in link)
+        _assert_tables_match_rows(model, [3, 1], x, bg, np.zeros((1, 6), dtype=bool))
+        with_tables, rows = _targets(model, [3, 1])
+        for got, want in zip(_base_and_fx(with_tables, x, bg), _base_and_fx(rows, x, bg)):
+            assert np.array_equal(got, want)
+
+    def test_exact_shapley_on_cc(self, cc):
+        ds, model = cc
+        tables, rows = _targets(model, [2, 0, 3])
+        x, bg = ds.features[17], ds.features[80:87]
+        for got, want in zip(exact_shapley(tables, x, bg), exact_shapley(rows, x, bg)):
+            assert np.array_equal(got.phi, want.phi)
+            assert (got.base_value, got.fx) == (want.base_value, want.fx)
+
+    def test_budget_and_mask_count_choose_the_trees(self, cc):
+        """A tree holds a table when 2^k is at most the masks and its B·2^k
+        float64 values fit its share; its key gathers from k bits."""
+        ds, model = cc
+        x, bg = ds.features[1], ds.features[90:95]
+        link = model.chained_models[3]
+        ks = _ks(link)
+        for n_masks, share in ((1 << max(ks), 8 * 5 << max(ks)), (1 << min(ks), 1 << 20),
+                               (1 << 20, 8 * 5 << min(ks))):
+            forest = CoalitionForest(link, x, bg, n_masks, share)
+            expected = [1 << k <= n_masks and 8 * 5 << k <= share for k in ks]
+            assert [entry is not None for entry in forest.tables] == expected
+            assert forest.walks == (not all(expected))
+            assert forest.nbytes == sum(8 * 5 << k for k, e in zip(ks, expected) if e)
 
 
 def _br_case(name, params, n=90, d=8, L=3, seed=0, decimals=None):
