@@ -11,6 +11,7 @@ step, and each tree is the one it would be grown on its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import asdict, dataclass, replace
@@ -145,6 +146,13 @@ class RandomForest:
             self.depth[owner[node]] = level
             node = np.concatenate([left[node], right[node]])
 
+    @functools.cached_property
+    def tree_features(self) -> list[np.ndarray]:
+        """Per tree, the distinct features its splits read, ascending."""
+        stops = np.append(self.trees[1:], self.n_nodes)
+        return [np.unique(self.feature[start:stop][self.split[start:stop]])
+                for start, stop in zip(self.trees, stops)]
+
     @property
     def n_nodes(self) -> int:
         """Nodes in all the trees (``perfbench/layers.py`` reads it of
@@ -192,35 +200,29 @@ class CoalitionForest:
     classifier chain link reads them) the earlier link c's 0/1 decision on
     that row.
 
-    A tree reads k distinct features, so on one background row the leaf it
-    sends a row to depends only on the row's k bits: the coalition's bit on
-    each original feature it reads, the decision on each chain column. A
-    tree holds the table of those 2^k leaf values per background row when
-    2^k is at most ``n_masks`` (the table is cheaper to fill than the rows
-    it replaces) and its 8·B·2^k bytes fit in ``share``; it is filled by
-    walking 2^k rows per background row with ``_leaf_values``, each holding
-    x or the background row's value on an original feature and 0 or 1 on a
-    chain column, as its bits say. The walk holds ``8·(w + 3)`` bytes per
-    row, w the tree's widest column + 1, in background blocks within half
-    of ``_blocks._BLOCK_BYTES``. Every other tree walks the synthesized
-    rows. Leaf values are added in tree order and the total divided by the
-    tree count, as ``RandomForest.predict_proba`` does, so each output is
-    the same bits as there.
+    A tree reads k distinct features (``tree_features``), so on one
+    background row the leaf it sends a row to depends only on the row's k
+    bits: the coalition's bit on each original feature it reads, the
+    decision on each chain column. Each tree holds the table of those 2^k
+    leaf values per background row, 8·B·2^k bytes, filled by walking 2^k
+    rows per background row with ``_leaf_values``, each holding x or the
+    background row's value on an original feature and 0 or 1 on a chain
+    column, as its bits say. The walk holds ``8·(2w + 3)`` bytes per row, w
+    the tree's widest column + 1 (the rows, the copy of their original
+    features, and the walk's offsets, values and nodes), in background
+    blocks within half of ``_blocks._BLOCK_BYTES``. Leaf values are added
+    in tree order and the total divided by the tree count, as
+    ``RandomForest.predict_proba`` does, so each output is the same bits as
+    there.
     """
 
-    def __init__(self, forest: RandomForest, x, background, n_masks: int, share: int):
+    def __init__(self, forest: RandomForest, x, background):
         self.forest = forest
         M, B = x.shape[0], background.shape[0]
-        stops = np.append(forest.trees[1:], forest.n_nodes)
-        self.tables = []  # per tree: None where it walks, else (offsets, chain, table)
-        weights = []  # per table, each original feature's bit in the key, or 0
-        for t, (start, stop) in enumerate(zip(forest.trees, stops)):
-            split = forest.split[start:stop]
-            feats = np.unique(forest.feature[start:stop][split])
+        self.tables = []  # per tree: (offsets, chain, table)
+        weights = []  # per tree, each original feature's bit in its key, or 0
+        for t, feats in enumerate(forest.tree_features):
             k = feats.size
-            if 1 << k > n_masks or 8 * B << k > share:
-                self.tables.append(None)
-                continue
             bit = 1 << np.arange(k)
             ours = feats < M  # sorted, so the original features take the low bits
             weight = np.zeros(M, dtype=np.int64)
@@ -229,9 +231,8 @@ class CoalitionForest:
             chain = [(int(f) - M, i) for i, f in enumerate(feats) if f >= M]
             self.tables.append((np.arange(B) << k, chain,
                                 self._table(t, feats, x, background)))
-        self.weights = np.array(weights, dtype=np.int64).reshape(-1, M).T
-        self.walks = any(entry is None for entry in self.tables)
-        self.nbytes = sum(entry[2].nbytes for entry in self.tables if entry is not None)
+        self.weights = np.array(weights, dtype=np.int64).T
+        self.nbytes = sum(table.nbytes for _, _, table in self.tables)
 
     def _table(self, t: int, feats, x, background) -> np.ndarray:
         """Tree t's (B · 2^k) leaf values: entry b · 2^k + key is its value on
@@ -243,7 +244,7 @@ class CoalitionForest:
         ours = feats < M
         width = int(feats[-1]) + 1 if k else 1
         table = np.empty((background.shape[0], 1 << k))
-        for rows in _blocks.row_slices(background.shape[0], 8 * (width + 3) << k,
+        for rows in _blocks.row_slices(background.shape[0], 8 * (2 * width + 3) << k,
                                        _blocks._BLOCK_BYTES // 2):
             r = background[rows]
             walk = np.empty((r.shape[0], 1 << k, width))  # the tree reads no other column
@@ -254,25 +255,19 @@ class CoalitionForest:
                 t, *_flat_rows(walk.reshape(-1, width))).reshape(-1, 1 << k)
         return table.ravel()
 
-    def __call__(self, masks: np.ndarray, decisions: list, rows) -> np.ndarray:
+    def __call__(self, masks: np.ndarray, decisions: list) -> np.ndarray:
         """(n, B) outputs, on background row b completing mask i at [i, b],
         for the n ``masks``. ``decisions[c]`` is chain column M + c as an
-        (n, B) intp matrix of 0 and 1, and ``rows`` the ``_flat_rows`` of the
-        synthesized (n, B, width) rows, which only the trees that walk read.
-        """
-        n = masks.shape[0]
-        keys = masks @ self.weights  # (n, tables): the original features' bits
-        total, table_at = None, 0
-        for t, entry in enumerate(self.tables):
-            if entry is None:
-                values = self.forest._leaf_values(t, *rows).reshape(n, -1)
-            else:
-                offsets, chain, table = entry
-                key = keys[:, table_at, None] + offsets
-                for column, bit in chain:
-                    key += decisions[column] << bit
-                values = table.take(key)
-                table_at += 1
+        (n, B) intp matrix of 0 and 1. Beside its (n, B) arrays, a call holds
+        8·(M + T) bytes per mask for T trees: the masks as integers and each
+        tree's key on the original features."""
+        keys = masks @ self.weights  # (n, trees): the original features' bits
+        total = None
+        for t, (offsets, chain, table) in enumerate(self.tables):
+            key = keys[:, t, None] + offsets
+            for column, bit in chain:
+                key += decisions[column] << bit
+            values = table.take(key)
             if total is None:
                 total = values
             else:

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import _blocks, _json
 from .data import Dataset
-from .forest import (FOREST_DOC, CoalitionForest, ForestParams, _as_int, _flat_rows, _forest,
-                     fit_forests, forest_to_doc)
+from .forest import (FOREST_DOC, CoalitionForest, ForestParams, _as_int, _forest, fit_forests,
+                     forest_to_doc)
 
 MODEL_FORMAT = "mlshap-model"
 MODEL_VERSION = 1
@@ -205,47 +205,40 @@ def _coalitions(forests, columns, chained: bool):
     classifier chain, reading after the M features the 0/1 decisions of
     links 0..j-1 on the same row, as ``CCModel._proba_matrix`` writes them.
 
-    Each forest is a ``CoalitionForest`` over the same (x, background), so
-    every tree with a table holds it for the whole call, and each tree's
-    share of the byte budget is half of it over the trees of all the
-    forests. Only when some tree walks are the rows synthesized, at the
-    width of the widest forest: the features, then one column per decision.
-    The blocks run within what the tables leave of the budget, and per mask
-    a block holds 8·B bytes per synthesized column, per forest (its output
-    and its decision), per output, and five more (the running total, and a
-    tree's key and gathered values or the walk's offsets, values and nodes).
+    Each forest is a ``CoalitionForest`` over the same (x, background), its
+    tables held for the whole call. They are built only when every tree's
+    2^k is at most the number of masks, so that no table costs more to fill
+    than the rows it replaces, and all of them together fit half the byte
+    budget. Otherwise the call returns None and every row is synthesized,
+    as for a model without tables: the one-mask base value, the depth-15
+    ``paper-br`` trees under ``--estimator kernel``, all 12 labels of a
+    100-tree ``paper-cc`` model on 100 background rows. The blocks run within what the tables leave of the
+    budget, and per mask a block holds 8·B bytes per forest (its output
+    and its decision), per output, and four more (the running total, a
+    tree's key, its gathered values and a shifted decision), and
+    ``CoalitionForest``'s 8·(M + T) for the most trees T of one forest.
     """
-    n_trees = sum(forest.trees.size for forest in forests)
+    most_trees = max(forest.trees.size for forest in forests)
 
     def coalitions(x, background, n_masks):
         B, M = background.shape
-        share = _blocks._BLOCK_BYTES // (2 * n_trees)
-        links = [CoalitionForest(forest, x, background, n_masks, share) for forest in forests]
-        width = max(forest.n_features for forest in forests) if any(
-            link.walks for link in links) else 0
+        sizes = [1 << feats.size for forest in forests for feats in forest.tree_features]
+        if max(sizes) > n_masks or 8 * B * sum(sizes) > _blocks._BLOCK_BYTES // 2:
+            return None
+        links = [CoalitionForest(forest, x, background) for forest in forests]
 
         def outputs(masks):
-            n = masks.shape[0]
-            rows = None
-            if width:
-                synth = np.empty((n, B, width))
-                np.copyto(synth[:, :, :M], background)
-                np.copyto(synth[:, :, :M], x, where=masks[:, None, :])
-                rows = _flat_rows(synth.reshape(n * B, width))
             values, decisions = [], []
             for j, link in enumerate(links):
-                values.append(link(masks, decisions, rows))
+                values.append(link(masks, decisions))
                 if chained and j + 1 < len(links):
-                    decided = values[-1] >= 0.5
-                    decisions.append(decided.astype(np.intp))
-                    if width:
-                        synth[:, :, M + j] = decided
-            out = np.empty((n, len(columns), B))
+                    decisions.append((values[-1] >= 0.5).astype(np.intp))
+            out = np.empty((masks.shape[0], len(columns), B))
             for i, c in enumerate(columns):
                 out[:, i] = values[c]
             return out
 
-        row_bytes = 8 * B * (width + 2 * len(forests) + len(columns) + 5)
+        row_bytes = 8 * B * (2 * len(forests) + len(columns) + 4) + 8 * (M + most_trees)
         return outputs, row_bytes, _blocks._BLOCK_BYTES - sum(link.nbytes for link in links)
 
     return coalitions

@@ -21,7 +21,6 @@ all. Every estimator takes finite values only.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,8 +56,8 @@ class ExplainTarget:
     row_bytes, budget)``, where ``outputs(masks)`` is the C-ordered
     (n, L, B) array of f on row (mask, b) at [mask, :, b], the same bits as
     f gives, holding at most ``row_bytes`` bytes per mask, and its blocks
-    run within ``budget`` bytes. When it is None the rows are synthesized
-    and f is called on them.
+    run within ``budget`` bytes. Where it is None, or returns None for a
+    call, the rows are synthesized and f is called on them.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -142,27 +141,28 @@ def _synthesized(f, n_outputs, x, background, n_masks):
 def _coalition_values(target, x, masks, background, n_outputs):
     """Mean model output over background-completed rows: (n_masks, L).
 
-    The target's ``coalitions`` (or synthesis, without one) is set up once
-    for (x, background) and the masks, and its outputs computed in blocks
-    of masks within its byte budget, shared by the threads of
-    ``_blocks.map_slices``. For a forest model, a block holds per mask the
-    B values of each forest and output, and the B synthesized rows only if
-    some tree walks them; each (tree, background row) table, 8·2^k bytes
-    for a tree reading k features, is held for the whole call, out of the
-    budget, and a tree walks where 2^k exceeds the number of masks or its
-    table its share of the budget (``multilabel._coalitions``). Each mean
-    runs along a contiguous axis of length B, so it sums in the same order
-    whatever L is, however the masks are blocked, whichever thread runs the
-    block and whether the outputs came from tables or from rows.
+    The target's ``coalitions`` (or synthesis, without one or where it
+    declines the call) is set up once for (x, background) and the masks,
+    and its outputs computed in blocks of masks within its byte budget,
+    shared by the threads of ``_blocks.map_slices``. For a forest model
+    whose trees all hold tables (``multilabel._coalitions``), a block holds
+    per mask the B values of each forest and output, and each (tree,
+    background row) table, 8·2^k bytes for a tree reading k features, is
+    held for the whole call, out of the budget; otherwise a block holds the
+    B synthesized rows of each mask and the target's outputs on them. Each
+    mean runs along a contiguous axis of length B, so it sums in the same
+    order whatever L is, however the masks are blocked, whichever thread
+    runs the block and whether the outputs came from tables or from rows.
     """
-    coalitions = target.coalitions or functools.partial(_synthesized, target.f, n_outputs)
-    outputs, row_bytes, budget = coalitions(x, background, masks.shape[0])
+    n_masks = masks.shape[0]
+    tables = target.coalitions and target.coalitions(x, background, n_masks)
+    outputs, row_bytes, budget = tables or _synthesized(target.f, n_outputs, x, background,
+                                                        n_masks)
 
     def block_values(rows):
         return outputs(masks[rows]).mean(axis=-1)
 
-    return np.concatenate(_blocks.map_slices(block_values, masks.shape[0], row_bytes,
-                                             budget))
+    return np.concatenate(_blocks.map_slices(block_values, n_masks, row_bytes, budget))
 
 
 def _base_and_fx(target, x, background):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from mlshap import (
 from mlshap import _blocks, multilabel
 from mlshap.data import Dataset
 from mlshap.evaluation import PRESETS
-from mlshap.forest import CoalitionForest, forest_to_doc
+from mlshap.forest import forest_to_doc
 from mlshap.shapley import (
     ESTIMATORS,
     Explanation,
@@ -535,13 +536,14 @@ class TestCoalitionBlocks:
                 (want.base_value, want.fx, want.label)
 
     @pytest.mark.parametrize("fit", [
-        lambda ds: fit_br(ds, ForestParams(n_trees=3, max_depth=4, seed=1)),
-        lambda ds: fit_cc(ds, ForestParams(n_trees=3, max_depth=3, seed=1), seed=2),
+        lambda ds: fit_br(ds, ForestParams(n_trees=3, max_depth=2, seed=1)),
+        lambda ds: fit_cc(ds, ForestParams(n_trees=3, max_depth=2, seed=1), seed=2),
     ], ids=["br", "cc"])
-    def test_tables_past_their_share(self, monkeypatch, fit):
-        """A budget whose share per tree holds the smaller tables only, and a
-        few masks per block: the larger tables' trees walk, in many blocks,
-        and every bit of the explanations stays."""
+    @pytest.mark.parametrize("room", ["tables", "rows"])
+    def test_tables_within_the_budget_or_rows(self, monkeypatch, fit, room):
+        """A budget of twice the tables' bytes holds them, and leaves a few
+        masks per block; two bytes less, and every row is synthesized, in as
+        many blocks. Either way every bit of the explanations stays."""
         ds = planted_dataset("shares", 120, 6, 4, seed=5)
         model = fit(ds)
         bg = sample_background(ds.features, size=8, seed=0)
@@ -552,13 +554,10 @@ class TestCoalitionBlocks:
                                     seed=2)
 
         whole = run()
-        n_trees = sum(forest.trees.size for forest in _links(model, labels))
-        sizes = [8 * 8 << k for forest in _links(model, labels) for k in _ks(forest)]
-        share = sorted(sizes)[len(sizes) // 2]
-        assert min(sizes) <= share < max(sizes)
-        monkeypatch.setattr(_blocks, "_BLOCK_BYTES", 2 * n_trees * share)
-        tables = _tables(model, labels, x, bg, 40, share)
-        assert any(entry is None for link in tables for entry in link)
+        nbytes = 8 * 8 * sum(_sizes(model, labels))
+        monkeypatch.setattr(_blocks, "_BLOCK_BYTES", 2 * nbytes - 2 * (room == "rows"))
+        tables = model.coalition_fn(labels)(x, bg, 40)
+        assert (tables is None) == (room == "rows")
         blocks = []
         map_slices = _blocks.map_slices
 
@@ -571,6 +570,33 @@ class TestCoalitionBlocks:
             np.testing.assert_array_equal(got.phi, want.phi)
             assert (got.base_value, got.fx) == (want.base_value, want.fx)
         assert blocks.count(40) > 4
+
+    @pytest.mark.parametrize("algo", ["br", "cc"])
+    def test_a_block_holds_no_more_than_it_counts(self, algo):
+        """Many shallow trees on one background row: a block of masks holds
+        little per tree and background row, and mostly each tree's key. The
+        allocations one block's outputs make stay within its masks times
+        the bytes per mask the tables count, and the tables within half
+        the budget."""
+        ds = planted_dataset("many-trees", 80, 6, 4, seed=3)
+        params = ForestParams(n_trees=60, max_depth=2, seed=1)
+        model = fit_br(ds, params) if algo == "br" else fit_cc(ds, params, seed=2)
+        labels = [0, 1, 2, 3]
+        n = 2000
+        masks = _masks(np.random.default_rng(0), n, 6)
+        outputs, row_bytes, budget = model.coalition_fn(labels)(ds.features[7],
+                                                                ds.features[:1], n)
+        assert row_bytes >= 8 * 60  # the key of every tree of a forest, per mask
+        assert budget >= _blocks._BLOCK_BYTES // 2
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            outputs(masks)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * row_bytes
 
     @pytest.mark.parametrize("budget", [None, 7 * _mask_bytes(50, 20, 12) + 1])
     def test_every_block_fits_the_budget(self, monkeypatch, rng, budget):
@@ -604,18 +630,10 @@ def _links(model, labels):
     return [model.per_label_models[l] for l in labels]
 
 
-def _ks(forest):
-    """Per tree, the number of distinct features it splits on."""
-    stops = np.append(forest.trees[1:], forest.n_nodes)
-    return [np.unique(forest.feature[a:b][forest.split[a:b]]).size
-            for a, b in zip(forest.trees, stops)]
-
-
-def _tables(model, labels, x, bg, n_masks, share=None):
-    """Per forest of ``_links``, its ``CoalitionForest`` tables (None where a
-    tree walks), at ``share`` bytes a tree (the whole budget by default)."""
-    share = _blocks._BLOCK_BYTES if share is None else share
-    return [CoalitionForest(f, x, bg, n_masks, share).tables for f in _links(model, labels)]
+def _sizes(model, labels):
+    """Per tree of ``_links``, 2^k for the k distinct features it splits on."""
+    return [1 << feats.size for forest in _links(model, labels)
+            for feats in forest.tree_features]
 
 
 def _targets(model, labels):
@@ -627,15 +645,18 @@ def _targets(model, labels):
 
 
 def _assert_tables_match_rows(model, labels, x, bg, masks):
-    """Per (mask, background row), and as ``_coalition_values`` means, the
-    tables give exactly what the synthesized rows give."""
+    """The tables are built, and per (mask, background row), and as
+    ``_coalition_values`` means, give exactly what the synthesized rows
+    give."""
     tables, rows = _targets(model, labels)
-    outputs, _, budget = tables.coalitions(x, bg, masks.shape[0])
+    planned = tables.coalitions(x, bg, masks.shape[0])
+    assert planned is not None
+    outputs, _, budget = planned
     got = outputs(masks)
     want = _synthesized(rows.f, len(labels), x, bg, masks.shape[0])[0](masks)
     assert got.shape == (masks.shape[0], len(labels), bg.shape[0]) and got.flags.c_contiguous
     assert np.array_equal(got, want)
-    assert 0 < budget <= _blocks._BLOCK_BYTES
+    assert _blocks._BLOCK_BYTES // 2 <= budget < _blocks._BLOCK_BYTES
     assert np.array_equal(_coalition_values(tables, x, masks, bg, len(labels)),
                           _coalition_values(rows, x, masks, bg, len(labels)))
 
@@ -648,12 +669,15 @@ def _masks(rng, n, M):
 
 
 _CC_PARAMS = ForestParams(n_trees=3, max_depth=3, seed=1)
+# Depth-3 trees split at most 7 times, so 2^7 masks cover every table.
+_N_MASKS = 128
 
 
 class TestCoalitionTables:
     """BR and CC forests evaluate coalitions from one table of leaf values per
-    (tree, background row); every output is the bits the synthesized rows
-    give, wherever the tables and the walks split the trees."""
+    (tree, background row) when every tree's table is worth filling and all
+    fit half the budget, and from synthesized rows otherwise; every output
+    is the bits the synthesized rows give."""
 
     @pytest.fixture(scope="class")
     def cc(self):
@@ -663,17 +687,17 @@ class TestCoalitionTables:
     def test_cc_links_read_chain_columns(self, cc, rng):
         ds, model = cc
         labels = [0, 1, 2, 3]
-        bg = ds.features[:9]
-        tables = _tables(model, labels, ds.features[20], bg, 50)
-        assert any(entry is not None and entry[1] for link in tables for entry in link)
-        _assert_tables_match_rows(model, labels, ds.features[20], bg, _masks(rng, 50, 6))
+        assert any((feats >= 6).any() for forest in _links(model, labels)
+                   for feats in forest.tree_features)
+        _assert_tables_match_rows(model, labels, ds.features[20], ds.features[:9],
+                                  _masks(rng, _N_MASKS, 6))
 
     def test_deepest_position_below_the_last_link(self, cc, rng):
         ds, model = cc
         labels = [model.chain_order[1], model.chain_order[0]]
         assert len(_links(model, labels)) == 2 < model.n_labels
         _assert_tables_match_rows(model, labels, ds.features[31], ds.features[40:47],
-                                  _masks(rng, 30, 6))
+                                  _masks(rng, _N_MASKS, 6))
 
     @pytest.mark.parametrize("fit", [
         lambda ds: fit_br(ds, _CC_PARAMS),
@@ -681,7 +705,8 @@ class TestCoalitionTables:
     ], ids=["br", "cc"])
     def test_single_leaf_trees(self, fit, rng):
         """A label no row holds grows one-leaf forests; in the others, tree 1
-        is made a single leaf, beside trees that split."""
+        is made a single leaf, beside trees that split. A single leaf reads
+        no feature: its table is one value per background row."""
         ds = planted_dataset("leaves", 120, 6, 3, seed=2)
         labels = ds.labels.copy()
         labels[:, 1] = 0
@@ -692,13 +717,13 @@ class TestCoalitionTables:
             forest["trees"][1] = {"feature": [-1], "threshold": [0.0], "left": [-1],
                                   "right": [-1], "value": [0.25]}
         model = multilabel.model_from_doc(doc)
-        leaves = [forest.depth == 0 for forest in _links(model, [0, 1, 2])]
+        links = _links(model, [0, 1, 2])
+        leaves = [list(forest.depth == 0) for forest in links]
         assert any(all(leaf) for leaf in leaves) and any(not all(leaf) for leaf in leaves)
-        tables = _tables(model, [0, 1, 2], ds.features[3], ds.features[10:16], 1)
-        assert [[entry is not None for entry in link] for link in tables] == \
-            [list(leaf) for leaf in leaves]
+        assert [[feats.size == 0 for feats in forest.tree_features] for forest in links] == \
+            leaves
         _assert_tables_match_rows(model, [0, 1, 2], ds.features[3], ds.features[10:16],
-                                  _masks(rng, 25, 6))
+                                  _masks(rng, _N_MASKS, 6))
 
     def test_values_on_a_split_threshold(self, cc, rng):
         """x and a background row sit exactly on split thresholds, which send
@@ -712,7 +737,7 @@ class TestCoalitionTables:
         second = model.chained_models[1]
         split = np.flatnonzero(second.split & (second.feature < 6))[-1]
         x[second.feature[split]] = second.threshold[split]
-        _assert_tables_match_rows(model, [0, 1, 2, 3], x, bg, _masks(rng, 40, 6))
+        _assert_tables_match_rows(model, [0, 1, 2, 3], x, bg, _masks(rng, _N_MASKS, 6))
 
     def test_link_output_of_one_half_decides_one(self, cc, rng):
         """Every leaf of link 0 set to 0.5: its output is exactly 0.5, a 1 in
@@ -722,60 +747,70 @@ class TestCoalitionTables:
         for tree in doc["payload"]["chained_models"][0]["trees"]:
             tree["value"] = [0.5] * len(tree["value"])
         model = multilabel.model_from_doc(doc)
-        tables = _tables(model, [0, 1, 2, 3], ds.features[5], ds.features[70:76], 30)
-        assert any(entry is not None and any(column == 0 for column, _ in entry[1])
-                   for link in tables[1:] for entry in link)
+        assert any((feats == 6).any() for forest in model.chained_models[1:]
+                   for feats in forest.tree_features)
         _assert_tables_match_rows(model, [0, 1, 2, 3], ds.features[5], ds.features[70:76],
-                                  _masks(rng, 30, 6))
+                                  _masks(rng, _N_MASKS, 6))
 
-    def test_deep_forest_mixes_tables_and_walks(self, rng):
-        """Trees reading more features than log2 of the masks walk; the
-        others use their tables, in the same sum."""
+    def test_a_tree_past_the_masks_synthesizes_every_row(self, rng):
+        """One tree whose 2^k exceeds the masks, and every row of the call is
+        synthesized, the trees with small tables' too; with as many masks as
+        its 2^k, all the trees hold tables."""
         ds = planted_dataset("deep", 200, 10, 2, seed=9)
         model = fit_br(ds, ForestParams(n_trees=6, max_depth=4, seed=4))
         x, bg = ds.features[0], ds.features[100:108]
-        tables = _tables(model, [0, 1], x, bg, 64)
-        uses = [entry is not None for link in tables for entry in link]
-        assert any(uses) and not all(uses)
-        _assert_tables_match_rows(model, [0, 1], x, bg, _masks(rng, 64, 10))
+        sizes = _sizes(model, [0, 1])
+        assert min(sizes) < max(sizes)
+        tables, rows = _targets(model, [0, 1])
+        assert tables.coalitions(x, bg, max(sizes) - 1) is None
+        masks = _masks(rng, max(sizes) - 1, 10)
+        assert np.array_equal(_coalition_values(tables, x, masks, bg, 2),
+                              _coalition_values(rows, x, masks, bg, 2))
+        _assert_tables_match_rows(model, [0, 1], x, bg, _masks(rng, max(sizes), 10))
 
     @pytest.mark.parametrize("algo", ["br", "cc"])
     def test_one_mask_base_value(self, cc, algo):
         """With one mask only one-leaf trees could use a table: the base
-        value call walks, as ``predict_proba`` does."""
+        value call synthesizes its rows, as ``predict_proba`` reads them."""
         ds, model = cc
         if algo == "br":
             model = fit_br(ds, _CC_PARAMS)
         x, bg = ds.features[4], ds.features[60:70]
-        tables = _tables(model, [3, 1], x, bg, 1)
-        assert all(entry is None for link in tables for entry in link)
-        _assert_tables_match_rows(model, [3, 1], x, bg, np.zeros((1, 6), dtype=bool))
         with_tables, rows = _targets(model, [3, 1])
+        assert with_tables.coalitions(x, bg, 1) is None
         for got, want in zip(_base_and_fx(with_tables, x, bg), _base_and_fx(rows, x, bg)):
             assert np.array_equal(got, want)
 
     def test_exact_shapley_on_cc(self, cc):
-        ds, model = cc
+        """Depth-2 links split at most 3 times, so exact's 2^6 masks use the
+        tables."""
+        ds, _ = cc
+        model = fit_cc(ds, ForestParams(n_trees=3, max_depth=2, seed=1), seed=3)
         tables, rows = _targets(model, [2, 0, 3])
         x, bg = ds.features[17], ds.features[80:87]
+        assert tables.coalitions(x, bg, 1 << 6) is not None
         for got, want in zip(exact_shapley(tables, x, bg), exact_shapley(rows, x, bg)):
             assert np.array_equal(got.phi, want.phi)
             assert (got.base_value, got.fx) == (want.base_value, want.fx)
 
-    def test_budget_and_mask_count_choose_the_trees(self, cc):
-        """A tree holds a table when 2^k is at most the masks and its B·2^k
-        float64 values fit its share; its key gathers from k bits."""
+    def test_masks_and_budget_choose_tables_or_rows(self, cc, monkeypatch):
+        """Tables are built when the largest 2^k is at most the masks and the
+        B·2^k float64 values of all of them fit half the budget; the blocks
+        then run within what they leave of it."""
         ds, model = cc
+        labels = [0, 1, 2, 3]
         x, bg = ds.features[1], ds.features[90:95]
-        link = model.chained_models[3]
-        ks = _ks(link)
-        for n_masks, share in ((1 << max(ks), 8 * 5 << max(ks)), (1 << min(ks), 1 << 20),
-                               (1 << 20, 8 * 5 << min(ks))):
-            forest = CoalitionForest(link, x, bg, n_masks, share)
-            expected = [1 << k <= n_masks and 8 * 5 << k <= share for k in ks]
-            assert [entry is not None for entry in forest.tables] == expected
-            assert forest.walks == (not all(expected))
-            assert forest.nbytes == sum(8 * 5 << k for k, e in zip(ks, expected) if e)
+        sizes = _sizes(model, labels)
+        nbytes = 8 * 5 * sum(sizes)
+        coalitions = model.coalition_fn(labels)
+        for n_masks, budget, built in ((max(sizes), 2 * nbytes, True),
+                                       (max(sizes) - 1, 2 * nbytes, False),
+                                       (1 << 20, 2 * nbytes - 2, False)):
+            monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
+            planned = coalitions(x, bg, n_masks)
+            assert (planned is not None) == built
+            if built:
+                assert planned[2] == budget - nbytes
 
 
 def _br_case(name, params, n=90, d=8, L=3, seed=0, decimals=None):
