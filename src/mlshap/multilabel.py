@@ -263,18 +263,18 @@ class MLKNNModel(MultiLabelModel):
         n = train_features.shape[0]
         statistics, _ = _plan_statistics(
             train_features, train_labels, [(np.arange(n), np.arange(0))], [self.k])
-        self.cond_counts_pos, self.cond_counts_neg = statistics[0][0]
+        self._statistics = statistics[0][0]
+        self.cond_counts_pos, self.cond_counts_neg = self._statistics[:2]
         self._ranking = _ranking_rhs(train_features)
 
-    def _posterior(self, nn):
-        """(n, L) label probabilities of rows whose k nearest training rows are
-        ``nn``, in any order: the counts are integer sums over each row."""
-        return _map_posterior(_positive_counts(self.train_labels, nn), self.priors,
-                              self.cond_counts_pos, self.cond_counts_neg, self.s)
+    def _posterior(self, counts):
+        """(n, L) label probabilities of rows whose k nearest training rows
+        hold ``counts`` positives of each label (``_neighbor_sets``)."""
+        return _map_posterior(counts, self.priors, self._statistics, self.s)
 
     def _proba_matrix(self, X, labels):
-        return self._posterior(_neighbor_sets(X, self.train_features, self._ranking,
-                                              self.k)).take(labels, axis=1)
+        return self._posterior(_neighbor_sets(X, self.train_features, self.train_labels,
+                                              self._ranking, self.k)).take(labels, axis=1)
 
     def _payload(self):
         return {
@@ -319,19 +319,20 @@ def _positive_counts(train_labels, nn):
     return counts
 
 
-def _map_posterior(counts, priors, c_pos, c_neg, s: float):
+def _map_posterior(counts, priors, statistics, s: float):
     """(n, L) MAP label probabilities of rows with ``counts`` positive
-    neighbors, from the statistics of a fit at k = ``c_pos.shape[1] - 1``:
-    p1 / (p1 + p0), p1 the prior times the smoothed likelihood of the count
-    given the label and p0 the same without it. Two (n, L) arrays hold the
-    work, updated in place."""
+    neighbors, from the ``statistics`` (c_pos, c_neg and their row sums) of a
+    fit at k = ``c_pos.shape[1] - 1``: p1 / (p1 + p0), p1 the prior times the
+    smoothed likelihood of the count given the label and p0 the same without
+    it. Two (n, L) arrays hold the work, updated in place."""
+    c_pos, c_neg, pos_total, neg_total = statistics
     cols = np.arange(counts.shape[1])[None, :]
     k = c_pos.shape[1] - 1
     p1 = np.add(s, c_pos[cols, counts])
-    p1 /= s * (k + 1) + c_pos.sum(axis=1)
+    p1 /= s * (k + 1) + pos_total
     p1 *= priors
     p0 = np.add(s, c_neg[cols, counts])
-    p0 /= s * (k + 1) + c_neg.sum(axis=1)
+    p0 /= s * (k + 1) + neg_total
     p0 *= 1.0 - priors
     p0 += p1
     return np.divide(p1, p0, out=p1)
@@ -348,7 +349,8 @@ def _nearest(d2, k: int):
     the stable sort's prefix as a set, and orders those k stably by distance.
     Only rows whose k-th distance is NaN (fewer than k comparable entries), and
     k >= n, go through the full sort. The fit and the tune read such prefixes
-    (``_plan_statistics``); prediction reads only the set (``_neighbor_sets``).
+    (``_plan_statistics``); prediction reads only the positive labels the set
+    holds, and only on rows it cannot certify (``_neighbor_sets``).
 
     Beside ``d2``, it holds at most 12 bytes per entry of rows with no NaN:
     the partition's copy (8), or on rows tied at v the mask, the masks below
@@ -394,6 +396,10 @@ def _block_order(features, rows, k: int):
 # m·n·k <= 2**18 (its SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD).
 _ONE_THREAD_GEMM = 2**18
 
+# float32 holds every integer up to 2**24 exactly, so a sum of fewer than this
+# many 0/1 products is exact in any order.
+_FLOAT32_EXACT = 2**24
+
 
 def _ranking_rhs(train_features):
     """The (M + 1, n_train) right-hand side ``[-2 Tᵀ; |t|²]`` of
@@ -406,27 +412,36 @@ def _ranking_rhs(train_features):
     return rhs
 
 
-def _neighbor_sets(X, train_features, rhs, k: int):
-    """Each row of ``X``'s k nearest rows of ``train_features``, as a set in
-    no particular order: the set ``_nearest`` selects from their ``cdist``
-    distances, which is all the posterior reads. ``rhs`` is
-    ``_ranking_rhs(train_features)`` and k < n_train. Rows run in blocks within the byte budget, on the
-    threads of ``_blocks.map_slices``, and per block:
+def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
+    """(n, L) count, per row of ``X`` and per label, of the positive
+    ``train_labels`` among the row's k nearest rows of ``train_features``,
+    the set ``_nearest`` selects from their ``cdist`` distances: all the
+    posterior reads of that set. The counts are of the smallest unsigned
+    integer type that holds k (uint8 up to k = 255). ``rhs`` is
+    ``_ranking_rhs(train_features)`` and k < n_train. Rows run in blocks
+    within the byte budget, on the threads of ``_blocks.map_slices``, and per
+    block:
 
     1. One product ``d = [q, 1] @ rhs``. Each row of d is the row's squared
        distances less |q|², the same for the whole row, so d ranks as the
        distances do.
-    2. One ``argpartition`` at k: the first k columns hold the k smallest
-       entries of d, the k-th smallest being their max, and column k holds
-       the (k+1)-th.
+    2. One ``partition`` at k: its first k columns hold the k smallest
+       entries of d, in any order, so the k-th smallest is their max, and
+       column k holds the (k+1)-th.
     3. A row is certified when its gap, the (k+1)-th entry less the k-th,
        exceeds ``τ = 4·γ_{2M+2}·(|q| + T)² + (3M + 2)·2**-1074``, with T the
        largest training-row norm and γ_n = n·u / (1 - n·u), u = 2**-53, the
-       relative error bound of n rounded operations. Its first k columns are
-       its set.
-    4. Every other row goes through ``cdist`` and ``_nearest``, as a fit's
-       rows do in ``_block_order``. Rows with nan, inf or overflowing values
-       have a nan or inf τ or gap, so they land here too.
+       relative error bound of n rounded operations. As τ > 0, exactly k
+       entries of its d are at most its k-th, and they are its set, so its
+       counts are ``(d <= kth) @ labels``, where the mask rows of the rows
+       not certified are cleared, so that no count exceeds k. The mask and
+       the labels are float32 while k < ``_FLOAT32_EXACT``, float64 from
+       there on: every partial sum is an integer of at most k, exact in any
+       summation order.
+    4. Every other row's counts are replaced by those of its set from
+       ``cdist`` and ``_nearest``, as a fit's rows take theirs in
+       ``_block_order``. Rows with nan, inf or overflowing values have a nan
+       or inf τ or gap, so they land here too.
 
     Why a certified set is the one ``cdist`` and ``_nearest`` select. Let
     D_j = |q - t_j|² exactly, s_j the computed |t_j|², and c_j ``cdist``'s
@@ -452,30 +467,35 @@ def _neighbor_sets(X, train_features, rhs, k: int):
     bounds need every partial sum finite; each is below 2·(|q| + T)², which
     τ is computed from, so τ is inf wherever one could overflow.
 
-    The product runs on the thread that runs the block. Where
-    ``_ONE_THREAD_GEMM`` holds at least two rows, it runs in chunks of that
-    many rows, which OpenBLAS keeps on the calling thread, so no BLAS thread
-    spins beside the ``map_slices`` threads while they partition: 29 rows
-    at 407 × 21 training rows (foodtruck-like). Where it holds one row or
-    none, a chunk would be a matrix-vector product that reads all of
-    ``rhs`` per row, so each block is one product on BLAS's threads:
-    2417 × 103 (yeast-like).
+    Both products run on the thread that runs the block. Where
+    ``_ONE_THREAD_GEMM`` holds at least two rows of a product, it runs in
+    chunks of that many rows, which OpenBLAS keeps on the calling thread, so
+    no BLAS thread spins beside the ``map_slices`` threads while they
+    partition: 29 rows of the ranking product and 53 of the mask product at
+    407 × 21 training rows and 12 labels (foodtruck-like). Where it holds one
+    row or none, a chunk would be a matrix-vector product that reads the
+    whole right-hand side per row, so the block is one product on BLAS's
+    threads: the ranking product at 2417 × 103 (yeast-like).
 
-    Per row, the product phase holds d and the argpartition indices, 16
-    bytes per training row. Both are freed before the fallback, which holds
-    the ``cdist`` block and ``_nearest``'s copies, 20, the worst case, where
-    every row falls back. Add 8·(M + 1) for the row and its constant column.
+    Per row, the product phase holds d and its partition copy, 16 bytes per
+    training row. The copy is freed before the mask, whose chunk (its
+    booleans and their float32 cast) adds 5 to d's 8 (9 in float64). d is
+    freed before the fallback, which holds the ``cdist`` block and
+    ``_nearest``'s copies, 20, the worst case, where every row falls back.
+    Add 8·(M + 1) for the row and its constant column.
     """
     # Imported here, so a run that never measures a distance never loads scipy.
     from scipy.spatial.distance import cdist
 
     n_train, M = train_features.shape
-    nn = np.empty((X.shape[0], k), dtype=np.intp)
+    counts = np.empty((X.shape[0], train_labels.shape[1]), dtype=np.min_scalar_type(k))
+    labels = train_labels.astype(np.float32 if k < _FLOAT32_EXACT else np.float64)
     u = np.finfo(np.float64).eps / 2
     coefficient = 2 * (2 * M + 2) * u / (1 - (2 * M + 2) * u)  # 2·γ_{2M+2}
     floor = (3 * M + 2) * np.finfo(np.float64).smallest_subnormal
     reach = np.sqrt(rhs[-1].max())
-    chunk = _ONE_THREAD_GEMM // ((M + 1) * n_train)
+    rank_chunk = _ONE_THREAD_GEMM // ((M + 1) * n_train)
+    mask_chunk = _ONE_THREAD_GEMM // (n_train * labels.shape[1])
 
     def select(rows):
         q = X[rows]
@@ -484,25 +504,32 @@ def _neighbor_sets(X, train_features, rhs, k: int):
         lhs[:, :M] = q
         lhs[:, M] = 1.0
         d = np.empty((n, n_train))
-        step = chunk if chunk > 1 else n
+        out = counts[rows]
         # Non-finite or overflowing rows come out with a nan or inf bound.
         with np.errstate(over="ignore", invalid="ignore"):
+            step = rank_chunk if rank_chunk > 1 else n
             for start in range(0, n, step):
                 np.matmul(lhs[start:start + step], rhs, out=d[start:start + step])
-            part = np.argpartition(d, k, axis=1)
-            top = np.take_along_axis(d, part[:, :k + 1], axis=1)
-            gap = top[:, k] - top[:, :k].max(axis=1)
+            del lhs
+            part = np.partition(d, k, axis=1)
+            kth = part[:, :k].max(axis=1, keepdims=True)
+            gap = part[:, k] - kth[:, 0]
+            del part
             norm = np.sqrt(np.einsum("ij,ij->i", q, q))
             sure = gap > coefficient * (2 * (norm + reach) ** 2) + floor  # gap > τ
-        out = nn[rows]
-        out[sure] = part[sure, :k]
-        del lhs, d, part
+            step = mask_chunk if mask_chunk > 1 else n
+            for start in range(0, n, step):
+                near = d[start:start + step] <= kth[start:start + step]
+                near[~sure[start:start + step]] = False  # so no count exceeds k
+                out[start:start + step] = np.matmul(near.astype(labels.dtype), labels)
+        del d
         unsure = np.flatnonzero(~sure)
         if unsure.size:
-            out[unsure] = _nearest(cdist(q[unsure], train_features, "sqeuclidean"), k)
+            out[unsure] = _positive_counts(
+                train_labels, _nearest(cdist(q[unsure], train_features, "sqeuclidean"), k))
 
     _blocks.map_slices(select, X.shape[0], 20 * n_train + 8 * (M + 1))
-    return nn
+    return counts
 
 
 def fit_br(train: Dataset, forest_params: ForestParams) -> BRModel:
@@ -608,8 +635,7 @@ def predict_mlknn_grid(dataset: Dataset, assignments, points):
         for p in points:
             s = float(p.get("s", 1.0))
             i = at_k[int(p["k"])]
-            c_pos, c_neg = tables[i]
-            proba = _map_posterior(at_each[i], priors[s], c_pos, c_neg, s)
+            proba = _map_posterior(at_each[i], priors[s], tables[i], s)
             predictions.append((proba >= 0.5).astype(np.int64))
         return predictions
 
@@ -648,13 +674,15 @@ _ORDER_CELLS = 2**15
 
 
 def _plan_statistics(features, labels, pairs, ks):
-    """Per pair, the statistics (c_pos, c_neg) of its train rows at each k
-    of ``ks``, and its test rows' first ``ks[-1]`` train neighbours, nearest
-    first, as ``predict_mlknn_grid`` describes. A fit is the one pair of all
-    n rows and no test rows, at one k (K = k). c_pos and c_neg are (L, k +
-    1): per label and per neighbour-positive count j in 0..k, how many train
-    rows with (c_pos) and without (c_neg) the label saw exactly j positive
-    neighbours among their k nearest.
+    """Per pair, the statistics (c_pos, c_neg, c_pos's and c_neg's row sums)
+    of its train rows at each k of ``ks``, and its test rows' first
+    ``ks[-1]`` train neighbours, nearest first, as ``predict_mlknn_grid``
+    describes. A fit is the one pair of all n rows and no test rows, at one
+    k (K = k). c_pos and c_neg are (L, k + 1): per label and per
+    neighbour-positive count j in 0..k, how many train rows with (c_pos) and
+    without (c_neg) the label saw exactly j positive neighbours among their k
+    nearest. Their row sums are the posterior's denominators less s·(k + 1),
+    summed here once per table, not once per point.
 
     The rows are taken in blocks that hold their order and each pair's work
     on it within half the byte budget of ``_blocks``: per row, the K-entry
@@ -709,7 +737,8 @@ def _plan_statistics(features, labels, pairs, ks):
                                         _counts_by_k(labels, nearest[trained], ks)):
                 cells = own * (k + 1) + counts
                 table += np.bincount(cells.ravel(), minlength=table.size).reshape(table.shape)
-    statistics = [[(table[1], table[0]) for table in pair_tables] for pair_tables in tables]
+    statistics = [[(table[1], table[0], table[1].sum(axis=1), table[0].sum(axis=1))
+                   for table in pair_tables] for pair_tables in tables]
     return statistics, test_nn
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -274,9 +275,9 @@ class TestMLKNN:
 
     def test_query_on_training_point_includes_self(self, small_dataset):
         model = fit_mlknn(small_dataset, k=1)
-        nn = _neighbor_sets(small_dataset.features[7][None], model.train_features,
-                            model._ranking, 1)[0]
-        assert nn.tolist() == [7]
+        counts = _neighbor_sets(small_dataset.features[7][None], model.train_features,
+                                set_labels(small_dataset.n_instances), model._ranking, 1)
+        assert np.flatnonzero(counts[0]).tolist() == [7]
 
     def test_outputs_strictly_inside_unit_interval(self, small_dataset):
         model = fit_mlknn(small_dataset, k=5, s=1.0)
@@ -308,7 +309,7 @@ class TestMLKNN:
             s * (k + 1) + model.cond_counts_neg.sum(axis=1))
         p1 = model.priors * cond_pos
         p0 = (1.0 - model.priors) * cond_neg
-        assert model._posterior(nn).tobytes() == (p1 / (p1 + p0)).tobytes()
+        assert model._posterior(counts).tobytes() == (p1 / (p1 + p0)).tobytes()
 
     def test_training_order_invariance(self):
         rng = np.random.default_rng(7)
@@ -412,7 +413,7 @@ class TestSharedNeighborOrder:
                 labels, _positive_counts(labels, loo[:, :k]), k)
             np.testing.assert_array_equal(c_pos, fitted.cond_counts_pos)
             np.testing.assert_array_equal(c_neg, fitted.cond_counts_neg)
-            assert np.array_equal(fitted._posterior(nn[:, :k]),
+            assert np.array_equal(fitted._posterior(_positive_counts(labels, nn[:, :k])),
                                   fitted.predict_proba(X_test))
 
     def test_grid_predictions_equal_per_point_fits(self, foodtruck_dataset):
@@ -442,6 +443,13 @@ class TestSharedNeighborOrder:
 def stable_nearest(d2, k):
     """Reference selection: the first k columns of a stable full-row sort."""
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+def set_labels(n_train):
+    """Labels whose neighbour counts are the neighbour set: training row j
+    alone holds label j, so a row's count of label j is 1 where j is among
+    its k nearest and 0 elsewhere."""
+    return np.eye(n_train, dtype=np.int64)
 
 
 def loo_statistics(features, labels, k):
@@ -564,8 +572,8 @@ class TestNearest:
 
 class TestNeighborBlocks:
     """Queries split into row blocks within ``_blocks._BLOCK_BYTES`` equal the
-    unblocked query bit for bit, on both paths: prediction's neighbour sets
-    (one product and one ``argpartition`` per block, ``cdist`` on the rows it
+    unblocked query bit for bit, on both paths: prediction's neighbour counts
+    (one product and one ``partition`` per block, ``cdist`` on the rows it
     does not certify) and the ordered ``cdist`` blocks of the leave-one-out
     order of a fit and of a tune. Here the blocks run on one thread, in order;
     ``TestNeighborBlocksOnTwoThreads`` runs the same cases on two."""
@@ -579,22 +587,33 @@ class TestNeighborBlocks:
     @pytest.fixture()
     def blocks(self, monkeypatch):
         """Records the (rows, n_train) shape of every distance block:
-        ``blocks["sets"]`` each product block that ``argpartition`` ranks,
+        ``blocks["sets"]`` each product block that ``partition`` ranks (not
+        the partitions inside ``_nearest``, on whichever thread),
         ``blocks["cdist"]`` each ``cdist`` call."""
         shapes = {"sets": [], "cdist": []}
-        argpartition = np.argpartition
+        partition, nearest = np.partition, multilabel._nearest
+        in_nearest = threading.local()
 
         def cdist_spy(XA, XB, metric):
             out = cdist(XA, XB, metric)
             shapes["cdist"].append(out.shape)
             return out
 
-        def argpartition_spy(a, kth, axis):
-            shapes["sets"].append(a.shape)
-            return argpartition(a, kth, axis=axis)
+        def partition_spy(a, kth, axis):
+            if not getattr(in_nearest, "active", False):
+                shapes["sets"].append(a.shape)
+            return partition(a, kth, axis=axis)
+
+        def nearest_spy(d2, k):
+            in_nearest.active = True
+            try:
+                return nearest(d2, k)
+            finally:
+                in_nearest.active = False
 
         monkeypatch.setattr(scipy.spatial.distance, "cdist", cdist_spy)
-        monkeypatch.setattr(np, "argpartition", argpartition_spy)
+        monkeypatch.setattr(np, "partition", partition_spy)
+        monkeypatch.setattr(multilabel, "_nearest", nearest_spy)
         return shapes
 
     @pytest.fixture()
@@ -668,7 +687,8 @@ class TestNeighborBlocks:
         # fallback runs, on at most the rows of each block.
         assert 0 < len(blocks["cdist"]) <= len(blocks["sets"])
         assert all(r * row_bytes <= budget for r, _ in blocks["cdist"] + blocks["sets"])
-        assert np.array_equal(proba, model._posterior(stable_nearest(d2, 5)))
+        assert np.array_equal(
+            proba, model._posterior(_positive_counts(model.train_labels, stable_nearest(d2, 5))))
 
         blocks["cdist"].clear()
         orders = {}
@@ -702,17 +722,18 @@ class TestNeighborBlocks:
         model = MLKNNModel(3, 1.0, train, labels)
         assert blocks["cdist"] == [(1, 20)] * 20
         assert_loo_statistics(model, train, labels)
-        expected = stable_nearest(cdist(X, train, "sqeuclidean"), 3)
-        sets = _neighbor_sets(X, train, _ranking_rhs(train), 3)
+        expected = _positive_counts(set_labels(20),
+                                    stable_nearest(cdist(X, train, "sqeuclidean"), 3))
+        counts = _neighbor_sets(X, train, set_labels(20), _ranking_rhs(train), 3)
         assert blocks["sets"] == [(1, 20)] * 4
-        np.testing.assert_array_equal(np.sort(sets, axis=1), np.sort(expected, axis=1))
+        np.testing.assert_array_equal(counts, expected)
 
     def test_default_budget_bounds_every_block(self, blocks, calls, rng):
         train = rng.normal(size=(3000, 2))
         labels = (rng.uniform(size=(3000, 2)) < 0.5).astype(np.int64)
         X = rng.normal(size=(3000, 2))
         MLKNNModel(5, 1.0, train, labels)
-        _neighbor_sets(X, train, _ranking_rhs(train), 5)
+        _neighbor_sets(X, train, labels, _ranking_rhs(train), 5)
         order_bytes = 2 * (20 * 3000 + 24 * 5)
         row_bytes = self.set_row_bytes(3000, 2)
         if self.workers == 1:
@@ -731,7 +752,8 @@ class TestNeighborBlocks:
     def test_empty_query(self, rng):
         train = rng.normal(size=(5, 3))
         assert _block_order(train, slice(0, 0), 2).shape == (0, 2)
-        assert _neighbor_sets(np.empty((0, 3)), train, _ranking_rhs(train), 2).shape == (0, 2)
+        assert _neighbor_sets(np.empty((0, 3)), train, set_labels(5), _ranking_rhs(train),
+                              2).shape == (0, 5)
 
 
 class TestNeighborBlocksOnTwoThreads(TestNeighborBlocks):
@@ -749,10 +771,10 @@ def _kernel_rows(dataset, seed, n_masks=200, background=20):
 
 
 class TestNeighborSets:
-    """Prediction's neighbour sets (``_neighbor_sets``: one product, one
-    ``argpartition``, a certified gap, and ``cdist`` with ``_nearest`` on
-    every other row) equal the first k columns of ``cdist`` and ``_nearest``
-    as sets."""
+    """Prediction's neighbour counts (``_neighbor_sets``: one product, one
+    ``partition``, a certified gap and a mask product, and ``cdist`` with
+    ``_nearest`` on every other row) equal the counts of the first k columns
+    of ``cdist`` and ``_nearest``; with ``set_labels`` they are those sets."""
 
     @pytest.fixture()
     def fallback(self, monkeypatch):
@@ -768,31 +790,35 @@ class TestNeighborSets:
 
     @pytest.fixture(params=["numpy", "reversed"])
     def partition_order(self, request, monkeypatch):
-        """``np.argpartition`` as numpy orders it, and with each side of the
+        """``np.partition`` as numpy orders it, and with each side of the
         k-th position reversed, which its contract (no order within either
         side) allows: then column k - 1 holds the smallest of the first k, not
-        the k-th smallest."""
+        the k-th smallest, and only their max is the k-th value."""
         if request.param == "reversed":
-            argpartition = np.argpartition
+            partition = np.partition
 
             def reversed_sides(a, kth, axis):
-                part = argpartition(a, kth, axis=axis)
-                part[:, :kth] = part[:, kth - 1::-1]
-                part[:, kth + 1:] = part[:, :kth:-1]
+                part = partition(a, kth, axis=axis)
+                part[:, :kth] = np.flip(part[:, :kth], axis=1)
+                part[:, kth + 1:] = np.flip(part[:, kth + 1:], axis=1)
                 return part
 
-            monkeypatch.setattr(np, "argpartition", reversed_sides)
+            monkeypatch.setattr(np, "partition", reversed_sides)
         return request.param
 
     @staticmethod
-    def fallback_rows(X, train, k, fallback):
-        """Asserts the sets are ``cdist`` and ``_nearest``'s; returns how many
-        rows fell back."""
+    def fallback_rows(X, train, k, fallback, labels=None):
+        """Asserts the counts are those of ``cdist`` and ``_nearest``'s sets,
+        of ``labels`` (default ``set_labels``, where they are the sets);
+        returns how many rows fell back."""
+        if labels is None:
+            labels = set_labels(len(train))
         fallback.clear()
-        got = _neighbor_sets(X, train, _ranking_rhs(train), k)
+        got = _neighbor_sets(X, train, labels, _ranking_rhs(train), k)
         rows = sum(fallback)
-        want = _nearest(cdist(X, train, "sqeuclidean"), k)
-        np.testing.assert_array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+        want = _positive_counts(labels, _nearest(cdist(X, train, "sqeuclidean"), k))
+        assert got.dtype == np.min_scalar_type(k)
+        np.testing.assert_array_equal(got, want)
         return rows
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -850,26 +876,86 @@ class TestNeighborSets:
         X[1, 0], X[4, 2], X[5, 1] = math.nan, math.inf, -math.inf
         assert self.fallback_rows(X, train, 3, fallback) == 3
 
-    @pytest.mark.parametrize("corpus, products", [("foodtruck", 11), ("yeast", 1)])
-    def test_product_chunks_at_the_corpus_shapes(self, corpus, products, fallback,
+    @pytest.mark.parametrize("corpus, products, masks", [("foodtruck", 11, 6),
+                                                         ("yeast", 1, 43)])
+    def test_product_chunks_at_the_corpus_shapes(self, corpus, products, masks, fallback,
                                                  monkeypatch, rng):
-        """29-row products at the foodtruck shape, which OpenBLAS keeps on the
-        calling thread; one product per block at the yeast shape, where a
-        chunk that small would hold one row."""
-        n, d, _ = CORPUS_SHAPES[corpus]
+        """29-row ranking products and 53-row mask products at the foodtruck
+        shape, which OpenBLAS keeps on the calling thread; one ranking
+        product per block at the yeast shape, where a chunk that small would
+        hold one row, and 7-row mask products."""
+        n, d, L = CORPUS_SHAPES[corpus]
         train = rng.normal(size=(n, d))
+        labels = (rng.uniform(size=(n, L)) < 0.3).astype(np.int64)
         X = rng.normal(size=(300, d))
-        calls = []
+        calls = {np.dtype(np.float64): [], np.dtype(np.float32): []}
         matmul = np.matmul
 
-        def spy(a, b, out):
-            calls.append(a.shape[0])
+        def spy(a, b, out=None):
+            calls[a.dtype].append(a.shape[0])
             return matmul(a, b, out=out)
 
         monkeypatch.setattr(_blocks, "_WORKERS", 1)
         monkeypatch.setattr(np, "matmul", spy)
-        self.fallback_rows(X, train, 5, fallback)
-        assert len(calls) == products and sum(calls) == len(X)
+        self.fallback_rows(X, train, 5, fallback, labels)
+        ranking, mask = calls.values()
+        assert len(ranking) == products and sum(ranking) == len(X)
+        assert len(mask) == masks and sum(mask) == len(X)
+
+    @pytest.mark.parametrize("rounding", [None, 1, 0], ids=["raw", "1-decimal", "0-decimal"])
+    def test_certified_masks_hold_k_entries(self, rounding, monkeypatch):
+        """A row that no ``cdist`` call sees is certified, and its count is
+        that of its mask: on a label every training row has, exactly k.
+        Equal rows are certified alike, so a row is told by its values. The
+        mask rows of the other rows are cleared, so no mask holds more."""
+        ds = foodtruck_like(1)
+        features = ds.features if rounding is None else np.round(ds.features, rounding)
+        X = _kernel_rows(Dataset(ds.name, features, ds.feature_names, ds.labels,
+                                 ds.label_names), 1)
+        fell_back, mask_sizes = set(), []
+        matmul = np.matmul
+
+        def cdist_spy(XA, XB, metric):
+            fell_back.update(row.tobytes() for row in XA)
+            return cdist(XA, XB, metric)
+
+        def matmul_spy(a, b, out=None):
+            if a.dtype == np.float32:
+                mask_sizes.append(a.sum(axis=1))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", cdist_spy)
+        monkeypatch.setattr(np, "matmul", matmul_spy)
+        ones = np.ones((len(features), 1), dtype=np.int64)
+        counts = _neighbor_sets(X, features, ones, _ranking_rhs(features), 5)[:, 0]
+        certified = np.array([row.tobytes() not in fell_back for row in X])
+        assert certified.sum() > len(X) // 3
+        assert (counts[certified] == 5).all()
+        assert np.concatenate(mask_sizes).max() == 5
+
+    @pytest.mark.parametrize("exact, dtype", [(6, np.float32), (5, np.float64)],
+                             ids=["k-below-bound", "k-at-bound"])
+    def test_mask_dtype_counts_exactly(self, exact, dtype, monkeypatch, rng):
+        """The mask product runs in float32 while k is below
+        ``_FLOAT32_EXACT``, where every integer sum of at most k is exact,
+        and in float64 from there on; either way the counts are exact."""
+        train = rng.normal(size=(60, 3))
+        labels = (rng.uniform(size=(60, 4)) < 0.5).astype(np.int64)
+        X = rng.normal(size=(200, 3))
+        dtypes = set()
+        matmul = np.matmul
+
+        def spy(a, b, out=None):
+            if a.shape[1] == len(train):
+                dtypes.update((a.dtype, b.dtype))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(multilabel, "_FLOAT32_EXACT", exact)
+        monkeypatch.setattr(np, "matmul", spy)
+        got = _neighbor_sets(X, train, labels, _ranking_rhs(train), 5)
+        assert dtypes == {np.dtype(dtype)}
+        want = _positive_counts(labels, _nearest(cdist(X, train, "sqeuclidean"), 5))
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("reach, falls_back", [(1536.0, True), (1024.0, False)])
     def test_bound_is_the_documented_one(self, reach, falls_back, fallback):
@@ -890,7 +976,7 @@ def test_mlknn_outputs_byte_equal_to_stable_sort_selection(tmp_path, monkeypatch
                                                            rounding):
     """Whole-model gate: explain JSON and cv_report.json of ML-kNN are the same
     bytes with the stable full sort of ``cdist`` as the selection, in place of
-    both prediction's neighbour sets and ``_nearest``."""
+    both prediction's neighbour counts and ``_nearest``."""
     ds = foodtruck_like()
     if rounding is not None:
         ds = Dataset(ds.name, np.round(ds.features, rounding), ds.feature_names,
@@ -912,10 +998,12 @@ def test_mlknn_outputs_byte_equal_to_stable_sort_selection(tmp_path, monkeypatch
         assert len(files) == 14
         return {f.name: f.read_bytes() for f in files}
 
+    def stable_counts(X, train, labels, rhs, k):
+        return _positive_counts(labels, stable_nearest(cdist(X, train, "sqeuclidean"), k))
+
     fast = outputs(tmp_path / "fast")
     monkeypatch.setattr(multilabel, "_nearest", stable_nearest)
-    monkeypatch.setattr(multilabel, "_neighbor_sets", lambda X, train, rhs, k:
-                        stable_nearest(cdist(X, train, "sqeuclidean"), k))
+    monkeypatch.setattr(multilabel, "_neighbor_sets", stable_counts)
     assert outputs(tmp_path / "oracle") == fast
 
 
