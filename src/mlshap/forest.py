@@ -381,9 +381,15 @@ _TREE_ROW_BYTES = 24
 
 def _table_totals(budget: int) -> int:
     """The largest total N whose :func:`_entropy_table`, 8·(N+1)(N+2)/2
-    bytes, fits in half of ``budget``; -1 when none does."""
+    bytes, fits in an eighth of ``budget``; -1 when none does.
+
+    An eighth of ``_blocks._BLOCK_BYTES`` covers totals up to 1 022 (4 MiB).
+    A table in half of it, up to 2 046 (16.8 MB), took 52 ms to build, and
+    yeast-shaped fits ran slower with it than when they scored their few
+    larger nodes directly (measurements in CHANGES.md).
+    """
     # (N+1)(N+2) <= K exactly when (2N+3)^2 = 4(N+1)(N+2) + 1 <= 4K + 1.
-    return (math.isqrt(4 * (budget // 8) + 1) - 3) // 2
+    return (math.isqrt(4 * (budget // 32) + 1) - 3) // 2
 
 
 def _entropy_table(n_max: int) -> np.ndarray:
@@ -407,23 +413,79 @@ def _entropy_table(n_max: int) -> np.ndarray:
     return table
 
 
+def _rank_columns(X: np.ndarray):
+    """Each column of X ranked densely, and the table of the values the
+    ranks name.
+
+    Returns ``(ranks, values)``: ``ranks[f, i]`` is the number of distinct
+    values below ``X[i, f]`` in column f, so equal values get equal ranks
+    and ranks order as the values do, and ``values[f, r]`` is the value of
+    rank r in column f (entries past a column's distinct values are 0).
+    """
+    n, d = X.shape
+    distinct = [np.unique(column) for column in X.T]
+    ranks = np.empty((d, n), dtype=np.intp)
+    values = np.zeros((d, max((v.size for v in distinct), default=1)))
+    for f, column in enumerate(X.T):
+        v, distinct[f] = distinct[f], None  # each column's copy freed once read
+        ranks[f] = np.searchsorted(v, column)
+        values[f, :v.size] = v
+    return ranks, values
+
+
+def _split_keys(pairs) -> list:
+    """Per ``(X, y)`` of ``pairs``, the ``(keys, values)`` its split search
+    reads: ``keys[f, i]`` is ``2 * rank + y[i]``, rank that of ``X[i, f]``
+    in its column, and ``values`` the table of :func:`_rank_columns`.
+
+    ``keys`` is in the smallest unsigned type that holds every key.
+    Matrices that are column prefixes of one another (the same first
+    element, row count and strides, as a classifier chain's links read one
+    augmented matrix) share one ranking of the widest, and each pair's keys
+    are its first columns of it. The ranks are dropped once their keys are
+    built.
+    """
+    groups = {}
+    for i, (X, _) in enumerate(pairs):
+        groups.setdefault((X.ctypes.data, X.shape[0], X.strides), []).append(i)
+    out = [None] * len(pairs)
+    for members in groups.values():
+        ranks, values = _rank_columns(max((pairs[i][0] for i in members),
+                                          key=lambda X: X.shape[1]))
+        dtype = np.min_scalar_type(2 * values.shape[1] - 1)
+        ranks *= 2
+        for i in members:
+            X, y = pairs[i]
+            keys = np.empty((X.shape[1], X.shape[0]), dtype=dtype)
+            np.add(ranks[:X.shape[1]], y, out=keys, casting="unsafe")
+            out[i] = (keys, values)
+        del ranks
+    return out
+
+
 def _best_splits(nodes, table=None):
     """Highest-entropy-gain split of each node of ``nodes``, scored in blocks.
 
-    A node is ``(X, y, rows, feats, min_leaf)``. Returns, per node, None when
-    no candidate split is valid or none gains, else ``(feature, threshold,
-    left_rows, right_rows, left_positives)``; ``left_rows`` are the rows with
-    ``X[row, feature] <= threshold``, in the order of ``rows``.
+    A node is ``(keys, values, rows, feats, min_leaf)``, ``keys`` and
+    ``values`` as :func:`_split_keys` gives them for a training pair (X,
+    y). Returns, per node, None when no candidate split is valid or none
+    gains, else ``(feature, threshold, left_rows, right_rows,
+    left_positives)``; ``left_rows`` are the rows with ``X[row, feature] <=
+    threshold``, in the order of ``rows``.
 
-    Nodes of similar size share a block, which holds one line of cells per
-    (node, candidate feature), one cell per row of the node, padded with +inf.
-    +inf sorts after every finite value, so padding never ends a valid
-    candidate. Each line is sorted once, and a split after sorted position i
-    is valid where the value changes and both sides keep at least
-    ``min_leaf`` of the node's rows. Every cell is scored by the same
-    arithmetic as a node on its own would be, so the result does not depend
-    on how the nodes are grouped. Ties resolve to the lowest feature index,
-    then the lowest threshold.
+    Nodes of similar size share a block, which holds one line of keys per
+    (node, candidate feature), one per row of the node, padded with a key
+    above every rank's keys that names label 0, so padding never ends a
+    valid candidate or counts as a positive. Each line is sorted once,
+    which orders its rows by value and, within a run of equal values, puts
+    the negatives first. A split after sorted position i is valid where the
+    rank changes and both sides keep at least ``min_leaf`` of the node's
+    rows. A valid split ends a run of equal values, so the rows before it,
+    and their positive count, do not depend on the order within runs, and
+    are those a sort of the values themselves gives. Every cell is scored by the same arithmetic as a node
+    on its own would be, so the result does not depend on how the nodes are
+    grouped. Ties resolve to the lowest feature index, then the lowest
+    threshold.
 
     ``table`` is an :func:`_entropy_table`; a block of nodes larger than it
     covers computes its entropies directly, to the same bits. By default one
@@ -457,35 +519,46 @@ def _best_splits(nodes, table=None):
 
 def _split_block(nodes, height, width, table):
     """:func:`_best_splits` over one block: ``width`` lines of ``height``
-    cells per node, the lines past a node's own candidate features all
+    keys per node, the lines past a node's own candidate features all
     padding."""
     k = len(nodes)
-    vals = np.full((k * width, height), np.inf)
-    ys = np.zeros((k * width, height), dtype=np.int64)
-    for b, (X, y, rows, feats, _) in enumerate(nodes):
-        vals[b * width:b * width + feats.size, :rows.size] = X[rows, feats[:, None]]
-        ys[b * width:(b + 1) * width, :rows.size] = y[rows]
-    # Per node, broadcast over its lines: its size, positives and min_leaf.
+    # Keys as float64, exact below 2**53. Padding is 2**53: even (label 0),
+    # its rank above every rank.
+    lines = np.full((k * width, height), 2.0 ** 53)
+    for b, (keys, _, rows, feats, _) in enumerate(nodes):
+        # The candidate features' key rows, then the node's rows of them: on
+        # a node of thousands of rows, a quarter of the time of one 2-D index.
+        lines[b * width:b * width + feats.size, :rows.size] = keys[feats].take(rows, axis=1)
+    # Per node, broadcast over its lines: its size and min_leaf.
     n = np.array([node[2].size for node in nodes], dtype=np.int64)[:, None, None]
-    pos = ys[::width].sum(axis=1)[:, None, None]
     min_leaf = np.array([node[4] for node in nodes], dtype=np.int64)[:, None, None]
-    # Ties sort in any order: a valid split ends a run of equal values, so the
-    # rows before it, and their positive count, do not depend on that order.
-    order = np.argsort(vals, axis=1)
-    vs = np.take_along_axis(vals, order, axis=1)
+    # One sort per line; the rest runs on int64, as the counts and table
+    # indices do. Sorting uint16 keys was about 8% faster per block, but its
+    # sort and casts load numpy code that nothing else in a fit or an
+    # explanation runs: 128 KiB more resident memory on the fit and
+    # explain-forest benchmarks.
+    counts = np.sort(lines, axis=1).astype(np.int64)
+    rank = counts >> 1
+    invalid = (rank[:, :-1] == rank[:, 1:]).reshape(k, width, height - 1)
+    counts -= rank
+    counts -= rank  # each sorted cell's label, 2 * rank + label - 2 * rank
+    del rank
+    np.cumsum(counts, axis=1, out=counts)
+    pos = counts[::width, -1][:, None, None]  # each node's positives
     # Cell i of a line is the split after sorted position i: n_left rows and
     # pos_left positives go left, the rest right. Past the rows of a line's
     # node n_right is not positive, and on a padding line the counts of a cell
     # need not be those of a split; all those cells are masked below. 1 keeps
     # their entropy finite, and as no count exceeds n, every table index they
     # read stays below that of (0, n + 1).
-    pos_left = np.cumsum(np.take_along_axis(ys, order, axis=1)[:, :-1], axis=1)
-    pos_left = pos_left.reshape(k, width, height - 1)
+    pos_left = counts[:, :-1].reshape(k, width, height - 1)
     n_left = np.arange(1, height)
     n_right = np.maximum(n - n_left, 1)
     if (height + 1) * (height + 2) // 2 <= table.size:  # covers every total <= height
         h_left = table.take(n_left * (n_left + 1) // 2 + pos_left)
-        h_right = table.take(n_right * (n_right + 1) // 2 + pos - pos_left)
+        h_right = pos - pos_left
+        h_right += n_right * (n_right + 1) // 2
+        h_right = table.take(h_right)
         h_node = table.take(n * (n + 1) // 2 + pos)
     else:
         h_left = _entropy_from_positive(pos_left, n_left)
@@ -497,7 +570,6 @@ def _split_block(nodes, height, width, table):
     h_left += h_right
     h_left /= n
     gains = np.subtract(h_node, h_left, out=h_left)
-    invalid = (vs[:, :-1] == vs[:, 1:]).reshape(k, width, height - 1)
     invalid |= n_left < min_leaf
     invalid |= n_left > n - min_leaf
     np.copyto(gains, -np.inf, where=invalid)
@@ -507,19 +579,24 @@ def _split_block(nodes, height, width, table):
     j = np.argmax(col_gain, axis=1)  # first max -> lowest feature on ties
     split = np.flatnonzero(col_gain[np.arange(k), j] > 0.0)
     cols = split * width + j[split]
-    below, above = vs[cols, at[cols]], vs[cols, at[cols] + 1]
-    mid = (below + above) / 2.0
-    # The midpoint of two adjacent floats can round up onto the upper one; the
-    # lower one then splits the rows the same.
-    threshold = np.where(mid < above, mid, below)
-    go_left = vals[cols] <= threshold[:, None]
-    left_pos = (go_left * ys[cols]).sum(axis=1)
+    # The chosen lines sorted again: the block's sorted keys were dropped as
+    # soon as they were cast, one block array fewer held at a time.
+    chosen = lines[cols]
+    ranks = np.sort(chosen, axis=1).astype(np.int64) >> 1
+    below, above = (ranks[np.arange(cols.size), at[cols] + step] for step in (0, 1))
+    go_left = chosen <= 2 * below[:, None] + 1  # rank <= below
+    left_pos = pos_left.reshape(k * width, height - 1)[cols, at[cols]]
     found = [None] * k
-    for s, b in enumerate(split):
-        rows, feats = nodes[b][2], nodes[b][3]
-        goes = go_left[s, :rows.size]
-        found[b] = (int(feats[j[b]]), float(threshold[s]), rows[goes], rows[~goes],
-                    int(left_pos[s]))
+    for b, goes, low, high, left in zip(split.tolist(), go_left, below.tolist(),
+                                        above.tolist(), left_pos.tolist()):
+        _, values, rows, feats, _ = nodes[b]
+        f = int(feats[j[b]])
+        low, high = values.item(f, low), values.item(f, high)
+        mid = (low + high) / 2.0
+        # The midpoint of two adjacent floats can round up onto the upper one;
+        # the lower one then splits the rows the same.
+        goes = goes[:rows.size]
+        found[b] = (f, mid if mid < high else low, rows[goes], rows[~goes], left)
     return found
 
 
@@ -557,8 +634,9 @@ def _candidate_draws(rng, n: int, m: int, count: int) -> np.ndarray:
 
 
 class _Growing:
-    """One tree in flight: its training data, rng stream, node arena and the
-    stack of nodes still to visit, each with its row ids into ``X``.
+    """One tree in flight: its training keys and labels (see
+    :func:`_split_keys`), rng stream, node arena and the stack of nodes
+    still to visit, each with its row ids into the training matrix.
 
     The tree draws its nodes' candidate features in batches of
     :func:`_candidate_draws`, the first of 8 rows and each next one twice
@@ -570,10 +648,9 @@ class _Growing:
     after its last node.
     """
 
-    def __init__(self, X, y, params: ForestParams, rng, bootstrap: bool):
-        n = X.shape[0]
-        self.X, self.y, self.rng = X, y, rng
-        self.n_features = X.shape[1]
+    def __init__(self, keys, values, y, params: ForestParams, rng, bootstrap: bool):
+        self.n_features, n = keys.shape
+        self.keys, self.values, self.rng = keys, values, rng
         self.m = params.resolve_max_features(self.n_features)
         self.max_batch = min(2**min(params.max_depth, 63) - 1, max(1, n // self.m))
         self.batch = 0
@@ -609,8 +686,8 @@ class _Growing:
             node, rows, pos, depth = self.stack.pop()
             if (depth < self.max_depth and 0 < pos < rows.size
                     and rows.size >= 2 * self.min_leaf):
-                return node, pos, depth, (self.X, self.y, rows, self.candidates(),
-                                          self.min_leaf)
+                return node, pos, depth, (self.keys, self.values, rows,
+                                          self.candidates(), self.min_leaf)
         return None
 
     def candidates(self) -> np.ndarray:
@@ -635,23 +712,29 @@ class _Growing:
         self.stack.append((self.left[node], left_rows, pos_left, depth + 1))
 
 
-def _grow(jobs) -> list[dict]:
-    """One greedy entropy tree per ``(X, y, params, rng, bootstrap)`` job, as
-    its arena fields.
+def _grow(problems) -> list[dict]:
+    """One greedy entropy tree per rng of each ``(X, y, params, rngs,
+    bootstrap)`` of ``problems``, as its arena fields, in order.
 
     The trees grow in lockstep: each step, every tree pops its next node that
     may split, and one :func:`_best_splits` call scores them all, from one
-    :func:`_entropy_table` built here. The table covers every node size of
-    the jobs, or as many as fit in half of ``_blocks._BLOCK_BYTES``. The jobs
-    are cut into waves by :func:`_blocks.row_slices`, at ``_TREE_ROW_BYTES``
-    per training row of a tree, so the trees in flight hold at most the rest
-    of the budget in row ids.
+    :func:`_entropy_table` and the problems' :func:`_split_keys`, all built
+    here. The table covers every node size of the problems, or as many as
+    fit in an eighth of ``_blocks._BLOCK_BYTES``. The trees are cut into
+    waves by :func:`_blocks.row_slices`, at ``_TREE_ROW_BYTES`` per training
+    row of a tree, so the trees in flight hold in row ids at most what the
+    table, the keys and the value tables leave of the budget.
     """
-    trees = []
-    n_rows = max((job[0].shape[0] for job in jobs), default=1)
+    n_rows = max((problem[0].shape[0] for problem in problems), default=1)
     table = _entropy_table(min(n_rows, _table_totals(_blocks._BLOCK_BYTES)))
+    keys = _split_keys([problem[:2] for problem in problems])
+    held = table.nbytes + sum({id(a): a.nbytes for pair in keys for a in pair}.values())
+    jobs = [(*pair, y, params, rng, bootstrap)
+            for pair, (_, y, params, rngs, bootstrap) in zip(keys, problems)
+            for rng in rngs]
+    trees = []
     for wave in _blocks.row_slices(len(jobs), _TREE_ROW_BYTES * n_rows,
-                                   _blocks._BLOCK_BYTES - table.nbytes):
+                                   _blocks._BLOCK_BYTES - held):
         growing = [_Growing(*job) for job in jobs[wave]]
         live = growing
         while live:
@@ -691,7 +774,7 @@ def fit_tree(X, y, params: ForestParams, rng: np.random.Generator) -> RandomFore
     calls it; ``perfbench/layers.py`` hooks this name."""
     X, y = _training_pair(X, y)
     return RandomForest(replace(params, n_trees=1, bootstrap=False), X.shape[1],
-                        _grow([(X, y, params, rng, False)]))
+                        _grow([(X, y, params, [rng], False)]))
 
 
 def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -708,8 +791,9 @@ def fit_forests(problems) -> list[RandomForest]:
     the tree it would be on its own, whatever else grows with it.
     """
     checked = [(*_training_pair(X, y), params) for X, y, params in problems]
-    trees = iter(_grow([(X, y, params, tree_rng(params.seed, t), params.bootstrap)
-                        for X, y, params in checked for t in range(params.n_trees)]))
+    trees = iter(_grow([
+        (X, y, params, [tree_rng(params.seed, t) for t in range(params.n_trees)],
+         params.bootstrap) for X, y, params in checked]))
     return [RandomForest(params, X.shape[1], [next(trees) for _ in range(params.n_trees)])
             for X, _, params in checked]
 

@@ -793,6 +793,20 @@ def _random_nodes(rng, count):
     return nodes, seen
 
 
+def _keyed(node):
+    """The node ``_best_splits`` takes for a raw ``(X, y, rows, feats,
+    min_leaf)``: its training pair's keys and value table, as the grower
+    builds them."""
+    X, y, rows, feats, min_leaf = node
+    (keys, values), = forest._split_keys([(X, y)])
+    return keys, values, rows, feats, min_leaf
+
+
+def _searched(nodes, table=None):
+    """``_best_splits`` of the raw nodes ``nodes``."""
+    return _best_splits([_keyed(node) for node in nodes], table)
+
+
 def _assert_split_matches(node, found, want):
     """``found``, from ``_best_splits``, picks the split ``want`` names and
     partitions the node's rows by it."""
@@ -820,7 +834,7 @@ class TestSplitSearchOracle:
         while start < len(nodes):  # mixed-size batches of 1 to 60 nodes
             stop = start + int(rng.integers(1, 61))
             batch = nodes[start:stop]
-            for node, found, want in zip(batch, _best_splits(batch), wants[start:stop]):
+            for node, found, want in zip(batch, _searched(batch), wants[start:stop]):
                 _assert_split_matches(node, found, want)
                 assert _best_split(*node) == want
             start = stop
@@ -835,7 +849,7 @@ class TestSplitSearchOracle:
         rows = np.arange(X.shape[0])
         feats = np.arange(X.shape[1])
         assert _best_split_per_feature(X, y, rows, feats, min_leaf) is None
-        assert _best_splits([(X, y, rows, feats, min_leaf)]) == [None]
+        assert _searched([(X, y, rows, feats, min_leaf)]) == [None]
 
     def test_ties_go_to_lowest_feature_then_lowest_threshold(self):
         # Columns 1 and 2 are identical perfect separators at two thresholds.
@@ -845,7 +859,7 @@ class TestSplitSearchOracle:
         node = (X, y, np.arange(4), np.array([1, 2]), 1)
         want = _best_split_per_feature(*node)
         assert want == (1, 0.5)
-        _assert_split_matches(node, _best_splits([node])[0], want)
+        _assert_split_matches(node, _searched([node])[0], want)
 
     def test_empty_batch(self):
         assert _best_splits([]) == []
@@ -861,7 +875,7 @@ def _dataset(decimals=None):
 
 class TestForestBytesMatchOracle:
     @pytest.mark.parametrize("preset", ["paper-br", "paper-cc"])
-    @pytest.mark.parametrize("decimals", [None, 1])
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
     def test_model_json_identical(self, monkeypatch, preset, decimals):
         ds = _dataset(decimals)
         params = dict(PRESETS[preset], n_trees=3, seed=7)
@@ -870,6 +884,33 @@ class TestForestBytesMatchOracle:
         monkeypatch.setattr(multilabel, "fit_forests", _fit_forests_per_tree)
         want = _json.dumps(fit_point(algo, ds, params).to_doc())
         assert got == want
+
+    def test_yeast_paper_br_identical(self, monkeypatch):
+        """Depth-15 trees on 2 417 rows: roots above the entropy table's cap,
+        keys of 103 features in uint16."""
+        ds = corpus_like("yeast")
+        params = dict(PRESETS["paper-br"], n_trees=2, seed=7)
+        algo = params.pop("algo")
+        got = _json.dumps(fit_point(algo, ds, params).to_doc())
+        monkeypatch.setattr(multilabel, "fit_forests", _fit_forests_per_tree)
+        assert got == _json.dumps(fit_point(algo, ds, params).to_doc())
+
+    def test_signed_zeros_beside_a_constant_column(self):
+        """-0.0 and 0.0 compare equal, so they share a rank, and no threshold
+        depends on which of them the value table holds."""
+        ds = _dataset()
+        y = ds.labels[:, 0]
+        rng = np.random.default_rng(5)
+        X = ds.features.copy()
+        zero = np.where(rng.random(y.size) < 0.5, -0.0, 0.0)
+        X[:, 0] = np.where(rng.random(y.size) < 0.6, zero, 2.0 * y - 1.0)
+        X[:, 1] = 0.25
+        for signs in (X, np.where(X == 0.0, 0.0, X), np.where(X == 0.0, -0.0, X)):
+            p = ForestParams(n_trees=3, max_features=4, max_depth=6, seed=2)
+            got = fit_forest(signs, y, p)
+            assert got.feature[got.split].tolist().count(0) > 0
+            assert 1 not in got.feature[got.split]
+            assert forest_bytes(got) == forest_bytes(_fit_forests_per_tree([(signs, y, p)])[0])
 
     @pytest.mark.parametrize("decimals", [None, 1])
     @pytest.mark.parametrize("params", [
@@ -906,10 +947,12 @@ class TestForestBytesMatchOracle:
         assert together == [forest_bytes(f) for f in _fit_forests_per_tree(problems)]
 
     # A budget of 1 byte holds no entropy table and one tree a wave. 64 KiB
-    # holds the table up to 89 rows, 32 760 bytes, and the trees in flight
-    # share the rest, 3 of 407 rows at 24 bytes a row.
+    # holds the table up to 43 rows, 7 920 bytes, the three labels' uint8
+    # keys, 3 × 21 × 407 = 25 641 bytes, and their one value table, 21
+    # features × 53 values × 8 = 8 904 bytes. The trees in flight share the
+    # 23 071 bytes left, 2 of 407 rows at 24 bytes a row.
     @pytest.mark.parametrize("budget, totals, waves", [(1, -1, [1] * 6),
-                                                       (2**16, 89, [3, 3])],
+                                                       (2**16, 43, [2, 2, 2])],
                              ids=["no-table", "small-table"])
     def test_one_cell_blocks_and_one_tree_waves(self, monkeypatch, budget, totals, waves):
         ds = _dataset(1)
@@ -1011,6 +1054,54 @@ class TestCandidateDraws:
         assert (cap in sizes) == (cap < 101)
 
 
+class TestRankKeys:
+    def test_ranks_order_and_name_the_values(self):
+        rng = np.random.default_rng(8)
+        X = np.round(rng.normal(size=(300, 5)), 1)
+        X[:, 2] = 7.0
+        X[::3, 3] = -0.0
+        ranks, values = forest._rank_columns(X)
+        assert ranks.shape == (5, 300)
+        for f in range(5):
+            distinct = np.unique(X[:, f])
+            np.testing.assert_array_equal(ranks[f], np.searchsorted(distinct, X[:, f]))
+            np.testing.assert_array_equal(values[f, :distinct.size], distinct)
+        y = (rng.random(300) < 0.5).astype(np.int64)
+        (keys, table), = forest._split_keys([(X, y)])
+        assert keys.dtype == np.uint8
+        np.testing.assert_array_equal(keys, 2 * ranks + y)
+        np.testing.assert_array_equal(table, values)
+
+    @pytest.mark.parametrize("distinct, dtype", [(1, np.uint8), (128, np.uint8),
+                                                 (129, np.uint16), (32768, np.uint16),
+                                                 (32769, np.uint32)])
+    def test_smallest_type_holding_every_key(self, distinct, dtype):
+        X = np.arange(distinct, dtype=np.float64)[:, None]
+        (keys, _), = forest._split_keys([(X, np.ones(distinct, dtype=np.int64))])
+        assert keys.dtype == dtype
+        assert int(keys.max()) == 2 * distinct - 1
+
+    def test_column_prefixes_share_one_ranking(self, monkeypatch):
+        """A classifier chain's links read column prefixes of one augmented
+        matrix: one fit_cc ranks it once, and a BR fit its features once."""
+        ds = _dataset(1)
+        calls = []
+        rank_columns = forest._rank_columns
+
+        def recorded(X):
+            calls.append(X.shape)
+            return rank_columns(X)
+
+        monkeypatch.setattr(forest, "_rank_columns", recorded)
+        params = ForestParams(n_trees=2, max_depth=3, seed=1)
+        multilabel.fit_cc(ds, params)
+        M, L = ds.n_features, ds.n_labels
+        assert calls == [(ds.n_instances, M + L - 1)]
+        calls.clear()
+        multilabel.fit_br(ds, params)
+        assert calls == [(ds.n_instances, M)]
+
+
 def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
@@ -1018,7 +1109,7 @@ def _bits(a):
 class TestEntropyTable:
     def test_every_entry_is_the_direct_entropy_up_to_the_cap(self):
         cap = forest._table_totals(_blocks._BLOCK_BYTES)
-        assert cap == 2046
+        assert cap == 1022
         table = forest._entropy_table(cap)
         assert table.size == (cap + 1) * (cap + 2) // 2
         assert table[0] == 0.0
@@ -1034,15 +1125,15 @@ class TestEntropyTable:
         monkeypatch.setattr(forest, "_SPLIT_CELLS", cells)
         np.testing.assert_array_equal(_bits(forest._entropy_table(60)), _bits(want))
 
-    @pytest.mark.parametrize("budget", [0, 7, 8, 47, 48, 96, 2**16, 32 * 2**20 - 1,
-                                        32 * 2**20])
-    def test_cap_is_the_largest_table_in_half_the_budget(self, budget):
+    @pytest.mark.parametrize("budget", [0, 7, 63, 64, 191, 192, 384, 2**16,
+                                        32 * 2**20 - 1, 32 * 2**20])
+    def test_cap_is_the_largest_table_in_an_eighth_of_the_budget(self, budget):
         def table_bytes(n):
             return 8 * ((n + 1) * (n + 2) // 2)
 
         cap = forest._table_totals(budget)
         assert cap >= -1
-        assert table_bytes(cap) <= budget // 2 < table_bytes(cap + 1)
+        assert table_bytes(cap) <= budget // 8 < table_bytes(cap + 1)
 
     def test_foodtruck_table_bytes(self):
         assert forest._entropy_table(407).nbytes == 667_488
@@ -1055,7 +1146,7 @@ class TestEntropyTable:
             table = forest._entropy_table(n_max)
             for start in range(0, len(nodes), 30):
                 batch = nodes[start:start + 30]
-                for node, found, want in zip(batch, _best_splits(batch, table),
+                for node, found, want in zip(batch, _searched(batch, table),
                                              wants[start:start + 30]):
                     _assert_split_matches(node, found, want)
 
