@@ -267,14 +267,19 @@ class MLKNNModel(MultiLabelModel):
         self.cond_counts_pos, self.cond_counts_neg = self._statistics[:2]
         self._ranking = _ranking_rhs(train_features)
 
-    def _posterior(self, counts):
-        """(n, L) label probabilities of rows whose k nearest training rows
-        hold ``counts`` positives of each label (``_neighbor_sets``)."""
-        return _map_posterior(counts, self.priors, self._statistics, self.s)
+    def _posterior(self, counts, labels=slice(None)):
+        """Probabilities of the labels ``labels`` (default all) for rows whose
+        k nearest training rows hold ``counts`` positives of each of them
+        (``_neighbor_sets``), one column per label."""
+        return _map_posterior(counts, self.priors[labels],
+                              [table[labels] for table in self._statistics], self.s)
 
     def _proba_matrix(self, X, labels):
-        return self._posterior(_neighbor_sets(X, self.train_features, self.train_labels,
-                                              self._ranking, self.k)).take(labels, axis=1)
+        """Counts and posteriors of the requested labels only; each column is
+        computed on its own, so it equals the all-label one bit for bit."""
+        return self._posterior(_neighbor_sets(X, self.train_features,
+                                              self.train_labels[:, labels], self._ranking,
+                                              self.k), labels)
 
     def _payload(self):
         return {
@@ -393,7 +398,8 @@ def _block_order(features, rows, k: int):
 
 
 # OpenBLAS runs an (m, k) @ (k, n) product on the calling thread when
-# m·n·k <= 2**18 (its SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD).
+# m·n·k <= 2**18 (its SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD),
+# in float32 as in float64.
 _ONE_THREAD_GEMM = 2**18
 
 # float32 holds every integer up to 2**24 exactly, so a sum of fewer than this
@@ -402,14 +408,16 @@ _FLOAT32_EXACT = 2**24
 
 
 def _ranking_rhs(train_features):
-    """The (M + 1, n_train) right-hand side ``[-2 Tᵀ; |t|²]`` of
+    """The (M + 1, n_train) float32 right-hand side ``[-2 Tᵀ; |t|²]`` of
     ``_neighbor_sets``' product: ``[q, 1] @ rhs`` is ``|q - t|² - |q|²`` per
-    training row t."""
+    training row t, up to the rounding that the product's bound covers. Each
+    entry is computed in float64 and rounded to float32 once per model; an
+    entry past float32's range is inf, and so then is every row's bound."""
     rhs = np.empty((train_features.shape[1] + 1, train_features.shape[0]))
-    with np.errstate(over="ignore"):  # an inf here makes every bound inf
+    with np.errstate(over="ignore"):
         np.multiply(train_features.T, -2.0, out=rhs[:-1])
         np.einsum("ij,ij->i", train_features, train_features, out=rhs[-1])
-    return rhs
+        return rhs.astype(np.float32)
 
 
 def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
@@ -422,50 +430,67 @@ def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
     within the byte budget, on the threads of ``_blocks.map_slices``, and per
     block:
 
-    1. One product ``d = [q, 1] @ rhs``. Each row of d is the row's squared
-       distances less |q|², the same for the whole row, so d ranks as the
-       distances do.
-    2. One ``partition`` at k: its first k columns hold the k smallest
+    1. One float32 product ``d = [q, 1] @ rhs``, the rows cast to float32
+       (an entry past its range becomes inf). Each row of d is the row's
+       squared distances less |q|², the same for the whole row, up to
+       rounding, so d ranks as the distances do.
+    2. One ``partition`` of d at k: its first k columns hold the k smallest
        entries of d, in any order, so the k-th smallest is their max, and
        column k holds the (k+1)-th.
     3. A row is certified when its gap, the (k+1)-th entry less the k-th,
-       exceeds ``τ = 4·γ_{2M+2}·(|q| + T)² + (3M + 2)·2**-1074``, with T the
-       largest training-row norm and γ_n = n·u / (1 - n·u), u = 2**-53, the
-       relative error bound of n rounded operations. As τ > 0, exactly k
-       entries of its d are at most its k-th, and they are its set, so its
-       counts are ``(d <= kth) @ labels``, where the mask rows of the rows
-       not certified are cleared, so that no count exceeds k. The mask and
-       the labels are float32 while k < ``_FLOAT32_EXACT``, float64 from
-       there on: every partial sum is an integer of at most k, exact in any
-       summation order.
+       taken in float64, exceeds ``τ = 2·γ_{M+7}·(|q| + T)² + (2M + 6)·2**-149``,
+       with T the largest training-row norm and γ_n = n·u / (1 - n·u),
+       u = 2**-24, the relative error bound of n rounded float32
+       operations; τ is inf where 2·(|q| + T)² is at least float32's largest
+       value. As τ > 0, exactly k entries of its d are at most its k-th, and
+       they are its set, so its counts are ``(d <= kth) @ labels``, where the
+       mask rows of the rows not certified are cleared, so that no count
+       exceeds k. The mask and the labels are float32 while k <
+       ``_FLOAT32_EXACT``, float64 from there on: every partial sum is an
+       integer of at most k, exact in any summation order.
     4. Every other row's counts are replaced by those of its set from
        ``cdist`` and ``_nearest``, as a fit's rows take theirs in
-       ``_block_order``. Rows with nan, inf or overflowing values have a nan
-       or inf τ or gap, so they land here too.
+       ``_block_order``. Rows with nan, inf or values past float32's range
+       have a nan or inf τ or gap, so they land here too.
 
     Why a certified set is the one ``cdist`` and ``_nearest`` select. Let
-    D_j = |q - t_j|² exactly, s_j the computed |t_j|², and c_j ``cdist``'s
-    value. Each bound below holds in any summation order, with or without
-    fused multiply-adds, so BLAS blocking and threads cannot move it.
+    D_j = |q - t_j|² exactly, p_j = D_j - |q|² = -2 q·t_j + |t_j|², c_j
+    ``cdist``'s value, x = |q| + T, and γ'_n the float64 γ_n (u' = 2**-53),
+    below u for n < 2**28. The arithmetic is IEEE rounding to nearest with
+    gradual underflow, and each bound below holds in any summation order,
+    with or without fused multiply-adds, so BLAS blocking and threads cannot
+    move it (Higham, Accuracy and Stability of Numerical Algorithms, §3.1).
 
-    - E_gemm: d_j is a dot product of length M + 1 of [q, 1] and
-      [-2 t_j, s_j], and |s_j - |t_j|²| <= γ_M·|t_j|². So |d_j - (D_j - |q|²)|
-      <= γ_{M+1}·(2|q|·|t_j| + s_j) + γ_M·|t_j|² <= γ_{2M+1}·(2|q|·T + T²).
-    - E_cdist: c_j sums M squared differences, each rounded twice, so
-      |c_j - D_j| <= γ_{M+2}·D_j <= γ_{M+2}·(|q| + T)². The error scales with
-      the whole distance, |q|² included.
+    - E_gemm = |d_j - p_j|. The operands are q̃ = fl32(q), ã = fl32(-2 t_j)
+      and s̃ = fl32(s_j), with s_j the float64 |t_j|², within
+      γ'_M·|t_j|² + M·2**-1075 of it. A cast moves a value v by at most
+      u·|v| + 2**-150. The float32 dot product of length M + 1 adds at most
+      γ_{M+1} times the sum of its absolute products, and 2**-149 per term
+      for underflow. The relative errors compound to at most
+      (1 + u)²·(1 + γ_{M+1}) <= 1 + γ_{M+3}. Each cast's 2**-150 meets the
+      other factor of its product, and summed over the M products those
+      factors are at most √M·|q| and 2√M·|t_j| (a 1-norm is at most √M
+      times the 2-norm). So E_gemm <= γ_{M+3}·(2|q|·|t_j| + |t_j|²)
+      + 2**-149·√M·(|q| + 2|t_j|) + (M + 2)·2**-149, the last term taking
+      float64's underflow too.
+    - E_cdist = |c_j - D_j|: c_j sums M squared differences, each rounded
+      twice, in float64, so E_cdist <= γ'_{M+2}·D_j + M·2**-1074
+      <= u·x² + M·2**-1074. Its error scales with the whole distance, |q|²
+      included.
 
     For j in the first k columns and i not, d_i - d_j >= gap, so c_i - c_j
     >= gap - 2·(E_gemm + E_cdist) > 0 once gap > 2·(E_gemm + E_cdist):
     ``cdist`` puts the whole set strictly below every other row, and
-    ``_nearest`` has no tie to break. 2·(E_gemm + E_cdist) <=
-    4·γ_{2M+1}·(|q| + T)², since 2|q|·T + T² <= (|q| + T)² and M + 2 <=
-    2M + 1. τ takes γ_{2M+2}, a relative margin of 1/(2M + 1), far above
-    the (M + 10)·2**-53 or less lost in rounding |q|, T, τ and the gap.
-    Underflow adds at most 2**-1075 to each of the 2M + 1 products behind
-    d_j and the M squares behind c_j, twice over: the second term of τ. The
-    bounds need every partial sum finite; each is below 2·(|q| + T)², which
-    τ is computed from, so τ is inf wherever one could overflow.
+    ``_nearest`` has no tie to break. With 2|q|·|t_j| + |t_j|² <= x² and
+    |q| + 2|t_j| <= 2x, 2·(E_gemm + E_cdist) <= 2·γ_{M+4}·x²
+    + 2**-147·√M·x + (2M + 5)·2**-149, and 2**-147·√M·x <= 2u·x² + M·2**-273
+    (a·x <= b·x² + a²/4b), so it is below 2·γ_{M+6}·x² + (2M + 6)·2**-149.
+    τ takes γ_{M+7}, a relative margin of 1/(M + 6), far above the
+    (M + 12)·2**-53 or less lost in rounding |q|, T and τ in float64, and
+    the gap: the float64 difference of two float32 values, within a
+    relative 2**-53 of it. The bounds need every cast and partial sum
+    finite. Each is at most 2x² or 2x, and 2x < max(2, 2x²), so all are
+    where 2x² is below float32's largest value; elsewhere τ is inf.
 
     Both products run on the thread that runs the block. Where
     ``_ONE_THREAD_GEMM`` holds at least two rows of a product, it runs in
@@ -477,9 +502,9 @@ def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
     whole right-hand side per row, so the block is one product on BLAS's
     threads: the ranking product at 2417 × 103 (yeast-like).
 
-    Per row, the product phase holds d and its partition copy, 16 bytes per
+    Per row, the product phase holds d and its partition copy, 8 bytes per
     training row. The copy is freed before the mask, whose chunk (its
-    booleans and their float32 cast) adds 5 to d's 8 (9 in float64). d is
+    booleans and their float32 cast) adds 5 to d's 4 (9 in float64). d is
     freed before the fallback, which holds the ``cdist`` block and
     ``_nearest``'s copies, 20, the worst case, where every row falls back.
     Add 8·(M + 1) for the row and its constant column.
@@ -490,33 +515,35 @@ def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
     n_train, M = train_features.shape
     counts = np.empty((X.shape[0], train_labels.shape[1]), dtype=np.min_scalar_type(k))
     labels = train_labels.astype(np.float32 if k < _FLOAT32_EXACT else np.float64)
-    u = np.finfo(np.float64).eps / 2
-    coefficient = 2 * (2 * M + 2) * u / (1 - (2 * M + 2) * u)  # 2·γ_{2M+2}
-    floor = (3 * M + 2) * np.finfo(np.float64).smallest_subnormal
-    reach = np.sqrt(rhs[-1].max())
+    u = 2.0**-24  # float32's unit roundoff; τ itself is computed in float64
+    coefficient = 2 * (M + 7) * u / (1 - (M + 7) * u)  # 2·γ_{M+7}
+    floor = (2 * M + 6) * 2.0**-149  # 2**-149: float32's smallest subnormal
+    limit = float(np.finfo(np.float32).max)
+    with np.errstate(over="ignore"):
+        reach = np.sqrt(np.einsum("ij,ij->i", train_features, train_features).max())
     rank_chunk = _ONE_THREAD_GEMM // ((M + 1) * n_train)
     mask_chunk = _ONE_THREAD_GEMM // (n_train * labels.shape[1])
 
     def select(rows):
         q = X[rows]
         n = q.shape[0]
-        lhs = np.empty((n, M + 1))
-        lhs[:, :M] = q
-        lhs[:, M] = 1.0
-        d = np.empty((n, n_train))
+        lhs = np.empty((n, M + 1), dtype=np.float32)
+        d = np.empty((n, n_train), dtype=np.float32)
         out = counts[rows]
         # Non-finite or overflowing rows come out with a nan or inf bound.
         with np.errstate(over="ignore", invalid="ignore"):
+            lhs[:, :M] = q
+            lhs[:, M] = 1.0
             step = rank_chunk if rank_chunk > 1 else n
             for start in range(0, n, step):
                 np.matmul(lhs[start:start + step], rhs, out=d[start:start + step])
             del lhs
             part = np.partition(d, k, axis=1)
             kth = part[:, :k].max(axis=1, keepdims=True)
-            gap = part[:, k] - kth[:, 0]
+            gap = np.subtract(part[:, k], kth[:, 0], dtype=np.float64)
             del part
-            norm = np.sqrt(np.einsum("ij,ij->i", q, q))
-            sure = gap > coefficient * (2 * (norm + reach) ** 2) + floor  # gap > τ
+            x2 = (np.sqrt(np.einsum("ij,ij->i", q, q)) + reach) ** 2
+            sure = gap > np.where(2 * x2 < limit, coefficient * x2 + floor, np.inf)
             step = mask_chunk if mask_chunk > 1 else n
             for start in range(0, n, step):
                 near = d[start:start + step] <= kth[start:start + step]
