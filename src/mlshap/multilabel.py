@@ -263,20 +263,21 @@ class MLKNNModel(MultiLabelModel):
         n = train_features.shape[0]
         statistics, _ = _plan_statistics(
             train_features, train_labels, [(np.arange(n), np.arange(0))], [self.k])
-        self._statistics = statistics[0][0]
-        self.cond_counts_pos, self.cond_counts_neg = self._statistics[:2]
+        self.cond_counts_pos, self.cond_counts_neg = statistics[0][0][:2]
+        self._posteriors = _map_posterior(self.priors, statistics[0][0], self.s)
         self._ranking = _ranking_rhs(train_features)
 
     def _posterior(self, counts, labels=slice(None)):
         """Probabilities of the labels ``labels`` (default all) for rows whose
         k nearest training rows hold ``counts`` positives of each of them
-        (``_neighbor_sets``), one column per label."""
-        return _map_posterior(counts, self.priors[labels],
-                              [table[labels] for table in self._statistics], self.s)
+        (``_neighbor_sets``), one column per label: per row and label, the
+        entry of the model's ``_map_posterior`` table at that count."""
+        return np.take_along_axis(self._posteriors[:, labels], counts, axis=0)
 
     def _proba_matrix(self, X, labels):
-        """Counts and posteriors of the requested labels only; each column is
-        computed on its own, so it equals the all-label one bit for bit."""
+        """Counts and posteriors of the requested labels only; each column's
+        counts are exact and its posterior is read for its label alone, so it
+        equals the all-label one bit for bit."""
         return self._posterior(_neighbor_sets(X, self.train_features,
                                               self.train_labels[:, labels], self._ranking,
                                               self.k), labels)
@@ -324,19 +325,21 @@ def _positive_counts(train_labels, nn):
     return counts
 
 
-def _map_posterior(counts, priors, statistics, s: float):
-    """(n, L) MAP label probabilities of rows with ``counts`` positive
-    neighbors, from the ``statistics`` (c_pos, c_neg and their row sums) of a
-    fit at k = ``c_pos.shape[1] - 1``: p1 / (p1 + p0), p1 the prior times the
-    smoothed likelihood of the count given the label and p0 the same without
-    it. Two (n, L) arrays hold the work, updated in place."""
+def _map_posterior(priors, statistics, s: float):
+    """(k + 1, L) table of MAP label probabilities, row j for a row with j
+    positive neighbors of the label, from the ``statistics`` (c_pos, c_neg
+    and their row sums) of a fit at k = ``c_pos.shape[1] - 1``: p1 / (p1 +
+    p0), p1 the prior times the smoothed likelihood of the count given the
+    label and p0 the same without it. ML-kNN's posterior depends on a row
+    only through its counts, so a row's probabilities are the entries its
+    counts pick: the same elementwise arithmetic on the same operands as for
+    that row alone, so the same bits."""
     c_pos, c_neg, pos_total, neg_total = statistics
-    cols = np.arange(counts.shape[1])[None, :]
     k = c_pos.shape[1] - 1
-    p1 = np.add(s, c_pos[cols, counts])
+    p1 = np.add(s, c_pos.T)
     p1 /= s * (k + 1) + pos_total
     p1 *= priors
-    p0 = np.add(s, c_neg[cols, counts])
+    p0 = np.add(s, c_neg.T)
     p0 /= s * (k + 1) + neg_total
     p0 *= 1.0 - priors
     p0 += p1
@@ -355,7 +358,8 @@ def _nearest(d2, k: int):
     Only rows whose k-th distance is NaN (fewer than k comparable entries), and
     k >= n, go through the full sort. The fit and the tune read such prefixes
     (``_plan_statistics``); prediction reads only the positive labels the set
-    holds, and only on rows it cannot certify (``_neighbor_sets``).
+    holds, and only on rows whose set its sorted column tiles cannot certify
+    (``_neighbor_sets``), so it is the one selection that partitions.
 
     Beside ``d2``, it holds at most 12 bytes per entry of rows with no NaN:
     the partition's copy (8), or on rows tied at v the mask, the masks below
@@ -402,9 +406,19 @@ def _block_order(features, rows, k: int):
 # in float32 as in float64.
 _ONE_THREAD_GEMM = 2**18
 
-# float32 holds every integer up to 2**24 exactly, so a sum of fewer than this
-# many 0/1 products is exact in any order.
-_FLOAT32_EXACT = 2**24
+# Columns of d that one ``np.sort`` takes per row in ``_neighbor_sets``.
+# numpy's SIMD sort of a row this short beats ``np.partition`` at every width
+# measured, while a whole-row sort loses to it from about 1 200 columns on.
+_SORT_TILE = 512
+
+# Entries of d that one ``np.sort`` copies and sorts at most, unless one row
+# of a tile holds more: 256 KiB of float32, which stays in cache, and spares
+# a block a second copy of d.
+_SORT_CELLS = 2**16
+
+# float32 holds every integer below 2**24 exactly, float64 every one below
+# 2**53: the widths of ``_label_words``' words.
+_FLOAT32_BITS = 24
 
 
 def _ranking_rhs(train_features):
@@ -418,6 +432,59 @@ def _ranking_rhs(train_features):
         np.multiply(train_features.T, -2.0, out=rhs[:-1])
         np.einsum("ij,ij->i", train_features, train_features, out=rhs[-1])
         return rhs.astype(np.float32)
+
+
+def _label_words(train_labels, k: int):
+    """The 0/1 ``train_labels`` packed for counting sums of at most k rows:
+    (n_train, W) words and the shifts of a word's F fields. With b =
+    k.bit_length(), a float32 word holds F = ⌊24/b⌋ labels, label f of word
+    w (label w·F + f, if there is one) at weight 2**(b·f); where b > 24, a
+    float64 word holds ⌊53/b⌋. A sum of at most k words holds in each field
+    a count of at most k < 2**b, so no field carries into the next, and the
+    sum and every partial sum are integers below 2**24 (2**53): exact in
+    any summation order."""
+    b = k.bit_length()
+    dtype, bits = (np.float32, _FLOAT32_BITS) if b <= _FLOAT32_BITS else (np.float64, 53)
+    n, L = train_labels.shape
+    fields = bits // b
+    shifts = b * np.arange(fields)
+    padded = np.zeros((n, -(-L // fields) * fields), dtype=np.int64)
+    padded[:, :L] = train_labels
+    words = (padded.reshape(n, -1, fields) << shifts).sum(axis=2)
+    return words.astype(dtype), shifts
+
+
+def _kth_and_gap(d, k: int):
+    """Per row of ``d`` (n, width > k), its k-th smallest entry, (n, 1) of
+    d's type, and its (k+1)-th less its k-th, in float64, from sorted column
+    tiles: in chunks of rows within ``_SORT_CELLS`` per tile, each tile of at
+    most ``_SORT_TILE`` columns is sorted along its rows (one ``np.sort``)
+    and its first k + 1 columns kept, and with more than one tile the kept
+    columns are sorted once more. Each of a row's k + 1 smallest entries
+    has at most k entries of its tile below it, so it is kept, and columns
+    k - 1 and k of the sorted kept columns are the row's k-th and (k+1)-th
+    smallest entries (NaN sorts last): the two order statistics that a
+    ``partition`` at k gives."""
+    n, width = d.shape
+    tiles = range(0, width, _SORT_TILE)
+    widths = [min(_SORT_TILE, width - start, k + 1) for start in tiles]  # kept per tile
+    step = max(1, _SORT_CELLS // min(width, _SORT_TILE))
+    kth = np.empty((n, 1), dtype=d.dtype)
+    gap = np.empty(n)
+    least = np.empty((min(n, step), sum(widths)), dtype=d.dtype)
+    for start in range(0, n, step):
+        rows = d[start:start + step]
+        kept = least[:rows.shape[0]]
+        at = 0
+        for tile, kept_width in zip(tiles, widths):
+            kept[:, at:at + kept_width] = np.sort(rows[:, tile:tile + _SORT_TILE],
+                                                  axis=1)[:, :kept_width]
+            at += kept_width
+        if len(tiles) > 1:
+            kept.sort(axis=1)
+        kth[start:start + step, 0] = kept[:, k - 1]
+        np.subtract(kept[:, k], kept[:, k - 1], out=gap[start:start + step], dtype=np.float64)
+    return kth, gap
 
 
 def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
@@ -434,20 +501,20 @@ def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
        (an entry past its range becomes inf). Each row of d is the row's
        squared distances less |q|², the same for the whole row, up to
        rounding, so d ranks as the distances do.
-    2. One ``partition`` of d at k: its first k columns hold the k smallest
-       entries of d, in any order, so the k-th smallest is their max, and
-       column k holds the (k+1)-th.
+    2. ``_kth_and_gap``: per row, the k-th smallest entry of d (kth) and the
+       (k+1)-th less it, from sorted column tiles of at most ``_SORT_TILE``
+       columns: the two order statistics that a ``partition`` at k gives.
     3. A row is certified when its gap, the (k+1)-th entry less the k-th,
        taken in float64, exceeds ``τ = 2·γ_{M+7}·(|q| + T)² + (2M + 6)·2**-149``,
        with T the largest training-row norm and γ_n = n·u / (1 - n·u),
        u = 2**-24, the relative error bound of n rounded float32
        operations; τ is inf where 2·(|q| + T)² is at least float32's largest
        value. As τ > 0, exactly k entries of its d are at most its k-th, and
-       they are its set, so its counts are ``(d <= kth) @ labels``, where the
-       mask rows of the rows not certified are cleared, so that no count
-       exceeds k. The mask and the labels are float32 while k <
-       ``_FLOAT32_EXACT``, float64 from there on: every partial sum is an
-       integer of at most k, exact in any summation order.
+       they are its set, so its counts are those of ``(d <= kth) @ words``,
+       the labels packed by ``_label_words`` (12 labels in 2 float32 words
+       at k = 5), unpacked by one shift and mask per block. The mask rows of
+       the rows not certified are cleared, so that a row sums k words or
+       none, and every count is exact in any summation order.
     4. Every other row's counts are replaced by those of its set from
        ``cdist`` and ``_nearest``, as a fit's rows take theirs in
        ``_block_order``. Rows with nan, inf or values past float32's range
@@ -478,8 +545,8 @@ def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
       <= u·x² + M·2**-1074. Its error scales with the whole distance, |q|²
       included.
 
-    For j in the first k columns and i not, d_i - d_j >= gap, so c_i - c_j
-    >= gap - 2·(E_gemm + E_cdist) > 0 once gap > 2·(E_gemm + E_cdist):
+    For j among the k smallest entries and i not, d_i - d_j >= gap, so c_i
+    - c_j >= gap - 2·(E_gemm + E_cdist) > 0 once gap > 2·(E_gemm + E_cdist):
     ``cdist`` puts the whole set strictly below every other row, and
     ``_nearest`` has no tie to break. With 2|q|·|t_j| + |t_j|² <= x² and
     |q| + 2|t_j| <= 2x, 2·(E_gemm + E_cdist) <= 2·γ_{M+4}·x²
@@ -495,26 +562,31 @@ def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
     Both products run on the thread that runs the block. Where
     ``_ONE_THREAD_GEMM`` holds at least two rows of a product, it runs in
     chunks of that many rows, which OpenBLAS keeps on the calling thread, so
-    no BLAS thread spins beside the ``map_slices`` threads while they
-    partition: 29 rows of the ranking product and 53 of the mask product at
-    407 × 21 training rows and 12 labels (foodtruck-like). Where it holds one
-    row or none, a chunk would be a matrix-vector product that reads the
-    whole right-hand side per row, so the block is one product on BLAS's
-    threads: the ranking product at 2417 × 103 (yeast-like).
+    no BLAS thread spins beside the ``map_slices`` threads while they sort:
+    29 rows of the ranking product and 322 of the mask product at 407 × 21
+    training rows and 12 labels (foodtruck-like). Where it holds one row or
+    none, a chunk would be a matrix-vector product that reads the whole
+    right-hand side per row, so the block is one product on BLAS's threads:
+    the ranking product at 2417 × 103 (yeast-like).
 
-    Per row, the product phase holds d and its partition copy, 8 bytes per
-    training row. The copy is freed before the mask, whose chunk (its
-    booleans and their float32 cast) adds 5 to d's 4 (9 in float64). d is
-    freed before the fallback, which holds the ``cdist`` block and
-    ``_nearest``'s copies, 20, the worst case, where every row falls back.
-    Add 8·(M + 1) for the row and its constant column.
+    Per row, the product phase holds d, 4 bytes per training row. Its sort
+    adds kth and the gap, 12 bytes, and a sorted copy of one chunk of one
+    tile with the chunk's kept columns, at most ``_SORT_CELLS`` entries each
+    (or one row of a tile) whatever the block's rows: a block holds no
+    second copy of d. The mask's chunk (its booleans and their float32 cast)
+    adds 5 to d's 4 (9 in float64). d is freed before the words are
+    unpacked, 8 bytes per field and 16 per word, and before the fallback,
+    which holds the ``cdist`` block and ``_nearest``'s copies, 20 per
+    training row, the worst case, where every row falls back. Add
+    8·(M + 1) for the row and its constant column.
     """
     # Imported here, so a run that never measures a distance never loads scipy.
     from scipy.spatial.distance import cdist
 
     n_train, M = train_features.shape
     counts = np.empty((X.shape[0], train_labels.shape[1]), dtype=np.min_scalar_type(k))
-    labels = train_labels.astype(np.float32 if k < _FLOAT32_EXACT else np.float64)
+    words, shifts = _label_words(train_labels, k)
+    field = (1 << k.bit_length()) - 1
     u = 2.0**-24  # float32's unit roundoff; τ itself is computed in float64
     coefficient = 2 * (M + 7) * u / (1 - (M + 7) * u)  # 2·γ_{M+7}
     floor = (2 * M + 6) * 2.0**-149  # 2**-149: float32's smallest subnormal
@@ -522,13 +594,14 @@ def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
     with np.errstate(over="ignore"):
         reach = np.sqrt(np.einsum("ij,ij->i", train_features, train_features).max())
     rank_chunk = _ONE_THREAD_GEMM // ((M + 1) * n_train)
-    mask_chunk = _ONE_THREAD_GEMM // (n_train * labels.shape[1])
+    mask_chunk = _ONE_THREAD_GEMM // (n_train * words.shape[1])
 
     def select(rows):
         q = X[rows]
         n = q.shape[0]
         lhs = np.empty((n, M + 1), dtype=np.float32)
         d = np.empty((n, n_train), dtype=np.float32)
+        sums = np.empty((n, words.shape[1]), dtype=words.dtype)
         out = counts[rows]
         # Non-finite or overflowing rows come out with a nan or inf bound.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -538,18 +611,17 @@ def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
             for start in range(0, n, step):
                 np.matmul(lhs[start:start + step], rhs, out=d[start:start + step])
             del lhs
-            part = np.partition(d, k, axis=1)
-            kth = part[:, :k].max(axis=1, keepdims=True)
-            gap = np.subtract(part[:, k], kth[:, 0], dtype=np.float64)
-            del part
+            kth, gap = _kth_and_gap(d, k)
             x2 = (np.sqrt(np.einsum("ij,ij->i", q, q)) + reach) ** 2
             sure = gap > np.where(2 * x2 < limit, coefficient * x2 + floor, np.inf)
             step = mask_chunk if mask_chunk > 1 else n
             for start in range(0, n, step):
                 near = d[start:start + step] <= kth[start:start + step]
-                near[~sure[start:start + step]] = False  # so no count exceeds k
-                out[start:start + step] = np.matmul(near.astype(labels.dtype), labels)
+                near[~sure[start:start + step]] = False  # so no field carries
+                np.matmul(near.astype(words.dtype), words, out=sums[start:start + step])
         del d
+        unpacked = (sums.astype(np.int64)[:, :, None] >> shifts) & field
+        out[...] = unpacked.reshape(n, -1)[:, :out.shape[1]]
         unsure = np.flatnonzero(~sure)
         if unsure.size:
             out[unsure] = _positive_counts(
@@ -639,8 +711,9 @@ def predict_mlknn_grid(dataset: Dataset, assignments, points):
     byte budget of ``_blocks``: each block adds its rows' integer statistics
     per pair and k, which add exactly, and keeps the k_max test neighbours
     of its test rows, 8·k_max bytes per row and repetition. Each point's
-    posterior is ``_map_posterior``, as in ``MLKNNModel._posterior``, from
-    the pair's priors at its s, computed once per pair and s.
+    probabilities are read from the ``_map_posterior`` table of its pair, k
+    and s, as in ``MLKNNModel._posterior``, with the pair's priors at each s
+    computed once.
     """
     features, labels = _train_rows(dataset.features, dataset.labels)
     n = features.shape[0]
@@ -662,7 +735,8 @@ def predict_mlknn_grid(dataset: Dataset, assignments, points):
         for p in points:
             s = float(p.get("s", 1.0))
             i = at_k[int(p["k"])]
-            proba = _map_posterior(at_each[i], priors[s], tables[i], s)
+            proba = np.take_along_axis(_map_posterior(priors[s], tables[i], s), at_each[i],
+                                       axis=0)
             predictions.append((proba >= 0.5).astype(np.int64))
         return predictions
 

@@ -165,15 +165,6 @@ def _coalition_values(target, x, masks, background, n_outputs):
     return np.concatenate(_blocks.map_slices(block_values, n_masks, row_bytes, budget))
 
 
-def _base_and_fx(target, x, background):
-    """phi_0 (the empty coalition's value), f(x), and whether f is 1-D."""
-    fx, single = _at_instance(target, x)
-    M = target.n_features
-    base = _coalition_values(target, x, np.zeros((1, M), dtype=bool), background,
-                             len(fx))[0]
-    return base, fx, single
-
-
 def _explanations(base, phi, fx, x, single):
     """One Explanation per output row of ``phi``; the only one for a 1-D target."""
     expls = [Explanation(base_value=float(base[j]), phi=phi[j], fx=float(fx[j]),
@@ -324,19 +315,25 @@ def kernel_shap(target: ExplainTarget, x, background, budget=None, seed: int = 0
     eliminated by substitution, so local accuracy holds by construction.
     Deterministic for a fixed seed. Returns one Explanation for a 1-D target,
     else a list with one per output column; all outputs share the coalitions
-    and one weighted least-squares factorization.
+    and one weighted least-squares factorization. phi_0, the empty
+    coalition's value, comes from the same ``_coalition_values`` call as the
+    sampled coalitions, as its last mask.
     """
     x, background = _check_inputs(target.n_features, x, background)
     M = target.n_features
     n_budget = _coalition_budget(budget, M)
-    base, fx, single = _base_and_fx(target, x, background)
+    fx, single = _at_instance(target, x)
+    empty = np.zeros((1, M), dtype=bool)
     if M == 1:
         # Both constraints pin the single attribution; nothing to regress.
+        base = _coalition_values(target, x, empty, background, len(fx))[0]
         return _explanations(base, (fx - base)[:, None], fx, x, single)
 
     rng = np.random.default_rng(seed)
     masks, weights = _sample_coalitions(M, n_budget, rng)
-    values = _coalition_values(target, x, masks, background, len(fx))
+    values = _coalition_values(target, x, np.concatenate([masks, empty]), background,
+                               len(fx))
+    values, base = values[:-1], values[-1]
 
     # Substitute phi_e = (fx - base) - sum(other phi) to enforce g(full) = fx.
     Z = masks.astype(np.float64)
@@ -413,8 +410,9 @@ def _tree_pass(forests, x, background):
     """``tree_shap``'s values with each forest's base value (its mean output
     over the background rows) and output at ``x``, all from the same leaf
     paths: a row reaches the one leaf per tree whose every path column it
-    meets. Base value and output are bit-equal to those ``_base_and_fx`` gets
-    from the forests' ``predict_proba``."""
+    meets. Base value and output are bit-equal to those the other estimators
+    get from the forests' ``predict_proba``: f(x) from ``_at_instance`` and
+    the base value from ``_coalition_values`` of the empty mask."""
     x, background = _check_inputs(forests[0].n_features, x, background)
     M = x.shape[0]
     for j, forest in enumerate(forests):

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -26,6 +25,8 @@ from mlshap.cli import main
 from mlshap.multilabel import (
     MLKNNModel,
     _block_order,
+    _kth_and_gap,
+    _label_words,
     _nearest,
     _neighbor_sets,
     _positive_counts,
@@ -296,20 +297,42 @@ class TestMLKNN:
 
     @pytest.mark.parametrize("k,s", [(1, 1.0), (5, 0.3), (12, 2.5)])
     def test_posterior_equals_the_gathered_formula(self, foodtruck_dataset, k, s):
-        """Counts added one neighbor column at a time and the in-place
-        posterior give the bits of the (n, k, L) gather and the plain formula."""
+        """Counts added one neighbor column at a time and the posterior table
+        give the bits of the (n, k, L) gather and the plain formula."""
         model = fit_mlknn(foodtruck_dataset, k, s)
         nn = np.random.default_rng(k).integers(foodtruck_dataset.n_instances, size=(500, k))
         counts = model.train_labels[nn].sum(axis=1)
         np.testing.assert_array_equal(_positive_counts(model.train_labels, nn), counts)
-        cols = np.arange(model.n_labels)[None, :]
-        cond_pos = (s + model.cond_counts_pos[cols, counts]) / (
-            s * (k + 1) + model.cond_counts_pos.sum(axis=1))
-        cond_neg = (s + model.cond_counts_neg[cols, counts]) / (
-            s * (k + 1) + model.cond_counts_neg.sum(axis=1))
-        p1 = model.priors * cond_pos
-        p0 = (1.0 - model.priors) * cond_neg
-        assert model._posterior(counts).tobytes() == (p1 / (p1 + p0)).tobytes()
+        assert model._posterior(counts).tobytes() == gathered_posterior(model, counts).tobytes()
+
+    @pytest.mark.parametrize("k,s", [(1, 1.0), (5, 0.3), (12, 2.5)])
+    def test_posterior_table_at_every_count(self, foodtruck_dataset, k, s):
+        """Every count from 0 to k of every label, in every row position and
+        for a subset of labels, reads the bits of the per-row formula."""
+        model = fit_mlknn(foodtruck_dataset, k, s)
+        counts = (np.arange(k + 1)[:, None] + np.arange(model.n_labels)) % (k + 1)
+        counts = counts.astype(np.min_scalar_type(k))
+        want = gathered_posterior(model, counts)
+        assert model._posterior(counts).tobytes() == want.tobytes()
+        labels = [5, 0, 11]
+        assert (model._posterior(counts[:, labels], labels).tobytes()
+                == np.ascontiguousarray(want[:, labels]).tobytes())
+
+    @pytest.mark.parametrize("rounding", [None, 0], ids=["raw", "0-decimal"])
+    def test_tune_predictions_equal_the_gathered_formula(self, foodtruck_dataset, rounding):
+        """The tune's hard labels are those of the per-row formula on the
+        fit of the pair's train rows and the counts of each test row's
+        stable-sort neighbours, at every point."""
+        dataset, train_idx, test_idx = _first_pair(foodtruck_dataset, rounding)
+        train, X_test = split(dataset, train_idx), dataset.features[test_idx]
+        nn = stable_nearest(cdist(X_test, train.features, "sqeuclidean"), 20)
+        points = [{"k": k, "s": s} for k in (1, 4, 20) for s in (0.5, 1.0, 3.0)]
+        (predictions,) = predict_mlknn_grid(dataset, [[(train_idx, test_idx)]], points)
+        for point, predicted in zip(points, predictions):
+            model = fit_mlknn(train, point["k"], point["s"])
+            counts = _positive_counts(model.train_labels, nn[:, :point["k"]])
+            proba = gathered_posterior(model, counts)
+            np.testing.assert_array_equal(predicted, (proba >= 0.5).astype(np.int64))
 
     def test_one_label_request_counts_that_label_only(self, foodtruck_dataset,
                                                        monkeypatch):
@@ -462,6 +485,19 @@ class TestSharedNeighborOrder:
         assert sorted(calls) == [0.5, 0.5, 1.0, 1.0, 2.0, 2.0]
 
 
+def gathered_posterior(model, counts):
+    """Reference ML-kNN posterior, per row: each row's entries of c_pos and
+    c_neg gathered at its counts, then the MAP formula."""
+    k, s = model.k, model.s
+    cols = np.arange(counts.shape[1])[None, :]
+    c_pos, c_neg = model.cond_counts_pos, model.cond_counts_neg
+    cond_pos = (s + c_pos[cols, counts]) / (s * (k + 1) + c_pos.sum(axis=1))
+    cond_neg = (s + c_neg[cols, counts]) / (s * (k + 1) + c_neg.sum(axis=1))
+    p1 = model.priors * cond_pos
+    p0 = (1.0 - model.priors) * cond_neg
+    return p1 / (p1 + p0)
+
+
 def stable_nearest(d2, k):
     """Reference selection: the first k columns of a stable full-row sort."""
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
@@ -592,11 +628,39 @@ class TestNearest:
         np.testing.assert_array_equal(nn, stable_nearest(d2, 3))
 
 
+class TestKthAndGap:
+    """``_kth_and_gap`` from sorted column tiles, in chunks of rows, gives the
+    order statistics of a ``partition`` at k (the k-th smallest entry is the
+    max of the first k columns, the (k+1)-th is column k), nan included: on
+    ties, inf, rows with fewer than k + 1 or k comparable entries, tiles
+    narrower than k + 1, and chunks of one row."""
+
+    @pytest.mark.parametrize("tile, cells", [(512, 2**16), (4, 8), (7, 1)],
+                             ids=["one-tile", "tiles-of-4", "one-row-chunks"])
+    def test_equal_the_partition_order_statistics(self, tile, cells, monkeypatch, rng):
+        monkeypatch.setattr(multilabel, "_SORT_TILE", tile)
+        monkeypatch.setattr(multilabel, "_SORT_CELLS", cells)
+        d = rng.integers(0, 6, size=(40, 30)).astype(np.float32)
+        d[rng.uniform(size=d.shape) < 0.1] = np.inf
+        d[5:10][rng.uniform(size=(5, 30)) < 0.3] = np.nan
+        d[3] = np.nan
+        d[4, 2:] = np.nan
+        for k in range(1, 30):
+            with np.errstate(invalid="ignore"):
+                part = np.partition(d, k, axis=1)
+                want_kth = part[:, :k].max(axis=1, keepdims=True)
+                want_gap = np.subtract(part[:, k], want_kth[:, 0], dtype=np.float64)
+                kth, gap = _kth_and_gap(d, k)
+            assert kth.dtype == np.float32 and gap.dtype == np.float64
+            np.testing.assert_array_equal(kth, want_kth)
+            np.testing.assert_array_equal(gap, want_gap)
+
+
 class TestNeighborBlocks:
     """Queries split into row blocks within ``_blocks._BLOCK_BYTES`` equal the
     unblocked query bit for bit, on both paths: prediction's neighbour counts
-    (one product and one ``partition`` per block, ``cdist`` on the rows it
-    does not certify) and the ordered ``cdist`` blocks of the leave-one-out
+    (one product and one sort of each column tile per block, ``cdist`` on
+    the rows it does not certify) and the ordered ``cdist`` blocks of the leave-one-out
     order of a fit and of a tune. Here the blocks run on one thread, in order;
     ``TestNeighborBlocksOnTwoThreads`` runs the same cases on two."""
 
@@ -609,33 +673,24 @@ class TestNeighborBlocks:
     @pytest.fixture()
     def blocks(self, monkeypatch):
         """Records the (rows, n_train) shape of every distance block:
-        ``blocks["sets"]`` each product block that ``partition`` ranks (not
-        the partitions inside ``_nearest``, on whichever thread),
-        ``blocks["cdist"]`` each ``cdist`` call."""
+        ``blocks["sets"]`` each product block whose column tiles ``np.sort``
+        sorts, once per block, at its first tile (the view of the block that
+        starts where it starts), ``blocks["cdist"]`` each ``cdist`` call."""
         shapes = {"sets": [], "cdist": []}
-        partition, nearest = np.partition, multilabel._nearest
-        in_nearest = threading.local()
+        sort = np.sort
 
         def cdist_spy(XA, XB, metric):
             out = cdist(XA, XB, metric)
             shapes["cdist"].append(out.shape)
             return out
 
-        def partition_spy(a, kth, axis):
-            if not getattr(in_nearest, "active", False):
-                shapes["sets"].append(a.shape)
-            return partition(a, kth, axis=axis)
-
-        def nearest_spy(d2, k):
-            in_nearest.active = True
-            try:
-                return nearest(d2, k)
-            finally:
-                in_nearest.active = False
+        def sort_spy(a, axis=-1, **kwargs):
+            if a.base is not None and a.ctypes.data == a.base.ctypes.data:
+                shapes["sets"].append(a.base.shape)
+            return sort(a, axis=axis, **kwargs)
 
         monkeypatch.setattr(scipy.spatial.distance, "cdist", cdist_spy)
-        monkeypatch.setattr(np, "partition", partition_spy)
-        monkeypatch.setattr(multilabel, "_nearest", nearest_spy)
+        monkeypatch.setattr(np, "sort", sort_spy)
         return shapes
 
     @pytest.fixture()
@@ -802,8 +857,9 @@ def _kernel_rows(dataset, seed, n_masks=200, background=20):
 
 
 class TestNeighborSets:
-    """Prediction's neighbour counts (``_neighbor_sets``: one product, one
-    ``partition``, a certified gap and a mask product, and ``cdist`` with
+    """Prediction's neighbour counts (``_neighbor_sets``: one product, sorted
+    column tiles, a certified gap and a product of the mask with packed label
+    words, and ``cdist`` with
     ``_nearest`` on every other row) equal the counts of the first k columns
     of ``cdist`` and ``_nearest``; with ``set_labels`` they are those sets."""
 
@@ -822,9 +878,10 @@ class TestNeighborSets:
     @pytest.fixture(params=["numpy", "reversed"])
     def partition_order(self, request, monkeypatch):
         """``np.partition`` as numpy orders it, and with each side of the
-        k-th position reversed, which its contract (no order within either
-        side) allows: then column k - 1 holds the smallest of the first k, not
-        the k-th smallest, and only their max is the k-th value."""
+        kth position reversed, which its contract (no order within either
+        side) allows. Only ``_nearest`` partitions (the fit's and the tune's
+        orders and prediction's fallback), and it reads the kth position
+        alone; prediction's certified rows sort their column tiles."""
         if request.param == "reversed":
             partition = np.partition
 
@@ -920,14 +977,15 @@ class TestNeighborSets:
         X[1, 0], X[4, 2], X[5, 1] = math.nan, math.inf, -math.inf
         assert self.fallback_rows(X, train, 3, fallback) == 3
 
-    @pytest.mark.parametrize("corpus, products, masks", [("foodtruck", 11, 6),
-                                                         ("yeast", 1, 43)])
+    @pytest.mark.parametrize("corpus, products, masks", [("foodtruck", 11, 1),
+                                                         ("yeast", 1, 6)])
     def test_product_chunks_at_the_corpus_shapes(self, corpus, products, masks, fallback,
                                                  monkeypatch, rng):
-        """29-row ranking products and 53-row mask products at the foodtruck
-        shape, which OpenBLAS keeps on the calling thread; one ranking
-        product per block at the yeast shape, where a chunk that small would
-        hold one row, and 7-row mask products."""
+        """29-row ranking products and 322-row mask products at the
+        foodtruck shape, which OpenBLAS keeps on the calling thread; one
+        ranking product per block at the yeast shape, where a chunk that
+        small would hold one row, and 54-row mask products. At k = 5 both
+        shapes pack their labels into 2 words of 8."""
         n, d, L = CORPUS_SHAPES[corpus]
         train = rng.normal(size=(n, d))
         labels = (rng.uniform(size=(n, L)) < 0.3).astype(np.int64)
@@ -977,12 +1035,13 @@ class TestNeighborSets:
         assert (counts[certified] == 5).all()
         assert np.concatenate(mask_sizes).max() == 5
 
-    @pytest.mark.parametrize("exact, dtype", [(6, np.float32), (5, np.float64)],
-                             ids=["k-below-bound", "k-at-bound"])
-    def test_mask_dtype_counts_exactly(self, exact, dtype, monkeypatch, rng):
-        """The mask product runs in float32 while k is below
-        ``_FLOAT32_EXACT``, where every integer sum of at most k is exact,
-        and in float64 from there on; either way the counts are exact."""
+    @pytest.mark.parametrize("bits, dtype", [(3, np.float32), (2, np.float64)],
+                             ids=["b-fits-float32", "b-above-float32"])
+    def test_mask_dtype_counts_exactly(self, bits, dtype, monkeypatch, rng):
+        """The mask product runs on float32 words while a field of b =
+        k.bit_length() bits fits in ``_FLOAT32_BITS``, where every integer
+        sum of at most k words is exact, and on float64 words from there on;
+        either way the counts are exact."""
         train = rng.normal(size=(60, 3))
         labels = (rng.uniform(size=(60, 4)) < 0.5).astype(np.int64)
         X = rng.normal(size=(200, 3))
@@ -994,12 +1053,83 @@ class TestNeighborSets:
                 dtypes.update((a.dtype, b.dtype))
             return matmul(a, b, out=out)
 
-        monkeypatch.setattr(multilabel, "_FLOAT32_EXACT", exact)
+        monkeypatch.setattr(multilabel, "_FLOAT32_BITS", bits)
         monkeypatch.setattr(np, "matmul", spy)
         got = _neighbor_sets(X, train, labels, _ranking_rhs(train), 5)
         assert dtypes == {np.dtype(dtype)}
         want = _positive_counts(labels, _nearest(cdist(X, train, "sqeuclidean"), 5))
         np.testing.assert_array_equal(got, want)
+
+    @staticmethod
+    def edge_labels(rng, n, L):
+        """Random 0/1 labels, but every row holds the first and the last:
+        their fields, at both ends of a word, count k on every certified row."""
+        labels = (rng.uniform(size=(n, L)) < 0.5).astype(np.int64)
+        labels[:, [0, -1]] = 1
+        return labels
+
+    @pytest.mark.parametrize("k, fields", [(3, 12), (4, 8), (7, 8), (8, 6)],
+                             ids=["3=2**2-1", "4=2**2", "7=2**3-1", "8=2**3"])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["words-full", "one-label-spills"])
+    def test_packed_fields_at_their_edges(self, k, fields, extra, fallback, rng):
+        """k = 2**b - 1 fills a b-bit field, k = 2**b takes one bit more;
+        two full words of labels, or one label more in a third word."""
+        train = rng.normal(size=(80, 3))
+        X = rng.normal(size=(300, 3))
+        labels = self.edge_labels(rng, 80, 2 * fields + extra)
+        words, shifts = _label_words(labels, k)
+        assert words.dtype == np.float32 and words.shape == (80, 2 + extra)
+        np.testing.assert_array_equal(shifts, k.bit_length() * np.arange(fields))
+        assert self.fallback_rows(X, train, k, fallback, labels) < len(X) // 4
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["word-full", "one-label-spills"])
+    def test_float64_words(self, extra, fallback, monkeypatch, rng):
+        """With float32 words patched to 2 bits, k = 7 (b = 3) packs 17
+        labels per float64 word; 17 labels all held by every neighbour sum
+        to 7·(2**51 - 1)/7 = 2**51 - 1 < 2**53."""
+        monkeypatch.setattr(multilabel, "_FLOAT32_BITS", 2)
+        train = rng.normal(size=(80, 3))
+        X = rng.normal(size=(300, 3))
+        labels = self.edge_labels(rng, 80, 17 + extra)
+        words, shifts = _label_words(labels, 7)
+        assert words.dtype == np.float64 and words.shape == (80, 1 + extra)
+        assert shifts.shape == (17,)
+        assert self.fallback_rows(X, train, 7, fallback, labels) < len(X) // 4
+        labels[:] = 1
+        assert self.fallback_rows(X, train, 7, fallback, labels) < len(X) // 4
+
+    @pytest.mark.parametrize("n_train, k", [(513, 5), (514, 5), (1030, 9), (1100, 600)],
+                             ids=["1-column-tile", "2-column-tile", "6-column-tile",
+                                  "k-above-the-tile"])
+    def test_column_tiles(self, n_train, k, fallback, rng):
+        """Just above one tile of ``_SORT_TILE`` columns, the last tile is
+        narrower than k + 1 and keeps all its columns; with k + 1 above the
+        tile width every tile keeps all its columns. Queries along a line of
+        training rows have their nearest rows in one tile or across two."""
+        labels = self.edge_labels(rng, n_train, 13)
+        train = rng.normal(size=(n_train, 3))
+        X = rng.normal(size=(200, 3))
+        assert self.fallback_rows(X, train, k, fallback, labels) < len(X) // 2
+        line = np.arange(n_train) - n_train / 2 + rng.uniform(-0.2, 0.2, size=n_train)
+        queries = rng.uniform(-n_train / 2 - 5, n_train / 2 + 5, size=300)
+        queries[:4] = [512.5 - n_train / 2, -n_train / 2, n_train / 2, 0.0]
+        self.fallback_rows(queries[:, None], line[:, None], k, fallback, labels)
+
+    def test_non_finite_and_overflowing_rows_with_tiles(self, fallback, rng):
+        """nan, inf and rows past float32's range fall back where d is cut
+        into three tiles, beside rows that certify; a training row past
+        float32's range makes every row fall back."""
+        train = rng.normal(size=(1100, 3))
+        X = rng.normal(size=(60, 3))
+        X[1, 0], X[4, 2], X[5, 1] = math.nan, math.inf, -math.inf
+        X[7, 0], X[9] = 1e39, X[9] * 1e200
+        bad = [1, 4, 5, 7, 9]
+        labels = self.edge_labels(rng, 1100, 9)
+        assert self.fallback_rows(X[bad], train, 5, fallback, labels) == len(bad)
+        rows = self.fallback_rows(X, train, 5, fallback, labels)
+        assert len(bad) <= rows < len(X) // 2
+        train[700, 1] = 1e39
+        assert self.fallback_rows(X, train, 5, fallback, labels) == len(X)
 
     @pytest.mark.parametrize("reach, falls_back", [(2.5, True), (1.5, False)])
     def test_bound_is_the_documented_one(self, reach, falls_back, fallback):

@@ -32,7 +32,7 @@ from mlshap.forest import forest_to_doc
 from mlshap.shapley import (
     ESTIMATORS,
     Explanation,
-    _base_and_fx,
+    _at_instance,
     _coalition_budget,
     _coalition_values,
     _sample_coalitions,
@@ -556,7 +556,7 @@ class TestCoalitionBlocks:
         whole = run()
         nbytes = 8 * 8 * sum(_sizes(model, labels))
         monkeypatch.setattr(_blocks, "_BLOCK_BYTES", 2 * nbytes - 2 * (room == "rows"))
-        tables = model.coalition_fn(labels)(x, bg, 40)
+        tables = model.coalition_fn(labels)(x, bg, 41)  # 40 masks and the empty one
         assert (tables is None) == (room == "rows")
         blocks = []
         map_slices = _blocks.map_slices
@@ -569,7 +569,7 @@ class TestCoalitionBlocks:
         for got, want in zip(run(), whole):
             np.testing.assert_array_equal(got.phi, want.phi)
             assert (got.base_value, got.fx) == (want.base_value, want.fx)
-        assert blocks.count(40) > 4
+        assert blocks.count(41) > 4
 
     @pytest.mark.parametrize("algo", ["br", "cc"])
     def test_a_block_holds_no_more_than_it_counts(self, algo):
@@ -615,10 +615,10 @@ class TestCoalitionBlocks:
 
         kernel_shap(ExplainTarget(f=f, n_features=M), rng.normal(size=M),
                     rng.normal(size=(B, M)), seed=0)
-        assert calls[:2] == [1, B]  # f(x), then the empty coalition
-        blocks = [rows // B for rows in calls[2:]]
-        assert all(rows % B == 0 for rows in calls[2:])
-        assert sum(blocks) == 2 * M + 2048 and len(blocks) > 1
+        assert calls[0] == 1  # f(x); the empty coalition is the blocks' last mask
+        blocks = [rows // B for rows in calls[1:]]
+        assert all(rows % B == 0 for rows in calls[1:])
+        assert sum(blocks) == 2 * M + 2048 + 1 and len(blocks) > 1
         assert all(n * _mask_bytes(B, M, L) <= _blocks._BLOCK_BYTES
                    for n in blocks if n > 1)
 
@@ -769,17 +769,25 @@ class TestCoalitionTables:
         _assert_tables_match_rows(model, [0, 1], x, bg, _masks(rng, max(sizes), 10))
 
     @pytest.mark.parametrize("algo", ["br", "cc"])
-    def test_one_mask_base_value(self, cc, algo):
-        """With one mask only one-leaf trees could use a table: the base
-        value call synthesizes its rows, as ``predict_proba`` reads them."""
+    def test_kernel_base_value_from_the_tables(self, cc, algo):
+        """With one mask only one-leaf trees could use a table: a one-mask
+        call synthesizes its rows, as ``predict_proba`` reads them. The
+        kernel estimator reads its base value from the tables instead, as
+        the last mask of its one coalition call, to the same bits."""
         ds, model = cc
         if algo == "br":
             model = fit_br(ds, _CC_PARAMS)
         x, bg = ds.features[4], ds.features[60:70]
         with_tables, rows = _targets(model, [3, 1])
         assert with_tables.coalitions(x, bg, 1) is None
-        for got, want in zip(_base_and_fx(with_tables, x, bg), _base_and_fx(rows, x, bg)):
-            assert np.array_equal(got, want)
+        assert with_tables.coalitions(x, bg, 41) is not None
+        base, fx = _one_mask_base_and_fx(rows, x, bg)
+        for got, want in zip(_one_mask_base_and_fx(with_tables, x, bg), (base, fx)):
+            assert got.tobytes() == want.tobytes()
+        for target in (with_tables, rows):
+            explanations = kernel_shap(target, x, bg, budget=40, seed=2)
+            assert [e.base_value for e in explanations] == base.tolist()
+            assert [e.fx for e in explanations] == fx.tolist()
 
     def test_exact_shapley_on_cc(self, cc):
         """Depth-2 links split at most 3 times, so exact's 2^6 masks use the
@@ -971,14 +979,23 @@ class TestTreeShap:
         assert resolve_estimator(model) == "kernel"
 
 
+def _one_mask_base_and_fx(target, x, background):
+    """The base value (the empty coalition's value, from a one-mask
+    ``_coalition_values`` call) and f(x) (``_at_instance``) of ``target``."""
+    fx, _ = _at_instance(target, x)
+    empty = np.zeros((1, x.shape[0]), dtype=bool)
+    return _coalition_values(target, x, empty, background, len(fx))[0], fx
+
+
 def _assert_base_and_fx_bit_equal(forests, x, background):
-    """The tree pass's base value and f(x) against ``_base_and_fx`` on the
-    forests' ``predict_proba``, byte for byte; and its phi is ``tree_shap``'s."""
+    """The tree pass's base value and f(x) against a one-mask coalition call
+    and ``_at_instance`` on the forests' ``predict_proba``, byte for byte;
+    and its phi is ``tree_shap``'s."""
     target = ExplainTarget(
         f=lambda X: np.column_stack([f.predict_proba(X) for f in forests]),
         n_features=x.shape[0])
     x, background = np.asarray(x, dtype=np.float64), np.atleast_2d(background)
-    base, fx, _ = _base_and_fx(target, x, background)
+    base, fx = _one_mask_base_and_fx(target, x, background)
     phi, tree_base, tree_fx = _tree_pass(forests, x, background)
     assert tree_base.tobytes() == base.tobytes()
     assert tree_fx.tobytes() == fx.tobytes()
