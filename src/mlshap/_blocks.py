@@ -18,7 +18,9 @@ pool thread per extra CPU of the process's affinity mask (``_WORKERS`` in
 all), each slice within its thread's share of the budget, so the blocks in
 flight together stay within it. Only callers whose rows are computed
 independently of each other use it, so its results do not depend on how many
-threads there are.
+threads there are. Cache-sized chunks are cut by :func:`row_slices` at
+``_CACHE_BYTES``, and products that must stay on their block's thread by
+:func:`gemm_slices`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,20 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 _BLOCK_BYTES = 32 * 2**20
+
+# Bytes the working arrays of a cache-sized chunk hold, so it stays in cache.
+# Split blocks (16 B a cell): 4 096 to 32 768 cells timed alike on the
+# foodtruck- and yeast-shaped stand-ins, 2 048 and 262 144 slower, and from the
+# entropy table neither 8 192 nor 32 768 beat 16 384 on both (CHANGES.md,
+# lockstep grower and entropy table). Leave-one-out order (8 B a distance),
+# foodtruck-like, K = 102: 80-row chunks took 5.6 ms, one 407-row block 6.4 ms
+# (minimum of 40), and the fit benchmark's peak RSS fell about 1 MB.
+_CACHE_BYTES = 2**18
+
+# OpenBLAS runs an (m, k) @ (k, n) product on the calling thread when
+# m·n·k <= 2**18 (its SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD),
+# in float32 as in float64.
+_ONE_THREAD_GEMM = 2**18
 
 
 def _cpu_count() -> int:
@@ -60,6 +76,14 @@ def row_slices(n_rows: int, row_bytes: int, budget: int | None = None) -> list[s
     is ``_BLOCK_BYTES`` by default, or what a caller's fixed share leaves of
     it."""
     return _cut(n_rows, _rows(_BLOCK_BYTES if budget is None else budget, row_bytes))
+
+
+def gemm_slices(n_rows: int, inner: int, cols: int) -> list[slice]:
+    """Row slices of an (n_rows, inner) @ (inner, cols) product that OpenBLAS
+    runs on the calling thread; all rows in one slice where such a slice would
+    hold one row or none (it would read all of the right-hand side per row)."""
+    rows = _ONE_THREAD_GEMM // (inner * cols)
+    return _cut(n_rows, rows if rows > 1 else max(1, n_rows))
 
 
 @functools.cache

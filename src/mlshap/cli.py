@@ -279,7 +279,11 @@ def _hyperparams(cfg):
     params.update({key: cfg[key] for key in _GRID_AXES[algo][0]
                    if cfg.get(key) is not None})
     if isinstance(params.get("order"), str) and params["order"] != "random":
-        params["order"] = [int(v) for v in params["order"].split(",")]
+        try:
+            params["order"] = [int(v) for v in params["order"].split(",")]
+        except ValueError:
+            raise UsageError(f'--order must be "random" or comma-separated label '
+                             f"indices, got {params['order']!r}")
     return algo, params
 
 

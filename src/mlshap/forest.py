@@ -364,14 +364,6 @@ def _entropy_from_positive(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     return out
 
 
-# Cells (node rows x candidate features) in one block of the batched split
-# search: 128 KiB per float64 array of the block, so its arrays stay in cache.
-# Caps from 4 096 to 32 768 timed alike on the foodtruck- and yeast-shaped
-# stand-ins, and 2 048 and 262 144 were slower; scored from the entropy table,
-# neither 8 192 nor 32 768 beat it on both (measurements in CHANGES.md, in the
-# entries of the lockstep grower and of the entropy table).
-_SPLIT_CELLS = 16384
-
 # Bytes a tree in flight holds per training row: the row ids of its pending
 # nodes (disjoint parts of its n bootstrap rows, so at most n of them),
 # while a node splits, its children's copies, and its batch of candidate
@@ -398,15 +390,14 @@ def _entropy_table(n_max: int) -> np.ndarray:
 
     Each entry is the same function of the same two integers as in a direct
     call, so a lookup is the same bits. The entries are computed in slices of
-    at most ``_SPLIT_CELLS``, so the build holds a split block's worth of
-    temporaries at a time.
+    totals within ``_blocks._CACHE_BYTES``, 16 bytes an entry (its total and
+    index), a split block's worth of temporaries.
     """
     table = np.zeros((n_max + 1) * (n_max + 2) // 2)
-    step = max(1, _SPLIT_CELLS // (n_max + 2))
-    for first in range(1, n_max + 1, step):
-        totals = np.arange(first, min(first + step, n_max + 1))
+    for rows in _blocks.row_slices(n_max, 16 * (n_max + 2), _blocks._CACHE_BYTES):
+        totals = np.arange(rows.start + 1, rows.stop + 1)
         total = np.repeat(totals, totals + 1)
-        start = first * (first + 1) // 2
+        start = (rows.start + 1) * (rows.start + 2) // 2
         entry = np.arange(start, start + total.size)
         table[start:start + total.size] = _entropy_from_positive(
             entry - total * (total + 1) // 2, total)
@@ -502,11 +493,11 @@ def _best_splits(nodes, table=None):
     start = 0
     while start < order.size:
         height, width, end = sizes[order[start]], widths[order[start]], start + 1
-        # Within a factor two of the block's largest node, so padding stays
-        # under half the rows, and within _SPLIT_CELLS cells (at least one node).
+        # Within a factor two of the block's largest node, so padding stays under half
+        # the rows, and within _blocks._CACHE_BYTES at 16 B a cell (at least one node).
         while end < order.size and 2 * sizes[order[end]] > height:
             wider = max(width, widths[order[end]])
-            if (end + 1 - start) * wider * height > _SPLIT_CELLS:
+            if 16 * (end + 1 - start) * wider * height > _blocks._CACHE_BYTES:
                 break
             width, end = wider, end + 1
         block = order[start:end]
@@ -648,7 +639,7 @@ class _Growing:
     after its last node.
     """
 
-    def __init__(self, keys, values, y, params: ForestParams, rng, bootstrap: bool):
+    def __init__(self, keys, values, y, params: ForestParams, rng):
         self.n_features, n = keys.shape
         self.keys, self.values, self.rng = keys, values, rng
         self.m = params.resolve_max_features(self.n_features)
@@ -664,7 +655,7 @@ class _Growing:
         self.right = array("q")
         self.value = array("d")
         # A bootstrap is drawn first, from the tree's own stream, as n row ids.
-        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
         pos = int(y[rows].sum())
         self.stack = [(self.new_node(pos, n), rows, pos, 0)]
 
@@ -713,8 +704,9 @@ class _Growing:
 
 
 def _grow(problems) -> list[dict]:
-    """One greedy entropy tree per rng of each ``(X, y, params, rngs,
-    bootstrap)`` of ``problems``, as its arena fields, in order.
+    """One greedy entropy tree per rng of each ``(X, y, params, rngs)`` of
+    ``problems``, as its arena fields, in order; each tree first draws a
+    bootstrap resample if ``params.bootstrap``.
 
     The trees grow in lockstep: each step, every tree pops its next node that
     may split, and one :func:`_best_splits` call scores them all, from one
@@ -729,8 +721,8 @@ def _grow(problems) -> list[dict]:
     table = _entropy_table(min(n_rows, _table_totals(_blocks._BLOCK_BYTES)))
     keys = _split_keys([problem[:2] for problem in problems])
     held = table.nbytes + sum({id(a): a.nbytes for pair in keys for a in pair}.values())
-    jobs = [(*pair, y, params, rng, bootstrap)
-            for pair, (_, y, params, rngs, bootstrap) in zip(keys, problems)
+    jobs = [(*pair, y, params, rng)
+            for pair, (_, y, params, rngs) in zip(keys, problems)
             for rng in rngs]
     trees = []
     for wave in _blocks.row_slices(len(jobs), _TREE_ROW_BYTES * n_rows,
@@ -773,8 +765,8 @@ def fit_tree(X, y, params: ForestParams, rng: np.random.Generator) -> RandomFore
     every row of X (no bootstrap), as a one-tree forest. Nothing in mlshap
     calls it; ``perfbench/layers.py`` hooks this name."""
     X, y = _training_pair(X, y)
-    return RandomForest(replace(params, n_trees=1, bootstrap=False), X.shape[1],
-                        _grow([(X, y, params, [rng], False)]))
+    params = replace(params, n_trees=1, bootstrap=False)
+    return RandomForest(params, X.shape[1], _grow([(X, y, params, [rng])]))
 
 
 def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -791,9 +783,9 @@ def fit_forests(problems) -> list[RandomForest]:
     the tree it would be on its own, whatever else grows with it.
     """
     checked = [(*_training_pair(X, y), params) for X, y, params in problems]
-    trees = iter(_grow([
-        (X, y, params, [tree_rng(params.seed, t) for t in range(params.n_trees)],
-         params.bootstrap) for X, y, params in checked]))
+    trees = iter(_grow([(X, y, params, [tree_rng(params.seed, t)
+                                        for t in range(params.n_trees)])
+                        for X, y, params in checked]))
     return [RandomForest(params, X.shape[1], [next(trees) for _ in range(params.n_trees)])
             for X, _, params in checked]
 

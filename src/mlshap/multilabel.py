@@ -48,7 +48,8 @@ class MultiLabelModel:
         raise NotImplementedError
 
     def _label_ids(self, labels) -> list[int]:
-        ids = list(range(self.n_labels)) if labels is None else [int(l) for l in labels]
+        ids = (list(range(self.n_labels)) if labels is None
+               else [_as_int("label id", l) for l in labels])
         if not ids or not all(0 <= l < self.n_labels for l in ids):
             raise ValueError(f"label ids must be a non-empty list of indices in "
                              f"[0, {self.n_labels}), got {ids}")
@@ -156,10 +157,8 @@ class CCModel(MultiLabelModel):
         if not isinstance(chain_order, (list, tuple)):
             raise ValueError(f"chain_order must be a list, got {chain_order!r}")
         super().__init__(n_features, len(chain_order), label_names, feature_names)
-        self.chain_order = [_as_int("chain_order entries", i) for i in chain_order]
+        self.chain_order = _chain(chain_order, self.n_labels, "chain_order")
         self.chained_models = list(chained_models)
-        if sorted(self.chain_order) != list(range(self.n_labels)):
-            raise ValueError("chain_order is not a permutation of the label indices")
         if len(self.chained_models) != self.n_labels:
             raise ValueError(f"chained_models must hold one forest per label "
                              f"({self.n_labels}), got {len(self.chained_models)}")
@@ -197,6 +196,14 @@ class CCModel(MultiLabelModel):
             "chain_order": self.chain_order,
             "chained_models": [forest_to_doc(f) for f in self.chained_models],
         }
+
+
+def _chain(order, n_labels: int, name: str) -> list[int]:
+    """``order`` as ints, or ValueError naming ``name`` unless they permute range(n_labels)."""
+    chain = [_as_int(f"{name} entries", i) for i in order]
+    if sorted(chain) != list(range(n_labels)):
+        raise ValueError(f"{name} is not a permutation of the label indices")
+    return chain
 
 
 def _coalitions(forests, columns, chained: bool):
@@ -401,20 +408,10 @@ def _block_order(features, rows, k: int):
     return _nearest(d2, k)
 
 
-# OpenBLAS runs an (m, k) @ (k, n) product on the calling thread when
-# m·n·k <= 2**18 (its SMP_THRESHOLD_MIN times GEMM_MULTITHREAD_THRESHOLD),
-# in float32 as in float64.
-_ONE_THREAD_GEMM = 2**18
-
 # Columns of d that one ``np.sort`` takes per row in ``_neighbor_sets``.
 # numpy's SIMD sort of a row this short beats ``np.partition`` at every width
 # measured, while a whole-row sort loses to it from about 1 200 columns on.
 _SORT_TILE = 512
-
-# Entries of d that one ``np.sort`` copies and sorts at most, unless one row
-# of a tile holds more: 256 KiB of float32, which stays in cache, and spares
-# a block a second copy of d.
-_SORT_CELLS = 2**16
 
 # float32 holds every integer below 2**24 exactly, float64 every one below
 # 2**53: the widths of ``_label_words``' words.
@@ -457,33 +454,32 @@ def _label_words(train_labels, k: int):
 def _kth_and_gap(d, k: int):
     """Per row of ``d`` (n, width > k), its k-th smallest entry, (n, 1) of
     d's type, and its (k+1)-th less its k-th, in float64, from sorted column
-    tiles: in chunks of rows within ``_SORT_CELLS`` per tile, each tile of at
-    most ``_SORT_TILE`` columns is sorted along its rows (one ``np.sort``)
-    and its first k + 1 columns kept, and with more than one tile the kept
-    columns are sorted once more. Each of a row's k + 1 smallest entries
-    has at most k entries of its tile below it, so it is kept, and columns
-    k - 1 and k of the sorted kept columns are the row's k-th and (k+1)-th
-    smallest entries (NaN sorts last): the two order statistics that a
-    ``partition`` at k gives."""
+    tiles: in chunks of rows whose sorted copy of a tile fits in
+    ``_blocks._CACHE_BYTES``, each tile of at most ``_SORT_TILE`` columns is
+    sorted along its rows (one ``np.sort``) and its first k + 1 columns kept,
+    and with more than one tile the kept columns are sorted once more. Each
+    of a row's k + 1 smallest entries has at most k entries of its tile below
+    it, so it is kept, and columns k - 1 and k of the sorted kept columns are
+    the row's k-th and (k+1)-th smallest entries (NaN sorts last): the two
+    order statistics that a ``partition`` at k gives."""
     n, width = d.shape
     tiles = range(0, width, _SORT_TILE)
     widths = [min(_SORT_TILE, width - start, k + 1) for start in tiles]  # kept per tile
-    step = max(1, _SORT_CELLS // min(width, _SORT_TILE))
+    row_bytes = d.itemsize * min(width, _SORT_TILE)  # a row of a tile's sorted copy
     kth = np.empty((n, 1), dtype=d.dtype)
     gap = np.empty(n)
-    least = np.empty((min(n, step), sum(widths)), dtype=d.dtype)
-    for start in range(0, n, step):
-        rows = d[start:start + step]
-        kept = least[:rows.shape[0]]
+    for rows in _blocks.row_slices(n, row_bytes, _blocks._CACHE_BYTES):
+        block = d[rows]
+        kept = np.empty((block.shape[0], sum(widths)), dtype=d.dtype)
         at = 0
         for tile, kept_width in zip(tiles, widths):
-            kept[:, at:at + kept_width] = np.sort(rows[:, tile:tile + _SORT_TILE],
+            kept[:, at:at + kept_width] = np.sort(block[:, tile:tile + _SORT_TILE],
                                                   axis=1)[:, :kept_width]
             at += kept_width
         if len(tiles) > 1:
             kept.sort(axis=1)
-        kth[start:start + step, 0] = kept[:, k - 1]
-        np.subtract(kept[:, k], kept[:, k - 1], out=gap[start:start + step], dtype=np.float64)
+        kth[rows, 0] = kept[:, k - 1]
+        np.subtract(kept[:, k], kept[:, k - 1], out=gap[rows], dtype=np.float64)
     return kth, gap
 
 
@@ -559,19 +555,16 @@ def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
     finite. Each is at most 2x² or 2x, and 2x < max(2, 2x²), so all are
     where 2x² is below float32's largest value; elsewhere τ is inf.
 
-    Both products run on the thread that runs the block. Where
-    ``_ONE_THREAD_GEMM`` holds at least two rows of a product, it runs in
-    chunks of that many rows, which OpenBLAS keeps on the calling thread, so
-    no BLAS thread spins beside the ``map_slices`` threads while they sort:
-    29 rows of the ranking product and 322 of the mask product at 407 × 21
-    training rows and 12 labels (foodtruck-like). Where it holds one row or
-    none, a chunk would be a matrix-vector product that reads the whole
-    right-hand side per row, so the block is one product on BLAS's threads:
-    the ranking product at 2417 × 103 (yeast-like).
+    Both products run on the thread that runs the block, in the row slices
+    of ``_blocks.gemm_slices``, so no BLAS thread spins beside the
+    ``map_slices`` threads while they sort: 29 rows of the ranking product
+    and 322 of the mask product at 407 × 21 training rows and 12 labels
+    (foodtruck-like), and the ranking product as one product on BLAS's
+    threads at 2417 × 103 (yeast-like).
 
     Per row, the product phase holds d, 4 bytes per training row. Its sort
     adds kth and the gap, 12 bytes, and a sorted copy of one chunk of one
-    tile with the chunk's kept columns, at most ``_SORT_CELLS`` entries each
+    tile with the chunk's kept columns, at most ``_blocks._CACHE_BYTES`` each
     (or one row of a tile) whatever the block's rows: a block holds no
     second copy of d. The mask's chunk (its booleans and their float32 cast)
     adds 5 to d's 4 (9 in float64). d is freed before the words are
@@ -593,8 +586,6 @@ def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
     limit = float(np.finfo(np.float32).max)
     with np.errstate(over="ignore"):
         reach = np.sqrt(np.einsum("ij,ij->i", train_features, train_features).max())
-    rank_chunk = _ONE_THREAD_GEMM // ((M + 1) * n_train)
-    mask_chunk = _ONE_THREAD_GEMM // (n_train * words.shape[1])
 
     def select(rows):
         q = X[rows]
@@ -607,18 +598,16 @@ def _neighbor_sets(X, train_features, train_labels, rhs, k: int):
         with np.errstate(over="ignore", invalid="ignore"):
             lhs[:, :M] = q
             lhs[:, M] = 1.0
-            step = rank_chunk if rank_chunk > 1 else n
-            for start in range(0, n, step):
-                np.matmul(lhs[start:start + step], rhs, out=d[start:start + step])
+            for chunk in _blocks.gemm_slices(n, M + 1, n_train):
+                np.matmul(lhs[chunk], rhs, out=d[chunk])
             del lhs
             kth, gap = _kth_and_gap(d, k)
             x2 = (np.sqrt(np.einsum("ij,ij->i", q, q)) + reach) ** 2
             sure = gap > np.where(2 * x2 < limit, coefficient * x2 + floor, np.inf)
-            step = mask_chunk if mask_chunk > 1 else n
-            for start in range(0, n, step):
-                near = d[start:start + step] <= kth[start:start + step]
-                near[~sure[start:start + step]] = False  # so no field carries
-                np.matmul(near.astype(words.dtype), words, out=sums[start:start + step])
+            for chunk in _blocks.gemm_slices(n, n_train, words.shape[1]):
+                near = d[chunk] <= kth[chunk]
+                near[~sure[chunk]] = False  # so no field carries
+                np.matmul(near.astype(words.dtype), words, out=sums[chunk])
         del d
         unpacked = (sums.astype(np.int64)[:, :, None] >> shifts) & field
         out[...] = unpacked.reshape(n, -1)[:, :out.shape[1]]
@@ -649,9 +638,7 @@ def fit_cc(train: Dataset, forest_params: ForestParams, order="random",
             raise ValueError(f'order must be "random" or a permutation, got {order!r}')
         chain = [int(i) for i in np.random.default_rng(seed).permutation(L)]
     else:
-        chain = [int(i) for i in order]
-        if sorted(chain) != list(range(L)):
-            raise ValueError("order is not a permutation of the label indices")
+        chain = _chain(order, L, "order")
     # One augmented matrix, as CCModel._proba_matrix builds: link j reads the
     # features and the labels of the j earlier links, its first M + j columns.
     M = train.n_features
@@ -765,15 +752,6 @@ def _plan_pair(train, test, n: int, rep: int, fold: int):
     return train.astype(np.intp), test.astype(np.intp)
 
 
-# Distance cells (row x row) the tune orders at a time: 256 KiB per float64
-# array, so a chunk's distances and ``_nearest``'s copy of them stay in
-# cache. On the foodtruck-like stand-in (407 rows, K = 102 on a 2 x 5
-# plan), 80-row chunks ordered all rows in 5.6 ms and one 407-row block in
-# 6.4 ms (minimum of 40), and the fit benchmark's peak RSS read about 1 MB
-# less than with one block.
-_ORDER_CELLS = 2**15
-
-
 def _plan_statistics(features, labels, pairs, ks):
     """Per pair, the statistics (c_pos, c_neg, c_pos's and c_neg's row sums)
     of its train rows at each k of ``ks``, and its test rows' first
@@ -789,16 +767,16 @@ def _plan_statistics(features, labels, pairs, ks):
     on it within half the byte budget of ``_blocks``: per row, the K-entry
     order and, per pair, its mask of train entries and running count of
     them, 24 bytes per order entry. The order of a block is computed on the
-    threads of ``_blocks.map_slices``, in chunks of at most ``_ORDER_CELLS``
-    distances; each chunk holds the ``cdist`` block and ``_nearest``'s
-    copies (20 bytes per row of ``features``) and index arrays (24 per order
-    entry), counted twice, so the chunks in flight hold at most the other
-    half. The pairs' work runs on this thread, once per block: per pair,
-    each train row's (label value, label) index once, then per k one
-    ``bincount`` of the cells (label value, label, j) into the pair's
-    (2, L, k + 1) table. Those are small numpy calls, which threads would
-    only contend for; integers add exactly, so the tables do not depend on
-    the blocks.
+    threads of ``_blocks.map_slices``, in chunks within
+    ``_blocks._CACHE_BYTES`` at 8 bytes a distance; each slice holds the
+    ``cdist`` block and ``_nearest``'s copies (20 bytes per row of
+    ``features``) and index arrays (24 per order entry), counted twice, so
+    the slices in flight hold at most the other half. The pairs' work runs
+    on this thread, once per block: per pair, each train row's (label value,
+    label) index once, then per k one ``bincount`` of the cells (label
+    value, label, j) into the pair's (2, L, k + 1) table. Those are small
+    numpy calls, which threads would only contend for; integers add exactly,
+    so the tables do not depend on the blocks.
     """
     n, L = labels.shape
     k_max = ks[-1]
@@ -814,15 +792,15 @@ def _plan_statistics(features, labels, pairs, ks):
         test_at.append(at)
     test_nn = [np.empty((test.size, k_max), dtype=np.intp) for _, test in pairs]
     tables = [[np.zeros((2, L, k + 1), dtype=np.int64) for k in ks] for _ in pairs]
-    step = max(1, _ORDER_CELLS // n)
     for rows in _blocks.row_slices(n, 24 * K, _blocks._BLOCK_BYTES // 2):
         order = np.empty((rows.stop - rows.start, K), dtype=np.intp)
 
         def select(part):
-            for start in range(part.start, part.stop, step):
-                stop = min(start + step, part.stop)
-                order[start:stop] = _block_order(
-                    features, slice(rows.start + start, rows.start + stop), K)
+            first = rows.start + part.start
+            for chunk in _blocks.row_slices(part.stop - part.start, 8 * n,
+                                            _blocks._CACHE_BYTES):
+                order[part][chunk] = _block_order(
+                    features, slice(first + chunk.start, first + chunk.stop), K)
 
         _blocks.map_slices(select, order.shape[0], 2 * (20 * n + 24 * K))
         own_labels = labels[rows]

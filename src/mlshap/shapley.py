@@ -517,7 +517,7 @@ def explain_instance(model, x, background, labels, estimator: str | None = None,
     match a one-label run exactly.
     """
     estimator = resolve_estimator(model, estimator)
-    labels = [int(l) for l in labels]
+    labels = [_as_int("label id", l) for l in labels]
     coalition_fn = getattr(model, "coalition_fn", None)
     target = ExplainTarget(f=model.label_proba_fn(labels), n_features=model.n_features,
                            coalitions=coalition_fn(labels) if coalition_fn else None)

@@ -1,22 +1,28 @@
 """``_blocks.map_slices``: the slices, the threads that run them, and the
-explanation bytes, which must not depend on the thread count."""
+explanation bytes, which must not depend on the thread count; the row slices
+of ``gemm_slices``; and cache-sized chunks, which change no output byte."""
 
 import contextvars
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from mlshap import (
     ForestParams,
+    ParamGrid,
     explain_instance,
     fit_br,
     fit_cc,
     fit_mlknn,
+    grid_search,
+    make_folds,
     sample_background,
 )
 from mlshap import _blocks, _json
+from mlshap.multilabel import _label_words
 from mlshap.shapley import explanation_to_doc
 
 from _synth import planted_dataset
@@ -239,3 +245,59 @@ def test_explanation_bytes_do_not_depend_on_the_thread_count(monkeypatch, budget
                                              estimator=estimator, seed=3, instance=7)]
         assert bool(shared) == (n > 1)
     assert docs[2] == docs[1] and docs[3] == docs[1]
+
+
+# ML-kNN's ranking product is (rows, M + 1) @ (M + 1, n_train) and its mask
+# product (rows, n_train) @ (n_train, W), W the packed label words.
+@pytest.mark.parametrize("n_train, M, L, k, ranking, mask", [
+    (407, 21, 12, 5, 29, 322),  # foodtruck-like: 2 words
+    (2417, 103, 14, 10, None, 36),  # yeast-like: 3 words; one ranking product
+], ids=["foodtruck", "yeast"])
+def test_gemm_slices_at_the_stand_in_shapes(n_train, M, L, k, ranking, mask):
+    words, _ = _label_words(np.zeros((n_train, L), dtype=np.int64), k)
+    for (inner, cols), rows in (((M + 1, n_train), ranking),
+                                ((n_train, words.shape[1]), mask)):
+        lengths = [s.stop - s.start for s in _blocks.gemm_slices(1000, inner, cols)]
+        assert lengths == ([1000] if rows is None
+                           else [rows] * (1000 // rows) + [1000 % rows])
+        assert rows is None or rows * inner * cols <= _blocks._ONE_THREAD_GEMM
+
+
+@pytest.mark.parametrize("n_rows, inner, cols, want", [
+    (5, 2**17, 1, [(0, 2), (2, 4), (4, 5)]),  # two rows a slice
+    (5, 2**17 + 1, 1, [(0, 5)]),  # one row a slice: all rows at once
+    (5, 2**19, 1, [(0, 5)]),  # no row: all rows at once
+    (0, 2, 3, []),
+    (0, 2**19, 1, []),
+])
+def test_gemm_slices_hold_two_rows_or_all(n_rows, inner, cols, want):
+    assert [(s.start, s.stop) for s in _blocks.gemm_slices(n_rows, inner, cols)] == want
+
+
+def test_one_byte_cache_chunks_change_no_byte(monkeypatch):
+    """With ``_CACHE_BYTES`` at 1, every cache-sized chunk is one row (one
+    total of the entropy table, one node of a split block, one row of the
+    tile sorts and of the leave-one-out order), and the forests' model
+    documents, the ML-kNN fit statistics, the tune's report and an ML-kNN
+    kernel explanation are the bytes of the default chunks."""
+    ds = planted_dataset("cache", 120, 8, 3, seed=5)
+    params = ForestParams(n_trees=3, max_depth=5, seed=1)
+    background = sample_background(ds.features, size=20, seed=0)
+    plan = make_folds(ds.n_instances, 2, 3, seed=1)
+
+    def outputs():
+        knn = fit_mlknn(ds, k=5)
+        return [
+            _json.dumps(fit_br(ds, params).to_doc()),
+            _json.dumps(fit_cc(ds, params, seed=2).to_doc()),
+            [a.tobytes() for a in (knn.cond_counts_pos, knn.cond_counts_neg,
+                                   knn._posteriors)],
+            grid_search(ds, ParamGrid("mlknn", {"k": [1, 4, 9]}), plan).to_json(),
+            [_json.dumps(explanation_to_doc(e))
+             for e in explain_instance(knn, ds.features[7], background, [2, 0, 1],
+                                       estimator="kernel", seed=3, instance=7)],
+        ]
+
+    want = outputs()
+    monkeypatch.setattr(_blocks, "_CACHE_BYTES", 1)
+    assert outputs() == want

@@ -137,6 +137,24 @@ class TestTrain:
         assert "bootstrap must be true or false" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("order", [[0.9, 1.5, 2], [True, False, 2], ["1", "0", "2"]],
+                             ids=["fractions", "bools", "strings"])
+    def test_config_order_entries_must_be_integers(self, small_arff, tmp_path, capsys,
+                                                   order):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(small_arff), "labels": 3, "algo": "cc",
+                                   "n_trees": 1, "seed": 5, "order": order,
+                                   "out": str(tmp_path)}))
+        assert run("train", "--config", cfg) == 1
+        assert "error: order entries must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_order_not_a_permutation_exits_1(self, small_arff, tmp_path, capsys):
+        assert run("train", "--data", small_arff, "--labels", "3", "--algo", "cc",
+                   "--order", "0,1", "--seed", "5", "--out", tmp_path) == 1
+        assert "error: order is not a permutation" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_unknown_config_key_rejected(self, small_arff, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"data": str(small_arff), "labels": 3,
@@ -411,6 +429,9 @@ class TestNumericInputs:
         ("train", [], {"preset": 3}, "--preset"),
         ("train", [], {"preset": "bogus"}, "--preset"),
         ("train", [], {"algo": "cc", "order": 5}, "--order"),
+        ("train", ["--algo", "cc", "--order", "a,b"], {}, "--order"),
+        ("train", [], {"algo": "cc", "order": "0,,1"}, "--order"),
+        ("train", [], {"algo": "cc", "order": "1.5,2"}, "--order"),
         ("explain", ["--label-ids", "1,1"], {}, "--label-ids"),
         ("explain", [], {"label_ids": [0, 2, 0]}, "--label-ids"),
     ])

@@ -272,7 +272,7 @@ class TestMlknnTune:
             return block_order(features, block, k)
 
         monkeypatch.setattr(multilabel, "_block_order", recorded)
-        monkeypatch.setattr(multilabel, "_ORDER_CELLS", 1)
+        monkeypatch.setattr(_blocks, "_CACHE_BYTES", 8)  # one distance a chunk
         monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
         monkeypatch.setattr(_blocks, "_WORKERS", 2)
         slices = []

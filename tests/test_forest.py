@@ -864,6 +864,27 @@ class TestSplitSearchOracle:
     def test_empty_batch(self):
         assert _best_splits([]) == []
 
+    def test_blocks_hold_at_most_16384_cells(self, monkeypatch):
+        """Nodes of 64 rows and 16 candidate features, 1 024 cells each, share
+        blocks of 16 nodes: 16 384 cells, ``_blocks._CACHE_BYTES`` at 16
+        bytes a cell."""
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(64, 16))
+        y = (rng.random(64) < 0.5).astype(np.int64)
+        node = (X, y, np.arange(64), np.arange(16), 1)
+        want = _best_split_per_feature(*node)
+        cells = []
+        split_block = forest._split_block
+
+        def recorded(nodes, height, width, table):
+            cells.append(len(nodes) * height * width)
+            return split_block(nodes, height, width, table)
+
+        monkeypatch.setattr(forest, "_split_block", recorded)
+        for found in _searched([node] * 40):
+            _assert_split_matches(node, found, want)
+        assert cells == [16384, 16384, 8192]
+
 
 def _dataset(decimals=None):
     ds = foodtruck_like()
@@ -969,14 +990,15 @@ class TestForestBytesMatchOracle:
 
         def one_tree_waves(n_rows, row_bytes, budget=None):
             cut = row_slices(n_rows, row_bytes, budget)
-            cut_waves.extend(cut)
+            if row_bytes == forest._TREE_ROW_BYTES * ds.n_instances:  # not the table's
+                cut_waves.extend(cut)
             return cut
 
         def recorded_table(n_max):
             tables.append(n_max)
             return entropy_table(n_max)
 
-        monkeypatch.setattr(forest, "_SPLIT_CELLS", 1)
+        monkeypatch.setattr(_blocks, "_CACHE_BYTES", 16)  # one cell a block
         monkeypatch.setattr(_blocks, "_BLOCK_BYTES", budget)
         monkeypatch.setattr(forest, "_split_block", one_node_blocks)
         monkeypatch.setattr(_blocks, "row_slices", one_tree_waves)
@@ -1119,10 +1141,11 @@ class TestEntropyTable:
                 _bits(table[start:start + t + 1]),
                 _bits(_entropy_from_positive(np.arange(t + 1), t)))
 
-    @pytest.mark.parametrize("cells", [1, 7, 64])
-    def test_slices_build_the_same_table(self, monkeypatch, cells):
+    # Slices of 1, 7 and 64 cells of 16 bytes.
+    @pytest.mark.parametrize("cache_bytes", [16, 112, 1024])
+    def test_slices_build_the_same_table(self, monkeypatch, cache_bytes):
         want = forest._entropy_table(60)
-        monkeypatch.setattr(forest, "_SPLIT_CELLS", cells)
+        monkeypatch.setattr(_blocks, "_CACHE_BYTES", cache_bytes)
         np.testing.assert_array_equal(_bits(forest._entropy_table(60)), _bits(want))
 
     @pytest.mark.parametrize("budget", [0, 7, 63, 64, 191, 192, 384, 2**16,

@@ -161,6 +161,17 @@ class TestClassifierChain:
         with pytest.raises(ValueError, match="permutation"):
             fit_cc(small_dataset, DET_PARAMS, order=[0, 0, 1])
 
+    # Each would name the chain [0, 1, 2] or [1, 0, 2] if its entries were
+    # truncated to integers.
+    @pytest.mark.parametrize("order", [[0.9, 1.5, 2], [True, False, 2], ["1", "0", "2"]],
+                             ids=["fractions", "bools", "strings"])
+    def test_order_entries_must_be_integers(self, small_dataset, order):
+        with pytest.raises(ValueError, match="^order entries must be an integer"):
+            fit_cc(small_dataset, DET_PARAMS, order=order)
+        links = fit_cc(small_dataset, DET_PARAMS, order=[0, 1, 2]).chained_models
+        with pytest.raises(ValueError, match="^chain_order entries must be an integer"):
+            multilabel.CCModel(order, links, small_dataset.n_features)
+
     def test_links_train_on_earlier_ground_truth_labels(self, small_dataset):
         """Link j is the forest fitted on the features followed by the labels
         of links 0..j-1, byte for byte."""
@@ -635,11 +646,13 @@ class TestKthAndGap:
     ties, inf, rows with fewer than k + 1 or k comparable entries, tiles
     narrower than k + 1, and chunks of one row."""
 
-    @pytest.mark.parametrize("tile, cells", [(512, 2**16), (4, 8), (7, 1)],
+    # Chunks of 2**16, 8 and 1 float32 entries per tile.
+    @pytest.mark.parametrize("tile, cache_bytes", [(512, 2**18), (4, 32), (7, 4)],
                              ids=["one-tile", "tiles-of-4", "one-row-chunks"])
-    def test_equal_the_partition_order_statistics(self, tile, cells, monkeypatch, rng):
+    def test_equal_the_partition_order_statistics(self, tile, cache_bytes, monkeypatch,
+                                                  rng):
         monkeypatch.setattr(multilabel, "_SORT_TILE", tile)
-        monkeypatch.setattr(multilabel, "_SORT_CELLS", cells)
+        monkeypatch.setattr(_blocks, "_CACHE_BYTES", cache_bytes)
         d = rng.integers(0, 6, size=(40, 30)).astype(np.float32)
         d[rng.uniform(size=d.shape) < 0.1] = np.inf
         d[5:10][rng.uniform(size=(5, 30)) < 0.3] = np.nan
@@ -654,6 +667,35 @@ class TestKthAndGap:
             assert kth.dtype == np.float32 and gap.dtype == np.float64
             np.testing.assert_array_equal(kth, want_kth)
             np.testing.assert_array_equal(gap, want_gap)
+
+
+@pytest.mark.parametrize("corpus, order_rows, sort_rows", [("foodtruck", 80, 161),
+                                                         ("yeast", 13, 128)])
+def test_cache_chunks_at_the_corpus_shapes(corpus, order_rows, sort_rows, monkeypatch, rng):
+    """At ``_blocks._CACHE_BYTES`` (256 KiB) a fit orders its rows in chunks
+    of 80 of 407 rows and 13 of 2 417 at 8 bytes a distance, and prediction
+    sorts the float32 column tiles of d, of min(n_train, 512) columns, in
+    chunks of 161 rows at 407 training rows and 128 at 2 417."""
+    n, d, L = CORPUS_SHAPES[corpus]
+    train = rng.normal(size=(n, d))
+    labels = (rng.uniform(size=(n, L)) < 0.3).astype(np.int64)
+    cuts = []
+    row_slices = _blocks.row_slices
+
+    def spy(n_rows, row_bytes, budget=None):
+        out = row_slices(n_rows, row_bytes, budget)
+        if budget == _blocks._CACHE_BYTES:
+            cuts.append([s.stop - s.start for s in out])
+        return out
+
+    monkeypatch.setattr(_blocks, "_WORKERS", 1)
+    monkeypatch.setattr(_blocks, "row_slices", spy)
+    model = MLKNNModel(5, 1.0, train, labels)
+    assert sum(map(sum, cuts)) == n
+    assert all(cut[0] == order_rows == max(cut) for cut in cuts)
+    cuts.clear()
+    model.predict_proba(rng.normal(size=(300, d)))
+    assert cuts == [[sort_rows] * (300 // sort_rows) + [300 % sort_rows]]
 
 
 class TestNeighborBlocks:
@@ -825,7 +867,7 @@ class TestNeighborBlocks:
             self.assert_shared(blocks["sets"], calls[1], 3000, _blocks._BLOCK_BYTES)
         assert [b for b, _ in calls] == [order_bytes, row_bytes]
         assert sum(r for r, _ in order) == 3000
-        assert all(r * c <= multilabel._ORDER_CELLS for r, c in order)
+        assert all(8 * r * c <= _blocks._CACHE_BYTES for r, c in order)
         # The float32 ranking leaves 74 of the 3 000 rows uncertified here
         # (2.5%: at M = 2 the rows are dense and τ is about 1e-6·(|q| + T)²),
         # and they fall back within their own blocks. Which rows certify may
@@ -1255,6 +1297,15 @@ MODEL_MAKERS = [
 
 
 class TestModelContract:
+    # Truncated, each would name label 1 or 2.
+    @pytest.mark.parametrize("maker", MODEL_MAKERS, ids=["br", "cc", "mlknn"])
+    @pytest.mark.parametrize("bad", [[1.9], [True], [0, np.float64(2.0)]],
+                             ids=["fraction", "bool", "float"])
+    def test_label_ids_must_be_integers(self, small_dataset, maker, bad):
+        model = maker(small_dataset)
+        with pytest.raises(ValueError, match="^label id must be an integer"):
+            model.predict_proba(small_dataset.features, labels=bad)
+
     @pytest.mark.parametrize("maker", MODEL_MAKERS)
     def test_output_shape_and_range(self, small_dataset, maker, rng):
         model = maker(small_dataset)

@@ -433,6 +433,17 @@ class TestExplainInstance:
             else:
                 explain_instance(model, x, bg, labels=[0, 1], estimator=estimator)
 
+    @pytest.mark.parametrize("fit", [
+        lambda ds: fit_br(ds, ForestParams(n_trees=2, max_depth=3, seed=0)),
+        lambda ds: fit_mlknn(ds, k=3),
+    ], ids=["br", "mlknn"])
+    def test_label_ids_must_be_integers(self, small_dataset, fit):
+        """Truncated, 2.7 would explain label 2."""
+        model = fit(small_dataset)
+        x, bg = small_dataset.features[0], small_dataset.features[1:6]
+        with pytest.raises(ValueError, match="^label id must be an integer, got 2.7"):
+            explain_instance(model, x, bg, labels=[2.7])
+
     @pytest.mark.parametrize("x, bg, message", [
         (lambda x: x, lambda bg: bg[:0], "background must be a non-empty matrix"),
         (lambda x: x, lambda bg: np.column_stack([bg, bg[:, :1]]),
