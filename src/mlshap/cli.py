@@ -3,6 +3,10 @@
 Every command is reproducible: the input files, the merged configuration, and
 the seed fully determine all output bytes. Exit codes: 0 success, 1 runtime or
 estimation error, 2 usage or parse error.
+
+A flag overrides the config-file key of its name. Every set value is read
+and checked against ``_SETTINGS``, whichever command or algorithm reads it,
+and a bad one exits 2 naming its flag; the library checks hyperparameters.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import _json
 from .data import ParseError, load_arff, load_csv, make_folds
@@ -33,23 +38,81 @@ from .viz import feature_importance, force_data, plot_spec, render_svg, summary_
 
 TRAIN_REPORT_FORMAT = "mlshap-train-report"
 
-CONFIG_KEYS = {
-    "data", "format", "labels", "algo", "preset", "seed", "out",
-    "grid", "reps", "folds", "scoring",
-    "model", "instance", "label_ids", "estimator", "budget", "background",
-}.union(*(keys for keys, _ in _GRID_AXES.values()))  # and every hyperparameter
-
 
 class UsageError(Exception):
     pass
 
 
-def _parse_labels_flag(text):
-    """'14' -> trailing count, 'a,b,c' -> explicit names."""
-    try:
-        return int(text)
-    except ValueError:
-        return [part.strip() for part in text.split(",") if part.strip()]
+class _Setting(NamedTuple):
+    takes: str  # in words, for --help and for the error naming the flag
+    test: Callable[[object], bool]
+    read: Callable[[str], object] | None = None  # its text; ValueError if unreadable
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_at_least(least: int) -> _Setting:
+    return _Setting(f"an integer >= {least}", lambda v: _is_int(v) and v >= least)
+
+
+def _one_of(names) -> _Setting:
+    return _Setting(f"one of {', '.join(names)}", lambda v: v in names)
+
+
+def _text(what: str) -> _Setting:
+    return _Setting(what, lambda v: isinstance(v, str))
+
+
+def _fields(text: str, read) -> list:
+    """Comma-separated ``text``, each field stripped and read by ``read``; an
+    empty field raises ValueError, it is not skipped."""
+    fields = [field.strip() for field in text.split(",")]
+    if "" in fields:
+        raise ValueError("a field is empty")
+    return [read(field) for field in fields]
+
+
+# What each setting takes, and the reader of those given as text. The library
+# checks the hyperparameters, but the text of CC's order is read here. Only a
+# missing (None) value means "use the default"; 0 is a value like any other.
+_SETTINGS = {
+    "data": _text("a dataset file path"),
+    "format": _one_of(("arff", "csv")),
+    "labels": _Setting("a trailing label count or label names, such as 14 or y0,y1",
+                       lambda v: _is_int(v) or (isinstance(v, list)
+                                                and all(isinstance(n, str) for n in v)),
+                       lambda text: (int(text) if text.strip().isdecimal()
+                                     else _fields(text, str))),
+    "seed": _int_at_least(0),
+    "out": _text("a directory path"),
+    "algo": _one_of(sorted(_GRID_AXES)),
+    "preset": _one_of(sorted(PRESETS)),
+    "order": _Setting('"random" or a chain of label indices, such as 2,0,1',
+                      lambda v: v == "random" or isinstance(v, list),
+                      lambda text: text if text == "random" else _fields(text, int)),
+    "grid": _Setting("a JSON object of axis -> value list",
+                     lambda v: isinstance(v, dict), json.loads),
+    "reps": _int_at_least(1),
+    "folds": _int_at_least(2),
+    "scoring": _one_of(sorted(METRICS)),
+    "model": _text("a model JSON file path"),
+    "instance": _int_at_least(0),
+    "label_ids": _Setting("distinct label indices, such as 0,2",
+                          lambda v: isinstance(v, list) and v != []
+                          and all(_is_int(i) for i in v) and len(set(v)) == len(v),
+                          lambda text: _fields(text, int)),
+    "estimator": _one_of(ESTIMATORS),
+    "budget": _Setting('an integer or "full"', lambda v: _is_int(v) or v == "full"),
+    "background": _int_at_least(1),
+}
+
+CONFIG_KEYS = set(_SETTINGS).union(*(keys for keys, _ in _GRID_AXES.values()))
+
+
+def _flag(key) -> str:
+    return f"--{key.replace('_', '-')}"
 
 
 # argparse turns only ValueError, TypeError and ArgumentTypeError from a
@@ -73,48 +136,49 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "Shapley-value explanations")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add(p, key, what, **kwargs):
+        """The flag of setting ``key``; its help ends with what it takes."""
+        p.add_argument(_flag(key), dest=key, help=f"{what}: {_SETTINGS[key].takes}",
+                       **kwargs)
+
     def add_data_flags(p):
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--data", help="dataset file path")
-        p.add_argument("--format", choices=["arff", "csv"],
-                       help="dataset format (default: by file extension)")
-        p.add_argument("--labels", help="trailing label count or comma-separated names")
-        p.add_argument("--seed", type=int, help="rng seed (required)")
-        p.add_argument("--out", help="output directory (default: .)")
+        add(p, "data", "required")
+        add(p, "format", "dataset format (default: by file extension)")
+        add(p, "labels", "label columns")
+        add(p, "seed", "rng seed (required)", type=int)
+        add(p, "out", "output directory (default: .)")
 
     train = sub.add_parser("train", help="fit a model and write model + report")
     add_data_flags(train)
-    train.add_argument("--algo", choices=["br", "cc", "mlknn"])
-    train.add_argument("--preset", choices=sorted(PRESETS))
+    add(train, "algo", "algorithm (or --preset)")
+    add(train, "preset", "published hyperparameters, flags on top")
     train.add_argument("--n-trees", type=int, dest="n_trees")
     train.add_argument("--max-depth", type=int, dest="max_depth")
     train.add_argument("--min-samples-leaf", type=int, dest="min_samples_leaf")
     train.add_argument("--max-features", type=_int_or("sqrt"),
                        dest="max_features")
-    train.add_argument("--order", help="cc chain order: 'random' or i,j,k,...")
-    train.add_argument("--k", type=int, help="mlknn neighbor count")
+    add(train, "order", "cc chain order")
+    train.add_argument("--k", type=int,
+                       help="mlknn neighbor count (required unless --preset gives it)")
     train.add_argument("--s", type=float, help="mlknn smoothing")
 
     tune = sub.add_parser("tune", help="cross-validated grid search")
     add_data_flags(tune)
-    tune.add_argument("--algo", choices=["br", "cc", "mlknn"])
-    tune.add_argument("--grid", help="JSON object of axis -> value list")
-    tune.add_argument("--reps", type=int, help="repetitions (default 2)")
-    tune.add_argument("--folds", type=int, help="folds per repetition (default 5)")
-    tune.add_argument("--scoring", choices=sorted(METRICS))
+    add(tune, "algo", "algorithm")
+    add(tune, "grid", "grid (default for mlknn: k = 1..20)")
+    add(tune, "reps", "repetitions (default 2)", type=int)
+    add(tune, "folds", "folds per repetition (default 5)", type=int)
+    add(tune, "scoring", "metric (default hamming_loss)")
 
     explain = sub.add_parser("explain", help="write per-label explanation JSON files")
     add_data_flags(explain)
-    explain.add_argument("--model", help="model JSON file from `train`")
-    explain.add_argument("--instance", type=int, help="row index to explain")
-    explain.add_argument("--label-ids", dest="label_ids",
-                         help="comma-separated label indices (default: all)")
-    explain.add_argument("--estimator", choices=ESTIMATORS,
-                         help="default: tree for br models, kernel otherwise")
-    explain.add_argument("--budget", type=_int_or("full"),
-                         help='kernel coalition budget or "full" (kernel only)')
-    explain.add_argument("--background", type=int,
-                         help="background sample size (default 100)")
+    add(explain, "model", "from `train` (required)")
+    add(explain, "instance", "row index to explain", type=int)
+    add(explain, "label_ids", "labels to explain (default: all)")
+    add(explain, "estimator", "default: tree for br models, kernel otherwise")
+    add(explain, "budget", "kernel coalition budget (kernel only)", type=_int_or("full"))
+    add(explain, "background", "background sample size (default 100)", type=int)
 
     plot = sub.add_parser("plot", help="render explanation files to SVG + JSON")
     plot.add_argument("--kind", choices=["importance", "summary", "force"],
@@ -128,54 +192,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Integer settings and the least value each takes. Only a missing (None)
-# value means "use the default"; 0 is a value like any other.
-_INT_MINIMUMS = {"seed": 0, "instance": 0, "background": 1, "reps": 1, "folds": 2}
-_STR_KEYS = ("data", "format", "out", "model", "algo", "preset", "scoring", "estimator")
-
-
-def _flag(key) -> str:
-    return f"--{key.replace('_', '-')}"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_values(cfg) -> None:
-    """Raise UsageError naming the flag of any set value of the wrong type or
-    range; config-file values skip argparse's types, so this checks both."""
-    for key, least in _INT_MINIMUMS.items():
+    """Read each set value given as text, in place, and check each set value
+    against its setting, raising UsageError naming the flag. Config-file
+    values skip argparse, so this is where both are checked."""
+    for key, (takes, test, read) in _SETTINGS.items():
         value = cfg.get(key)
-        if value is not None and not (_is_int(value) and value >= least):
-            raise UsageError(f"{_flag(key)} must be an integer >= {least}, "
-                             f"got {value!r}")
-    for key in _STR_KEYS:
-        if cfg.get(key) is not None and not isinstance(cfg[key], str):
-            raise UsageError(f"{_flag(key)} must be a string, got {cfg[key]!r}")
-    if cfg.get("preset") is not None and cfg["preset"] not in PRESETS:
-        raise UsageError(f"--preset must be one of {', '.join(sorted(PRESETS))}, "
-                         f"got {cfg['preset']!r}")
-    if cfg.get("order") is not None and not isinstance(cfg["order"], (str, list)):
-        raise UsageError(f'--order must be "random" or a list of label indices, '
-                         f"got {cfg['order']!r}")
-    labels = cfg.get("labels")
-    if labels is not None and not (
-            _is_int(labels) or (isinstance(labels, list)
-                                and all(isinstance(l, str) for l in labels))):
-        raise UsageError(f"--labels must be a label count or a list of label names, "
-                         f"got {labels!r}")
-    label_ids = cfg.get("label_ids")
-    if label_ids is not None and not (
-            isinstance(label_ids, list) and label_ids
-            and all(_is_int(l) for l in label_ids)):
-        raise UsageError(f"--label-ids must be a non-empty list of label indices, "
-                         f"got {label_ids!r}")
-    if label_ids is not None and len(set(label_ids)) != len(label_ids):
-        raise UsageError(f"--label-ids must be distinct label indices, got {label_ids!r}")
-    budget = cfg.get("budget")
-    if budget is not None and not (_is_int(budget) or budget == "full"):
-        raise UsageError(f'--budget must be an integer or "full", got {budget!r}')
+        if value is None:
+            continue
+        if read is not None and isinstance(value, str):
+            try:
+                value = cfg[key] = read(value)
+            except ValueError as err:
+                raise UsageError(f"{_flag(key)} must be {takes}, got {value!r}: {err}")
+        if not test(value):
+            raise UsageError(f"{_flag(key)} must be {takes}, got {value!r}")
 
 
 def _input_file(path, kind: str) -> Path:
@@ -204,14 +235,6 @@ def _merge_config(ns) -> dict:
         value = getattr(ns, key, None)
         if value is not None:
             merged[key] = value
-    if isinstance(merged.get("labels"), str):
-        merged["labels"] = _parse_labels_flag(merged["labels"])
-    if isinstance(merged.get("label_ids"), str):
-        try:
-            merged["label_ids"] = [int(v) for v in merged["label_ids"].split(",") if v]
-        except ValueError:
-            raise UsageError(f"--label-ids must be comma-separated integers, "
-                             f"got {merged['label_ids']!r}")
     _check_values(merged)
     return merged
 
@@ -244,8 +267,8 @@ def _load_dataset(cfg):
 def _out_dir(out) -> Path:
     """The output directory ``out`` (default: .), or UsageError naming --out
     when it exists and is not a directory, or its nearest existing ancestor
-    is not one. Each command calls this before its work and ``_made`` after
-    it, so a failed run makes no directory."""
+    is not one. ``main`` calls this before a command's work, and the command
+    calls ``_made`` after it, so a failed run makes no directory."""
     out = Path(out or ".")
     found = next(p for p in (out, *out.absolute().parents) if p.exists())
     if not found.is_dir():
@@ -265,7 +288,8 @@ def _made(out: Path) -> Path:
 
 def _hyperparams(cfg):
     """Flat dict of the hyperparameters the algorithm's fit reads, the seed
-    among them for forests: preset values first, explicit flags on top."""
+    among them for forests: preset values first, explicit flags on top. One
+    the algorithm requires (``_GRID_AXES``) and neither gives is a UsageError."""
     params = {}
     algo = cfg.get("algo")
     if cfg.get("preset"):
@@ -274,23 +298,14 @@ def _hyperparams(cfg):
         params.update(preset)
     if algo is None:
         raise UsageError("--algo or --preset is required")
-    if algo not in _GRID_AXES:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    params.update({key: cfg[key] for key in _GRID_AXES[algo][0]
-                   if cfg.get(key) is not None})
-    if isinstance(params.get("order"), str) and params["order"] != "random":
-        try:
-            params["order"] = [int(v) for v in params["order"].split(",")]
-        except ValueError:
-            raise UsageError(f'--order must be "random" or comma-separated label '
-                             f"indices, got {params['order']!r}")
+    keys, required = _GRID_AXES[algo]
+    params.update({key: cfg[key] for key in keys if cfg.get(key) is not None})
+    for key in required:
+        _require(params, key)
     return algo, params
 
 
-def cmd_train(cfg) -> int:
-    seed = _require(cfg, "seed")
-    out = _out_dir(cfg.get("out"))
-    dataset = _load_dataset(cfg)
+def cmd_train(cfg, seed, out, dataset) -> int:
     algo, params = _hyperparams(cfg)
     model = fit_point(algo, dataset, params)
     model_path = _made(out) / "model.json"
@@ -319,26 +334,13 @@ def cmd_train(cfg) -> int:
 DEFAULT_MLKNN_GRID = {"k": list(range(1, 21))}
 
 
-def cmd_tune(cfg) -> int:
-    seed = _require(cfg, "seed")
-    out = _out_dir(cfg.get("out"))
-    dataset = _load_dataset(cfg)
-    algo = cfg.get("algo")
-    if algo is None:
-        raise UsageError("--algo is required")
+def cmd_tune(cfg, seed, out, dataset) -> int:
+    algo = _require(cfg, "algo")
     axes = cfg.get("grid")
-    if isinstance(axes, str):
-        try:
-            axes = json.loads(axes)
-        except json.JSONDecodeError as err:
-            raise UsageError(f"--grid is not valid JSON: {err}")
     if axes is None:
         if algo != "mlknn":
             raise UsageError(f"--grid is required for algo {algo!r}")
         axes = DEFAULT_MLKNN_GRID
-    if not isinstance(axes, dict):
-        raise UsageError(f"--grid must be a JSON object of axis -> value list, "
-                         f"got {axes!r}")
     if algo in ("br", "cc") and "seed" not in axes:
         axes = dict(axes, seed=[seed])
     try:
@@ -364,10 +366,7 @@ def cmd_tune(cfg) -> int:
     return 0
 
 
-def cmd_explain(cfg) -> int:
-    seed = _require(cfg, "seed")
-    out = _out_dir(cfg.get("out"))
-    dataset = _load_dataset(cfg)
+def cmd_explain(cfg, seed, out, dataset) -> int:
     model = load_model(_input_file(_require(cfg, "model"), "model"))
     if model.n_features != dataset.n_features:
         raise UsageError(f"model width {model.n_features} does not match dataset "
@@ -441,17 +440,16 @@ def cmd_plot(ns) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         if ns.command == "plot":
             return cmd_plot(ns)
         cfg = _merge_config(ns)
-        if ns.command == "train":
-            return cmd_train(cfg)
-        if ns.command == "tune":
-            return cmd_tune(cfg)
-        return cmd_explain(cfg)
+        seed = _require(cfg, "seed")
+        out = _out_dir(cfg.get("out"))
+        dataset = _load_dataset(cfg)
+        command = {"train": cmd_train, "tune": cmd_tune, "explain": cmd_explain}
+        return command[ns.command](cfg, seed, out, dataset)
     except (UsageError, ParseError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

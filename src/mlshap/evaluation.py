@@ -90,6 +90,13 @@ def _forest_params(params: dict) -> ForestParams:
     return ForestParams(**{k: params[k] for k in _FOREST_KEYS if k in params})
 
 
+def _mlknn_point(params: dict) -> tuple:
+    """(k, s) of an ML-kNN point; one without ``k`` raises ValueError."""
+    if "k" not in params:
+        raise ValueError("k is required for mlknn")
+    return params["k"], params.get("s", 1.0)
+
+
 def fit_point(algorithm: str, train: Dataset, params: dict):
     """Fit one model from a flat hyperparameter dict."""
     if algorithm in ("br", "cc"):
@@ -99,7 +106,7 @@ def fit_point(algorithm: str, train: Dataset, params: dict):
         return fit_cc(train, forest_params, order=params.get("order", "random"),
                       seed=params.get("seed", 0))
     if algorithm == "mlknn":
-        return fit_mlknn(train, k=params["k"], s=params.get("s", 1.0))
+        return fit_mlknn(train, *_mlknn_point(params))
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -107,7 +114,7 @@ def _check_point(algorithm: str, params: dict, n_train: int) -> None:
     """Raise the ValueError ``fit_point`` would raise for these values on
     ``n_train`` rows, without fitting. A CC ``order`` is checked at the fit."""
     if algorithm == "mlknn":
-        check_mlknn_params(params["k"], params.get("s", 1.0), n_train)
+        check_mlknn_params(*_mlknn_point(params), n_train)
     else:
         _forest_params(params)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 import mlshap
 from mlshap import cli, load_model
 from mlshap.cli import main
+from mlshap.evaluation import _GRID_AXES
 
 from _synth import foodtruck_like, planted_dataset, write_arff
 
@@ -155,6 +157,20 @@ class TestTrain:
         assert "error: order is not a permutation" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_mlknn_needs_k_or_a_preset(self, small_arff, tmp_path, capsys, via):
+        settings = {"data": str(small_arff), "labels": 3, "algo": "mlknn", "seed": 5,
+                    "out": str(tmp_path / "out")}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        argv = (["--config", config] if via == "config"
+                else [a for key, v in settings.items() for a in (f"--{key}", v)])
+        assert run("train", *argv) == 2
+        assert capsys.readouterr().err == "error: --k is required\n"
+        assert not (tmp_path / "out").exists()
+        assert run("train", *argv, "--preset", "paper-mlknn") == 0
+        assert load_model(tmp_path / "out" / "model.json").k == 5
+
     def test_unknown_config_key_rejected(self, small_arff, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"data": str(small_arff), "labels": 3,
@@ -202,6 +218,7 @@ class TestTune:
         ('{"kk": [3]}', "'kk'"),
         ('{"s": [1.0]}', "'k' is required"),
         ('{"k": 3}', "non-empty list"),
+        ('{"k": [3]', "Expecting ',' delimiter: line 1 column 10"),
     ])
     def test_bad_grid_exits_2(self, small_arff, tmp_path, capsys, grid, message):
         assert run("tune", "--data", small_arff, "--labels", "3", "--algo", "mlknn",
@@ -434,6 +451,12 @@ class TestNumericInputs:
         ("train", [], {"algo": "cc", "order": "1.5,2"}, "--order"),
         ("explain", ["--label-ids", "1,1"], {}, "--label-ids"),
         ("explain", [], {"label_ids": [0, 2, 0]}, "--label-ids"),
+        ("explain", ["--label-ids", "1,,2"], {}, "--label-ids"),
+        ("train", ["--labels", "y0,,y1"], {}, "--labels"),
+        ("train", ["--algo", "br", "--order", "a,b"], {}, "--order"),
+        ("train", ["--algo", "mlknn", "--k", "3", "--order", "a,b"], {}, "--order"),
+        ("explain", [], {"label_ids": "1,,2"}, "--label-ids"),
+        ("train", [], {"algo": "br", "order": "a,b"}, "--order"),
     ])
     def test_exits_2_naming_the_flag(self, small_arff, trained, tmp_path, capsys,
                                      command, flags, bad, flag):
@@ -473,6 +496,35 @@ class TestNumericInputs:
                    "--model", trained, "--instance", "0", "--label-ids", "0",
                    "--background", "1", "--seed", "0", "--out", tmp_path) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["explanation_i0_l0.json"]
+
+
+class TestSettingsTable:
+    COMMANDS = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+
+    def test_every_setting_is_checked(self):
+        """Each flag of train, tune and explain but --config is a config key,
+        and each config key is checked by the table or is a hyperparameter,
+        which the library checks."""
+        hyperparameters = set().union(*(keys for keys, _ in _GRID_AXES.values()))
+        assert cli.CONFIG_KEYS <= set(cli._SETTINGS) | hyperparameters
+        for command in ("train", "tune", "explain"):
+            flags = {action.dest for action in self.COMMANDS[command]._actions}
+            assert flags - {"help", "config"} <= cli.CONFIG_KEYS, command
+
+    def test_readme_lists_every_flag(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        flags = {flag for parser in self.COMMANDS.values() for action in parser._actions
+                 for flag in action.option_strings if flag.startswith("--")}
+        assert {"--seed", "--kind"} <= flags
+        assert [flag for flag in sorted(flags - {"--help"}) if f"`{flag}" not in readme] == []
+
+    @pytest.mark.parametrize("command", ["train", "tune", "explain", "plot"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: mlshap {command}")
 
 
 class TestMalformedModel:

@@ -21,6 +21,7 @@ from mlshap import (
     subset_accuracy,
 )
 from mlshap import _blocks, multilabel
+from mlshap.evaluation import _check_point
 from mlshap.multilabel import predict_mlknn_grid
 
 from _synth import foodtruck_like, planted_dataset
@@ -346,3 +347,9 @@ class TestGridValidation:
         monkeypatch.setattr("mlshap.evaluation.split", no_split)
         with pytest.raises(ValueError, match=match):
             grid_search(ds, ParamGrid(algorithm, axes), plan)
+
+    def test_mlknn_point_without_k_raises_value_error(self, small_dataset):
+        with pytest.raises(ValueError, match="k is required for mlknn"):
+            fit_point("mlknn", small_dataset, {})
+        with pytest.raises(ValueError, match="k is required for mlknn"):
+            _check_point("mlknn", {"s": 0.5}, small_dataset.n_instances)
