@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -347,8 +348,11 @@ def cmd_tune(cfg, seed, out, dataset) -> int:
         grid = ParamGrid(algorithm=algo, axes=axes)
     except ValueError as err:
         raise UsageError(f"--grid: {err}")
-    foldplan = make_folds(dataset.n_instances, _get(cfg, "reps", 2),
-                          _get(cfg, "folds", 5), seed)
+    folds = _get(cfg, "folds", 5)
+    if folds > dataset.n_instances:
+        raise UsageError(f"--folds must be at most the dataset's {dataset.n_instances} "
+                         f"rows, got {folds}")
+    foldplan = make_folds(dataset.n_instances, _get(cfg, "reps", 2), folds, seed)
     report = grid_search(dataset, grid, foldplan,
                          scoring=_get(cfg, "scoring", "hamming_loss"))
     report_path = _made(out) / "cv_report.json"
@@ -439,8 +443,11 @@ def cmd_plot(ns) -> int:
     return 0
 
 
+_parser = functools.cache(build_parser)  # parsing reads the parser and changes nothing
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         if ns.command == "plot":
             return cmd_plot(ns)

@@ -182,97 +182,128 @@ class RandomForest:
             raise ValueError(
                 f"input width {X.shape[1]} does not match training width {self.n_features}"
             )
-        # Every tree reads the rows through one buffer. A running total in
-        # tree order sums as np.mean over the stacked per-tree predictions
-        # does, without holding them all.
-        rows = _flat_rows(X)
-        total = self._leaf_values(0, *rows)
-        for t in range(1, self.trees.size):
-            total += self._leaf_values(t, *rows)
-        out = total / self.trees.size
+        rows = _flat_rows(X)  # every tree reads the rows through one buffer
+        out = _tree_mean((self._leaf_values(t, *rows) for t in range(self.trees.size)),
+                         self.trees.size)
         return float(out[0]) if single else out
 
 
-class CoalitionForest:
-    """A forest's output on every row that completes a coalition of ``x``
-    with a background row: row (mask, b) holds x on the mask's features,
-    background row b on the others, and on each chain column M + c (a
-    classifier chain link reads them) the earlier link c's 0/1 decision on
-    that row.
+def _tree_mean(per_tree, n_trees):
+    """The mean of the arrays ``per_tree`` yields in tree order: each added in
+    turn into the first, and the total divided once by ``n_trees``, which sums
+    as ``np.mean`` over the stacked arrays does without holding them. Every
+    forest output (``predict_proba``, ``coalition_outputs``, ``tree_shap``'s
+    base value and f(x)) is this mean, so they are the same bits."""
+    per_tree = iter(per_tree)
+    total = next(per_tree)
+    for values in per_tree:
+        total += values
+    return total / n_trees
 
-    A tree reads k distinct features (``tree_features``), so on one
-    background row the leaf it sends a row to depends only on the row's k
-    bits: the coalition's bit on each original feature it reads, the
-    decision on each chain column. Each tree holds the table of those 2^k
-    leaf values per background row, 8·B·2^k bytes, filled by walking 2^k
-    rows per background row with ``_leaf_values``, each holding x or the
-    background row's value on an original feature and 0 or 1 on a chain
-    column, as its bits say. The walk holds ``8·(2w + 3)`` bytes per row, w
-    the tree's widest column + 1 (the rows, the copy of their original
-    features, and the walk's offsets, values and nodes), in background
-    blocks within half of ``_blocks._BLOCK_BYTES``. Leaf values are added
-    in tree order and the total divided by the tree count, as
-    ``RandomForest.predict_proba`` does, so each output is the same bits as
-    there.
+
+def _leaf_table(forest: RandomForest, t: int, feats, x, background) -> np.ndarray:
+    """Tree t's (B · 2^k) leaf values for the k features ``feats`` it reads:
+    entry b · 2^k + key is its value on background row b, bit i of key
+    choosing x's value (1) or b's (0) on original feature ``feats[i]``, or
+    the decision on chain column ``feats[i]``. The 2^k rows of each
+    background row are walked in blocks within half of ``_blocks._BLOCK_BYTES``,
+    8·(2w + 3) bytes a row, w the tree's widest column + 1 (the rows, the
+    copy of their original features, the walk's offsets, values and nodes)."""
+    M, k = x.shape[0], feats.size
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    ours = feats < M
+    width = int(feats[-1]) + 1 if k else 1
+    table = np.empty((background.shape[0], 1 << k))
+    for rows in _blocks.row_slices(background.shape[0], 8 * (2 * width + 3) << k,
+                                   _blocks._BLOCK_BYTES // 2):
+        r = background[rows]
+        walk = np.empty((r.shape[0], 1 << k, width))  # the tree reads no other column
+        walk[:, :, feats[ours]] = np.where(bits[:, ours] == 1, x[feats[ours]],
+                                           r[:, None, feats[ours]])
+        walk[:, :, feats[~ours]] = bits[:, ~ours]
+        table[rows] = forest._leaf_values(
+            t, *_flat_rows(walk.reshape(-1, width))).reshape(-1, 1 << k)
+    return table.ravel()
+
+
+def coalition_outputs(forests: list[RandomForest], columns, chained: bool):
+    """The ``ExplainTarget.coalitions`` whose output i is that of forest
+    ``columns[i]`` of ``forests`` on the row (mask, b) that holds x on the
+    mask's features and background row b on the others. With ``chained``,
+    forest j is link j of a classifier chain, reading on column M + c link
+    c's 0/1 decision on the same row as ``CCModel._proba_matrix`` writes it,
+    and links 0..max(columns) run; otherwise each forest ``columns`` names
+    runs once.
+
+    On one background row, the leaf a tree reading k distinct features
+    (``tree_features``) sends a row to depends only on the row's k bits: the
+    mask's bit on each original feature, the decision on each chain column.
+    So each tree holds, for the whole call, a ``_leaf_table`` of its 2^k leaf
+    values per background row, 8·B·2^k bytes, and a block of masks reads its
+    outputs with one gather. The tables are built only when every tree's 2^k
+    is at most the number of masks, so that no table costs more to fill than
+    the rows it replaces, and all fit half of ``_blocks._BLOCK_BYTES``;
+    otherwise the call returns None and every row is synthesized: kernel's
+    one-mask call at M = 1, the depth-15 ``paper-br`` trees, all 12 labels
+    of a 100-tree ``paper-cc`` model on 100 background rows.
+
+    Each forest's output is the ``_tree_mean`` of its trees' gathers, the
+    bits ``predict_proba`` gives on the synthesized rows, written into every
+    column that names the forest. The blocks run within what the tables
+    leave of the budget, and per mask hold 8·B bytes per output column, per
+    decision a chain holds (one per link but the last), and four more (the
+    running total, the last gathered values, a tree's key and a shifted
+    decision), and 8·(M + T) for T trees in all: the masks as integers and
+    their product with every tree's bit weights, its key on the original
+    features.
     """
+    used = range(max(columns) + 1) if chained else sorted(set(columns))
+    named = [[i for i, c in enumerate(columns) if c == j] for j in used]
+    forests = [forests[j] for j in used]
+    n_trees = sum(forest.trees.size for forest in forests)
 
-    def __init__(self, forest: RandomForest, x, background):
-        self.forest = forest
-        M, B = x.shape[0], background.shape[0]
-        self.tables = []  # per tree: (offsets, chain, table)
-        weights = []  # per tree, each original feature's bit in its key, or 0
-        for t, feats in enumerate(forest.tree_features):
-            k = feats.size
-            bit = 1 << np.arange(k)
-            ours = feats < M  # sorted, so the original features take the low bits
-            weight = np.zeros(M, dtype=np.int64)
-            weight[feats[ours]] = bit[ours]
-            weights.append(weight)
-            chain = [(int(f) - M, i) for i, f in enumerate(feats) if f >= M]
-            self.tables.append((np.arange(B) << k, chain,
-                                self._table(t, feats, x, background)))
-        self.weights = np.array(weights, dtype=np.int64).T
-        self.nbytes = sum(table.nbytes for _, _, table in self.tables)
+    def coalitions(x, background, n_masks):
+        B, M = background.shape
+        sizes = [1 << feats.size for forest in forests for feats in forest.tree_features]
+        table_bytes = 8 * B * sum(sizes)
+        if max(sizes) > n_masks or table_bytes > _blocks._BLOCK_BYTES // 2:
+            return None
+        weights = np.zeros((M, n_trees), dtype=np.int64)  # each tree's bit per feature, or 0
+        links, t = [], 0  # per forest, per tree: (its key's column, offsets, chain, table)
+        for forest in forests:
+            trees = []
+            for i, feats in enumerate(forest.tree_features):
+                ours = feats < M  # sorted, so the original features take the low bits
+                weights[feats[ours], t] = (1 << np.arange(feats.size))[ours]
+                chain = [(int(f) - M, bit) for bit, f in enumerate(feats) if f >= M]
+                trees.append((t, np.arange(B) << feats.size, chain,
+                              _leaf_table(forest, i, feats, x, background)))
+                t += 1
+            links.append(trees)
 
-    def _table(self, t: int, feats, x, background) -> np.ndarray:
-        """Tree t's (B · 2^k) leaf values: entry b · 2^k + key is its value on
-        background row b, bit i of key choosing x's value (1) or b's (0) on
-        original feature ``feats[i]``, or the decision on chain column
-        ``feats[i]``."""
-        M, k = x.shape[0], feats.size
-        bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-        ours = feats < M
-        width = int(feats[-1]) + 1 if k else 1
-        table = np.empty((background.shape[0], 1 << k))
-        for rows in _blocks.row_slices(background.shape[0], 8 * (2 * width + 3) << k,
-                                       _blocks._BLOCK_BYTES // 2):
-            r = background[rows]
-            walk = np.empty((r.shape[0], 1 << k, width))  # the tree reads no other column
-            walk[:, :, feats[ours]] = np.where(bits[:, ours] == 1, x[feats[ours]],
-                                               r[:, None, feats[ours]])
-            walk[:, :, feats[~ours]] = bits[:, ~ours]
-            table[rows] = self.forest._leaf_values(
-                t, *_flat_rows(walk.reshape(-1, width))).reshape(-1, 1 << k)
-        return table.ravel()
+        def outputs(masks):
+            keys = masks @ weights  # (n, T): each tree's bits on the original features
+            decisions = []  # link c's decisions, chain column M + c, (n, B) intp
 
-    def __call__(self, masks: np.ndarray, decisions: list) -> np.ndarray:
-        """(n, B) outputs, on background row b completing mask i at [i, b],
-        for the n ``masks``. ``decisions[c]`` is chain column M + c as an
-        (n, B) intp matrix of 0 and 1. Beside its (n, B) arrays, a call holds
-        8·(M + T) bytes per mask for T trees: the masks as integers and each
-        tree's key on the original features."""
-        keys = masks @ self.weights  # (n, trees): the original features' bits
-        total = None
-        for t, (offsets, chain, table) in enumerate(self.tables):
-            key = keys[:, t, None] + offsets
-            for column, bit in chain:
-                key += decisions[column] << bit
-            values = table.take(key)
-            if total is None:
-                total = values
-            else:
-                total += values
-        return total / self.forest.trees.size
+            def gather(t, offsets, chain, table):
+                key = keys[:, t, None] + offsets
+                for column, bit in chain:
+                    key += decisions[column] << bit
+                return table.take(key)
+
+            out = np.empty((masks.shape[0], len(columns), B))
+            for j, (trees, at) in enumerate(zip(links, named)):
+                mean = _tree_mean((gather(*tree) for tree in trees), len(trees))
+                for i in at:
+                    out[:, i] = mean
+                if chained and j + 1 < len(links):
+                    decisions.append((mean >= 0.5).astype(np.intp))
+            return out
+
+        held = len(columns) + (len(forests) - 1 if chained else 0) + 4
+        return outputs, 8 * B * held + 8 * (M + n_trees), _blocks._BLOCK_BYTES - table_bytes
+
+    return coalitions
 
 
 def leaf_paths(forests: list[RandomForest]):

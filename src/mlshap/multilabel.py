@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _blocks, _json
 from .data import Dataset
-from .forest import (FOREST_DOC, CoalitionForest, ForestParams, _as_int, _forest, fit_forests,
+from .forest import (FOREST_DOC, ForestParams, _as_int, _forest, coalition_outputs, fit_forests,
                      forest_to_doc)
 
 MODEL_FORMAT = "mlshap-model"
@@ -139,9 +139,7 @@ class BRModel(MultiLabelModel):
         return np.column_stack([self.per_label_models[l].predict_proba(X) for l in labels])
 
     def coalition_fn(self, labels):
-        labels = self._label_ids(labels)
-        return _coalitions([self.per_label_models[l] for l in labels], range(len(labels)),
-                           chained=False)
+        return coalition_outputs(self.per_label_models, self._label_ids(labels), chained=False)
 
     def _payload(self):
         return {"forests": [forest_to_doc(f) for f in self.per_label_models]}
@@ -189,7 +187,7 @@ class CCModel(MultiLabelModel):
     def coalition_fn(self, labels):
         """Runs links 0..p only, as ``_proba_matrix`` does."""
         positions = [self.chain_order.index(l) for l in self._label_ids(labels)]
-        return _coalitions(self.chained_models[:max(positions) + 1], positions, chained=True)
+        return coalition_outputs(self.chained_models, positions, chained=True)
 
     def _payload(self):
         return {
@@ -204,51 +202,6 @@ def _chain(order, n_labels: int, name: str) -> list[int]:
     if sorted(chain) != list(range(n_labels)):
         raise ValueError(f"{name} is not a permutation of the label indices")
     return chain
-
-
-def _coalitions(forests, columns, chained: bool):
-    """The ``ExplainTarget.coalitions`` whose output i is that of forest
-    ``columns[i]`` of ``forests``; with ``chained``, forest j is link j of a
-    classifier chain, reading after the M features the 0/1 decisions of
-    links 0..j-1 on the same row, as ``CCModel._proba_matrix`` writes them.
-
-    Each forest is a ``CoalitionForest`` over the same (x, background), its
-    tables held for the whole call. They are built only when every tree's
-    2^k is at most the number of masks, so that no table costs more to fill
-    than the rows it replaces, and all of them together fit half the byte
-    budget. Otherwise the call returns None and every row is synthesized,
-    as for a model without tables: the one-mask base value, the depth-15
-    ``paper-br`` trees under ``--estimator kernel``, all 12 labels of a
-    100-tree ``paper-cc`` model on 100 background rows. The blocks run within what the tables leave of the
-    budget, and per mask a block holds 8·B bytes per forest (its output
-    and its decision), per output, and four more (the running total, a
-    tree's key, its gathered values and a shifted decision), and
-    ``CoalitionForest``'s 8·(M + T) for the most trees T of one forest.
-    """
-    most_trees = max(forest.trees.size for forest in forests)
-
-    def coalitions(x, background, n_masks):
-        B, M = background.shape
-        sizes = [1 << feats.size for forest in forests for feats in forest.tree_features]
-        if max(sizes) > n_masks or 8 * B * sum(sizes) > _blocks._BLOCK_BYTES // 2:
-            return None
-        links = [CoalitionForest(forest, x, background) for forest in forests]
-
-        def outputs(masks):
-            values, decisions = [], []
-            for j, link in enumerate(links):
-                values.append(link(masks, decisions))
-                if chained and j + 1 < len(links):
-                    decisions.append((values[-1] >= 0.5).astype(np.intp))
-            out = np.empty((masks.shape[0], len(columns), B))
-            for i, c in enumerate(columns):
-                out[:, i] = values[c]
-            return out
-
-        row_bytes = 8 * B * (2 * len(forests) + len(columns) + 4) + 8 * (M + most_trees)
-        return outputs, row_bytes, _blocks._BLOCK_BYTES - sum(link.nbytes for link in links)
-
-    return coalitions
 
 
 class MLKNNModel(MultiLabelModel):

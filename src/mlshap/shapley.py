@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import _blocks, _json, multilabel
-from .forest import _as_int, leaf_paths
+from .forest import _as_int, _tree_mean, leaf_paths
 
 ENUMERATION_CAP = 16  # exact enumeration and budget="full" refuse beyond this
 DEFAULT_BUDGET_EXTRA = 2048  # default kernel budget is 2*M + this
@@ -145,14 +145,15 @@ def _coalition_values(target, x, masks, background, n_outputs):
     declines the call) is set up once for (x, background) and the masks,
     and its outputs computed in blocks of masks within its byte budget,
     shared by the threads of ``_blocks.map_slices``. For a forest model
-    whose trees all hold tables (``multilabel._coalitions``), a block holds
-    per mask the B values of each forest and output, and each (tree,
-    background row) table, 8·2^k bytes for a tree reading k features, is
-    held for the whole call, out of the budget; otherwise a block holds the
-    B synthesized rows of each mask and the target's outputs on them. Each
-    mean runs along a contiguous axis of length B, so it sums in the same
-    order whatever L is, however the masks are blocked, whichever thread
-    runs the block and whether the outputs came from tables or from rows.
+    whose trees all hold tables (``forest.coalition_outputs``), a block
+    holds per mask the B values of each output and of each chain decision,
+    and each (tree, background row) table, 8·2^k bytes for a tree reading k
+    features, is held for the whole call, out of the budget; otherwise a
+    block holds the B synthesized rows of each mask and the target's outputs
+    on them. Each mean runs along a contiguous axis of length B, so it sums
+    in the same order whatever L is, however the masks are blocked,
+    whichever thread runs the block and whether the outputs came from tables
+    or from rows.
     """
     n_masks = masks.shape[0]
     tables = target.coalitions and target.coalitions(x, background, n_masks)
@@ -394,16 +395,14 @@ def _forest_outputs(reached, slot, value, n_trees):
     """Each forest's output on each row, as ``RandomForest.predict_proba``
     gives it: a (forests, rows) matrix from the (rows, leaves) mask of the
     leaf each row reaches in each tree. ``slot`` places each leaf's tree in a
-    (tree within its forest, forest) grid; the leaf values are added in tree
-    order and the total divided by the tree count, so the result is bit-equal.
+    (tree within its forest, forest) grid, whose rows ``forest._tree_mean``
+    adds in tree order, so the result is bit-equal.
     """
     row, leaf = np.nonzero(reached)
     per_tree = np.zeros((max(n_trees), len(n_trees), reached.shape[0]))
     per_tree.reshape(-1, reached.shape[0])[slot[leaf], row] = value[leaf]
-    total = per_tree[0].copy()
-    for values in per_tree[1:]:
-        total += values  # the zeros past a shorter forest's last tree add nothing
-    return total / np.array(n_trees)[:, None]
+    # The zeros past a shorter forest's last tree add nothing.
+    return _tree_mean(per_tree, np.array(n_trees)[:, None])
 
 
 def _tree_pass(forests, x, background):
@@ -413,6 +412,8 @@ def _tree_pass(forests, x, background):
     meets. Base value and output are bit-equal to those the other estimators
     get from the forests' ``predict_proba``: f(x) from ``_at_instance`` and
     the base value from ``_coalition_values`` of the empty mask."""
+    if not forests:
+        raise ValueError("forests must hold at least one forest, got none")
     x, background = _check_inputs(forests[0].n_features, x, background)
     M = x.shape[0]
     for j, forest in enumerate(forests):

@@ -226,6 +226,25 @@ class TestTune:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "cv_report.json").exists()
 
+    @pytest.mark.parametrize("given", ["flags", "config"])
+    def test_folds_past_the_rows_exits_2(self, small_arff, tmp_path, capsys, given):
+        """More folds than the 70 rows: a usage error naming --folds, before
+        any fit, and no output directory."""
+        out = tmp_path / "out"
+        settings = {"data": str(small_arff), "labels": 3, "algo": "mlknn", "folds": 71,
+                    "seed": 3, "out": str(out)}
+        if given == "flags":
+            argv = [arg for key, value in settings.items()
+                    for arg in (cli._flag(key), value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(settings))
+            argv = ["--config", config]
+        assert run("tune", *argv) == 2
+        assert capsys.readouterr().err == \
+            "error: --folds must be at most the dataset's 70 rows, got 71\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ['{"k": [2.5]}', '{"k": [true]}'])
     def test_non_integer_k_exits_1(self, small_arff, tmp_path, capsys, grid):
         assert run("tune", "--data", small_arff, "--labels", "3", "--algo", "mlknn",
@@ -518,6 +537,17 @@ class TestSettingsTable:
                  for flag in action.option_strings if flag.startswith("--")}
         assert {"--seed", "--kind"} <= flags
         assert [flag for flag in sorted(flags - {"--help"}) if f"`{flag}" not in readme] == []
+
+    def test_main_reuses_one_parser(self, tmp_path, capsys, monkeypatch):
+        cli._parser()
+
+        def rebuilt():
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        for _ in range(2):
+            assert run("train", "--seed", "1", "--out", tmp_path / "out") == 2
+            assert capsys.readouterr().err == "error: --data is required\n"
 
     @pytest.mark.parametrize("command", ["train", "tune", "explain", "plot"])
     def test_help_exits_0(self, capsys, command):

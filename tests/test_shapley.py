@@ -470,6 +470,10 @@ class TestExplainInstance:
         with pytest.raises(ValueError, match="^forest 2 has width 5, the instance has width 6"):
             tree_shap(forests, x, bg)
 
+    def test_tree_shap_without_forests(self):
+        with pytest.raises(ValueError, match="^forests must hold at least one forest, got none"):
+            tree_shap([], np.zeros(3), np.zeros((2, 3)))
+
     def test_unknown_estimator(self, small_dataset):
         model = fit_br(small_dataset, ForestParams(n_trees=1, max_depth=2, seed=0))
         with pytest.raises(ValueError, match="estimator"):
@@ -830,6 +834,16 @@ class TestCoalitionTables:
             assert (planned is not None) == built
             if built:
                 assert planned[2] == budget - nbytes
+
+    @pytest.mark.parametrize("algo", ["br", "cc"])
+    def test_repeated_and_unordered_labels(self, cc, algo, rng):
+        """A label asked for twice, after a lower one: each column holds its
+        label's output, one forest's in two columns."""
+        ds, model = cc
+        if algo == "br":
+            model = fit_br(ds, _CC_PARAMS)
+        _assert_tables_match_rows(model, [2, 0, 2], ds.features[8], ds.features[100:106],
+                                  _masks(rng, _N_MASKS, 6))
 
 
 def _br_case(name, params, n=90, d=8, L=3, seed=0, decimals=None):
